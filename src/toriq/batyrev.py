@@ -16,10 +16,17 @@ procedure terminate.  Buchberger completion over these rules only ever adds
 elements mirroring the classical completion of the level-0 layer; an S-pair
 residue with no unit coefficient at all would mean the quotient is not free
 over the truncated scalars and is reported, never skipped.
+
+``complete`` and ``dp_reduce`` are the package's only Groebner engine.  At
+cutoff 0 only the q^0 level occurs, the deformation disappears and they
+compute the classical reduced Groebner basis and normal forms, which is how
+``cohomring`` builds the cohomology ring.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from . import polynomials as P
 from .novikov import NovikovContext, NovikovScalar
@@ -112,9 +119,11 @@ def dp_coefficient_scalar(dp, mono, ctx):
 def dp_reduce(dp, rules, ctx):
     """Full normal form modulo monic rules, by increasing ell-level.
 
-    Within a level, classical division strictly decreases the term order;
-    deformation tails move to levels of strictly larger ell, bounded by the
-    cutoff, so the loop terminates with every surviving monomial standard.
+    Within a level the largest monomial left is taken next: the first rule
+    whose lead divides it cancels it against strictly smaller classical terms,
+    otherwise it is final.  Deformation tails move to levels of strictly
+    larger ell, bounded by the cutoff, so the loop terminates with every
+    surviving monomial standard.
     """
     zero = ctx.zero_class
     levels = {b: dict(p) for b, p in dp.items()
@@ -122,32 +131,38 @@ def dp_reduce(dp, rules, ctx):
     out = {}
     while levels:
         beta = min(levels, key=lambda b: (ctx.ell_of(b), b))
-        poly = levels.pop(beta)
-        while True:
-            hit = None
-            for m in sorted(poly, key=P.term_key, reverse=True):
-                for lead, element in rules:
-                    if P.mono_divides(lead, m):
-                        hit = (m, lead, element)
-                        break
-                if hit:
+        work = levels.pop(beta)
+        poly = {}
+        while work:
+            m = max(work, key=P.term_key)
+            c = work.pop(m)
+            for lead, element in rules:
+                if P.mono_divides(lead, m):
                     break
-            if hit is None:
-                break
-            m, lead, element = hit
-            c = poly[m]
+            else:
+                poly[m] = c
+                continue
             quot = P.mono_div(m, lead)
             for ebeta, epoly in element.items():
-                shifted = P.pmul_term(epoly, quot, c)
                 if ebeta == zero:
-                    poly = P.psub(poly, shifted)
-                else:
-                    target = tuple(x + y for x, y in zip(beta, ebeta))
-                    if ctx.ell_of(target) > ctx.cutoff:
-                        continue
-                    levels[target] = P.psub(levels.get(target, {}), shifted)
-                    if not levels[target]:
-                        del levels[target]
+                    # the lead term cancels m exactly; the rest is smaller
+                    for em, ec in epoly.items():
+                        if em == lead:
+                            continue
+                        key = P.mono_mul(em, quot)
+                        s = work.get(key, 0) - c * ec
+                        if s:
+                            work[key] = s
+                        else:
+                            work.pop(key, None)
+                    continue
+                target = tuple(x + y for x, y in zip(beta, ebeta))
+                if ctx.ell_of(target) > ctx.cutoff:
+                    continue
+                levels[target] = P.psub(levels.get(target, {}),
+                                        P.pmul_term(epoly, quot, c))
+                if not levels[target]:
+                    del levels[target]
         if poly:
             out[beta] = poly
     return out
@@ -201,25 +216,31 @@ def _deformed_generators(fan, md, ring, ctx):
     return gens
 
 
-def build_deformed_ideal(fan, md, ring, cutoff):
-    """Complete the deformed generators to a rewriting system.
+def complete(gens, ctx):
+    """Complete level-indexed generators to a canonical rewriting system.
 
-    S-pairs are processed smallest leading-lcm first; residues are reduced
-    fully before insertion.  The final rules are canonicalized so that each
-    right-hand side is the full normal form of its leading monomial (hence
-    supported on standard monomials at every level).
+    Returns ``(rules, added)``: the rules are ``(lead monomial, monic
+    element)`` pairs sorted by lead, each element equal to its lead minus the
+    lead's full normal form (hence supported on standard monomials at every
+    level), and ``added`` counts the S-pair residues the completion inserted.
+    S-pairs are processed smallest leading-lcm first, the oldest pair first
+    among equal lcms; residues are reduced fully before insertion.  At cutoff
+    0 only the q^0 level occurs and this is the classical reduced Groebner
+    basis.
     """
-    ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
-    rules = []
-    for g in _deformed_generators(fan, md, ring, ctx):
-        if g:
-            rules.append(_monicize(g, ctx))
+    rules = [_monicize(g, ctx) for g in gens if g]
+    pairs, order = [], count()
+
+    def push(i, j):
+        lcm = P.mono_lcm(rules[i][0], rules[j][0])
+        heapq.heappush(pairs, (P.term_key(lcm), next(order), i, j))
+
+    for i in range(len(rules)):
+        for j in range(i):
+            push(i, j)
     added = 0
-    pairs = [(i, j) for i in range(len(rules)) for j in range(i)]
     while pairs:
-        pairs.sort(key=lambda ij: P.term_key(
-            P.mono_lcm(rules[ij[0]][0], rules[ij[1]][0])))
-        i, j = pairs.pop(0)
+        _, _, i, j = heapq.heappop(pairs)
         lead_i, gi = rules[i]
         lead_j, gj = rules[j]
         lcm = P.mono_lcm(lead_i, lead_j)
@@ -233,7 +254,8 @@ def build_deformed_ideal(fan, md, ring, cutoff):
                     f"element: quotient is not free on the classical basis")
             rules.append(_monicize(residue, ctx))
             added += 1
-            pairs.extend((len(rules) - 1, k) for k in range(len(rules) - 1))
+            for k in range(len(rules) - 1):
+                push(len(rules) - 1, k)
     # minimalize leads, then canonicalize right-hand sides to normal forms
     keep = []
     for i, (lead, g) in enumerate(rules):
@@ -245,11 +267,18 @@ def build_deformed_ideal(fan, md, ring, cutoff):
             keep.append((lead, g))
     canonical = []
     for lead, _ in keep:
-        nf = dp_reduce({(0,) * fan.n_rays: {lead: Fraction(1)}}, keep, ctx)
+        nf = dp_reduce({ctx.zero_class: {lead: Fraction(1)}}, keep, ctx)
         element = dp_sub({ctx.zero_class: {lead: Fraction(1)}}, nf)
         canonical.append((lead, dp_clean(element)))
     canonical.sort(key=lambda r: P.term_key(r[0]))
-    return DeformedIdeal(ring=ring, ctx=ctx, rules=tuple(canonical),
+    return tuple(canonical), added
+
+
+def build_deformed_ideal(fan, md, ring, cutoff):
+    """Complete the deformed generators to a rewriting system."""
+    ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
+    rules, added = complete(_deformed_generators(fan, md, ring, ctx), ctx)
+    return DeformedIdeal(ring=ring, ctx=ctx, rules=rules,
                          completion_added=added)
 
 
@@ -273,27 +302,21 @@ def normal_form(ideal, ray_terms):
         else:
             contrib = {ctx.zero_class: P.pscale(expanded, coeff)}
         dp = dp_add(dp, contrib)
-    reduced = dp_reduce(dp, ideal.rules, ctx)
-    out = [NovikovScalar(ctx) for _ in ring.basis]
-    index = {m: i for i, m in enumerate(ring.basis)}
-    for beta, poly in reduced.items():
-        for m, c in poly.items():
-            assert m in index, f"non-standard monomial {m} survived reduction"
-            out[index[m]] = out[index[m]] + NovikovScalar.monomial(ctx, beta, c)
-    return out
+    return _basis_expansion(ideal, dp)
 
 
-def normal_form_surviving(ideal, poly, scalar=None):
+def normal_form_surviving(ideal, poly):
     """Basis expansion of a polynomial already in the surviving variables."""
+    return _basis_expansion(ideal, {ideal.ctx.zero_class: poly})
+
+
+def _basis_expansion(ideal, dp):
+    """Reduce, then read off one NovikovScalar per classical basis monomial."""
     ctx = ideal.ctx
-    dp = {ctx.zero_class: poly}
-    if scalar is not None:
-        dp = dp_mul_scalar(dp, scalar, ctx)
-    reduced = dp_reduce(dp, ideal.rules, ctx)
     out = [NovikovScalar(ctx) for _ in ideal.ring.basis]
     index = {m: i for i, m in enumerate(ideal.ring.basis)}
-    for beta, p in reduced.items():
-        for m, c in p.items():
+    for beta, poly in dp_reduce(dp, ideal.rules, ctx).items():
+        for m, c in poly.items():
             assert m in index, f"non-standard monomial {m} survived reduction"
             out[index[m]] = out[index[m]] + NovikovScalar.monomial(ctx, beta, c)
     return out
@@ -402,6 +425,7 @@ class IsoCertificate:
     det_is_unit: bool
     annihilation: object
     relations: tuple          # (Relation, ok) pairs
+    module: BatyrevModule
     verdict: str
 
 
@@ -412,19 +436,21 @@ def certify_isomorphism(ideal, md):
     operators annihilate the series, reduces the induced relations to zero in
     the deformed quotient, expresses the monomial lifts of the basis through
     iterated module-matrix action, and checks the determinant is a unit whose
-    q^0 part is 1.
+    q^0 part is 1.  The certificate carries the module and the relation
+    results, so a report renders from it without recomputing them.
     """
-    from .gkz import annihilation_certificate, extract_relation, gkz_operator
+    from .gkz import (annihilation_certificate, extract_relation, gkz_operator,
+                      i_function)
 
     ring = ideal.ring
     ctx = ideal.ctx
     if not md.semipositive:
         raise HypothesisUnmet(
             "fan is not semipositive: the comparison theorem does not apply")
-    annihilation = annihilation_certificate(ring, md, ctx.cutoff)
-    relations = tuple(
-        relation_check(ideal, [extract_relation(gkz_operator(beta))])[0]
-        for beta in md.generators)
+    annihilation = annihilation_certificate(
+        i_function(ring, md, ctx.cutoff), md)
+    relations = tuple(relation_check(
+        ideal, [extract_relation(gkz_operator(beta)) for beta in md.generators]))
     module = module_matrices(ideal)
     dim = ring.dim
     unit_vec = [NovikovScalar.unit(ctx) if ring.basis[i] == (0,) * len(ring.surviving)
@@ -443,5 +469,5 @@ def certify_isomorphism(ideal, md):
     ok = annihilation.ok and all(flag for _, flag in relations) and det_unit
     return IsoCertificate(
         phi=phi, determinant=det, det_is_unit=det_unit,
-        annihilation=annihilation, relations=relations,
+        annihilation=annihilation, relations=relations, module=module,
         verdict="certified" if ok else "failed")

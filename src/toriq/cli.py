@@ -9,8 +9,9 @@ Three subcommands over a fan (builtin catalog name or JSON file):
 * ``certify``   -- deformed presentation, module matrices, relation checks,
                    isomorphism certificate.
 
-Exit codes: 0 all certificates passed, 1 certificate failure, 2 input error,
-3 theorem hypothesis unmet.  Reports are deterministic; the JSON form carries
+Exit codes: 0 all certificates passed, 1 certificate failure, 2 input error
+(including a cutoff below the ell of a Mori generator), 3 theorem hypothesis
+unmet.  Reports are deterministic; the JSON form carries
 ``"schema": "toriq/1"`` and renders every rational exactly as a string.
 """
 
@@ -26,19 +27,16 @@ from .batyrev import (
     RelationNonzero,
     build_deformed_ideal,
     certify_isomorphism,
-    module_matrices,
-    relation_check,
 )
 from .catalog import CATALOG, builtin_fan
 from .cohomring import build_cohomology_ring, graded_dimensions, render_class
 from .fan import ValidationError, make_fan, validate_complete, validate_smooth
 from .gkz import (
     AnnihilationFailure,
+    InsufficientCutoff,
     PositiveHbarPower,
     annihilation_certificate,
-    extract_relation,
     extract_two_point_invariants,
-    gkz_operator,
     i_function,
     leading_terms,
 )
@@ -308,7 +306,7 @@ def run_ifunction(fan, cutoff):
         if md.semipositive:
             failures.append(f"two-point extraction failed: {exc}")
     try:
-        ann = annihilation_certificate(ring, md, cutoff)
+        ann = annihilation_certificate(I, md)
         report["annihilation"] = {
             "status": "ok" if ann.ok else "failed",
             "generators": [
@@ -341,9 +339,6 @@ def run_certify(fan, cutoff):
         }
         return report
     ideal = build_deformed_ideal(fan, md, ring, cutoff)
-    module = module_matrices(ideal)
-    relations = [extract_relation(gkz_operator(beta)) for beta in md.generators]
-    rel_report = relation_check(ideal, relations)
     cert = certify_isomorphism(ideal, md)
     var_all = [f"x{r + 1}" for r in range(fan.n_rays)]
     report["presentation"] = {
@@ -360,7 +355,7 @@ def run_certify(fan, cutoff):
     stars = []
     for rho in range(fan.n_rays):
         for a, mono in enumerate(ring.basis):
-            col = module.star_column(rho, a)
+            col = cert.module.star_column(rho, a)
             stars.append({
                 "variable": var_all[rho],
                 "basis_monomial": basis_monomial_str(ring, mono),
@@ -372,7 +367,7 @@ def run_certify(fan, cutoff):
     }
     report["relations"] = [
         {"relation": _relation_str(md, rel, fan), "vanishes": ok}
-        for rel, ok in rel_report]
+        for rel, ok in cert.relations]
     report["certificate"] = {
         "annihilation_ok": cert.annihilation.ok,
         "relations_ok": all(ok for _, ok in cert.relations),
@@ -601,7 +596,7 @@ def main(argv=None):
             report = run_ifunction(fan, args.cutoff)
         else:
             report = run_certify(fan, args.cutoff)
-    except NoPositiveFunctional as exc:
+    except (NoPositiveFunctional, InsufficientCutoff) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (AnnihilationFailure, RelationNonzero,

@@ -9,6 +9,10 @@ unimodularity.  The image of the Stanley-Reisner ideal in the surviving
 variables is completed to a reduced Groebner basis; the standard monomials
 form the module basis, with one basis element per maximal cone.
 
+There is no separate classical Groebner code: the completion and every normal
+form here are ``batyrev.complete`` and ``batyrev.dp_reduce`` run at cutoff 0,
+where only the q^0 level occurs and the deformed ring is the classical one.
+
 Integration is normalized by requiring every maximal-cone monomial
 ``prod_{rho in sigma} D_rho`` to integrate to 1, and the Poincare pairing is
 inverted exactly to produce the dual basis.
@@ -18,7 +22,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lattice, polynomials as P
+from .batyrev import complete, dp_reduce
 from .moricone import primitive_collections
+from .novikov import NovikovContext
+
+# Scalars of the classical ring: the q^0 level alone, so no curve classes.
+_Q0 = NovikovContext(n_rays=0, ell=(), cutoff=0)
 
 
 class DimensionMismatch(ValueError):
@@ -39,7 +48,7 @@ class CohomRing:
     sigma0: tuple                 # eliminated ray indices
     surviving: tuple              # remaining ray indices, ascending
     eliminations: dict            # eliminated ray -> integer coeffs over surviving
-    groebner: tuple               # reduced GB, polynomials in surviving variables
+    rules: tuple                  # (lead, {(): monic polynomial}) from complete
     basis: tuple                  # standard monomials (exponent tuples)
     basis_degrees: tuple
     mult_table: dict              # (i, j) with i <= j -> coefficient tuple
@@ -54,6 +63,11 @@ class CohomRing:
     def top_degree(self):
         return self.fan.dim
 
+    @property
+    def groebner(self):
+        """Reduced Groebner basis, polynomials in the surviving variables."""
+        return tuple(element[()] for _, element in self.rules)
+
     def basis_index(self, mono):
         return self.basis.index(mono)
 
@@ -67,7 +81,7 @@ class CohomRing:
 
     def from_poly(self, poly):
         """Class of a polynomial in the surviving variables."""
-        nf = P.normal_form(poly, list(self.groebner))
+        nf = _normal_form(self.rules, poly)
         coeffs = [Fraction(0)] * self.dim
         for m, c in nf.items():
             coeffs[self.basis.index(m)] = c
@@ -183,7 +197,7 @@ def build_cohomology_ring(fan):
 
     ring_stub = CohomRing(
         fan=fan, sigma0=sigma0, surviving=tuple(surviving),
-        eliminations=eliminations, groebner=(), basis=(), basis_degrees=(),
+        eliminations=eliminations, rules=(), basis=(), basis_degrees=(),
         mult_table={}, point_integrals={})
 
     sr_gens = []
@@ -191,10 +205,9 @@ def build_cohomology_ring(fan):
         poly = P.pconst(nv)
         for rho in coll:
             poly = P.pmul(poly, ring_stub.ray_poly(rho))
-        sr_gens.append(poly)
-    gb = P.buchberger(sr_gens)
-    leads = [P.leading(g)[0] for g in gb]
-    basis = tuple(P.standard_monomials(leads, nv))
+        sr_gens.append({(): poly})
+    rules, _ = complete(sr_gens, _Q0)
+    basis = tuple(P.standard_monomials([lead for lead, _ in rules], nv))
     if len(basis) != len(fan.max_cones):
         raise DimensionMismatch(
             f"quotient has dimension {len(basis)}, expected "
@@ -204,7 +217,7 @@ def build_cohomology_ring(fan):
     mult_table = {}
     for i, mi in enumerate(basis):
         for j in range(i, len(basis)):
-            nf = P.normal_form({P.mono_mul(mi, basis[j]): Fraction(1)}, gb)
+            nf = _normal_form(rules, {P.mono_mul(mi, basis[j]): Fraction(1)})
             col = [Fraction(0)] * len(basis)
             for m, c in nf.items():
                 col[basis.index(m)] = c
@@ -217,7 +230,7 @@ def build_cohomology_ring(fan):
         poly = P.pconst(nv)
         for rho in cone:
             poly = P.pmul(poly, ring_stub.ray_poly(rho))
-        nf = P.normal_form(poly, gb)
+        nf = _normal_form(rules, poly)
         row = [Fraction(0)] * len(top)
         for m, c in nf.items():
             if P.mono_deg(m) != fan.dim:
@@ -237,10 +250,15 @@ def build_cohomology_ring(fan):
 
     return CohomRing(
         fan=fan, sigma0=sigma0, surviving=tuple(surviving),
-        eliminations=eliminations, groebner=tuple(gb), basis=basis,
+        eliminations=eliminations, rules=rules, basis=basis,
         basis_degrees=degrees, mult_table=mult_table,
         point_integrals=integrals,
         var_names=tuple(f"x{j + 1}" for j in surviving))
+
+
+def _normal_form(rules, poly):
+    """Normal form of a surviving-variable polynomial modulo the ring's rules."""
+    return dp_reduce({(): poly}, rules, _Q0).get((), {})
 
 
 def integrate(ring, c):

@@ -125,14 +125,6 @@ def validate_complete(fan):
     return ValidationReport(True)
 
 
-def validate(fan):
-    """Run both validators; first failure wins."""
-    report = validate_smooth(fan)
-    if not report.ok:
-        return report
-    return validate_complete(fan)
-
-
 def minimal_cone_containing(fan, v):
     """The unique cone with v in its relative interior, plus coefficients.
 
@@ -149,10 +141,3 @@ def minimal_cone_containing(fan, v):
             coeffs = tuple(c for c in coords if c > 0)
             return support, coeffs
     raise NotInSupport(f"{v} lies in no maximal cone")
-
-
-def irrelevant_collections(fan):
-    """Ray-index sets cutting out the irrelevant locus: the primitive collections."""
-    from . import moricone  # fan is the lower-level module; late import avoids a cycle
-
-    return moricone.primitive_collections(fan)

@@ -165,7 +165,8 @@ def apply_gkz_operator(op, I):
     reduced_cutoff = ctx.cutoff - ell_op
     if reduced_cutoff < 0:
         raise InsufficientCutoff(
-            f"operator needs ell {ell_op} but cutoff is {ctx.cutoff}")
+            f"box operator of {op.beta} needs cutoff >= {ell_op}, "
+            f"got {ctx.cutoff}")
     out_ctx = NovikovContext(n_rays=ctx.n_rays, ell=ctx.ell,
                              cutoff=reduced_cutoff)
     divisors = {rho: divisor_class(ring, rho)
@@ -209,9 +210,9 @@ class AnnihilationReport:
     ok: bool
 
 
-def annihilation_certificate(ring, md, cutoff):
-    """Check that every Mori generator's box operator kills the series."""
-    I = i_function(ring, md, cutoff)
+def annihilation_certificate(I, md):
+    """Check that every Mori generator's box operator kills the series ``I``."""
+    cutoff = I.ctx.cutoff
     entries = []
     for beta in md.generators:
         result = apply_gkz_operator(gkz_operator(beta), I)

@@ -153,9 +153,6 @@ class NovikovScalar:
         assert (inv * self) == NovikovScalar.unit(ctx)
         return inv
 
-    def anticanonical_degrees(self):
-        return {b: sum(b) for b in self.terms}
-
     def __repr__(self):
         return f"NovikovScalar({self.terms})"
 
@@ -314,53 +311,3 @@ def series_mul(a, b):
             else:
                 out.pop(beta, None)
     return NovikovSeries(ctx, a.ring, out)
-
-
-def _hlaurent_invert(h):
-    """Inverse of an HLaurent unit: scalar at hbar^0 plus nilpotent terms."""
-    ring = h.ring
-    c0 = h.coefficient(0).degree_zero_coefficient()
-    if c0 == 0:
-        raise NotAUnit("hbar^0 coefficient has no scalar part")
-    for k, v in h.terms.items():
-        if k != 0 and v.degree_zero_coefficient() != 0:
-            raise NotAUnit(f"scalar part at hbar^{k} is not invertible")
-    one = HLaurent.one(ring)
-    n = (h.scale(Fraction(1, 1) / c0)) - one
-    acc = one
-    power = one
-    sign = 1
-    while True:
-        power = power * n
-        if not power:
-            break
-        sign = -sign
-        acc = acc + power.scale(sign)
-    return acc.scale(Fraction(1) / c0)
-
-
-def invert_unit(a):
-    """Inverse of a series whose q^0, hbar^0 part is a nonzero rational.
-
-    Computed by graded Neumann iteration over the ell-degree; exact up to the
-    cutoff, i.e. ``series_mul(a, invert_unit(a))`` is the unit series.
-    """
-    ctx = a.ctx
-    u = a.terms.get(ctx.zero_class)
-    if u is None:
-        raise NotAUnit("series has no q^0 coefficient")
-    u_inv = _hlaurent_invert(u)
-    u_inv_series = NovikovSeries(ctx, a.ring, {ctx.zero_class: u_inv})
-    rest = NovikovSeries(ctx, a.ring,
-                         {b: h for b, h in a.terms.items() if b != ctx.zero_class})
-    n = series_mul(u_inv_series, rest)
-    acc = NovikovSeries.one(ctx, a.ring)
-    power = NovikovSeries.one(ctx, a.ring)
-    sign = 1
-    for _ in range(ctx.cutoff):
-        power = series_mul(power, n)
-        if not power:
-            break
-        sign = -sign
-        acc = acc + power.scale(sign)
-    return series_mul(acc, u_inv_series)

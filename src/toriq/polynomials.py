@@ -1,4 +1,4 @@
-"""Multivariate polynomials over exact rationals, with Groebner machinery.
+"""Multivariate polynomials over exact rationals: arithmetic and term order.
 
 A monomial is an exponent tuple; a polynomial is a dict mapping monomials to
 nonzero Fractions.  The term order is graded lexicographic with the *last*
@@ -6,6 +6,9 @@ variable most significant (variables are indexed by their ray order and a
 later ray outranks an earlier one); this is the order under which the
 Stanley-Reisner images of the catalog fans have square-free-power leading
 terms and finite standard monomial bases.
+
+There is no Groebner code here: one completion (``batyrev.complete``, with
+``batyrev.dp_reduce``) serves both the classical and the deformed ring.
 """
 
 from fractions import Fraction
@@ -112,84 +115,6 @@ def leading(p):
         return None
     m = max(p, key=term_key)
     return m, p[m]
-
-
-def normal_form(p, rules):
-    """Fully reduce p modulo monic rule polynomials (complete reduction).
-
-    Every monomial divisible by some rule's leading monomial is eliminated,
-    not just the leading one, so the result is the canonical representative
-    supported on standard monomials.
-    """
-    leads = [(leading(g)[0], g) for g in rules]
-    work = dict(p)
-    out = {}
-    while work:
-        m = max(work, key=term_key)
-        c = work.pop(m)
-        for lead, g in leads:
-            if mono_divides(lead, m):
-                quot = mono_div(m, lead)
-                # subtract c * x^quot * g; the lead term cancels m exactly
-                for gm, gc in g.items():
-                    if gm == lead:
-                        continue
-                    key = mono_mul(gm, quot)
-                    s = work.get(key, Fraction(0)) - c * gc
-                    if s:
-                        work[key] = s
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            out[m] = c
-    return out
-
-
-def s_poly(f, g):
-    mf, cf = leading(f)
-    mg, cg = leading(g)
-    lcm = mono_lcm(mf, mg)
-    return psub(pmul_term(f, mono_div(lcm, mf), 1 / cf),
-                pmul_term(g, mono_div(lcm, mg), 1 / cg))
-
-
-def buchberger(gens):
-    """Reduced Groebner basis (monic, tails reduced, sorted by leading term)."""
-    basis = []
-    for g in gens:
-        if g:
-            lead = leading(g)
-            basis.append(pscale(g, 1 / lead[1]))
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
-    while pairs:
-        pairs.sort(key=lambda ij: term_key(
-            mono_lcm(leading(basis[ij[0]])[0], leading(basis[ij[1]])[0])))
-        i, j = pairs.pop(0)
-        rem = normal_form(s_poly(basis[i], basis[j]), basis)
-        if rem:
-            rem = pscale(rem, 1 / leading(rem)[1])
-            basis.append(rem)
-            pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
-    # minimalize: drop elements whose lead is divisible by another lead
-    leads = [leading(g)[0] for g in basis]
-    keep = []
-    for i, g in enumerate(basis):
-        if not any(j != i and mono_divides(leads[j], leads[i])
-                   and (leads[j] != leads[i] or j < i)
-                   for j in range(len(basis))):
-            keep.append(g)
-    # inter-reduce tails
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        lead_m, _ = leading(g)
-        tail = dict(g)
-        tail.pop(lead_m)
-        tail = normal_form(tail, others) if others else tail
-        reduced.append(padd({lead_m: Fraction(1)}, tail))
-    reduced.sort(key=lambda g: term_key(leading(g)[0]))
-    return reduced
 
 
 def standard_monomials(lead_monomials, nvars):

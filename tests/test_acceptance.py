@@ -153,7 +153,7 @@ def test_criterion_04_annihilation():
     for name, fan in CATALOG.items():
         md = mori_data(fan)
         ring = build_cohomology_ring(fan)
-        cert = annihilation_certificate(ring, md, 4)
+        cert = annihilation_certificate(i_function(ring, md, 4), md)
         assert cert.ok, name
         for beta, certified, ok in cert.entries:
             assert ok and certified == 4 - md.ell_of(beta), (name, beta)

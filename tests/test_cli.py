@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toriq
 from toriq.cli import (
     ParseError,
     exit_code_for,
@@ -205,3 +210,19 @@ def test_non_simplicial_mori_cone_renders_vectors(tmp_path, capsys):
                        "--cutoff", "2")
     assert code == 0
     assert "leading term I0 == 1: true" in out
+
+
+def test_cutoff_below_generator_ell_is_input_error():
+    # run as a separate process so that an uncaught error shows as a traceback
+    src = str(Path(toriq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for command, fan in (("ifunction", "P2"), ("certify", "F2")):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from toriq.cli import main; sys.exit(main())",
+             command, "--fan", fan, "--cutoff", "0"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert proc.stderr.startswith("input error:"), command
+        assert "Traceback" not in proc.stderr, command
+        assert proc.stdout == ""

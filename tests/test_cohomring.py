@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import pytest
+
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cohomring import (
     build_cohomology_ring,
@@ -13,6 +15,8 @@ from toriq.cohomring import (
     poincare_dual_basis,
 )
 from toriq import polynomials as P
+from toriq.fan import make_fan
+from toriq.moricone import primitive_collections
 
 
 def h_vector_by_face_counting(fan):
@@ -170,3 +174,50 @@ def test_linear_relations_vanish():
                 poly = P.padd(poly, P.pscale(ring.ray_poly(rho),
                                              fan.rays[rho][k]))
             assert poly == {}, (fan.name, k)
+
+
+def _cycle(name, rays):
+    """Complete surface fan whose maximal cones are consecutive ray pairs."""
+    return make_fan(2, rays, [(i, (i + 1) % len(rays)) for i in range(len(rays))],
+                    name=name)
+
+
+def _p1xdp6():
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    rays = [(a, b, 0) for a, b in hexagon] + [(0, 0, 1), (0, 0, -1)]
+    cones = [(i, (i + 1) % 6, pole) for i in range(6) for pole in (6, 7)]
+    return make_fan(3, rays, cones, name="P1xdP6")
+
+
+ORACLE_FANS = list(CATALOG.values()) + [
+    _cycle("dP6", [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]),
+    _cycle("wdP5", [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 0), (-1, -1),
+                    (0, -1)]),
+    _p1xdp6(),
+]
+
+
+@pytest.mark.parametrize("fan", ORACLE_FANS, ids=lambda f: f.name)
+def test_groebner_matches_sympy(fan):
+    sympy = pytest.importorskip("sympy")
+    ring = build_cohomology_ring(fan)
+    xs = sympy.symbols(f"x0:{len(ring.surviving)}")
+
+    def to_sympy(poly):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.prod([x ** e for x, e in zip(xs, m)])
+                   for m, c in poly.items())
+
+    gens = []
+    for coll in primitive_collections(fan):
+        poly = P.pconst(len(ring.surviving))
+        for rho in coll:
+            poly = P.pmul(poly, ring.ray_poly(rho))
+        gens.append(to_sympy(poly))
+    # grlex over the reversed variables is term_key: the last variable leads
+    oracle = sympy.groebner(gens, *reversed(xs), order="grlex", domain="QQ")
+    expected = sorted(
+        ({tuple(reversed(m)): Fraction(int(c.p), int(c.q))
+          for m, c in g.as_poly(*reversed(xs)).terms()} for g in oracle.exprs),
+        key=lambda p: P.term_key(P.leading(p)[0]))
+    assert list(ring.groebner) == expected

@@ -6,7 +6,6 @@ from toriq.fan import (
     ValidationError,
     make_fan,
     minimal_cone_containing,
-    irrelevant_collections,
     validate_complete,
     validate_smooth,
 )
@@ -98,12 +97,6 @@ def test_wall_count_invariant():
                 walls.add(w)
                 total += 1
         assert total == 2 * len(walls)
-
-
-def test_irrelevant_collections_delegate():
-    assert irrelevant_collections(builtin_fan("P2")) == [(0, 1, 2)]
-    assert irrelevant_collections(builtin_fan("F2")) == [(0, 2), (1, 3)]
-    assert irrelevant_collections(builtin_fan("P1")) == [(0, 1)]
 
 
 def test_minimal_cone_outside_support():

@@ -216,7 +216,7 @@ def test_apply_operator_insufficient_cutoff():
 def test_annihilation_all_catalog():
     for name in CATALOG:
         fan, md, ring = setup(name)
-        report = annihilation_certificate(ring, md, 3)
+        report = annihilation_certificate(i_function(ring, md, 3), md)
         assert isinstance(report, AnnihilationReport)
         assert report.ok, name
         for beta, certified, ok in report.entries:
@@ -228,7 +228,7 @@ def test_annihilation_f3():
     # annihilation is a theorem for every smooth projective fan,
     # semipositive or not
     _, md, ring = setup("F3")
-    assert annihilation_certificate(ring, md, 3).ok
+    assert annihilation_certificate(i_function(ring, md, 3), md).ok
 
 
 def test_box_operators_of_all_effective_classes_annihilate():
@@ -274,7 +274,7 @@ def test_projective_three_space():
     assert table.value(ring.basis.index((2,)), 4, beta) == -4
     assert table.value(ring.basis.index((1,)), 5, beta) == 10
     assert table.value(ring.basis.index((0,)), 6, beta) == -20
-    assert annihilation_certificate(ring, md, 3).ok
+    assert annihilation_certificate(i_function(ring, md, 3), md).ok
 
 
 def test_extract_relation_examples():

@@ -1,0 +1,79 @@
+"""Byte-identity tripwire: the CLI's stdout on every catalog case.
+
+Each entry maps (command, builtin fan, format) at cutoff 3 to the exit code
+and the SHA-256 of the complete stdout.  The hashes were recorded from
+``toriq <command> --fan <name> --cutoff 3 --format <json|text>`` before the
+classical Groebner code was folded into the deformed completion; a change
+meant to keep the reports unchanged must leave every one of them intact.
+"""
+
+import hashlib
+
+import pytest
+
+from toriq.cli import main
+
+GOLDEN = {
+    ("analyze", "P1", "json"): (0, "4b5707dd54b93d3bc7fc1de6dd4c501509602c459aec91d6d8a619d440f7302a"),
+    ("analyze", "P1", "text"): (0, "8da816b2a415d826a14608f9907e1a13edca3ce80f602e278e754e631ef44bcb"),
+    ("ifunction", "P1", "json"): (0, "de11292d6234f6ccf1af19452366b050333376ad5f1550621e3146c863f52ead"),
+    ("ifunction", "P1", "text"): (0, "b5a3a94921f20f59a900757a264979ff15d456788f4621d74352cedcdaf3a59a"),
+    ("certify", "P1", "json"): (0, "a84531551466ccdaf07e336efc944d2bc67fd522d991fd23ada999ce1959e522"),
+    ("certify", "P1", "text"): (0, "688e528602b53ef28a270ef97750ec22c180fe3b9c6609c0ee393ef9c0a7b1d0"),
+    ("analyze", "P2", "json"): (0, "3755e48f3aa951a5bbfe28d44cca9955db3eb8c2db1fe47c43b7db34375a67b5"),
+    ("analyze", "P2", "text"): (0, "48e914156c00acefd1c0d1b592ee0b88a598691613848635be72ce0e855ef2d5"),
+    ("ifunction", "P2", "json"): (0, "61d2480267e4471e9675d0b2dc7db937703da81d95a36cb424c81b575c95e5fa"),
+    ("ifunction", "P2", "text"): (0, "5da414417db2448c63b8c8ac173f15a1f9c03a983ee614a8ef7d2fa191633ca5"),
+    ("certify", "P2", "json"): (0, "cfd2219db5be17362de3d76083f78beee39883491c4e36367f591e3d8e7cfad3"),
+    ("certify", "P2", "text"): (0, "11fe18b6027310b7c918abb1f810a7fe1a6c23f98f46cc250ec795fc718fc8e1"),
+    ("analyze", "P1xP1", "json"): (0, "f780ab5d9e18f0185338c19703b1ac874503fbf2dda5cb5a5dbac85fc7854b32"),
+    ("analyze", "P1xP1", "text"): (0, "ff22c7666f89b85ea9067531f85904fec3165372d2cdf794d3148ce80c11a3b4"),
+    ("ifunction", "P1xP1", "json"): (0, "cbc7ad54f8a630b60b6de8e1be73d3345c249be595871c7c64729a6be53f95e4"),
+    ("ifunction", "P1xP1", "text"): (0, "cd45d3a96c8cb1af7ca0fddbafd0dd72ba468342cc152f2a9a780b31548c956b"),
+    ("certify", "P1xP1", "json"): (0, "27cab8f63cf4845809c61e1d7352f6db47673493ce8949f31d36b2f46dc668d3"),
+    ("certify", "P1xP1", "text"): (0, "43049b5c4bc1ac2456600c4f9d10fc8102e8130a6233f2acdbf433b264e30e1a"),
+    ("analyze", "F0", "json"): (0, "21f898e8567d501b1cb6d8b17e4b84ffde3cedb952071ff62f1c4057251a26f5"),
+    ("analyze", "F0", "text"): (0, "86e68e62e74b8359826bd071dffcdad0dfa0986afe60fc2bb4d7238a56131d77"),
+    ("ifunction", "F0", "json"): (0, "d4044c62d83adfffad8a6ce32965868d5b87f37872d1c1ad39fe093798b446c5"),
+    ("ifunction", "F0", "text"): (0, "c82df4b492b941f987d0930a5efaa784100090c8dd19689cdba5b5cd69068301"),
+    ("certify", "F0", "json"): (0, "ca4444f9a93195e7be03803d489b05f2f090f17f32420ce6e7b7f715af82cd9c"),
+    ("certify", "F0", "text"): (0, "d0676fe6d0b5a20f44f626492cd083d99d5b1e4570872bbccede72127b4bd71f"),
+    ("analyze", "F1", "json"): (0, "4ea93a1e878111b89c3e547ba7c0f1b3cb52f8f121ffde374b1ab96f9eae5422"),
+    ("analyze", "F1", "text"): (0, "78a15b65ac752adf1450e389fe5bf2c03d9e2b03e156db54be2fba8d6edd78a3"),
+    ("ifunction", "F1", "json"): (0, "b236063edfd697804bf8abd587dd544c9369051592e90471495a7454fcf449fd"),
+    ("ifunction", "F1", "text"): (0, "835b652c7565f707cb653bde5262a9a27b25ff641b62ce60ca8028aeaf697ace"),
+    ("certify", "F1", "json"): (0, "44109b38a84219898cffb5158ed7e1ce80330da0e944317c85bf4a5b8879600a"),
+    ("certify", "F1", "text"): (0, "9d1a0283b824216a9a5a5783958552c5f0d0a302916a195234a5d61b45c67d17"),
+    ("analyze", "F2", "json"): (0, "6cffabe37f81faa95bfecf769f37652a01e8ee8c2e2894a810e984b6878e6171"),
+    ("analyze", "F2", "text"): (0, "ed6ecddec3e74d60d52a9dbe8da6de153dabc40e6c18bb79f99fc5d201cd42de"),
+    ("ifunction", "F2", "json"): (0, "01eab222b7cea13072ff41a7f1ae9bdca8823a2613a44ac14d04ea93e05a4cb9"),
+    ("ifunction", "F2", "text"): (0, "3d26ef971107644f49b2e4948d7bdba9cdfc323d2700077adf0463d6d587523c"),
+    ("certify", "F2", "json"): (0, "efb5dcdd853e33bfdfc3e4d74287e89cbeff962c3a9094797a1724e7d6c86d21"),
+    ("certify", "F2", "text"): (0, "04847cc1b8a1cf552967eb4f141765ec5d5438d309d4b3b91b7f1c505341da12"),
+    ("analyze", "F3", "json"): (0, "620415defe8df69146fb3c44ebd425233f463718b185f5772471311938665aac"),
+    ("analyze", "F3", "text"): (0, "b887dcba36ed66249a787efe619d73a6d3a4f0333e7cecab3dcd0d76bd230f73"),
+    ("ifunction", "F3", "json"): (0, "cb736d38a62534505ec10982da4803ad2b891e715d73fb5578f6b79e05123960"),
+    ("ifunction", "F3", "text"): (0, "b4b34ba8ef3d0c864f2db8d449216b82fbb9037124ac9e6729e5655996ab8ec9"),
+    ("certify", "F3", "json"): (3, "53f84e4985ee7fde0aeceb92582d64ee26093fd810e6fa1a49de1cf1fc3e1025"),
+    ("certify", "F3", "text"): (3, "c98c916dcfc5734fb120e0a0cfda6c2b9b92146d4ea610ea7396e99c90893b5e"),
+    ("analyze", "P1xP2", "json"): (0, "f46c64f17acd6df97f5531075f8bf481bf8b1627ed049de152a64a6d52f775be"),
+    ("analyze", "P1xP2", "text"): (0, "76fcc679e2d354805f9d07bd81b14b27781e2d4cba163d45df505496b662014a"),
+    ("ifunction", "P1xP2", "json"): (0, "d3018fbd887575b1cd5d8c39b2388598fa69a3394cfa537865819a3238b0db93"),
+    ("ifunction", "P1xP2", "text"): (0, "a951f7409574613790a98840612ec1efd3e343d2fda3daac3844c54cfa0a1a42"),
+    ("certify", "P1xP2", "json"): (0, "f9823e920b5ce44c0b866c517d0364efa7cd5a72f5abf2737f3d097aefdb78b9"),
+    ("certify", "P1xP2", "text"): (0, "e9c15ce1aff0c1483d7385fcefeffa8b6a129df03afb4ac1683b8f8becb860ee"),
+    ("analyze", "BlP2", "json"): (0, "bc02aa69c8ed7228bbd77ef1e2e3c214b3217d39a23eeea876779ca607247768"),
+    ("analyze", "BlP2", "text"): (0, "d5fe831dd3966becbf4789a24937129138d8fc313f3cadbeceaa017bc618fc93"),
+    ("ifunction", "BlP2", "json"): (0, "7ffdddbe02d00b02ec50ad57abd535caafd93fc4bd922823ee4dcbd384aa25ff"),
+    ("ifunction", "BlP2", "text"): (0, "79b4fe710dfc7314214479dc28e7abddd7cc12c5d372a0a22cc3ad03acd07158"),
+    ("certify", "BlP2", "json"): (0, "3b72fd6954448d9f679862335bf17f02add35255b3043df8be273f13ee841ea2"),
+    ("certify", "BlP2", "text"): (0, "3cd5cc0e0c2f1adc6356311c0b656dc21dbf2cfe991396e454e22f056347b5be"),
+}
+
+
+@pytest.mark.parametrize("command,fan,fmt", sorted(GOLDEN))
+def test_catalog_stdout_unchanged(capsys, command, fan, fmt):
+    code = main([command, "--fan", fan, "--cutoff", "3", "--format", fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        GOLDEN[(command, fan, fmt)]

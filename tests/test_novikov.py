@@ -14,7 +14,6 @@ from toriq.novikov import (
     NovikovContext,
     NovikovScalar,
     NovikovSeries,
-    invert_unit,
     nilpotent_geometric,
     series_mul,
 )
@@ -133,39 +132,3 @@ def test_series_mul_assoc_comm_random():
         a, b, c = random_series(), random_series(), random_series()
         assert series_mul(a, b) == series_mul(b, a)
         assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
-
-
-def test_invert_unit_geometric():
-    _, _, ring, ctx = f2_setup(cutoff=3)
-    one = NovikovSeries.one(ctx, ring)
-    qb = NovikovSeries(ctx, ring, {B2: HLaurent.one(ring)})
-    a = one + qb
-    inv = invert_unit(a)
-    assert series_mul(a, inv) == one
-    # geometric series 1 - q + q^2 - q^3
-    expected = one - qb + series_mul(qb, qb) - series_mul(series_mul(qb, qb), qb)
-    assert inv == expected
-
-
-def test_invert_unit_with_nilpotent_part():
-    _, _, ring, ctx = f2_setup(cutoff=2)
-    one = NovikovSeries.one(ctx, ring)
-    x1 = ring.variable_class(0)
-    a = NovikovSeries(ctx, ring, {
-        ctx.zero_class: HLaurent(ring, {0: ring.one(), -1: x1}),
-        B1: HLaurent(ring, {-2: ring.one().scale(3)}),
-    })
-    inv = invert_unit(a)
-    assert series_mul(a, inv) == one
-
-
-def test_invert_unit_rejects_maximal_ideal():
-    _, _, ring, ctx = f2_setup(cutoff=2)
-    qb = NovikovSeries(ctx, ring, {B1: HLaurent.one(ring)})
-    with pytest.raises(NotAUnit):
-        invert_unit(qb)
-    # scalar part at hbar^1 blocks inversion too
-    bad = NovikovSeries(ctx, ring, {
-        ctx.zero_class: HLaurent(ring, {0: ring.one(), 1: ring.one()})})
-    with pytest.raises(NotAUnit):
-        invert_unit(bad)

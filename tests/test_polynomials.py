@@ -3,24 +3,48 @@ from fractions import Fraction
 
 import pytest
 
+from toriq.batyrev import complete, dp_reduce
+from toriq.novikov import NovikovContext
 from toriq.polynomials import (
-    buchberger,
     leading,
-    normal_form,
+    mono_div,
+    mono_lcm,
     padd,
     pconst,
     pmul,
+    pmul_term,
     psub,
     pvar,
     render_poly,
-    s_poly,
     standard_monomials,
     term_key,
 )
 
+# Classical polynomials are the q^0 level of the completion engine.
+Q0 = NovikovContext(n_rays=0, ell=(), cutoff=0)
+
 
 def P(terms):
     return {m: Fraction(c) for m, c in terms.items() if c}
+
+
+def buchberger(gens):
+    """Reduced Groebner basis through ``complete`` at cutoff 0."""
+    rules, _ = complete([{(): g} for g in gens], Q0)
+    return [element[()] for _, element in rules]
+
+
+def normal_form(p, gb):
+    """Normal form modulo a monic basis through ``dp_reduce`` at cutoff 0."""
+    rules = [(leading(g)[0], {(): g}) for g in gb]
+    return dp_reduce({(): p}, rules, Q0).get((), {})
+
+
+def s_poly(f, g):
+    (mf, cf), (mg, cg) = leading(f), leading(g)
+    lcm = mono_lcm(mf, mg)
+    return psub(pmul_term(f, mono_div(lcm, mf), 1 / cf),
+                pmul_term(g, mono_div(lcm, mg), 1 / cg))
 
 
 def test_term_order_precedence():
