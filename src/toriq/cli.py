@@ -118,12 +118,8 @@ def frac_str(x):
 
 def _generator_coordinates(md, beta):
     """Integer coordinates of beta over the Mori generators, if simplicial."""
-    gens = md.generators
-    if not gens:
-        return None
-    rows = [[g[i] for g in gens] for i in range(len(beta))]
-    from .lattice import rref
-    if len(rref([list(r) for r in rows])[1]) != len(gens):
+    rows = md.generator_matrix
+    if rows is None:
         return None  # not simplicial: generators dependent
     sol = solve_rational(rows, list(beta))
     if sol is None or any(x.denominator != 1 or x < 0 for x in sol):

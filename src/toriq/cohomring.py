@@ -111,7 +111,8 @@ class CohClass:
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c)
+                            for c in coeffs)
 
     def __eq__(self, other):
         return isinstance(other, CohClass) and self.coeffs == other.coeffs \

@@ -9,11 +9,17 @@ series coefficient is the exact product over rays of
 * ``D_rho * prod_{m=d+1..-1} (D_rho + m hbar)``  when ``d <= -2``.
 
 The reduced series (exponential prefactor stripped) is assembled over all
-effective classes up to the cutoff.  Box operators act coefficientwise through
-the rule "hbar-derivative along the divisor direction = multiplication by
-``D_rho + hbar d'_rho``"; applying the operator of any Mori generator must
-annihilate the series exactly on the certified range, and the hbar -> 0 limit
-of the operator is the binomial relation fed to the quantum-deformed ring.
+effective classes up to the cutoff.  A ray's factor depends only on the ray
+and ``d``, so each ray keeps a cache of its factors, the factor at ``d``
+built from the one at ``d - 1`` (``d + 1`` when negative) with one new term.
+Classes are visited in lex order and share the product of the factors of
+their common prefix.
+
+Box operators act coefficientwise through the rule "hbar-derivative along
+the divisor direction = multiplication by ``D_rho + hbar d'_rho``"; applying
+the operator of any Mori generator must annihilate the series exactly on the
+certified range, and the hbar -> 0 limit of the operator is the binomial
+relation fed to the quantum-deformed ring.
 """
 
 from dataclasses import dataclass
@@ -21,7 +27,12 @@ from fractions import Fraction
 
 from .cohomring import divisor_class, integrate, poincare_dual_basis
 from .moricone import enumerate_effective
-from .novikov import HLaurent, NovikovContext, NovikovSeries
+from .novikov import (
+    HLaurent,
+    NovikovContext,
+    NovikovSeries,
+    nilpotent_geometric,
+)
 
 
 class PositiveHbarPower(ValueError):
@@ -51,32 +62,69 @@ def gkz_operator(beta):
     return GKZOperator(beta=tuple(beta), positive=pos, negative=neg)
 
 
+def _ray_factor(ring, D, d, cache):
+    """Factor of a ray with divisor class ``D`` at pairing ``d != 0``.
+
+    ``cache`` maps pairings of this one ray to their factors.  The factor at
+    ``d`` is the one at ``d - 1`` (``d + 1`` when negative) times one new
+    term: ``(D + d hbar)^(-1)`` for ``d >= 2``, ``(D + (d + 1) hbar)`` for
+    ``d <= -2``.
+    """
+    if d not in cache:
+        if d == 1:
+            cache[d] = nilpotent_geometric(D, 1)
+        elif d > 1:
+            cache[d] = _ray_factor(ring, D, d - 1, cache) * \
+                nilpotent_geometric(D, d)
+        elif d == -1:
+            cache[d] = HLaurent.of_class(D)
+        else:
+            cache[d] = _linear_factor_apply(
+                ring, _ray_factor(ring, D, d + 1, cache), D, d + 1)
+    return cache[d]
+
+
 def gkz_coefficient(ring, beta):
     """Exact hbar-Laurent coefficient of q^beta in the reduced series."""
-    from .novikov import nilpotent_geometric
-
     out = HLaurent.one(ring)
     for rho, d in enumerate(beta):
-        if d == 0:
-            continue
-        D = divisor_class(ring, rho)
-        if d > 0:
-            for m in range(1, d + 1):
-                out = out * nilpotent_geometric(D, m)
-        else:
-            factor = HLaurent.of_class(D)
-            for m in range(d + 1, 0):
-                factor = factor * HLaurent(ring, {0: D, 1: ring.one().scale(m)})
-            out = out * factor
+        if d:
+            out = out * _ray_factor(ring, divisor_class(ring, rho), d, {})
     return out
 
 
 def i_function(ring, md, cutoff):
-    """Reduced series: sum over effective classes of q^beta times the coefficient."""
+    """Reduced series: sum over effective classes of q^beta times the coefficient.
+
+    Each ray's divisor class is built once, and each ray keeps a cache of its
+    factors by pairing.  Classes are visited in lex order with a stack of
+    prefix products (``prefix[k]`` is the product over rays ``< k``, ``None``
+    standing for 1), so a class only multiplies the factors after its common
+    prefix with the class before it.
+    """
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
-    terms = {}
-    for beta in enumerate_effective(md, cutoff):
-        terms[beta] = gkz_coefficient(ring, beta)
+    classes = enumerate_effective(md, cutoff)
+    divisors = [divisor_class(ring, rho) for rho in range(ctx.n_rays)]
+    caches = [{} for _ in divisors]
+    prefix = [None] * (ctx.n_rays + 1)
+    previous = ()
+    coefficients = {}
+    for beta in sorted(classes):
+        start = 0
+        while start < len(previous) and beta[start] == previous[start]:
+            start += 1
+        for rho in range(start, ctx.n_rays):
+            acc = prefix[rho]
+            d = beta[rho]
+            if d:
+                factor = _ray_factor(ring, divisors[rho], d, caches[rho])
+                acc = factor if acc is None else acc * factor
+            prefix[rho + 1] = acc
+        last = prefix[-1]
+        coefficients[beta] = HLaurent.one(ring) if last is None else last
+        previous = beta
+    # the series keeps its terms in enumeration order, (ell, lex)
+    terms = {beta: coefficients[beta] for beta in classes}
     return NovikovSeries(ctx, ring, terms)
 
 
@@ -148,9 +196,13 @@ def reconstruct_coefficient(ring, table, beta):
 
 
 def _linear_factor_apply(ring, h, D, c):
-    """Multiply an HLaurent by (D + c*hbar)."""
-    factor = HLaurent(ring, {0: D, 1: ring.one().scale(c)})
-    return factor * h
+    """Multiply an HLaurent by (D + c*hbar): ``out[k] = D h[k] + c h[k-1]``."""
+    out = {k: D * v for k, v in h.terms.items()}
+    if c:
+        for k, v in h.terms.items():
+            shifted = v.scale(c)
+            out[k + 1] = out[k + 1] + shifted if k + 1 in out else shifted
+    return HLaurent(ring, out)
 
 
 def apply_gkz_operator(op, I):

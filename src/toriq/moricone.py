@@ -9,10 +9,17 @@ u_rho`` and hence the primitive class with entries 1 on ``P``, ``-c_rho`` on
 ``gamma(1)`` and 0 elsewhere.  The Mori cone is generated by these classes;
 semipositivity means the anticanonical divisor ``sum D_rho`` pairs >= 0 with
 each of them.
+
+Effective classes up to an ell-cutoff are the lattice points of a bounded
+polytope in the kernel coordinates.  They are enumerated by a depth-first
+walk whose per-coordinate ranges come from exact Fourier-Motzkin projections
+of that polytope, so the work follows the number of classes, not the volume
+of a bounding box.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 
@@ -63,6 +70,21 @@ class MoriData:
 
     def anticanonical_degree(self, beta):
         return sum(beta)
+
+    @cached_property
+    def generator_matrix(self):
+        """Rows (one per ray) of the matrix whose columns are the generators.
+
+        None unless the generators are linearly independent, i.e. the Mori
+        cone is simplicial.  Computed once per MoriData.
+        """
+        gens = self.generators
+        if not gens:
+            return None
+        rows = tuple(tuple(g[i] for g in gens) for i in range(len(gens[0])))
+        if len(lattice.rref([list(r) for r in rows])[1]) != len(gens):
+            return None
+        return rows
 
 
 def primitive_collections(fan):
@@ -115,26 +137,35 @@ def primitive_class(fan, pc):
 # --- exact linear programming (Fourier-Motzkin) ------------------------------
 
 
+def _fm_eliminate(system, k):
+    """One Fourier-Motzkin step on rows ``a . x >= c``: drop variable ``k``.
+
+    Returns the rows without ``x_k`` (those with ``a[k] == 0`` followed by one
+    positive combination per lower/upper pair) and the rows bounding ``x_k``
+    from below (``a[k] > 0``) and from above (``a[k] < 0``).
+    """
+    keep, lower, upper = [], [], []
+    for a, c in system:
+        if a[k] == 0:
+            keep.append((a, c))
+        elif a[k] > 0:
+            lower.append((a, c))   # x_k >= (c - rest)/a_k
+        else:
+            upper.append((a, c))
+    for al, cl in lower:
+        for au, cu in upper:
+            coeff = [al[j] * (-au[k]) + au[j] * al[k] for j in range(len(al))]
+            keep.append((coeff, cl * (-au[k]) + cu * al[k]))
+    return keep, lower, upper
+
+
 def _fm_feasible_point(constraints, nvars):
     """A rational point satisfying ``a . x >= c`` for each (a, c), else None."""
     system = [([Fraction(x) for x in a], Fraction(c)) for a, c in constraints]
     stack = []
     for k in range(nvars - 1, -1, -1):
-        keep, lower, upper = [], [], []
-        for a, c in system:
-            if a[k] == 0:
-                keep.append((a, c))
-            elif a[k] > 0:
-                lower.append((a, c))   # x_k >= (c - rest)/a_k
-            else:
-                upper.append((a, c))
+        system, lower, upper = _fm_eliminate(system, k)
         stack.append((k, lower, upper))
-        for al, cl in lower:
-            for au, cu in upper:
-                # eliminate x_k from the pair (positive combination)
-                coeff = [al[j] * (-au[k]) + au[j] * al[k] for j in range(nvars)]
-                keep.append((coeff, cl * (-au[k]) + cu * al[k]))
-        system = keep
     if any(c > 0 for _, c in system):
         return None
     # back-substitute, innermost variable first
@@ -246,12 +277,46 @@ def _facet_normals(vectors, r):
     return sorted(normals)
 
 
+def _projection_levels(rows, r):
+    """Per-coordinate bound rows for the integer points of ``a . y >= c``.
+
+    Eliminates ``y_{r-1}``, then ``y_{r-2}``, down to ``y_0`` by
+    Fourier-Motzkin.  Level ``k`` holds the rows of the projection onto
+    ``y_0..y_k`` that involve ``y_k``, split into lower and upper bounds.
+    Every derived row is divided by the gcd of its coefficients with the
+    constant rounded up (valid for integer points), and only the strongest
+    row per coefficient vector is kept.
+    """
+    levels = [None] * r
+    system = rows
+    for k in range(r - 1, -1, -1):
+        derived, lower, upper = _fm_eliminate(system, k)
+        levels[k] = (lower, upper)
+        strongest = {}
+        for a, c in derived:
+            g = gcd(*a)
+            if g == 0:
+                assert c <= 0, "the zero class satisfies every row"
+                continue
+            a = tuple(x // g for x in a)
+            c = -(-c // g)
+            if a not in strongest or c > strongest[a]:
+                strongest[a] = c
+        system = sorted(strongest.items())
+    return levels
+
+
 def enumerate_effective(md, cutoff):
     """All lattice points of the Mori cone with ell-degree <= cutoff.
 
     Saturated enumeration: lattice points of the rational cone, not just
-    semigroup combinations of the generators.  Sorted by (ell, lex); the zero
-    class comes first.
+    semigroup combinations of the generators.  In kernel coordinates ``y``
+    the points form the polytope ``{f . y >= 0 for every facet normal f,
+    ell . y <= cutoff}``, bounded because ``ell`` is positive on the pointed
+    cone.  Its Fourier-Motzkin projections give each coordinate an exact
+    integer range once the earlier ones are fixed, so a depth-first walk
+    visits every lattice point and few others.  Sorted by (ell, lex); the
+    zero class comes first.
     """
     fan = md.fan
     zero = (0,) * fan.n_rays
@@ -268,21 +333,31 @@ def enumerate_effective(md, cutoff):
         ys.append(tuple(int(x) for x in y))
     assert len(lattice.rref([list(y) for y in ys])[1]) == r, \
         "Mori cone of a projective fan must span the curve-class lattice"
-    normals = _facet_normals(ys, r)
-    # bounding box: any point is sum lambda_P beta_P with sum lambda_P <= cutoff
-    bmax = [cutoff * max(abs(g[i]) for g in md.generators)
-            for i in range(fan.n_rays)]
-    ybound = [int(sum(abs(L[a][i]) * bmax[i] for i in range(fan.n_rays)))
-              for a in range(r)]
+    ell_y = tuple(md.ell_of(b) for b in basis)
+    rows = [(f, 0) for f in _facet_normals(ys, r)]
+    rows.append((tuple(-x for x in ell_y), -cutoff))
+    levels = _projection_levels(rows, r)
+    assert all(lower and upper for lower, upper in levels), \
+        "the cutoff polytope must be bounded"
     points = []
-    for y in product(*[range(-b, b + 1) for b in ybound]):
-        if any(sum(f[a] * y[a] for a in range(r)) < 0 for f in normals):
-            continue
-        b = tuple(sum(y[a] * basis[a][i] for a in range(r))
-                  for i in range(fan.n_rays))
-        ell = md.ell_of(b)
-        if 0 <= ell <= cutoff:
-            points.append((ell, b))
+    y = [0] * r
+
+    def walk(k):
+        lower, upper = levels[k]
+        lo = max(-((c - sum(a[j] * y[j] for j in range(k))) // -a[k])
+                 for a, c in lower)
+        hi = min((c - sum(a[j] * y[j] for j in range(k))) // a[k]
+                 for a, c in upper)
+        for v in range(lo, hi + 1):
+            y[k] = v
+            if k + 1 < r:
+                walk(k + 1)
+            else:
+                b = tuple(sum(y[a] * basis[a][i] for a in range(r))
+                          for i in range(fan.n_rays))
+                points.append((md.ell_of(b), b))
+
+    walk(0)
     points.sort()
     assert points and points[0][1] == zero
     return [b for _, b in points]

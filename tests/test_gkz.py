@@ -6,6 +6,7 @@ from toriq.gkz import (
     AnnihilationReport,
     InsufficientCutoff,
     PositiveHbarPower,
+    _linear_factor_apply,
     annihilation_certificate,
     apply_gkz_operator,
     extract_relation,
@@ -16,8 +17,9 @@ from toriq.gkz import (
     leading_terms,
     reconstruct_coefficient,
 )
-from toriq.moricone import mori_data
-from toriq.novikov import HLaurent
+from toriq.fan import make_fan
+from toriq.moricone import enumerate_effective, mori_data
+from toriq.novikov import HLaurent, nilpotent_geometric
 
 
 def setup(name):
@@ -288,3 +290,72 @@ def test_extract_relation_examples():
     rel = extract_relation(gkz_operator((1, 1, 1)))
     assert rel.positive_exponents == (1, 1, 1)
     assert rel.negative_exponents == (0, 0, 0)
+
+
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+def _dp6():
+    return make_fan(2, HEXAGON, [(i, (i + 1) % 6) for i in range(6)])
+
+
+def _p1xdp6():
+    rays = [(a, b, 0) for a, b in HEXAGON] + [(0, 0, 1), (0, 0, -1)]
+    return make_fan(3, rays, [(i, (i + 1) % 6, pole)
+                              for i in range(6) for pole in (6, 7)])
+
+
+def _naive_coefficient(ring, beta):
+    """Reference: every factor of every ray rebuilt from scratch."""
+    out = HLaurent.one(ring)
+    for rho, d in enumerate(beta):
+        if d == 0:
+            continue
+        D = divisor_class(ring, rho)
+        if d > 0:
+            for m in range(1, d + 1):
+                out = out * nilpotent_geometric(D, m)
+        else:
+            factor = HLaurent.of_class(D)
+            for m in range(d + 1, 0):
+                factor = factor * HLaurent(ring, {0: D, 1: ring.one().scale(m)})
+            out = out * factor
+    return out
+
+
+SERIES_CASES = [(name, lambda name=name: builtin_fan(name), 3)
+                for name in sorted(CATALOG)] + \
+    [("dP6", _dp6, 4), ("P1xdP6", _p1xdp6, 2)]
+
+
+@pytest.mark.parametrize("name,make,cutoff", SERIES_CASES,
+                         ids=[case[0] for case in SERIES_CASES])
+def test_series_matches_naive_coefficients(name, make, cutoff):
+    fan = make()
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    I = i_function(ring, md, cutoff)
+    classes = enumerate_effective(md, cutoff)
+    assert set(I.terms) <= set(classes)
+    for beta in classes:
+        naive = _naive_coefficient(ring, beta)
+        assert I.coefficient(beta) == naive, (name, beta)
+        assert gkz_coefficient(ring, beta) == naive, (name, beta)
+
+
+@pytest.mark.parametrize("name", ["F2", "BlP2"])
+def test_linear_factor_apply_matches_product(name):
+    _, md, ring = setup(name)
+    samples = [HLaurent.one(ring), HLaurent(ring)]
+    for rho in range(ring.fan.n_rays):
+        D = divisor_class(ring, rho)
+        samples.append(nilpotent_geometric(D, 2))
+        samples.append(HLaurent(ring, {-1: D, 2: ring.one().scale(3)}))
+    samples += [gkz_coefficient(ring, b) for b in enumerate_effective(md, 2)]
+    for rho in range(ring.fan.n_rays):
+        D = divisor_class(ring, rho)
+        for c in (0, 1, -1, 2, -3):
+            factor = HLaurent(ring, {0: D, 1: ring.one().scale(c)})
+            for h in samples:
+                assert _linear_factor_apply(ring, h, D, c) == factor * h, \
+                    (name, rho, c)

@@ -1,13 +1,20 @@
-"""Byte-identity tripwire: the CLI's stdout on every catalog case.
+"""Byte-identity tripwire: the CLI's stdout on the catalog and wider fans.
 
-Each entry maps (command, builtin fan, format) at cutoff 3 to the exit code
-and the SHA-256 of the complete stdout.  The hashes were recorded from
-``toriq <command> --fan <name> --cutoff 3 --format <json|text>`` before the
-classical Groebner code was folded into the deformed completion; a change
-meant to keep the reports unchanged must leave every one of them intact.
+Each ``GOLDEN`` entry maps (command, builtin fan, format) at cutoff 3 to the
+exit code and the SHA-256 of the complete stdout.  The hashes were recorded
+from ``toriq <command> --fan <name> --cutoff 3 --format <json|text>`` before
+the classical Groebner code was folded into the deformed completion.
+
+Each ``GOLDEN_FILES`` entry maps (command, fan, cutoff, format) to the same
+pair for a fan read from a JSON file: the hexagon dP6, P2xP2, P1xdP6 and the
+weak del Pezzo surfaces wdP5, wdP4 and wdP3.  Those hashes were recorded
+before effective classes were enumerated by projection bounds and the series
+was built from per-ray factors.  A change meant to keep the reports
+unchanged must leave every entry intact.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -77,3 +84,80 @@ def test_catalog_stdout_unchanged(capsys, command, fan, fmt):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         GOLDEN[(command, fan, fmt)]
+
+
+def _cycle(name, rays):
+    n = len(rays)
+    return {"dim": 2, "rays": rays, "name": name,
+            "max_cones": [[i + 1, (i + 1) % n + 1] for i in range(n)]}
+
+
+def _p1xdp6():
+    hexagon = [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]
+    rays = [u + [0] for u in hexagon] + [[0, 0, 1], [0, 0, -1]]
+    cones = [[i + 1, (i + 1) % 6 + 1, pole + 1]
+             for i in range(6) for pole in (6, 7)]
+    return {"dim": 3, "rays": rays, "max_cones": cones, "name": "P1xdP6"}
+
+
+def _p2xp2():
+    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0],
+            [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1]]
+    tri = [(0, 1), (1, 2), (0, 2)]
+    cones = [[i + 1 for i in a + tuple(3 + j for j in b)]
+             for a in tri for b in tri]
+    return {"dim": 4, "rays": rays, "max_cones": cones, "name": "P2xP2"}
+
+
+FAN_FILES = {
+    "dP6": _cycle("dP6", [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1],
+                          [0, -1]]),
+    "wdP5": _cycle("wdP5", [[1, 0], [2, 1], [1, 1], [0, 1], [-1, 0],
+                            [-1, -1], [0, -1]]),
+    "wdP4": _cycle("wdP4", [[1, 0], [2, 1], [1, 1], [0, 1], [-1, 0],
+                            [-1, -1], [-1, -2], [0, -1]]),
+    # the 9 boundary lattice points of conv{(-1,-1),(2,-1),(-1,2)}
+    "wdP3": _cycle("wdP3", [[1, 0], [0, 1], [-1, 2], [-1, 1], [-1, 0],
+                            [-1, -1], [0, -1], [1, -1], [2, -1]]),
+    "P1xdP6": _p1xdp6(),
+    "P2xP2": _p2xp2(),
+}
+
+GOLDEN_FILES = {
+    ("analyze", "dP6", 6, "json"): (0, "1ca75160f4b215a1e74a41bbbeec15cb513fb2a4030b2a9a24398373a3b43360"),
+    ("analyze", "dP6", 6, "text"): (0, "0e0e64a885d0e65a897c5f62580676f1f1bcca11c9f69bcc46b030528f89fbd3"),
+    ("ifunction", "dP6", 6, "json"): (0, "c9db8991365dd663c3910c4da787be13f662675ddb29255d248b01fe4606b664"),
+    ("ifunction", "dP6", 6, "text"): (0, "0e4c3d158c43d34983cf8e344db96fa7d983f82baf8c027ca0091216e744969b"),
+    ("certify", "dP6", 6, "json"): (0, "fb3115dba53cd5134b01e45258678d6072151601781bea85e12d18f3b7c3d0d6"),
+    ("certify", "dP6", 6, "text"): (0, "6283db96f0bd2138bdb34f4c1e335c581d88a316c4f848cffe71c7eb136d7a6f"),
+    ("analyze", "P2xP2", 8, "json"): (0, "0ad4016d2a83ee671be4d000f7fe5892d6772fab32b57cc93518585f7f4ec3da"),
+    ("analyze", "P2xP2", 8, "text"): (0, "517b1603bce383affb1c3e5703d42fd4b4338b555a4ff0ef269208f3adad3ac1"),
+    ("ifunction", "P2xP2", 8, "json"): (0, "e414a800b994ebedf481758e3532231580235cce5cb5a5b599ea01fe007cb2da"),
+    ("ifunction", "P2xP2", 8, "text"): (0, "bb999b7cca68e9d1b9d893671d9ea0365a55974440840e7893f56ce898c38b42"),
+    ("certify", "P2xP2", 8, "json"): (0, "239a72c79cfa697c7d735c2e5132a7cfcf8cfb0338a764f9d9650631ea938da8"),
+    ("certify", "P2xP2", 8, "text"): (0, "1892345074715b2508fcc92c4f47fcb89bcfb48b32bf8831af555a408853d7f2"),
+    ("analyze", "P1xdP6", 3, "json"): (0, "1e502910ca4e631a06c587eff49729806c5889f4ddcc573a1d7e56ded34d5fca"),
+    ("analyze", "P1xdP6", 3, "text"): (0, "ced7a15246e15d0995cc07264bfafca56a0c7302c378009ffd7c3644b21094f7"),
+    ("ifunction", "P1xdP6", 3, "json"): (0, "a277647a4dc87f51ae66ccc5b205e2b28e3a2a993a2fea204170c942be4f412e"),
+    ("ifunction", "P1xdP6", 3, "text"): (0, "dd236e50a31ef89ce356cbd108400dfb7fe1cca6cbe415f8d76eb68593c50b72"),
+    ("certify", "P1xdP6", 3, "json"): (0, "6624a0bd4619ba7cc03eedc1e1dc4496a07b6d8629a98915ffa78e6e829b0eb5"),
+    ("certify", "P1xdP6", 3, "text"): (0, "ef2a754c8f12de47fadaa47d4b52d6098afd9fdda8c9032700544b1d071f0863"),
+    ("analyze", "wdP5", 3, "json"): (0, "a3b51721b3a1b46f89188a0b301fdf1ae2dd93e6c184985de52cbd0158c98006"),
+    ("analyze", "wdP5", 3, "text"): (0, "68bd509d188608b58de046984619cfaafa8cac6a14d08cc4d757d74266947219"),
+    ("analyze", "wdP4", 3, "json"): (0, "d71c43c485b9e3f400c036110c63c7e67e4bc242c985ca2fbc693eef8b254185"),
+    ("analyze", "wdP4", 3, "text"): (0, "71bc385973f8bd3e4a2cce767f22a50236a06c6d5829202a8fd5ca9bb729fc8e"),
+    ("analyze", "wdP3", 3, "json"): (0, "199b1ccfede09c67a6ff4229daadd4bcb492517e35d8cfdcc562baedbac2a397"),
+    ("analyze", "wdP3", 3, "text"): (0, "6915721c7a5dc97bcdc7d5f1c5e617a63dc6668fa0b2b4e953c6f992a77d2cb4"),
+}
+
+
+@pytest.mark.parametrize("command,fan,cutoff,fmt", sorted(GOLDEN_FILES))
+def test_fan_file_stdout_unchanged(capsys, tmp_path, command, fan, cutoff,
+                                   fmt):
+    path = tmp_path / f"{fan}.json"
+    path.write_text(json.dumps(FAN_FILES[fan]))
+    code = main([command, "--fan", str(path), "--cutoff", str(cutoff),
+                 "--format", fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        GOLDEN_FILES[(command, fan, cutoff, fmt)]

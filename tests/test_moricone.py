@@ -3,10 +3,13 @@ from itertools import combinations, product
 import pytest
 
 from toriq.catalog import CATALOG, NOT_SEMIPOSITIVE, SEMIPOSITIVE, builtin_fan
+from toriq import lattice
 from toriq.lattice import kernel_basis
 from toriq.moricone import (
     NoPositiveFunctional,
+    _facet_normals,
     _fm_feasible_point,
+    _kernel_setup,
     effectivity_witness,
     enumerate_effective,
     mori_data,
@@ -216,6 +219,87 @@ def test_enumerate_effective_saturation():
     pts = enumerate_effective(md, 4)
     for b in pts:
         assert fm_cone_membership(md.generators, b)
+
+
+def _cycle_fan(rays):
+    n = len(rays)
+    return make_fan(2, rays, [(i, (i + 1) % n) for i in range(n)])
+
+
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+def _p2xp2():
+    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0),
+            (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1)]
+    tri = [(0, 1), (1, 2), (0, 2)]
+    return make_fan(4, rays, [a + tuple(3 + i for i in b)
+                              for a in tri for b in tri])
+
+
+def _p1xdp6():
+    rays = [(a, b, 0) for a, b in HEXAGON] + [(0, 0, 1), (0, 0, -1)]
+    return make_fan(3, rays, [(i, (i + 1) % 6, pole)
+                              for i in range(6) for pole in (6, 7)])
+
+
+DIFFERENTIAL_FANS = {
+    "dP6": (lambda: _cycle_fan(HEXAGON), 4),
+    "P2xP2": (_p2xp2, 5),
+    "P1xdP6": (_p1xdp6, 2),
+    "wdP5": (lambda: _cycle_fan([(1, 0), (2, 1), (1, 1), (0, 1), (-1, 0),
+                                 (-1, -1), (0, -1)]), 2),
+}
+
+
+def _box_scan_effective(md, cutoff):
+    """Reference: the bounding-box scan that enumeration used to run."""
+    fan = md.fan
+    zero = (0,) * fan.n_rays
+    if cutoff < 0:
+        return []
+    basis, L = _kernel_setup(fan)
+    r = len(basis)
+    if r == 0 or not md.generators:
+        return [zero]
+    ys = []
+    for g in md.generators:
+        y = [sum(L[a][i] * g[i] for i in range(fan.n_rays)) for a in range(r)]
+        assert all(x.denominator == 1 for x in y)
+        ys.append(tuple(int(x) for x in y))
+    assert len(lattice.rref([list(y) for y in ys])[1]) == r
+    normals = _facet_normals(ys, r)
+    # any point is sum lambda_P beta_P with sum lambda_P <= cutoff
+    bmax = [cutoff * max(abs(g[i]) for g in md.generators)
+            for i in range(fan.n_rays)]
+    ybound = [int(sum(abs(L[a][i]) * bmax[i] for i in range(fan.n_rays)))
+              for a in range(r)]
+    points = []
+    for y in product(*[range(-b, b + 1) for b in ybound]):
+        if any(sum(f[a] * y[a] for a in range(r)) < 0 for f in normals):
+            continue
+        b = tuple(sum(y[a] * basis[a][i] for a in range(r))
+                  for i in range(fan.n_rays))
+        ell = md.ell_of(b)
+        if 0 <= ell <= cutoff:
+            points.append((ell, b))
+    points.sort()
+    assert points and points[0][1] == zero
+    return [b for _, b in points]
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FANS))
+def test_enumerate_effective_matches_box_scan(name):
+    make, top = DIFFERENTIAL_FANS[name]
+    md = mori_data(make())
+    for cutoff in range(top + 1):
+        assert enumerate_effective(md, cutoff) == \
+            _box_scan_effective(md, cutoff), (name, cutoff)
+
+
+def test_enumerate_effective_wdp5_count():
+    make, _ = DIFFERENTIAL_FANS["wdP5"]
+    assert len(enumerate_effective(mori_data(make()), 4)) == 158
 
 
 def test_effectivity_witness_f2():
