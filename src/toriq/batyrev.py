@@ -47,10 +47,6 @@ class HypothesisUnmet(ValueError):
 # --- level-indexed polynomials -----------------------------------------------
 
 
-def dp_zero():
-    return {}
-
-
 def dp_clean(dp):
     return {b: p for b, p in dp.items() if p}
 
@@ -200,15 +196,10 @@ class DeformedIdeal:
 
 
 def _deformed_generators(fan, md, ring, ctx):
-    nv = len(ring.surviving)
     gens = []
     for pc, beta in zip(md.collections, md.generators):
-        head = P.pconst(nv)
-        for rho in pc.rays:
-            head = P.pmul(head, ring.ray_poly(rho))
-        tail = P.pconst(nv)
-        for rho, c in zip(pc.gamma, pc.coeffs):
-            tail = P.pmul(tail, P.ppow(ring.ray_poly(rho), c, nv))
+        head = ring.ray_product((rho, 1) for rho in pc.rays)
+        tail = ring.ray_product(zip(pc.gamma, pc.coeffs))
         element = dp_add({ctx.zero_class: head},
                          dp_shift({ctx.zero_class: P.pscale(tail, -1)},
                                   beta, ctx))
@@ -291,12 +282,9 @@ def normal_form(ideal, ray_terms):
     """
     ring = ideal.ring
     ctx = ideal.ctx
-    nv = len(ring.surviving)
-    dp = dp_zero()
+    dp = {}
     for mono, coeff in ray_terms.items():
-        expanded = P.pconst(nv)
-        for rho, e in enumerate(mono):
-            expanded = P.pmul(expanded, P.ppow(ring.ray_poly(rho), e, nv))
+        expanded = ring.ray_product(enumerate(mono))
         if isinstance(coeff, NovikovScalar):
             contrib = dp_mul_scalar({ctx.zero_class: expanded}, coeff, ctx)
         else:
@@ -341,7 +329,6 @@ def module_matrices(ideal):
     """Multiplication matrix of every ray variable on the classical basis."""
     ring = ideal.ring
     dim = ring.dim
-    nv = len(ring.surviving)
     matrices = {}
     for rho in range(ring.fan.n_rays):
         ray = ring.ray_poly(rho)
@@ -376,12 +363,6 @@ def relation_check(ideal, relations):
 
 
 # --- isomorphism certificate --------------------------------------------------
-
-
-def _matmul(A, B, ctx):
-    n = len(A)
-    return [[sum((A[i][k] * B[k][j] for k in range(n)),
-                 NovikovScalar(ctx)) for j in range(n)] for i in range(n)]
 
 
 def _mat_vec(A, v, ctx):

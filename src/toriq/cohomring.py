@@ -103,6 +103,14 @@ class CohomRing:
                 poly = P.padd(poly, P.pscale(P.pvar(nv, j), c))
         return poly
 
+    def ray_product(self, exponents):
+        """Polynomial of ``prod D_rho^e`` over ``(rho, e)`` pairs."""
+        poly = P.pconst(len(self.surviving))
+        for rho, e in exponents:
+            for _ in range(e):
+                poly = P.pmul(poly, self.ray_poly(rho))
+        return poly
+
 
 class CohClass:
     """Element of the cohomology ring: exact coefficients over the basis."""
@@ -154,11 +162,6 @@ class CohClass:
                         out[k] += a * b * c
         return CohClass(ring, tuple(out))
 
-    def graded_part(self, degree):
-        out = [c if ring_deg == degree else Fraction(0)
-               for c, ring_deg in zip(self.coeffs, self.ring.basis_degrees)]
-        return CohClass(self.ring, tuple(out))
-
     def degree_zero_coefficient(self):
         """Coefficient of the unit basis monomial."""
         idx = self.ring.basis.index((0,) * len(self.ring.surviving))
@@ -201,12 +204,8 @@ def build_cohomology_ring(fan):
         eliminations=eliminations, rules=(), basis=(), basis_degrees=(),
         mult_table={}, point_integrals={})
 
-    sr_gens = []
-    for coll in primitive_collections(fan):
-        poly = P.pconst(nv)
-        for rho in coll:
-            poly = P.pmul(poly, ring_stub.ray_poly(rho))
-        sr_gens.append({(): poly})
+    sr_gens = [{(): ring_stub.ray_product((rho, 1) for rho in coll)}
+               for coll in primitive_collections(fan)]
     rules, _ = complete(sr_gens, _Q0)
     basis = tuple(P.standard_monomials([lead for lead, _ in rules], nv))
     if len(basis) != len(fan.max_cones):
@@ -228,10 +227,7 @@ def build_cohomology_ring(fan):
     top = [i for i, d in enumerate(degrees) if d == fan.dim]
     rows, rhs = [], []
     for cone in fan.max_cones:
-        poly = P.pconst(nv)
-        for rho in cone:
-            poly = P.pmul(poly, ring_stub.ray_poly(rho))
-        nf = _normal_form(rules, poly)
+        nf = _normal_form(rules, ring_stub.ray_product((rho, 1) for rho in cone))
         row = [Fraction(0)] * len(top)
         for m, c in nf.items():
             if P.mono_deg(m) != fan.dim:

@@ -223,27 +223,26 @@ def apply_gkz_operator(op, I):
                              cutoff=reduced_cutoff)
     divisors = {rho: divisor_class(ring, rho)
                 for rho, _ in op.positive + op.negative}
+
+    def product(h, beta, factors):
+        for rho, d in factors:
+            for m in range(d):
+                h = _linear_factor_apply(ring, h, divisors[rho], beta[rho] - m)
+        return h
+
     terms = {}
     for beta_p, h in I.terms.items():
         if out_ctx.ell_of(beta_p) > reduced_cutoff:
             continue
-        acc = h
-        for rho, d in op.positive:
-            for m in range(d):
-                acc = _linear_factor_apply(ring, acc, divisors[rho],
-                                           beta_p[rho] - m)
+        acc = product(h, beta_p, op.positive)
         if acc:
             terms[beta_p] = acc
     for beta_pp, h in I.terms.items():
-        # second product then shift by q^{op.beta}
-        acc = h
-        for rho, d in op.negative:
-            for m in range(d):
-                acc = _linear_factor_apply(ring, acc, divisors[rho],
-                                           beta_pp[rho] - m)
+        # second product, shifted by q^{op.beta}: built only where it lands
         target = tuple(x + y for x, y in zip(beta_pp, op.beta))
         if out_ctx.ell_of(target) > reduced_cutoff:
             continue
+        acc = product(h, beta_pp, op.negative)
         if acc:
             if target in terms:
                 diff = terms[target] - acc

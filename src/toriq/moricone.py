@@ -14,13 +14,13 @@ Effective classes up to an ell-cutoff are the lattice points of a bounded
 polytope in the kernel coordinates.  They are enumerated by a depth-first
 walk whose per-coordinate ranges come from exact Fourier-Motzkin projections
 of that polytope, so the work follows the number of classes, not the volume
-of a bounding box.
+of a bounding box.  The same walk searches for the positive functional.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
 from . import lattice
@@ -189,11 +189,15 @@ def _fm_feasible_point(constraints, nvars):
 
 
 def positive_functional(generators, nvars):
-    """Smallest integral ell with ell . beta >= 1 for every generator.
+    """Integral ell with ell . beta >= 1 for every generator.
 
-    "Smallest" means minimal sup-norm, then minimal 1-norm, then
-    lexicographically least -- a deterministic tie-break.  Raises
-    NoPositiveFunctional when the cone is not strictly convex.
+    Starts from a rational Fourier-Motzkin point, scaled to be integral, of
+    sup-norm ``b``.  When ``(2b + 1)^nvars`` is at most 2,000,000, returns
+    the smallest functional: minimal sup-norm, then minimal 1-norm, then
+    lexicographically least -- a deterministic tie-break.  Above that guard
+    it returns the scaled point, which need not be smallest: on wdP4 it is
+    ``(0,0,1,3,4,3,3,1)``, although ``(1,2,2,3,3,2,2,1)`` has sup-norm 3.
+    Raises NoPositiveFunctional when the cone is not strictly convex.
     """
     constraints = [(g, 1) for g in generators]
     if not generators:
@@ -209,18 +213,15 @@ def positive_functional(generators, nvars):
     bound = max(abs(x) for x in scaled)
     if (2 * bound + 1) ** nvars > 2_000_000:  # desk-scale guard
         return scaled
+    # no functional has sup-norm below k, so every point found has norm k;
+    # scaled is found at k = bound at the latest
+    axes = [tuple(sign * int(i == j) for i in range(nvars))
+            for j in range(nvars) for sign in (1, -1)]
     for k in range(1, bound + 1):
-        best = None
-        for cand in product(range(-k, k + 1), repeat=nvars):
-            if max(abs(x) for x in cand) != k:
-                continue
-            if all(sum(a * b for a, b in zip(cand, g)) >= 1 for g in generators):
-                key = (sum(abs(x) for x in cand), cand)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            return best[1]
-    return scaled
+        box = [(e, -k) for e in axes]          # -k <= ell_i <= k
+        points = _lattice_points(constraints + box, nvars)
+        if points:
+            return min(points, key=lambda p: (sum(abs(x) for x in p), p))
 
 
 def mori_data(fan):
@@ -277,33 +278,56 @@ def _facet_normals(vectors, r):
     return sorted(normals)
 
 
-def _projection_levels(rows, r):
-    """Per-coordinate bound rows for the integer points of ``a . y >= c``.
+def _lattice_points(rows, r):
+    """Integer points of the bounded system ``a . y >= c`` in ``ZZ^r``.
 
     Eliminates ``y_{r-1}``, then ``y_{r-2}``, down to ``y_0`` by
     Fourier-Motzkin.  Level ``k`` holds the rows of the projection onto
     ``y_0..y_k`` that involve ``y_k``, split into lower and upper bounds.
     Every derived row is divided by the gcd of its coefficients with the
     constant rounded up (valid for integer points), and only the strongest
-    row per coefficient vector is kept.
+    row per coefficient vector is kept.  A derived row ``0 >= c`` with
+    ``c > 0`` proves there is no integer point.  Otherwise a depth-first
+    walk takes each coordinate's integer range from its level once the
+    earlier ones are fixed, so it visits every point and few others.
+    Points come in lex order.
     """
     levels = [None] * r
     system = rows
     for k in range(r - 1, -1, -1):
         derived, lower, upper = _fm_eliminate(system, k)
+        assert lower and upper, "the system must be bounded"
         levels[k] = (lower, upper)
         strongest = {}
         for a, c in derived:
             g = gcd(*a)
             if g == 0:
-                assert c <= 0, "the zero class satisfies every row"
+                if c > 0:
+                    return []
                 continue
             a = tuple(x // g for x in a)
             c = -(-c // g)
             if a not in strongest or c > strongest[a]:
                 strongest[a] = c
         system = sorted(strongest.items())
-    return levels
+    points = []
+    y = [0] * r
+
+    def walk(k):
+        lower, upper = levels[k]
+        lo = max(-((c - sum(a[j] * y[j] for j in range(k))) // -a[k])
+                 for a, c in lower)
+        hi = min((c - sum(a[j] * y[j] for j in range(k))) // a[k]
+                 for a, c in upper)
+        for v in range(lo, hi + 1):
+            y[k] = v
+            if k + 1 < r:
+                walk(k + 1)
+            else:
+                points.append(tuple(y))
+
+    walk(0)
+    return points
 
 
 def enumerate_effective(md, cutoff):
@@ -336,28 +360,11 @@ def enumerate_effective(md, cutoff):
     ell_y = tuple(md.ell_of(b) for b in basis)
     rows = [(f, 0) for f in _facet_normals(ys, r)]
     rows.append((tuple(-x for x in ell_y), -cutoff))
-    levels = _projection_levels(rows, r)
-    assert all(lower and upper for lower, upper in levels), \
-        "the cutoff polytope must be bounded"
     points = []
-    y = [0] * r
-
-    def walk(k):
-        lower, upper = levels[k]
-        lo = max(-((c - sum(a[j] * y[j] for j in range(k))) // -a[k])
-                 for a, c in lower)
-        hi = min((c - sum(a[j] * y[j] for j in range(k))) // a[k]
-                 for a, c in upper)
-        for v in range(lo, hi + 1):
-            y[k] = v
-            if k + 1 < r:
-                walk(k + 1)
-            else:
-                b = tuple(sum(y[a] * basis[a][i] for a in range(r))
-                          for i in range(fan.n_rays))
-                points.append((md.ell_of(b), b))
-
-    walk(0)
+    for y in _lattice_points(rows, r):
+        b = tuple(sum(y[a] * basis[a][i] for a in range(r))
+                  for i in range(fan.n_rays))
+        points.append((md.ell_of(b), b))
     points.sort()
     assert points and points[0][1] == zero
     return [b for _, b in points]

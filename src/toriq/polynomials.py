@@ -40,10 +40,6 @@ def term_key(m):
     return (sum(m), tuple(reversed(m)))
 
 
-def pzero():
-    return {}
-
-
 def pconst(nvars, c=Fraction(1)):
     c = Fraction(c)
     return {} if c == 0 else {(0,) * nvars: c}
@@ -99,13 +95,6 @@ def pmul(p, q):
                 out[m] = s
             else:
                 out.pop(m, None)
-    return out
-
-
-def ppow(p, e, nvars):
-    out = pconst(nvars)
-    for _ in range(e):
-        out = pmul(out, p)
     return out
 
 

@@ -1,4 +1,6 @@
+import random
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -10,6 +12,7 @@ from toriq.moricone import (
     _facet_normals,
     _fm_feasible_point,
     _kernel_setup,
+    _lattice_points,
     effectivity_witness,
     enumerate_effective,
     mori_data,
@@ -300,6 +303,120 @@ def test_enumerate_effective_matches_box_scan(name):
 def test_enumerate_effective_wdp5_count():
     make, _ = DIFFERENTIAL_FANS["wdP5"]
     assert len(enumerate_effective(mori_data(make()), 4)) == 158
+
+
+WIDE_FANS = {
+    "wdP4": lambda: _cycle_fan([(1, 0), (2, 1), (1, 1), (0, 1), (-1, 0),
+                                (-1, -1), (-1, -2), (0, -1)]),
+    "wdP3": lambda: _cycle_fan([(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0),
+                                (-1, -1), (0, -1), (1, -1), (2, -1)]),
+}
+
+
+def _scaled_fm_point(generators, nvars):
+    """Least integral multiple of the Fourier-Motzkin point: where
+    positive_functional starts, and what it returns above its guard."""
+    point = _fm_feasible_point([(g, 1) for g in generators], nvars)
+    if point is None:
+        raise NoPositiveFunctional("cone is not strictly convex")
+    denom = 1
+    for x in point:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    return tuple(int(x * denom) for x in point)
+
+
+def _guard_fires(scaled):
+    return (2 * max(abs(x) for x in scaled) + 1) ** len(scaled) > 2_000_000
+
+
+def _box_scan_functional(generators, nvars):
+    """Reference: the box scan that positive_functional used to run."""
+    if not generators:
+        return (0,) * nvars
+    scaled = _scaled_fm_point(generators, nvars)
+    bound = max(abs(x) for x in scaled)
+    if _guard_fires(scaled):
+        return scaled
+    for k in range(1, bound + 1):
+        best = None
+        for cand in product(range(-k, k + 1), repeat=nvars):
+            if max(abs(x) for x in cand) != k:
+                continue
+            if all(sum(a * b for a, b in zip(cand, g)) >= 1 for g in generators):
+                key = (sum(abs(x) for x in cand), cand)
+                if best is None or key < best:
+                    best = key
+        if best is not None:
+            return best[1]
+    return scaled
+
+
+def test_positive_functional_matches_box_scan():
+    fans = dict(CATALOG)
+    fans.update((name, make()) for name, (make, _) in DIFFERENTIAL_FANS.items())
+    for name, fan in fans.items():
+        md = mori_data(fan)
+        assert not _guard_fires(_scaled_fm_point(md.generators, fan.n_rays))
+        assert md.ell == _box_scan_functional(md.generators, fan.n_rays), name
+
+
+def test_positive_functional_matches_box_scan_random():
+    rng = random.Random(20240)
+    compared = raised = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(nvars))
+                for _ in range(rng.randint(1, 4))]
+        try:
+            expected = _box_scan_functional(gens, nvars)
+        except NoPositiveFunctional:
+            with pytest.raises(NoPositiveFunctional):
+                positive_functional(gens, nvars)
+            raised += 1
+            continue
+        assert not _guard_fires(_scaled_fm_point(gens, nvars))
+        assert positive_functional(gens, nvars) == expected, gens
+        compared += 1
+    assert compared > 50 and raised > 50
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_FANS))
+def test_positive_functional_scaled_point_above_guard(name):
+    fan = WIDE_FANS[name]()
+    md = mori_data(fan)
+    scaled = _scaled_fm_point(md.generators, fan.n_rays)
+    assert _guard_fires(scaled)
+    assert md.ell == scaled
+    if name == "wdP4":
+        # not the smallest: (1,2,2,3,3,2,2,1) is also positive, of sup-norm 3
+        assert md.ell == (0, 0, 1, 3, 4, 3, 3, 1)
+        assert all(sum(a * b for a, b in zip((1, 2, 2, 3, 3, 2, 2, 1), g)) >= 1
+                   for g in md.generators)
+
+
+def test_lattice_points_integer_empty():
+    # 2y >= 1 and 2y <= 1: y = 1/2 is the only rational point
+    assert _lattice_points([((2,), 1), ((-2,), -1)], 1) == []
+    # rationally non-empty at (1/2, 0); eliminating y1 leaves 2 y0 >= 1 and
+    # 2 y0 <= 1, which tighten to y0 >= 1 and y0 <= 0
+    rows = [((2, 1), 1), ((-2, 1), -1), ((0, 1), 0), ((0, -1), 0)]
+    assert _fm_feasible_point(rows, 2) is not None
+    assert _lattice_points(rows, 2) == []
+
+
+def test_lattice_points_match_box_scan_random():
+    rng = random.Random(7)
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        box = rng.randint(0, 3)
+        rows = [(tuple(sign * int(i == j) for i in range(r)), -box)
+                for j in range(r) for sign in (1, -1)]
+        rows += [(tuple(rng.randint(-3, 3) for _ in range(r)),
+                  rng.randint(-4, 4)) for _ in range(rng.randint(0, 4))]
+        expected = [y for y in product(range(-box, box + 1), repeat=r)
+                    if all(sum(a * x for a, x in zip(row, y)) >= c
+                           for row, c in rows)]
+        assert _lattice_points(rows, r) == expected, rows
 
 
 def test_effectivity_witness_f2():
