@@ -44,6 +44,10 @@ class HypothesisUnmet(ValueError):
     """Isomorphism certificate requested for a non-semipositive fan."""
 
 
+class BasisNotPreserved(AssertionError):
+    """A ray variable does not carry a basis monomial to the next one."""
+
+
 # --- level-indexed polynomials -----------------------------------------------
 
 
@@ -340,63 +344,26 @@ def module_matrices(ideal):
     return BatyrevModule(ideal=ideal, matrices=matrices)
 
 
-def relation_check(ideal, relations):
-    """Reduce each binomial relation; all must vanish identically."""
+def relation_check(ideal, operators):
+    """Reduce each operator's binomial ``x^positive - q^beta x^negative``.
+
+    All must vanish.  The two monomials of a nonzero class have disjoint
+    supports, so they differ.
+    """
     ctx = ideal.ctx
     report = []
-    for rel in relations:
-        terms = {
-            rel.positive_exponents: NovikovScalar.unit(ctx),
-            }
-        qneg = NovikovScalar.monomial(ctx, rel.beta, -1)
-        if rel.negative_exponents in terms:
-            terms[rel.negative_exponents] = terms[rel.negative_exponents] + qneg
-        else:
-            terms[rel.negative_exponents] = qneg
-        expansion = normal_form(ideal, terms)
-        ok = all(not s for s in expansion)
-        report.append((rel, ok))
-        if not ok:
+    for op in operators:
+        expansion = normal_form(ideal, {
+            op.positive_exponents: NovikovScalar.unit(ctx),
+            op.negative_exponents: NovikovScalar.monomial(ctx, op.beta, -1)})
+        if any(expansion):
             raise RelationNonzero(
-                f"relation of {rel.beta} does not vanish in the quotient")
+                f"relation of {op.beta} does not vanish in the quotient")
+        report.append((op, True))
     return report
 
 
 # --- isomorphism certificate --------------------------------------------------
-
-
-def _mat_vec(A, v, ctx):
-    n = len(A)
-    return [sum((A[i][k] * v[k] for k in range(n)), NovikovScalar(ctx))
-            for i in range(n)]
-
-
-def _determinant(A, ctx):
-    """Exact determinant over the scalar ring, by expansion with memoization."""
-    n = len(A)
-
-    cache = {}
-
-    def minor(cols, row):
-        if not cols:
-            return NovikovScalar.unit(ctx)
-        key = cols
-        if key in cache and row == n - len(cols):
-            return cache[key]
-        total = NovikovScalar(ctx)
-        sign = 1
-        for idx, c in enumerate(cols):
-            entry = A[row][c]
-            if entry:
-                rest = cols[:idx] + cols[idx + 1:]
-                sub = minor(rest, row + 1)
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-        cache[key] = total
-        return total
-
-    return minor(tuple(range(n)), 0)
 
 
 @dataclass(frozen=True)
@@ -405,7 +372,7 @@ class IsoCertificate:
     determinant: object       # NovikovScalar
     det_is_unit: bool
     annihilation: object
-    relations: tuple          # (Relation, ok) pairs
+    relations: tuple          # (GKZOperator, ok) pairs
     module: BatyrevModule
     verdict: str
 
@@ -414,14 +381,17 @@ def certify_isomorphism(ideal, md):
     """Replay of the quantum-module / deformed-ring comparison.
 
     Requires semipositivity (the theorem's hypothesis).  Verifies the box
-    operators annihilate the series, reduces the induced relations to zero in
-    the deformed quotient, expresses the monomial lifts of the basis through
-    iterated module-matrix action, and checks the determinant is a unit whose
-    q^0 part is 1.  The certificate carries the module and the relation
-    results, so a report renders from it without recomputing them.
+    operators annihilate the series and reduces their hbar -> 0 relations to
+    zero in the deformed quotient.  Then ``phi``, the map from the monomial
+    lifts of the basis to the deformed basis, must be the identity: for each
+    basis monomial ``m != 1`` with last nonzero exponent ``j``, the module
+    column of ``x_j`` on the basis monomial ``m / x_j`` (standard monomials
+    are closed under division) must be the unit vector of ``m``.  Every check
+    raises on failure, so a returned certificate is ``certified`` with
+    determinant 1.  It carries the module and the relation results, so a
+    report renders from it without recomputing them.
     """
-    from .gkz import (annihilation_certificate, extract_relation, gkz_operator,
-                      i_function)
+    from .gkz import annihilation_certificate, gkz_operator, i_function
 
     ring = ideal.ring
     ctx = ideal.ctx
@@ -431,24 +401,23 @@ def certify_isomorphism(ideal, md):
     annihilation = annihilation_certificate(
         i_function(ring, md, ctx.cutoff), md)
     relations = tuple(relation_check(
-        ideal, [extract_relation(gkz_operator(beta)) for beta in md.generators]))
+        ideal, [gkz_operator(beta) for beta in md.generators]))
     module = module_matrices(ideal)
-    dim = ring.dim
-    unit_vec = [NovikovScalar.unit(ctx) if ring.basis[i] == (0,) * len(ring.surviving)
-                else NovikovScalar(ctx) for i in range(dim)]
+    index = {m: i for i, m in enumerate(ring.basis)}
+    unit, zero = NovikovScalar.unit(ctx), NovikovScalar(ctx)
     phi_cols = []
-    for mono in ring.basis:
-        vec = list(unit_vec)
-        for j, e in enumerate(mono):
+    for a, mono in enumerate(ring.basis):
+        col = [unit if b == a else zero for b in range(ring.dim)]
+        if any(mono):
+            j = max(k for k, e in enumerate(mono) if e)
+            below = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
             rho = ring.surviving[j]
-            for _ in range(e):
-                vec = _mat_vec(module.matrices[rho], vec, ctx)
-        phi_cols.append(vec)
-    phi = tuple(tuple(phi_cols[a][b] for a in range(dim)) for b in range(dim))
-    det = _determinant([list(row) for row in phi], ctx)
-    det_unit = det.is_unit() and det.q0() == 1
-    ok = annihilation.ok and all(flag for _, flag in relations) and det_unit
+            if module.star_column(rho, index[below]) != col:
+                raise BasisNotPreserved(
+                    f"x{rho + 1} * {below} is not the basis monomial {mono}")
+        phi_cols.append(col)
+    phi = tuple(zip(*phi_cols))
     return IsoCertificate(
-        phi=phi, determinant=det, det_is_unit=det_unit,
+        phi=phi, determinant=unit, det_is_unit=True,
         annihilation=annihilation, relations=relations, module=module,
-        verdict="certified" if ok else "failed")
+        verdict="certified")

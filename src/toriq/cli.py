@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import polynomials as P
 from .batyrev import (
+    BasisNotPreserved,
     HypothesisUnmet,
     NonUnitLeadingCoefficient,
     RelationNonzero,
@@ -84,14 +85,15 @@ def fan_from_dict(data, origin="<fan>"):
     dim = data["dim"]
     rays = data["rays"]
     cones = data["max_cones"]
-    if not isinstance(dim, int):
+    # ``type(x) is int``: JSON true/false load as bool, a subclass of int
+    if type(dim) is not int:
         raise ParseError(f"{origin}: dim must be an integer")
     if not isinstance(rays, list) or not all(
-            isinstance(u, list) and all(isinstance(x, int) for x in u)
+            isinstance(u, list) and all(type(x) is int for x in u)
             for u in rays):
         raise ParseError(f"{origin}: rays must be lists of integers")
     if not isinstance(cones, list) or not all(
-            isinstance(c, list) and all(isinstance(i, int) for i in c)
+            isinstance(c, list) and all(type(i) is int for i in c)
             for c in cones):
         raise ParseError(f"{origin}: max_cones must be lists of integers")
     for c in cones:
@@ -164,11 +166,7 @@ def scalar_str(scalar, md):
 
 
 def basis_monomial_str(ring, mono):
-    if not any(mono):
-        return "1"
-    return "*".join(
-        f"{ring.var_names[j]}^{e}" if e > 1 else ring.var_names[j]
-        for j, e in enumerate(mono) if e)
+    return P.render_monomial(mono, ring.var_names) or "1"
 
 
 def expansion_str(ring, md, expansion):
@@ -362,8 +360,8 @@ def run_certify(fan, cutoff):
         "star_products": stars,
     }
     report["relations"] = [
-        {"relation": _relation_str(md, rel, fan), "vanishes": ok}
-        for rel, ok in cert.relations]
+        {"relation": _relation_str(md, op, fan), "vanishes": ok}
+        for op, ok in cert.relations]
     report["certificate"] = {
         "annihilation_ok": cert.annihilation.ok,
         "relations_ok": all(ok for _, ok in cert.relations),
@@ -385,7 +383,7 @@ def _rule_rhs_str(ring, md, ideal, lead, elem):
         qstr = novikov_monomial_str(md, beta)
         for mono in sorted(poly, key=P.term_key, reverse=True):
             c = poly[mono]
-            mstr = basis_monomial_str(ring, mono) if any(mono) else ""
+            mstr = P.render_monomial(mono, ring.var_names)
             pieces = []
             if abs(c) != 1 or (qstr == "1" and not mstr):
                 pieces.append(frac_str(abs(c)))
@@ -404,13 +402,12 @@ def _rule_rhs_str(ring, md, ideal, lead, elem):
     return text
 
 
-def _relation_str(md, rel, fan):
+def _relation_str(md, op, fan):
+    """The hbar -> 0 binomial of a box operator."""
     names = [f"x{r + 1}" for r in range(fan.n_rays)]
-    pos = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
-                   for i, e in enumerate(rel.positive_exponents) if e) or "1"
-    neg = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
-                   for i, e in enumerate(rel.negative_exponents) if e)
-    q = novikov_monomial_str(md, rel.beta)
+    pos = P.render_monomial(op.positive_exponents, names) or "1"
+    neg = P.render_monomial(op.negative_exponents, names)
+    q = novikov_monomial_str(md, op.beta)
     rhs = f"{q}*{neg}" if neg else q
     return f"{pos} - {rhs}"
 
@@ -595,7 +592,7 @@ def main(argv=None):
     except (NoPositiveFunctional, InsufficientCutoff) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (AnnihilationFailure, RelationNonzero,
+    except (AnnihilationFailure, RelationNonzero, BasisNotPreserved,
             NonUnitLeadingCoefficient) as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1

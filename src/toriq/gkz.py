@@ -49,11 +49,25 @@ class AnnihilationFailure(AssertionError):
 
 @dataclass(frozen=True)
 class GKZOperator:
-    """Box operator of a curve class: positive and negative ray factors."""
+    """Box operator of a curve class: positive and negative ray factors.
+
+    Its hbar -> 0 limit is the binomial relation ``x^positive_exponents -
+    q^beta x^negative_exponents`` of the quantum-deformed ring.
+    """
 
     beta: tuple
     positive: tuple   # (ray index, d_rho > 0)
     negative: tuple   # (ray index, -d_rho for d_rho < 0)
+
+    @property
+    def positive_exponents(self):
+        """Per-ray exponents ``max(d_rho, 0)`` of the leading monomial."""
+        return tuple(max(d, 0) for d in self.beta)
+
+    @property
+    def negative_exponents(self):
+        """Per-ray exponents ``max(-d_rho, 0)`` of the q^beta monomial."""
+        return tuple(max(-d, 0) for d in self.beta)
 
 
 def gkz_operator(beta):
@@ -275,24 +289,3 @@ def annihilation_certificate(I, md):
         entries.append((beta, cutoff - md.ell_of(beta), True))
     return AnnihilationReport(entries=tuple(entries), ok=True)
 
-
-@dataclass(frozen=True)
-class Relation:
-    """Binomial relation: positive monomial minus q^beta times negative one."""
-
-    beta: tuple
-    positive_exponents: tuple   # per-ray exponents of the leading monomial
-    negative_exponents: tuple
-
-
-def extract_relation(op):
-    """hbar -> 0 limit of the box operator as a polynomial relation."""
-    n = len(op.beta)
-    pos = [0] * n
-    for rho, d in op.positive:
-        pos[rho] = d
-    neg = [0] * n
-    for rho, d in op.negative:
-        neg[rho] = d
-    return Relation(beta=op.beta, positive_exponents=tuple(pos),
-                    negative_exponents=tuple(neg))

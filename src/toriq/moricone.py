@@ -68,9 +68,6 @@ class MoriData:
     def ell_of(self, beta):
         return sum(a * b for a, b in zip(self.ell, beta))
 
-    def anticanonical_degree(self, beta):
-        return sum(beta)
-
     @cached_property
     def generator_matrix(self):
         """Rows (one per ray) of the matrix whose columns are the generators.

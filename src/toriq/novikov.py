@@ -12,7 +12,7 @@ Three layers, each exact:
   positive-degree classes keeps every expansion finite; nothing is ever
   windowed or silently dropped.
 * ``NovikovSeries`` -- ``q^beta``-indexed families of HLaurent coefficients,
-  with Cauchy products truncated at the cutoff.
+  truncated at the cutoff.
 """
 
 from dataclasses import dataclass
@@ -127,9 +127,6 @@ class NovikovScalar:
     def q0(self):
         """Coefficient of q^0."""
         return self.terms.get(self.ctx.zero_class, Fraction(0))
-
-    def is_unit(self):
-        return self.q0() != 0
 
     def inverse(self):
         """Exact inverse of a unit, by finite Neumann iteration over ell."""
@@ -259,10 +256,6 @@ class NovikovSeries:
                 clean[tuple(beta)] = h
         self.terms = clean
 
-    @classmethod
-    def one(cls, ctx, ring):
-        return cls(ctx, ring, {ctx.zero_class: HLaurent.one(ring)})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -270,44 +263,5 @@ class NovikovSeries:
         return isinstance(other, NovikovSeries) and self.terms == other.terms \
             and self.ctx == other.ctx
 
-    def __add__(self, other):
-        _check_ctx(self, other)
-        out = dict(self.terms)
-        for b, h in other.terms.items():
-            s = out[b] + h if b in out else h
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-        return NovikovSeries(self.ctx, self.ring, out)
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c):
-        return NovikovSeries(self.ctx, self.ring,
-                             {b: h.scale(c) for b, h in self.terms.items()})
-
     def coefficient(self, beta):
         return self.terms.get(tuple(beta), HLaurent(self.ring))
-
-
-def series_mul(a, b):
-    """Cauchy product over the semigroup, dropping classes beyond the cutoff."""
-    _check_ctx(a, b)
-    ctx = a.ctx
-    out = {}
-    for b1, h1 in a.terms.items():
-        for b2, h2 in b.terms.items():
-            beta = tuple(x + y for x, y in zip(b1, b2))
-            if ctx.ell_of(beta) > ctx.cutoff:
-                continue
-            prod = h1 * h2
-            if not prod:
-                continue
-            s = out[beta] + prod if beta in out else prod
-            if s:
-                out[beta] = s
-            else:
-                out.pop(beta, None)
-    return NovikovSeries(ctx, a.ring, out)

@@ -127,6 +127,12 @@ def standard_monomials(lead_monomials, nvars):
     return out
 
 
+def render_monomial(mono, names):
+    """``x1*x2^3``-style product of the named variables; "" for the unit."""
+    return "*".join(f"{names[j]}^{e}" if e > 1 else names[j]
+                    for j, e in enumerate(mono) if e)
+
+
 def render_poly(p, var_names, coeff_str=str):
     """Deterministic human-readable form, leading term first."""
     if not p:
@@ -134,9 +140,7 @@ def render_poly(p, var_names, coeff_str=str):
     parts = []
     for m in sorted(p, key=term_key, reverse=True):
         c = p[m]
-        mono = "*".join(
-            f"{var_names[j]}^{e}" if e > 1 else var_names[j]
-            for j, e in enumerate(m) if e)
+        mono = render_monomial(m, var_names)
         cs = coeff_str(c)
         if mono:
             if cs == "1":

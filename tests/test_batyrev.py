@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from toriq import batyrev
 from toriq.batyrev import (
+    BasisNotPreserved,
     BatyrevModule,
     HypothesisUnmet,
     build_deformed_ideal,
@@ -13,8 +15,9 @@ from toriq.batyrev import (
     relation_check,
 )
 from toriq.catalog import CATALOG, SEMIPOSITIVE, builtin_fan
+from toriq.cli import main
 from toriq.cohomring import build_cohomology_ring, divisor_class
-from toriq.gkz import extract_relation, gkz_operator
+from toriq.gkz import gkz_operator
 from toriq.moricone import mori_data
 from toriq.novikov import NovikovScalar
 
@@ -222,9 +225,8 @@ def test_grading_homogeneous():
 def test_relation_checks():
     for name in CATALOG:
         _, md, ring, ideal = setup(name)
-        relations = [extract_relation(gkz_operator(beta))
-                     for beta in md.generators]
-        report = relation_check(ideal, relations)
+        operators = [gkz_operator(beta) for beta in md.generators]
+        report = relation_check(ideal, operators)
         assert all(ok for _, ok in report)
 
 
@@ -282,6 +284,29 @@ def test_certify_semipositive_catalog():
             for j in range(dim):
                 expected = Fraction(1) if i == j else Fraction(0)
                 assert cert.phi[i][j].q0() == expected
+
+
+def test_certify_rejects_module_not_preserving_basis(monkeypatch, capsys):
+    # F1 with x1 * 1 = x1 + 1: phi's determinant stays 1, so only the
+    # identity check sees the fault
+    real = batyrev.module_matrices
+
+    def broken(ideal):
+        module = real(ideal)
+        one = module.ring.basis.index((0, 0))
+        mat = module.matrices[0]
+        mat[one][one] = mat[one][one] + NovikovScalar.unit(ideal.ctx)
+        return module
+
+    _, md, _, ideal = setup("F1")
+    monkeypatch.setattr(batyrev, "module_matrices", broken)
+    with pytest.raises(BasisNotPreserved, match=r"\(1, 0\)"):
+        certify_isomorphism(ideal, md)
+    assert main(["certify", "--fan", "F1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certificate failure:")
+    assert "Traceback" not in captured.err
 
 
 def test_certify_f3_hypothesis_unmet():

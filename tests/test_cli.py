@@ -175,6 +175,16 @@ def test_fan_from_dict_errors():
                        "max_cones": [[1], [2]]})
 
 
+@pytest.mark.parametrize("data", [
+    {"dim": True, "rays": [[1], [-1]], "max_cones": [[1], [2]]},
+    {"dim": 1, "rays": [[True], [-1]], "max_cones": [[1], [2]]},
+    {"dim": 1, "rays": [[1], [-1]], "max_cones": [[True], [2]]},
+], ids=["dim", "ray-entry", "cone-index"])
+def test_fan_from_dict_rejects_booleans(data):
+    with pytest.raises(ParseError):
+        fan_from_dict(data)
+
+
 def test_all_catalog_commands_succeed(capsys):
     for name in CATALOG:
         code, _, _ = run(capsys, "analyze", "--fan", name)

@@ -9,7 +9,6 @@ from toriq.gkz import (
     _linear_factor_apply,
     annihilation_certificate,
     apply_gkz_operator,
-    extract_relation,
     extract_two_point_invariants,
     gkz_coefficient,
     gkz_operator,
@@ -281,15 +280,14 @@ def test_projective_three_space():
 
 def test_extract_relation_examples():
     op = gkz_operator((1, -2, 1, 0))
-    rel = extract_relation(op)
-    assert rel.positive_exponents == (1, 0, 1, 0)
-    assert rel.negative_exponents == (0, 2, 0, 0)
-    rel = extract_relation(gkz_operator((0, 1, 0, 1)))
-    assert rel.positive_exponents == (0, 1, 0, 1)
-    assert rel.negative_exponents == (0, 0, 0, 0)
-    rel = extract_relation(gkz_operator((1, 1, 1)))
-    assert rel.positive_exponents == (1, 1, 1)
-    assert rel.negative_exponents == (0, 0, 0)
+    assert op.positive_exponents == (1, 0, 1, 0)
+    assert op.negative_exponents == (0, 2, 0, 0)
+    op = gkz_operator((0, 1, 0, 1))
+    assert op.positive_exponents == (0, 1, 0, 1)
+    assert op.negative_exponents == (0, 0, 0, 0)
+    op = gkz_operator((1, 1, 1))
+    assert op.positive_exponents == (1, 1, 1)
+    assert op.negative_exponents == (0, 0, 0)
 
 
 HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]

@@ -9,8 +9,10 @@ Each ``GOLDEN_FILES`` entry maps (command, fan, cutoff, format) to the same
 pair for a fan read from a JSON file: the hexagon dP6, P2xP2, P1xdP6 and the
 weak del Pezzo surfaces wdP5, wdP4 and wdP3.  Those hashes were recorded
 before effective classes were enumerated by projection bounds and the series
-was built from per-ray factors.  A change meant to keep the reports
-unchanged must leave every entry intact.
+was built from per-ray factors; the ``certify`` entry for wdP5, whose
+completion adds 7 elements, was recorded while the certificate still took
+the determinant of ``phi``.  A change meant to keep the reports unchanged
+must leave every entry intact.
 """
 
 import hashlib
@@ -144,6 +146,7 @@ GOLDEN_FILES = {
     ("certify", "P1xdP6", 3, "text"): (0, "ef2a754c8f12de47fadaa47d4b52d6098afd9fdda8c9032700544b1d071f0863"),
     ("analyze", "wdP5", 3, "json"): (0, "a3b51721b3a1b46f89188a0b301fdf1ae2dd93e6c184985de52cbd0158c98006"),
     ("analyze", "wdP5", 3, "text"): (0, "68bd509d188608b58de046984619cfaafa8cac6a14d08cc4d757d74266947219"),
+    ("certify", "wdP5", 4, "json"): (0, "57dcfb09f44029078bc3f4cd410af7e3da28474f278bc71da00d34b68e542bf3"),
     ("analyze", "wdP4", 3, "json"): (0, "d71c43c485b9e3f400c036110c63c7e67e4bc242c985ca2fbc693eef8b254185"),
     ("analyze", "wdP4", 3, "text"): (0, "71bc385973f8bd3e4a2cce767f22a50236a06c6d5829202a8fd5ca9bb729fc8e"),
     ("analyze", "wdP3", 3, "json"): (0, "199b1ccfede09c67a6ff4229daadd4bcb492517e35d8cfdcc562baedbac2a397"),

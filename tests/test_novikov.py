@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from toriq.catalog import builtin_fan
-from toriq.cohomring import CohClass, build_cohomology_ring, divisor_class
+from toriq.cohomring import build_cohomology_ring, divisor_class
 from toriq.moricone import mori_data
 from toriq.novikov import (
     CutoffMismatch,
@@ -13,9 +12,7 @@ from toriq.novikov import (
     NotNilpotent,
     NovikovContext,
     NovikovScalar,
-    NovikovSeries,
     nilpotent_geometric,
-    series_mul,
 )
 
 
@@ -28,7 +25,6 @@ def f2_setup(cutoff=3):
 
 
 B1 = (1, -2, 1, 0)
-B2 = (0, 1, 0, 1)
 
 
 def test_scalar_arithmetic_and_truncation():
@@ -96,39 +92,3 @@ def test_nilpotent_geometric_rejects_units():
     ring = build_cohomology_ring(builtin_fan("P1"))
     with pytest.raises(NotNilpotent):
         nilpotent_geometric(ring.one(), 1)
-
-
-def test_series_identity_and_truncation():
-    _, _, ring, ctx = f2_setup(cutoff=1)
-    one = NovikovSeries.one(ctx, ring)
-    qb = NovikovSeries(ctx, ring, {B1: HLaurent.one(ring)})
-    a = one + qb
-    assert series_mul(one, a) == a
-    # (1 + q)^2 = 1 + 2q at cutoff 1
-    sq = series_mul(a, a)
-    assert sq == one + qb.scale(2)
-
-
-def test_series_mul_assoc_comm_random():
-    _, _, ring, ctx = f2_setup(cutoff=2)
-    rng = random.Random(11)
-    classes = [ctx.zero_class, B1, B2, tuple(a + b for a, b in zip(B1, B2))]
-
-    def random_series():
-        terms = {}
-        for beta in classes:
-            if rng.random() < 0.7:
-                h = {}
-                for power in range(-2, 2):
-                    if rng.random() < 0.5:
-                        coeffs = [Fraction(rng.randint(-3, 3))
-                                  for _ in range(ring.dim)]
-                        h[power] = CohClass(ring, coeffs)
-                if h:
-                    terms[beta] = HLaurent(ring, h)
-        return NovikovSeries(ctx, ring, terms)
-
-    for _ in range(12):
-        a, b, c = random_series(), random_series(), random_series()
-        assert series_mul(a, b) == series_mul(b, a)
-        assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
