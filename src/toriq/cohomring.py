@@ -13,6 +13,14 @@ There is no separate classical Groebner code: the completion and every normal
 form here are ``batyrev.complete`` and ``batyrev.dp_reduce`` run at cutoff 0,
 where only the q^0 level occurs and the deformed ring is the classical one.
 
+A class is stored as integer numerators over the basis and one positive
+integer denominator, reduced by their gcd, so equal classes have equal
+representations.  The products of basis elements are kept sparsely: for each
+pair of basis indices only the nonzero ``(k, c)`` terms, each ``c`` an integer
+over one ring-wide common denominator.  Products, sums and scalings of classes
+therefore run on ints alone; ``CohClass.coeffs`` gives the coefficients as
+Fractions for rendering and integration.
+
 Integration is normalized by requiring every maximal-cone monomial
 ``prod_{rho in sigma} D_rho`` to integrate to 1, and the Poincare pairing is
 inverted exactly to produce the dual basis.
@@ -20,6 +28,7 @@ inverted exactly to produce the dual basis.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import lattice, polynomials as P
 from .batyrev import complete, dp_reduce
@@ -51,7 +60,8 @@ class CohomRing:
     rules: tuple                  # (lead, {(): monic polynomial}) from complete
     basis: tuple                  # standard monomials (exponent tuples)
     basis_degrees: tuple
-    mult_table: dict              # (i, j) with i <= j -> coefficient tuple
+    structure: tuple              # [i][j] -> nonzero (k, integer c) pairs
+    denominator: int              # common denominator of every c
     point_integrals: dict         # top-degree basis monomial -> Fraction
     var_names: tuple = field(default=(), compare=False)
 
@@ -72,24 +82,45 @@ class CohomRing:
         return self.basis.index(mono)
 
     def zero(self):
-        return CohClass(self, (Fraction(0),) * self.dim)
+        return CohClass(self, (0,) * self.dim)
 
     def one(self):
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[self.basis.index((0,) * len(self.surviving))] = Fraction(1)
-        return CohClass(self, tuple(coeffs))
+        coeffs = [0] * self.dim
+        coeffs[self.basis.index((0,) * len(self.surviving))] = 1
+        return CohClass(self, coeffs)
 
     def from_poly(self, poly):
         """Class of a polynomial in the surviving variables."""
         nf = _normal_form(self.rules, poly)
-        coeffs = [Fraction(0)] * self.dim
+        coeffs = [0] * self.dim
         for m, c in nf.items():
             coeffs[self.basis.index(m)] = c
-        return CohClass(self, tuple(coeffs))
+        return CohClass(self, coeffs)
 
-    def variable_class(self, j):
-        """Class of the j-th surviving variable."""
-        return self.from_poly(P.pvar(len(self.surviving), j))
+    def _from_parts(self, parts):
+        """Class of the sum of ``num / den`` over the ``(num, den)`` parts.
+
+        Parts that share a denominator add their numerators directly; the
+        sum is reduced by the gcd once, at the end.
+        """
+        parts = iter(parts)
+        num, den = next(parts)
+        for other, d in parts:
+            if d == den:
+                num = [a + b for a, b in zip(num, other)]
+            else:
+                g = gcd(den, d)
+                s, t = d // g, den // g
+                num = [a * s + b * t for a, b in zip(num, other)]
+                den *= s
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [a // g for a in num]
+                den //= g
+        out = CohClass.__new__(CohClass)
+        out.ring, out.num, out.den = self, tuple(num), den
+        return out
 
     def ray_poly(self, rho):
         """Polynomial representative (the Kirwan lift) of D_rho."""
@@ -113,59 +144,69 @@ class CohomRing:
 
 
 class CohClass:
-    """Element of the cohomology ring: exact coefficients over the basis."""
+    """Element of the cohomology ring: integer numerators ``num`` over the
+    basis and one positive denominator ``den``, reduced by their gcd (zero
+    has ``den`` 1), so ``==`` and ``hash`` are value equality."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring, coeffs):
-        self.ring = ring
-        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c)
-                            for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        self.ring, self.den = ring, den
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+    @property
+    def coeffs(self):
+        """Coefficients over the basis, as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __eq__(self, other):
-        return isinstance(other, CohClass) and self.coeffs == other.coeffs \
-            and self.ring is other.ring
+        return isinstance(other, CohClass) and self.num == other.num \
+            and self.den == other.den and self.ring is other.ring
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __add__(self, other):
-        return CohClass(self.ring, tuple(a + b for a, b in
-                                         zip(self.coeffs, other.coeffs)))
+        return self.ring._from_parts(((self.num, self.den),
+                                      (other.num, other.den)))
 
     def __sub__(self, other):
-        return CohClass(self.ring, tuple(a - b for a, b in
-                                         zip(self.coeffs, other.coeffs)))
+        return self + (-other)
 
     def __neg__(self):
-        return CohClass(self.ring, tuple(-a for a in self.coeffs))
+        return self.ring._from_parts((([-a for a in self.num], self.den),))
 
     def scale(self, c):
-        c = Fraction(c)
-        return CohClass(self.ring, tuple(a * c for a in self.coeffs))
+        n, d = c.as_integer_ratio()
+        return self.ring._from_parts((([a * n for a in self.num],
+                                       self.den * d),))
 
     def __mul__(self, other):
+        return self.ring._from_parts((self._times(other),))
+
+    def _times(self, other):
+        """Numerators and denominator of ``self * other``, not reduced."""
         ring = self.ring
-        out = [Fraction(0)] * ring.dim
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                key = (i, j) if i <= j else (j, i)
-                for k, c in enumerate(ring.mult_table[key]):
-                    if c:
-                        out[k] += a * b * c
-        return CohClass(ring, tuple(out))
+        out = [0] * len(self.num)
+        right = [(j, b) for j, b in enumerate(other.num) if b]
+        for i, a in enumerate(self.num):
+            if a:
+                row = ring.structure[i]
+                for j, b in right:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
+        return out, self.den * other.den * ring.denominator
 
     def degree_zero_coefficient(self):
         """Coefficient of the unit basis monomial."""
         idx = self.ring.basis.index((0,) * len(self.ring.surviving))
-        return self.coeffs[idx]
+        return Fraction(self.num[idx], self.den)
 
     def __repr__(self):
         return f"CohClass({render_class(self)})"
@@ -202,7 +243,7 @@ def build_cohomology_ring(fan):
     ring_stub = CohomRing(
         fan=fan, sigma0=sigma0, surviving=tuple(surviving),
         eliminations=eliminations, rules=(), basis=(), basis_degrees=(),
-        mult_table={}, point_integrals={})
+        structure=(), denominator=1, point_integrals={})
 
     sr_gens = [{(): ring_stub.ray_product((rho, 1) for rho in coll)}
                for coll in primitive_collections(fan)]
@@ -214,14 +255,18 @@ def build_cohomology_ring(fan):
             f"{len(fan.max_cones)} maximal cones")
     degrees = tuple(P.mono_deg(m) for m in basis)
 
-    mult_table = {}
+    products = {}
     for i, mi in enumerate(basis):
         for j in range(i, len(basis)):
             nf = _normal_form(rules, {P.mono_mul(mi, basis[j]): Fraction(1)})
-            col = [Fraction(0)] * len(basis)
-            for m, c in nf.items():
-                col[basis.index(m)] = c
-            mult_table[(i, j)] = tuple(col)
+            products[i, j] = products[j, i] = \
+                sorted((basis.index(m), c) for m, c in nf.items() if c)
+    denominator = lcm(*(c.denominator for terms in products.values()
+                        for _, c in terms))
+    structure = tuple(
+        tuple(tuple((k, int(c * denominator)) for k, c in products[i, j])
+              for j in range(len(basis)))
+        for i in range(len(basis)))
 
     # integration: every maximal-cone monomial has integral 1
     top = [i for i, d in enumerate(degrees) if d == fan.dim]
@@ -248,8 +293,8 @@ def build_cohomology_ring(fan):
     return CohomRing(
         fan=fan, sigma0=sigma0, surviving=tuple(surviving),
         eliminations=eliminations, rules=rules, basis=basis,
-        basis_degrees=degrees, mult_table=mult_table,
-        point_integrals=integrals,
+        basis_degrees=degrees, structure=structure,
+        denominator=denominator, point_integrals=integrals,
         var_names=tuple(f"x{j + 1}" for j in surviving))
 
 
@@ -272,20 +317,20 @@ def pairing(ring, a, b):
 
 
 def monomial_basis_classes(ring):
-    out = []
-    for i in range(ring.dim):
-        coeffs = [Fraction(0)] * ring.dim
-        coeffs[i] = Fraction(1)
-        out.append(CohClass(ring, tuple(coeffs)))
-    return out
+    return [CohClass(ring, [int(i == j) for j in range(ring.dim)])
+            for i in range(ring.dim)]
+
+
+def gram_matrix(ring):
+    """Poincare pairings ``<T_a, T_b>`` of the monomial basis classes."""
+    T = monomial_basis_classes(ring)
+    return [[pairing(ring, a, b) for b in T] for a in T]
 
 
 def poincare_dual_basis(ring):
     """Bases ({T_a}, {T^a}) with <T_a, T^b> = delta under integration."""
     T = monomial_basis_classes(ring)
-    gram = [[pairing(ring, T[a], T[b]) for b in range(ring.dim)]
-            for a in range(ring.dim)]
-    inv = lattice.invert_rational(gram)
+    inv = lattice.invert_rational(gram_matrix(ring))
     if inv is None:
         raise SingularPairing("Poincare pairing matrix is singular")
     duals = []
@@ -311,5 +356,5 @@ def graded_dimensions(ring):
 
 def render_class(c, coeff_str=str):
     ring = c.ring
-    poly = {m: x for m, x in zip(ring.basis, c.coeffs) if x}
+    poly = {m: Fraction(a, c.den) for m, a in zip(ring.basis, c.num) if a}
     return P.render_poly(poly, list(ring.var_names), coeff_str=coeff_str)

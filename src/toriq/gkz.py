@@ -24,8 +24,9 @@ relation fed to the quantum-deformed ring.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cohomring import divisor_class, integrate, poincare_dual_basis
+from .cohomring import divisor_class, gram_matrix
 from .moricone import enumerate_effective
 from .novikov import (
     HLaurent,
@@ -96,15 +97,6 @@ def _ray_factor(ring, D, d, cache):
             cache[d] = _linear_factor_apply(
                 ring, _ray_factor(ring, D, d + 1, cache), D, d + 1)
     return cache[d]
-
-
-def gkz_coefficient(ring, beta):
-    """Exact hbar-Laurent coefficient of q^beta in the reduced series."""
-    out = HLaurent.one(ring)
-    for rho, d in enumerate(beta):
-        if d:
-            out = out * _ray_factor(ring, divisor_class(ring, rho), d, {})
-    return out
 
 
 def i_function(ring, md, cutoff):
@@ -180,9 +172,12 @@ def extract_two_point_invariants(ring, I):
 
     The coefficient of q^beta equals ``sum_a <T_a/(hbar - psi), 1> T^a``; its
     T_a-component (extracted by pairing against T_a) is ``sum_k hbar^(-k-1)
-    <T_a psi^k, 1>``.  Every hbar power must be <= -1.
+    <T_a psi^k, 1>``.  Every hbar power must be <= -1.  The pairing is read
+    from the Gram matrix: the class numerators dotted with the column of T_a.
     """
-    basis_classes, _ = poincare_dual_basis(ring)
+    gram = gram_matrix(ring)
+    gden = lcm(*(x.denominator for row in gram for x in row))
+    columns = [[int(row[a] * gden) for row in gram] for a in range(ring.dim)]
     entries = {}
     for beta, h in sorted(I.terms.items()):
         if beta == I.ctx.zero_class:
@@ -192,31 +187,20 @@ def extract_two_point_invariants(ring, I):
                 raise PositiveHbarPower(
                     f"coefficient of q^{beta} has hbar^{power} term")
             k = -power - 1
-            for a, Ta in enumerate(basis_classes):
-                val = integrate(ring, cls * Ta)
+            for a, column in enumerate(columns):
+                val = sum(x * g for x, g in zip(cls.num, column))
                 if val:
-                    entries[(a, k, beta)] = val
+                    entries[(a, k, beta)] = Fraction(val, cls.den * gden)
     return TwoPointTable(entries=entries)
-
-
-def reconstruct_coefficient(ring, table, beta):
-    """Round-trip check: rebuild the q^beta coefficient from the table."""
-    _, duals = poincare_dual_basis(ring)
-    out = HLaurent(ring)
-    for (a, k, b), val in table.entries.items():
-        if b == tuple(beta):
-            out = out + HLaurent.of_class(duals[a].scale(val), -k - 1)
-    return out
 
 
 def _linear_factor_apply(ring, h, D, c):
     """Multiply an HLaurent by (D + c*hbar): ``out[k] = D h[k] + c h[k-1]``."""
-    out = {k: D * v for k, v in h.terms.items()}
+    parts = {k: [D._times(v)] for k, v in h.terms.items()}
     if c:
         for k, v in h.terms.items():
-            shifted = v.scale(c)
-            out[k + 1] = out[k + 1] + shifted if k + 1 in out else shifted
-    return HLaurent(ring, out)
+            parts.setdefault(k + 1, []).append(([c * a for a in v.num], v.den))
+    return HLaurent(ring, {k: ring._from_parts(p) for k, p in parts.items()})
 
 
 def apply_gkz_operator(op, I):

@@ -10,7 +10,9 @@ Three layers, each exact:
 * ``HLaurent`` -- a finitely supported Laurent polynomial in the formal
   variable hbar whose coefficients are cohomology classes.  Nilpotency of
   positive-degree classes keeps every expansion finite; nothing is ever
-  windowed or silently dropped.
+  windowed or silently dropped.  Products run on the classes' integer
+  numerators and denominators: each hbar power sums its raw class products
+  and is reduced once.
 * ``NovikovSeries`` -- ``q^beta``-indexed families of HLaurent coefficients,
   truncated at the cutoff.
 """
@@ -188,34 +190,25 @@ class HLaurent:
         return HLaurent(self.ring, out)
 
     def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c):
         return HLaurent(self.ring, {k: v.scale(c) for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        out = {}
+        parts = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                prod = v1 * v2
-                if not prod:
-                    continue
-                k = k1 + k2
-                s = out[k] + prod if k in out else prod
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return HLaurent(self.ring, out)
+                parts.setdefault(k1 + k2, []).append(v1._times(v2))
+        ring = self.ring
+        return HLaurent(ring, {k: ring._from_parts(p)
+                               for k, p in parts.items()})
 
     def coefficient(self, power):
         return self.terms.get(power, self.ring.zero())
 
     def powers(self):
         return sorted(self.terms)
-
-    def max_power(self):
-        return max(self.terms) if self.terms else None
 
     def __repr__(self):
         return f"HLaurent({self.terms})"
@@ -235,8 +228,10 @@ def nilpotent_geometric(D, m):
     power = ring.one()
     l = 0
     while power:
-        coeff = Fraction((-1) ** l, m ** (l + 1))
-        terms[-(l + 1)] = power.scale(coeff)
+        # (-1)^l / m^(l+1) with a positive denominator
+        sign = (-1) ** l if m > 0 else -1
+        part = [sign * a for a in power.num], power.den * abs(m) ** (l + 1)
+        terms[-(l + 1)] = ring._from_parts((part,))
         power = power * D
         l += 1
     return HLaurent(ring, terms)

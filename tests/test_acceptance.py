@@ -32,11 +32,12 @@ from toriq.gkz import (
     extract_two_point_invariants,
     i_function,
     leading_terms,
-    reconstruct_coefficient,
 )
 from toriq.lattice import kernel_basis, solve_rational
 from toriq.moricone import enumerate_effective, mori_data
 from toriq.novikov import HLaurent, NovikovScalar, nilpotent_geometric
+
+from oracles import reconstruct_coefficient
 
 # hand-derived golden data: collection -> (gamma, coeffs), primitive classes
 GOLDEN = {

@@ -8,6 +8,7 @@ import pytest
 
 import toriq
 from toriq.cli import (
+    SCHEMA,
     ParseError,
     exit_code_for,
     fan_from_dict,
@@ -16,10 +17,30 @@ from toriq.cli import (
     run_analyze,
     run_certify,
     run_ifunction,
-    validate_report,
 )
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.fan import ValidationError
+
+
+def validate_report(report):
+    """Structural check of the documented schema; used by the round-trip test."""
+    assert report["schema"] == SCHEMA
+    assert report["command"] in ("analyze", "ifunction", "certify")
+    fan = report["fan"]
+    for key in ("name", "dim", "rays", "max_cones"):
+        assert key in fan
+    if report["command"] == "analyze":
+        for key in ("validation", "euler_characteristic", "cohomology",
+                    "primitive_collections", "mori"):
+            assert key in report
+    elif report["command"] == "ifunction":
+        for key in ("cutoff", "i_function", "leading_terms",
+                    "two_point_invariants", "annihilation", "failures"):
+            assert key in report
+    else:
+        for key in ("cutoff", "semipositive", "certificate"):
+            assert key in report
+    return True
 
 
 def run(capsys, *argv):

@@ -1,11 +1,14 @@
+import dataclasses
+import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cohomring import (
+    CohClass,
     build_cohomology_ring,
     divisor_class,
     graded_dimensions,
@@ -15,8 +18,25 @@ from toriq.cohomring import (
     poincare_dual_basis,
 )
 from toriq import polynomials as P
-from toriq.fan import make_fan
 from toriq.moricone import primitive_collections
+
+from oracles import (
+    KERNEL_FANS,
+    dp6,
+    frac_add,
+    frac_mul,
+    frac_scale,
+    frac_sub,
+    laurent_mul,
+    laurent_of,
+    mult_table,
+    p1xdp6,
+    random_coeffs,
+    random_laurent,
+    to_hlaurent,
+    variable_class,
+    wdp5,
+)
 
 
 def h_vector_by_face_counting(fan):
@@ -61,7 +81,7 @@ def test_p2_structure():
     assert ring.surviving == (0,)
     assert ring.basis == ((0,), (1,), (2,))
     assert list(ring.groebner) == [{(3,): Fraction(1)}]
-    h = ring.variable_class(0)
+    h = variable_class(ring, 0)
     assert integrate(ring, h * h) == 1
     assert integrate(ring, h) == 0
     # all three rays give the same divisor class H
@@ -80,8 +100,8 @@ def test_f2_structure():
         {(2, 0): Fraction(1)},
         {(0, 2): Fraction(1), (1, 1): Fraction(2)},
     ]
-    x1 = ring.variable_class(0)
-    x2 = ring.variable_class(1)
+    x1 = variable_class(ring, 0)
+    x2 = variable_class(ring, 1)
     assert integrate(ring, x1 * x2) == 1
     assert integrate(ring, x1 * x1) == 0
     assert integrate(ring, x2 * x2) == -2
@@ -92,7 +112,7 @@ def test_f2_structure():
 def test_p1_structure():
     ring = build_cohomology_ring(builtin_fan("P1"))
     assert ring.basis == ((0,), (1,))
-    h = ring.variable_class(0)
+    h = variable_class(ring, 0)
     assert not (h * h)
     assert integrate(ring, h) == 1
 
@@ -132,8 +152,8 @@ def test_dual_basis_golden_p1_p2():
 def test_dual_basis_golden_f2():
     ring = build_cohomology_ring(builtin_fan("F2"))
     _, duals = poincare_dual_basis(ring)
-    x1 = ring.variable_class(0)
-    x2 = ring.variable_class(1)
+    x1 = variable_class(ring, 0)
+    x2 = variable_class(ring, 1)
     dual_x1 = duals[ring.basis.index((1, 0))]
     assert dual_x1 == x1.scale(2) + x2
     assert integrate(ring, x1 * dual_x1) == 1
@@ -158,7 +178,7 @@ def test_divisor_classes_generate():
             c = ring.one()
             for j, e in enumerate(mono):
                 for _ in range(e):
-                    c = c * ring.variable_class(j)
+                    c = c * variable_class(ring, j)
             assert c.coeffs[i] == 1
             assert sum(1 for x in c.coeffs if x) == 1
 
@@ -176,25 +196,7 @@ def test_linear_relations_vanish():
             assert poly == {}, (fan.name, k)
 
 
-def _cycle(name, rays):
-    """Complete surface fan whose maximal cones are consecutive ray pairs."""
-    return make_fan(2, rays, [(i, (i + 1) % len(rays)) for i in range(len(rays))],
-                    name=name)
-
-
-def _p1xdp6():
-    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-    rays = [(a, b, 0) for a, b in hexagon] + [(0, 0, 1), (0, 0, -1)]
-    cones = [(i, (i + 1) % 6, pole) for i in range(6) for pole in (6, 7)]
-    return make_fan(3, rays, cones, name="P1xdP6")
-
-
-ORACLE_FANS = list(CATALOG.values()) + [
-    _cycle("dP6", [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]),
-    _cycle("wdP5", [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 0), (-1, -1),
-                    (0, -1)]),
-    _p1xdp6(),
-]
+ORACLE_FANS = list(CATALOG.values()) + [dp6(), wdp5(), p1xdp6()]
 
 
 @pytest.mark.parametrize("fan", ORACLE_FANS, ids=lambda f: f.name)
@@ -221,3 +223,85 @@ def test_groebner_matches_sympy(fan):
           for m, c in g.as_poly(*reversed(xs)).terms()} for g in oracle.exprs),
         key=lambda p: P.term_key(P.leading(p)[0]))
     assert list(ring.groebner) == expected
+
+
+# --- the integer kernel against the test-local Fraction oracle ---------------
+
+def test_structure_constants_match_dense_table():
+    # the sparse integer constants over the common denominator are exactly
+    # the nonzero entries of the old dense Fraction table
+    for name, make in KERNEL_FANS.items():
+        ring = build_cohomology_ring(make())
+        table = mult_table(ring)
+        for i in range(ring.dim):
+            for j in range(ring.dim):
+                dense = [Fraction(0)] * ring.dim
+                for k, c in ring.structure[i][j]:
+                    assert c and type(c) is int, (name, i, j, k)
+                    dense[k] = Fraction(c, ring.denominator)
+                assert tuple(dense) == table[min(i, j), max(i, j)], \
+                    (name, i, j)
+    # the weak del Pezzo wdP5 has half-integral structure constants
+    assert build_cohomology_ring(wdp5()).denominator == 2
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FANS))
+def test_class_arithmetic_matches_fraction_oracle(name):
+    ring = build_cohomology_ring(KERNEL_FANS[name]())
+    table = mult_table(ring)
+    rng = random.Random(f"kernel-{name}")
+    for _ in range(60):
+        a, b = random_coeffs(rng, ring.dim), random_coeffs(rng, ring.dim)
+        A, B = CohClass(ring, a), CohClass(ring, b)
+        assert A.coeffs == a
+        assert (A * B).coeffs == frac_mul(table, a, b)
+        assert (A + B).coeffs == frac_add(a, b)
+        assert (A - B).coeffs == frac_sub(a, b)
+        assert (-A).coeffs == frac_scale(a, -1)
+        for c in (0, 1, -3, Fraction(rng.randint(-7, 7), rng.randint(1, 5))):
+            assert A.scale(c).coeffs == frac_scale(a, c)
+
+
+def test_common_denominator_path():
+    # a stub whose structure constants are the P1xP2 numerators over 2 (and
+    # over 4) multiplies like the dense table halved (quartered)
+    ring = build_cohomology_ring(builtin_fan("P1xP2"))
+    rng = random.Random(2)
+    for den in (2, 4):
+        stub = dataclasses.replace(ring, denominator=den)
+        table = {key: frac_scale(col, Fraction(1, den))
+                 for key, col in mult_table(ring).items()}
+        for _ in range(60):
+            a, b = random_coeffs(rng, ring.dim), random_coeffs(rng, ring.dim)
+            product = CohClass(stub, a) * CohClass(stub, b)
+            assert product.coeffs == frac_mul(table, a, b)
+            assert product.den > 0 and gcd(product.den, *product.num) == 1
+            f, g = random_laurent(rng, ring.dim), random_laurent(rng, ring.dim)
+            assert laurent_of(to_hlaurent(stub, f) * to_hlaurent(stub, g)) \
+                == laurent_mul(table, f, g)
+
+
+def test_class_canonical_form():
+    ring = build_cohomology_ring(builtin_fan("P1xP2"))
+    rng = random.Random(3)
+    zero = ring.zero()
+    assert zero.den == 1 and zero.num == (0,) * ring.dim
+    for _ in range(100):
+        a = random_coeffs(rng, ring.dim)
+        A = CohClass(ring, a)
+        assert A.den > 0 and gcd(A.den, *A.num) == 1
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        # the same value reached through other denominators
+        B = A.scale(c).scale(1 / c)
+        assert (B.num, B.den) == (A.num, A.den)
+        assert B == A and hash(B) == hash(A)
+        C = CohClass(ring, [x + Fraction(1, 6) for x in a]) - \
+            CohClass(ring, [Fraction(1, 6)] * ring.dim)
+        assert C == A and hash(C) == hash(A)
+        for z in (A - A, A.scale(0), A + (-A), A * zero):
+            assert z == zero and z.den == 1 and hash(z) == hash(zero)
+            assert not z
+    # value equality also holds across the set and dict protocols
+    halves = {CohClass(ring, [Fraction(1, 2)] * ring.dim),
+              CohClass(ring, [Fraction(2, 4)] * ring.dim)}
+    assert len(halves) == 1

@@ -1,7 +1,16 @@
+import dataclasses
+import random
+from fractions import Fraction
+
 import pytest
 
 from toriq.catalog import CATALOG, SEMIPOSITIVE, builtin_fan
-from toriq.cohomring import build_cohomology_ring, divisor_class
+from toriq.cohomring import (
+    build_cohomology_ring,
+    divisor_class,
+    integrate,
+    monomial_basis_classes,
+)
 from toriq.gkz import (
     AnnihilationReport,
     InsufficientCutoff,
@@ -10,15 +19,29 @@ from toriq.gkz import (
     annihilation_certificate,
     apply_gkz_operator,
     extract_two_point_invariants,
-    gkz_coefficient,
     gkz_operator,
     i_function,
     leading_terms,
-    reconstruct_coefficient,
 )
-from toriq.fan import make_fan
 from toriq.moricone import enumerate_effective, mori_data
 from toriq.novikov import HLaurent, nilpotent_geometric
+
+from oracles import (
+    KERNEL_FANS,
+    dp6,
+    frac_scale,
+    gkz_coefficient,
+    laurent_mul,
+    laurent_of,
+    max_power,
+    mult_table,
+    p1xdp6,
+    random_laurent,
+    reconstruct_coefficient,
+    to_hlaurent,
+    variable_class,
+    wdp5,
+)
 
 
 def setup(name):
@@ -35,7 +58,7 @@ def test_coefficient_zero_class_is_one():
 
 def test_coefficient_p2_generator():
     _, _, ring = setup("P2")
-    h = ring.variable_class(0)
+    h = variable_class(ring, 0)
     c = gkz_coefficient(ring, (1, 1, 1))
     assert c.terms == {
         -3: ring.one(),
@@ -46,7 +69,7 @@ def test_coefficient_p2_generator():
 
 def test_coefficient_p1_generator():
     _, _, ring = setup("P1")
-    h = ring.variable_class(0)
+    h = variable_class(ring, 0)
     c = gkz_coefficient(ring, (1, 1))
     assert c.terms == {-2: ring.one(), -3: h.scale(-2)}
 
@@ -58,7 +81,7 @@ def test_coefficient_f2_first_generator():
     assert c.coefficient(-1) == d2.scale(-1)
     assert not c.coefficient(0)
     # full value: D2(D2 - hbar) (D1 + hbar)^-1 (D3 + hbar)^-1 with D1 = D3 = x1
-    x1 = ring.variable_class(0)
+    x1 = variable_class(ring, 0)
     lead = HLaurent(ring, {0: d2, 1: ring.one().scale(-1)}) * \
         HLaurent.of_class(d2)
     inv = HLaurent(ring, {0: x1, 1: ring.one()})
@@ -77,14 +100,14 @@ def test_hbar_power_counting():
             c = gkz_coefficient(ring, beta)
             N = sum(beta) + sum(1 for d in beta if d <= -1)
             if c:
-                assert c.max_power() <= -N, (name, beta)
+                assert max_power(c) <= -N, (name, beta)
                 if N > 0:
                     assert not c.coefficient(0), (name, beta)
 
 
 def test_i_function_p1_cutoff1():
     _, md, ring = setup("P1")
-    h = ring.variable_class(0)
+    h = variable_class(ring, 0)
     I = i_function(ring, md, 1)
     assert I.coefficient((0, 0)) == HLaurent.one(ring)
     assert I.coefficient((1, 1)).terms == {-2: ring.one(), -3: h.scale(-2)}
@@ -260,7 +283,7 @@ def test_projective_three_space():
     assert list(md.generators) == [(1, 1, 1, 1)]
     ring = build_cohomology_ring(fan)
     assert ring.dim == 4
-    h = ring.variable_class(0)
+    h = variable_class(ring, 0)
     c = gkz_coefficient(ring, (1, 1, 1, 1))
     assert c.terms == {
         -4: ring.one(),
@@ -290,19 +313,6 @@ def test_extract_relation_examples():
     assert op.negative_exponents == (0, 0, 0)
 
 
-HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-
-
-def _dp6():
-    return make_fan(2, HEXAGON, [(i, (i + 1) % 6) for i in range(6)])
-
-
-def _p1xdp6():
-    rays = [(a, b, 0) for a, b in HEXAGON] + [(0, 0, 1), (0, 0, -1)]
-    return make_fan(3, rays, [(i, (i + 1) % 6, pole)
-                              for i in range(6) for pole in (6, 7)])
-
-
 def _naive_coefficient(ring, beta):
     """Reference: every factor of every ray rebuilt from scratch."""
     out = HLaurent.one(ring)
@@ -323,7 +333,7 @@ def _naive_coefficient(ring, beta):
 
 SERIES_CASES = [(name, lambda name=name: builtin_fan(name), 3)
                 for name in sorted(CATALOG)] + \
-    [("dP6", _dp6, 4), ("P1xdP6", _p1xdp6, 2)]
+    [("dP6", dp6, 4), ("P1xdP6", p1xdp6, 2)]
 
 
 @pytest.mark.parametrize("name,make,cutoff", SERIES_CASES,
@@ -357,3 +367,47 @@ def test_linear_factor_apply_matches_product(name):
             for h in samples:
                 assert _linear_factor_apply(ring, h, D, c) == factor * h, \
                     (name, rho, c)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FANS))
+def test_linear_factor_apply_matches_fraction_oracle(name):
+    ring = build_cohomology_ring(KERNEL_FANS[name]())
+    table = mult_table(ring)
+    one = ring.one().coeffs
+    rng = random.Random(f"linear-{name}")
+    for rho in range(ring.fan.n_rays):
+        D = divisor_class(ring, rho)
+        for c in (0, 1, -1, 2, -3):
+            factor = {0: D.coeffs, 1: frac_scale(one, c)} if c else \
+                {0: D.coeffs}
+            for _ in range(4):
+                f = random_laurent(rng, ring.dim)
+                got = _linear_factor_apply(ring, to_hlaurent(ring, f), D, c)
+                assert laurent_of(got) == laurent_mul(table, factor, f), \
+                    (name, rho, c)
+
+
+@pytest.mark.parametrize("make,cutoff,scale",
+                         [(dp6, 4, 1), (wdp5, 3, 1), (p1xdp6, 2, 1),
+                          (dp6, 4, Fraction(2, 3))],
+                         ids=["dP6", "wdP5", "P1xdP6", "dP6-stub"])
+def test_two_point_matches_integration(make, cutoff, scale):
+    # the Gram-column dot product gives what integrating cls * T_a gave; the
+    # stub scales the point integrals so the Gram matrix has a denominator
+    fan = make()
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    ring = dataclasses.replace(ring, point_integrals={
+        m: v * scale for m, v in ring.point_integrals.items()})
+    I = i_function(ring, md, cutoff)
+    table = extract_two_point_invariants(ring, I)
+    T = monomial_basis_classes(ring)
+    expected = {}
+    for beta, h in I.terms.items():
+        if any(beta):
+            for power, cls in h.terms.items():
+                for a, Ta in enumerate(T):
+                    val = integrate(ring, cls * Ta)
+                    if val:
+                        expected[(a, -power - 1, beta)] = val
+    assert table.entries == expected

@@ -11,8 +11,11 @@ weak del Pezzo surfaces wdP5, wdP4 and wdP3.  Those hashes were recorded
 before effective classes were enumerated by projection bounds and the series
 was built from per-ray factors; the ``certify`` entry for wdP5, whose
 completion adds 7 elements, was recorded while the certificate still took
-the determinant of ``phi``.  A change meant to keep the reports unchanged
-must leave every entry intact.
+the determinant of ``phi``.  The ``ifunction`` entry for wdP5 at cutoff 4 and
+the ``GOLDEN_DEEP`` entry for the builtin F3 at cutoff 6 were recorded while
+cohomology classes were still tuples of Fractions; both series carry large
+denominators.  A change meant to keep the reports unchanged must leave every
+entry intact.
 """
 
 import hashlib
@@ -147,6 +150,7 @@ GOLDEN_FILES = {
     ("analyze", "wdP5", 3, "json"): (0, "a3b51721b3a1b46f89188a0b301fdf1ae2dd93e6c184985de52cbd0158c98006"),
     ("analyze", "wdP5", 3, "text"): (0, "68bd509d188608b58de046984619cfaafa8cac6a14d08cc4d757d74266947219"),
     ("certify", "wdP5", 4, "json"): (0, "57dcfb09f44029078bc3f4cd410af7e3da28474f278bc71da00d34b68e542bf3"),
+    ("ifunction", "wdP5", 4, "json"): (0, "8846832618ddd1fa3013ab7ba9e5231ac18529324168c46329aee7aab0877a38"),
     ("analyze", "wdP4", 3, "json"): (0, "d71c43c485b9e3f400c036110c63c7e67e4bc242c985ca2fbc693eef8b254185"),
     ("analyze", "wdP4", 3, "text"): (0, "71bc385973f8bd3e4a2cce767f22a50236a06c6d5829202a8fd5ca9bb729fc8e"),
     ("analyze", "wdP3", 3, "json"): (0, "199b1ccfede09c67a6ff4229daadd4bcb492517e35d8cfdcc562baedbac2a397"),
@@ -164,3 +168,18 @@ def test_fan_file_stdout_unchanged(capsys, tmp_path, command, fan, cutoff,
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         GOLDEN_FILES[(command, fan, cutoff, fmt)]
+
+
+# (command, builtin fan, cutoff, format) -> (exit code, SHA-256 of stdout)
+GOLDEN_DEEP = {
+    ("ifunction", "F3", 6, "json"): (0, "0745a9e70c52dc45252ab8ef2f6742093ab2896341293e0e56310539a08b340a"),
+}
+
+
+@pytest.mark.parametrize("command,fan,cutoff,fmt", sorted(GOLDEN_DEEP))
+def test_catalog_deep_stdout_unchanged(capsys, command, fan, cutoff, fmt):
+    code = main([command, "--fan", fan, "--cutoff", str(cutoff),
+                 "--format", fmt])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        GOLDEN_DEEP[(command, fan, cutoff, fmt)]

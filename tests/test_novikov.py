@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,18 @@ from toriq.novikov import (
     NovikovContext,
     NovikovScalar,
     nilpotent_geometric,
+)
+
+from oracles import (
+    KERNEL_FANS,
+    frac_sub,
+    geometric,
+    laurent_mul,
+    laurent_of,
+    mult_table,
+    random_laurent,
+    to_hlaurent,
+    variable_class,
 )
 
 
@@ -56,7 +69,7 @@ def test_scalar_cutoff_mismatch():
 
 def test_nilpotent_geometric_square_zero():
     ring = build_cohomology_ring(builtin_fan("P1"))
-    h = ring.variable_class(0)  # h^2 = 0
+    h = variable_class(ring, 0)  # h^2 = 0
     g = nilpotent_geometric(h, 1)
     assert g.terms == {-1: ring.one(), -2: h.scale(-1)}
     lin = HLaurent(ring, {0: h, 1: ring.one()})  # D + hbar
@@ -71,7 +84,7 @@ def test_nilpotent_geometric_zero_class():
 
 def test_nilpotent_geometric_p2():
     ring = build_cohomology_ring(builtin_fan("P2"))
-    h = ring.variable_class(0)  # h^3 = 0
+    h = variable_class(ring, 0)  # h^3 = 0
     g = nilpotent_geometric(h, 1)
     assert g.terms == {-1: ring.one(), -2: h.scale(-1), -3: h * h}
     lin = HLaurent(ring, {0: h, 1: ring.one()})
@@ -92,3 +105,23 @@ def test_nilpotent_geometric_rejects_units():
     ring = build_cohomology_ring(builtin_fan("P1"))
     with pytest.raises(NotNilpotent):
         nilpotent_geometric(ring.one(), 1)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FANS))
+def test_hlaurent_mul_matches_fraction_oracle(name):
+    ring = build_cohomology_ring(KERNEL_FANS[name]())
+    table = mult_table(ring)
+    rng = random.Random(f"hlaurent-{name}")
+    for _ in range(25):
+        f, g = random_laurent(rng, ring.dim), random_laurent(rng, ring.dim)
+        F, G = to_hlaurent(ring, f), to_hlaurent(ring, g)
+        assert laurent_of(F) == f
+        assert laurent_of(F * G) == laurent_mul(table, f, g)
+        zero = (Fraction(0),) * ring.dim
+        diff = {k: frac_sub(f.get(k, zero), g.get(k, zero)) for k in {*f, *g}}
+        assert laurent_of(F - G) == {k: v for k, v in diff.items() if any(v)}
+    for rho in range(ring.fan.n_rays):
+        D = divisor_class(ring, rho)
+        for m in (-2, 1, 3):
+            assert laurent_of(nilpotent_geometric(D, m)) == \
+                geometric(table, ring.one().coeffs, D.coeffs, m), (rho, m)
