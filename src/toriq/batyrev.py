@@ -25,7 +25,6 @@ compute the classical reduced Groebner basis and normal forms, which is how
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 
 from . import polynomials as P
@@ -119,18 +118,26 @@ def dp_coefficient_scalar(dp, mono, ctx):
 def dp_reduce(dp, rules, ctx):
     """Full normal form modulo monic rules, by increasing ell-level.
 
-    Within a level the largest monomial left is taken next: the first rule
-    whose lead divides it cancels it against strictly smaller classical terms,
-    otherwise it is final.  Deformation tails move to levels of strictly
-    larger ell, bounded by the cutoff, so the loop terminates with every
-    surviving monomial standard.
+    Levels wait in a heap keyed by ``(ell, class)``.  Within a level the
+    largest monomial left is taken next: the first rule whose lead divides it
+    cancels it against strictly smaller classical terms, otherwise it is
+    final.  Deformation tails move to levels of strictly larger ell; ``ell``
+    is additive, so a tail whose ``ell(beta) + ell(level)`` exceeds the
+    cutoff is dropped before its class is formed, and the others are
+    subtracted into their target level in place.  The loop therefore
+    terminates with every surviving monomial standard.
     """
-    zero = ctx.zero_class
-    levels = {b: dict(p) for b, p in dp.items()
-              if p and ctx.ell_of(b) <= ctx.cutoff}
+    zero, cutoff, ell_of = ctx.zero_class, ctx.cutoff, ctx.ell_of
+    levels, heap = {}, []
+    for b, p in dp.items():
+        e = ell_of(b)
+        if p and e <= cutoff:
+            levels[b] = dict(p)
+            heap.append((e, b))
+    heapq.heapify(heap)
     out = {}
-    while levels:
-        beta = min(levels, key=lambda b: (ctx.ell_of(b), b))
+    while heap:
+        e, beta = heapq.heappop(heap)
         work = levels.pop(beta)
         poly = {}
         while work:
@@ -146,23 +153,25 @@ def dp_reduce(dp, rules, ctx):
             for ebeta, epoly in element.items():
                 if ebeta == zero:
                     # the lead term cancels m exactly; the rest is smaller
-                    for em, ec in epoly.items():
-                        if em == lead:
-                            continue
-                        key = P.mono_mul(em, quot)
-                        s = work.get(key, 0) - c * ec
-                        if s:
-                            work[key] = s
-                        else:
-                            work.pop(key, None)
-                    continue
-                target = tuple(x + y for x, y in zip(beta, ebeta))
-                if ctx.ell_of(target) > ctx.cutoff:
-                    continue
-                levels[target] = P.psub(levels.get(target, {}),
-                                        P.pmul_term(epoly, quot, c))
-                if not levels[target]:
-                    del levels[target]
+                    target, level = None, work
+                else:
+                    t_ell = e + ell_of(ebeta)
+                    if t_ell > cutoff:
+                        continue
+                    target = tuple(x + y for x, y in zip(beta, ebeta))
+                    level = levels.get(target)
+                    if level is None:
+                        level = levels[target] = {}
+                        heapq.heappush(heap, (t_ell, target))
+                for em, ec in epoly.items():
+                    if target is None and em == lead:
+                        continue
+                    key = P.mono_mul(em, quot)
+                    s = level.get(key, 0) - c * ec
+                    if s:
+                        level[key] = s
+                    else:
+                        level.pop(key, None)
         if poly:
             out[beta] = poly
     return out
@@ -219,7 +228,10 @@ def complete(gens, ctx):
     lead's full normal form (hence supported on standard monomials at every
     level), and ``added`` counts the S-pair residues the completion inserted.
     S-pairs are processed smallest leading-lcm first, the oldest pair first
-    among equal lcms; residues are reduced fully before insertion.  At cutoff
+    among equal lcms; residues are reduced fully before insertion.  A pair
+    whose leads share no variable is never formed: the leads are monic, so
+    by Buchberger's product criterion (1979) its S-polynomial reduces to
+    zero, at every level of the truncated scalars as classically.  At cutoff
     0 only the q^0 level occurs and this is the classical reduced Groebner
     basis.
     """
@@ -227,8 +239,10 @@ def complete(gens, ctx):
     pairs, order = [], count()
 
     def push(i, j):
-        lcm = P.mono_lcm(rules[i][0], rules[j][0])
-        heapq.heappush(pairs, (P.term_key(lcm), next(order), i, j))
+        a, b = rules[i][0], rules[j][0]
+        if any(x and y for x, y in zip(a, b)):
+            lcm = P.mono_lcm(a, b)
+            heapq.heappush(pairs, (P.term_key(lcm), next(order), i, j))
 
     for i in range(len(rules)):
         for j in range(i):
@@ -262,8 +276,8 @@ def complete(gens, ctx):
             keep.append((lead, g))
     canonical = []
     for lead, _ in keep:
-        nf = dp_reduce({ctx.zero_class: {lead: Fraction(1)}}, keep, ctx)
-        element = dp_sub({ctx.zero_class: {lead: Fraction(1)}}, nf)
+        nf = dp_reduce({ctx.zero_class: {lead: 1}}, keep, ctx)
+        element = dp_sub({ctx.zero_class: {lead: 1}}, nf)
         canonical.append((lead, dp_clean(element)))
     canonical.sort(key=lambda r: P.term_key(r[0]))
     return tuple(canonical), added
@@ -330,18 +344,25 @@ class BatyrevModule:
 
 
 def module_matrices(ideal):
-    """Multiplication matrix of every ray variable on the classical basis."""
-    ring = ideal.ring
-    dim = ring.dim
+    """Multiplication matrix of every ray variable on the classical basis.
+
+    Only the surviving variables are reduced.  An eliminated ray's matrix is
+    the combination of theirs that its Kirwan lift ``ring.eliminations[rho]``
+    gives, since the normal form is linear.
+    """
+    ring, dim = ideal.ring, ideal.ring.dim
     matrices = {}
-    for rho in range(ring.fan.n_rays):
+    for rho in ring.surviving:
         ray = ring.ray_poly(rho)
-        cols = []
-        for a, mono in enumerate(ring.basis):
-            product = P.pmul(ray, {mono: Fraction(1)})
-            cols.append(normal_form_surviving(ideal, product))
+        cols = [normal_form_surviving(ideal, P.pmul(ray, {mono: 1}))
+                for mono in ring.basis]
         matrices[rho] = [[cols[a][b] for a in range(dim)] for b in range(dim)]
-    return BatyrevModule(ideal=ideal, matrices=matrices)
+    zero = NovikovScalar(ideal.ctx)
+    for rho, coeffs in ring.eliminations.items():
+        lift = [(matrices[s], c) for s, c in zip(ring.surviving, coeffs) if c]
+        matrices[rho] = [[sum((m[b][a].scale(c) for m, c in lift), zero)
+                          for a in range(dim)] for b in range(dim)]
+    return BatyrevModule(ideal=ideal, matrices=dict(sorted(matrices.items())))
 
 
 def relation_check(ideal, operators):

@@ -375,7 +375,7 @@ def run_certify(fan, cutoff):
 def _rule_rhs_str(ring, md, ideal, lead, elem):
     """Right-hand side of a rule: x^lead minus the stored monic element."""
     from .batyrev import dp_sub
-    rhs = dp_sub({ideal.ctx.zero_class: {lead: Fraction(1)}}, elem)
+    rhs = dp_sub({ideal.ctx.zero_class: {lead: 1}}, elem)
     ctx = ideal.ctx
     parts = []
     for beta in sorted(rhs, key=lambda b: (ctx.ell_of(b), b)):

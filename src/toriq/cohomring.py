@@ -258,7 +258,7 @@ def build_cohomology_ring(fan):
     products = {}
     for i, mi in enumerate(basis):
         for j in range(i, len(basis)):
-            nf = _normal_form(rules, {P.mono_mul(mi, basis[j]): Fraction(1)})
+            nf = _normal_form(rules, {P.mono_mul(mi, basis[j]): 1})
             products[i, j] = products[j, i] = \
                 sorted((basis.index(m), c) for m, c in nf.items() if c)
     denominator = lcm(*(c.denominator for terms in products.values()

@@ -227,25 +227,6 @@ def solve_rational(A, b):
     return x
 
 
-def nullspace_rational(A):
-    """Basis of the rational nullspace of A (list of Fraction vectors)."""
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    if nrows == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
-                for j in range(ncols)]
-    red, pivots = rref(A)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
 def invert_rational(A):
     """Exact inverse of a square rational matrix; None when singular."""
     n = len(A)

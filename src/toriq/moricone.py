@@ -253,26 +253,49 @@ def _kernel_setup(fan):
 
 
 def _facet_normals(vectors, r):
-    """Supporting normals of cone(vectors) in QQ^r from (r-1)-subsets.
+    """Inward facet normals of the full-dimensional pointed cone(vectors).
 
-    Correct for full-dimensional pointed cones: every facet is spanned by
-    generators, and extra supporting normals are harmless for membership.
+    Double description (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda
+    and Prodon, "Double description method revisited", 1996) on the dual
+    cone ``{f : f . v >= 0 for every v}``, whose extreme rays are the facet
+    normals.  The first ``r`` independent generators cut out a simplicial
+    cone whose rays are the columns of their inverse matrix; the other
+    generators are added one at a time.  A ray on the negative side of the
+    new generator is dropped, after it is combined with every ray on the
+    positive side adjacent to it.  Adjacency is combinatorial: the two zero
+    sets (bit masks over the generators) share at least ``r - 2`` members,
+    and no third ray's zero set contains the shared ones.  Rays are kept
+    primitive and integral.
     """
-    normals = set()
-    for subset in combinations(vectors, r - 1):
-        ns = lattice.nullspace_rational([list(v) for v in subset]) if subset \
-            else [[Fraction(1) if i == j else Fraction(0) for i in range(r)]
-                  for j in range(r)]
-        for f in ns:
-            fi = lattice.primitive_vector(f)
-            if all(x == 0 for x in fi):
-                continue
-            dots = [sum(a * b for a, b in zip(fi, w)) for w in vectors]
-            if all(d >= 0 for d in dots):
-                normals.add(tuple(fi))
-            elif all(d <= 0 for d in dots):
-                normals.add(tuple(-x for x in fi))
-    return sorted(normals)
+    start = lattice.rref([list(c) for c in zip(*vectors)])[1]
+    inv = lattice.invert_rational([list(vectors[i]) for i in start])
+    rays = []
+    for j in range(r):
+        f = lattice.primitive_vector([inv[i][j] for i in range(r)])
+        rays.append((f, sum(1 << k for i, k in enumerate(start) if i != j)))
+    for k, v in enumerate(vectors):
+        if k in start:
+            continue
+        pos, neg, kept = [], [], []
+        for f, z in rays:
+            d = sum(a * b for a, b in zip(f, v))
+            if d > 0:
+                pos.append((f, z, d))
+                kept.append((f, z))
+            elif d < 0:
+                neg.append((f, z, d))
+            else:
+                kept.append((f, z | 1 << k))
+        for fp, zp, dp in pos:
+            for fn, zn, dn in neg:
+                common = zp & zn
+                if common.bit_count() < r - 2 or sum(
+                        z & common == common for _, z in rays) > 2:
+                    continue
+                g = [dp * a - dn * b for a, b in zip(fn, fp)]
+                kept.append((lattice.primitive_vector(g), common | 1 << k))
+        rays = kept
+    return sorted(set(tuple(f) for f, _ in rays))
 
 
 def _lattice_points(rows, r):

@@ -20,6 +20,8 @@ Three layers, each exact:
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .polynomials import _rational
+
 
 class CutoffMismatch(ValueError):
     """Binary operation between series with different truncation data."""
@@ -67,18 +69,18 @@ class NovikovScalar:
         self.ctx = ctx
         clean = {}
         for beta, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _rational(c)
             if c and ctx.ell_of(beta) <= ctx.cutoff:
                 clean[tuple(beta)] = c
         self.terms = clean
 
     @classmethod
     def unit(cls, ctx, c=1):
-        return cls(ctx, {ctx.zero_class: Fraction(c)})
+        return cls(ctx, {ctx.zero_class: c})
 
     @classmethod
     def monomial(cls, ctx, beta, c=1):
-        return cls(ctx, {tuple(beta): Fraction(c)})
+        return cls(ctx, {tuple(beta): c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -93,7 +95,7 @@ class NovikovScalar:
         _check_ctx(self, other)
         out = dict(self.terms)
         for b, c in other.terms.items():
-            s = out.get(b, Fraction(0)) + c
+            s = out.get(b, 0) + c
             if s:
                 out[b] = s
             else:
@@ -115,7 +117,7 @@ class NovikovScalar:
                 b = tuple(x + y for x, y in zip(b1, b2))
                 if ctx.ell_of(b) > ctx.cutoff:
                     continue
-                s = out.get(b, Fraction(0)) + c1 * c2
+                s = out.get(b, 0) + c1 * c2
                 if s:
                     out[b] = s
                 else:
@@ -123,7 +125,6 @@ class NovikovScalar:
         return NovikovScalar(ctx, out)
 
     def scale(self, c):
-        c = Fraction(c)
         return NovikovScalar(self.ctx, {b: x * c for b, x in self.terms.items()})
 
     def q0(self):

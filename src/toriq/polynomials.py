@@ -1,11 +1,13 @@
 """Multivariate polynomials over exact rationals: arithmetic and term order.
 
 A monomial is an exponent tuple; a polynomial is a dict mapping monomials to
-nonzero Fractions.  The term order is graded lexicographic with the *last*
-variable most significant (variables are indexed by their ray order and a
-later ray outranks an earlier one); this is the order under which the
-Stanley-Reisner images of the catalog fans have square-free-power leading
-terms and finite standard monomial bases.
+nonzero rationals, each an ``int`` when it is integral where it is made
+(``pconst``, ``pvar``, ``pscale``, ``pmul_term``) and a ``Fraction`` only
+where a division leaves one; the two compare and hash alike.  The term order
+is graded lexicographic with the *last* variable most significant (variables
+are indexed by their ray order and a later ray outranks an earlier one); this
+is the order under which the Stanley-Reisner images of the catalog fans have
+square-free-power leading terms and finite standard monomial bases.
 
 There is no Groebner code here: one completion (``batyrev.complete``, with
 ``batyrev.dp_reduce``) serves both the classical and the deformed ring.
@@ -40,19 +42,25 @@ def term_key(m):
     return (sum(m), tuple(reversed(m)))
 
 
-def pconst(nvars, c=Fraction(1)):
-    c = Fraction(c)
+def _rational(c):
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    c = c if type(c) in (int, Fraction) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def pconst(nvars, c=1):
+    c = _rational(c)
     return {} if c == 0 else {(0,) * nvars: c}
 
 
 def pvar(nvars, j):
-    return {tuple(1 if i == j else 0 for i in range(nvars)): Fraction(1)}
+    return {tuple(1 if i == j else 0 for i in range(nvars)): 1}
 
 
 def padd(p, q):
     out = dict(p)
     for m, c in q.items():
-        s = out.get(m, Fraction(0)) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
         else:
@@ -63,7 +71,7 @@ def padd(p, q):
 def psub(p, q):
     out = dict(p)
     for m, c in q.items():
-        s = out.get(m, Fraction(0)) - c
+        s = out.get(m, 0) - c
         if s:
             out[m] = s
         else:
@@ -72,14 +80,14 @@ def psub(p, q):
 
 
 def pscale(p, c):
-    c = Fraction(c)
+    c = _rational(c)
     if c == 0:
         return {}
     return {m: x * c for m, x in p.items()}
 
 
 def pmul_term(p, mono, coeff):
-    coeff = Fraction(coeff)
+    coeff = _rational(coeff)
     if coeff == 0:
         return {}
     return {mono_mul(m, mono): c * coeff for m, c in p.items()}
@@ -90,7 +98,7 @@ def pmul(p, q):
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = mono_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
+            s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
             else:

@@ -9,11 +9,30 @@ Fractions; ``frac_mul`` multiplies two of them through the table as the old
 are the old elementwise operations.  A Laurent polynomial is a dict from hbar
 powers to such tuples.  ``gkz_coefficient`` is the naive series coefficient,
 expanded from its definition in this arithmetic alone.
+
+The Groebner and cone oracles are the routines the engine used before its
+work was pruned: ``nullspace_rational`` with ``facet_normals``, which solves
+one nullspace per ``(r-1)``-subset of the generators; ``dp_reduce``, which
+scans every pending level for the least ell and forms every tail's class;
+``complete``, which reduces every S-pair; and ``module_matrices``, which
+reduces every ray variable.
 """
 
+import heapq
 from fractions import Fraction
+from itertools import combinations, count
 
-from toriq import polynomials as P
+from toriq import lattice, polynomials as P
+from toriq.batyrev import (
+    BatyrevModule,
+    NonUnitLeadingCoefficient,
+    _monicize,
+    _unit_lead,
+    dp_clean,
+    dp_mul_term,
+    dp_sub,
+    normal_form_surviving,
+)
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cohomring import (
     CohClass,
@@ -185,6 +204,163 @@ def p2xp2():
     tri = [(0, 1), (1, 2), (0, 2)]
     return make_fan(4, rays, [a + tuple(3 + j for j in b)
                               for a in tri for b in tri], name="P2xP2")
+
+
+def nullspace_rational(A):
+    """Basis of the rational nullspace of A (list of Fraction vectors)."""
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    if nrows == 0:
+        return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
+                for j in range(ncols)]
+    red, pivots = lattice.rref(A)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def facet_normals(vectors, r):
+    """Supporting normals of cone(vectors) in QQ^r from (r-1)-subsets.
+
+    Every facet of a full-dimensional pointed cone is spanned by generators,
+    so its normal is found; a subset of rank below ``r - 1`` can add a
+    supporting normal that is not a facet's.
+    """
+    normals = set()
+    for subset in combinations(vectors, r - 1):
+        ns = nullspace_rational([list(v) for v in subset]) if subset \
+            else [[Fraction(1) if i == j else Fraction(0) for i in range(r)]
+                  for j in range(r)]
+        for f in ns:
+            fi = lattice.primitive_vector(f)
+            if all(x == 0 for x in fi):
+                continue
+            dots = [sum(a * b for a, b in zip(fi, w)) for w in vectors]
+            if all(d >= 0 for d in dots):
+                normals.add(tuple(fi))
+            elif all(d <= 0 for d in dots):
+                normals.add(tuple(-x for x in fi))
+    return sorted(normals)
+
+
+def dp_reduce(dp, rules, ctx):
+    """Normal form modulo monic rules, taking the least pending level by a
+    scan and forming every tail's class before testing its ell."""
+    zero = ctx.zero_class
+    levels = {b: dict(p) for b, p in dp.items()
+              if p and ctx.ell_of(b) <= ctx.cutoff}
+    out = {}
+    while levels:
+        beta = min(levels, key=lambda b: (ctx.ell_of(b), b))
+        work = levels.pop(beta)
+        poly = {}
+        while work:
+            m = max(work, key=P.term_key)
+            c = work.pop(m)
+            for lead, element in rules:
+                if P.mono_divides(lead, m):
+                    break
+            else:
+                poly[m] = c
+                continue
+            quot = P.mono_div(m, lead)
+            for ebeta, epoly in element.items():
+                if ebeta == zero:
+                    for em, ec in epoly.items():
+                        if em == lead:
+                            continue
+                        key = P.mono_mul(em, quot)
+                        s = work.get(key, 0) - c * ec
+                        if s:
+                            work[key] = s
+                        else:
+                            work.pop(key, None)
+                    continue
+                target = tuple(x + y for x, y in zip(beta, ebeta))
+                if ctx.ell_of(target) > ctx.cutoff:
+                    continue
+                levels[target] = P.psub(levels.get(target, {}),
+                                        P.pmul_term(epoly, quot, c))
+                if not levels[target]:
+                    del levels[target]
+        if poly:
+            out[beta] = poly
+    return out
+
+
+def complete(gens, ctx):
+    """Completion that reduces every S-pair, coprime leads included.
+
+    Returns ``(rules, added, reductions)``, where ``reductions`` counts the
+    ``dp_reduce`` calls.
+    """
+    calls = [0]
+
+    def nf(dp, rules):
+        calls[0] += 1
+        return dp_reduce(dp, rules, ctx)
+
+    rules = [_monicize(g, ctx) for g in gens if g]
+    pairs, order = [], count()
+
+    def push(i, j):
+        lcm = P.mono_lcm(rules[i][0], rules[j][0])
+        heapq.heappush(pairs, (P.term_key(lcm), next(order), i, j))
+
+    for i in range(len(rules)):
+        for j in range(i):
+            push(i, j)
+    added = 0
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        lead_i, gi = rules[i]
+        lead_j, gj = rules[j]
+        lcm = P.mono_lcm(lead_i, lead_j)
+        spair = dp_sub(dp_mul_term(gi, P.mono_div(lcm, lead_i), 1),
+                       dp_mul_term(gj, P.mono_div(lcm, lead_j), 1))
+        residue = nf(spair, rules)
+        if residue:
+            if _unit_lead(residue, ctx) is None:
+                raise NonUnitLeadingCoefficient(
+                    f"S-pair of {lead_i} and {lead_j} is a pure-q element")
+            rules.append(_monicize(residue, ctx))
+            added += 1
+            for k in range(len(rules) - 1):
+                push(len(rules) - 1, k)
+    keep = []
+    for i, (lead, g) in enumerate(rules):
+        redundant = any(
+            k != i and P.mono_divides(rules[k][0], lead)
+            and (rules[k][0] != lead or k < i)
+            for k in range(len(rules)))
+        if not redundant:
+            keep.append((lead, g))
+    canonical = []
+    for lead, _ in keep:
+        normal = nf({ctx.zero_class: {lead: Fraction(1)}}, keep)
+        element = dp_sub({ctx.zero_class: {lead: Fraction(1)}}, normal)
+        canonical.append((lead, dp_clean(element)))
+    canonical.sort(key=lambda r: P.term_key(r[0]))
+    return tuple(canonical), added, calls[0]
+
+
+def module_matrices(ideal):
+    """Multiplication matrix of every ray variable, each one reduced."""
+    ring = ideal.ring
+    dim = ring.dim
+    matrices = {}
+    for rho in range(ring.fan.n_rays):
+        ray = ring.ray_poly(rho)
+        cols = [normal_form_surviving(ideal, P.pmul(ray, {mono: Fraction(1)}))
+                for mono in ring.basis]
+        matrices[rho] = [[cols[a][b] for a in range(dim)] for b in range(dim)]
+    return BatyrevModule(ideal=ideal, matrices=matrices)
 
 
 # the fans the kernel is checked on: the catalog, the hexagon, two

@@ -7,6 +7,7 @@ from toriq import batyrev
 from toriq.batyrev import (
     BasisNotPreserved,
     BatyrevModule,
+    DeformedIdeal,
     HypothesisUnmet,
     build_deformed_ideal,
     certify_isomorphism,
@@ -19,7 +20,9 @@ from toriq.cli import main
 from toriq.cohomring import build_cohomology_ring, divisor_class
 from toriq.gkz import gkz_operator
 from toriq.moricone import mori_data
-from toriq.novikov import NovikovScalar
+from toriq.novikov import NovikovContext, NovikovScalar
+
+import oracles
 
 B1 = (1, -2, 1, 0)
 B2 = (0, 1, 0, 1)
@@ -365,3 +368,71 @@ def test_del_pezzo_seven_completion_path():
     cert = certify_isomorphism(ideal, md)
     assert cert.verdict == "certified"
     assert cert.determinant.q0() == 1
+
+
+# --- the completion engine against the unpruned oracles -----------------------
+
+
+ENGINE_CASES = [(name, cutoff) for name in sorted(CATALOG)
+                for cutoff in range(6)] + [
+    ("dP6", 6), ("P2xP2", 8), ("P1xdP6", 3), ("wdP5", 4)]
+
+
+def _deformed_setup(name, cutoff):
+    fan = oracles.KERNEL_FANS[name]()
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
+    return ring, ctx, batyrev._deformed_generators(fan, md, ring, ctx)
+
+
+@pytest.mark.parametrize("name,cutoff", ENGINE_CASES)
+def test_complete_and_module_match_oracles(name, cutoff):
+    ring, ctx, gens = _deformed_setup(name, cutoff)
+    rules, added = batyrev.complete(gens, ctx)
+    oracle_rules, oracle_added, _ = oracles.complete(gens, ctx)
+    assert (rules, added) == (oracle_rules, oracle_added)
+    ideal = DeformedIdeal(ring=ring, ctx=ctx, rules=rules,
+                          completion_added=added)
+    assert module_matrices(ideal).matrices == \
+        oracles.module_matrices(ideal).matrices
+
+
+def test_complete_matches_oracle_random_cutoff0():
+    rng = random.Random(297)
+    ctx = NovikovContext(n_rays=0, ell=(), cutoff=0)
+    coeffs = [-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+    for _ in range(300):
+        nv = rng.randint(1, 3)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            poly = {tuple(rng.randint(0, 2) for _ in range(nv)):
+                    rng.choice(coeffs) for _ in range(rng.randint(1, 3))}
+            gens.append({(): poly})
+        rules, added = batyrev.complete(gens, ctx)
+        oracle_rules, oracle_added, _ = oracles.complete(gens, ctx)
+        assert (rules, added) == (oracle_rules, oracle_added), gens
+
+
+@pytest.mark.parametrize("name,cutoff", [("dP6", 6), ("P1xdP6", 3)])
+def test_integral_rules_have_int_coefficients(name, cutoff):
+    _, ctx, gens = _deformed_setup(name, cutoff)
+    rules, _ = batyrev.complete(gens, ctx)
+    coeffs = [c for _, element in rules for poly in element.values()
+              for c in poly.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_complete_reduces_less_than_oracle(monkeypatch):
+    _, ctx, gens = _deformed_setup("dP6", 6)
+    calls = []
+    real = batyrev.dp_reduce
+
+    def counting(dp, rules, ctx):
+        calls.append(1)
+        return real(dp, rules, ctx)
+
+    monkeypatch.setattr(batyrev, "dp_reduce", counting)
+    batyrev.complete(gens, ctx)
+    _, _, oracle_calls = oracles.complete(gens, ctx)
+    assert 0 < len(calls) < oracle_calls

@@ -14,8 +14,11 @@ completion adds 7 elements, was recorded while the certificate still took
 the determinant of ``phi``.  The ``ifunction`` entry for wdP5 at cutoff 4 and
 the ``GOLDEN_DEEP`` entry for the builtin F3 at cutoff 6 were recorded while
 cohomology classes were still tuples of Fractions; both series carry large
-denominators.  A change meant to keep the reports unchanged must leave every
-entry intact.
+denominators.  The ``ifunction`` entry for wdP4 at cutoff 4 and the
+``certify`` entry for P1xdP6 at cutoff 4 were recorded while the Mori cone's
+facets still came from one nullspace per generator subset and the completion
+still reduced every S-pair.  A change meant to keep the reports unchanged
+must leave every entry intact.
 """
 
 import hashlib
@@ -147,12 +150,14 @@ GOLDEN_FILES = {
     ("ifunction", "P1xdP6", 3, "text"): (0, "dd236e50a31ef89ce356cbd108400dfb7fe1cca6cbe415f8d76eb68593c50b72"),
     ("certify", "P1xdP6", 3, "json"): (0, "6624a0bd4619ba7cc03eedc1e1dc4496a07b6d8629a98915ffa78e6e829b0eb5"),
     ("certify", "P1xdP6", 3, "text"): (0, "ef2a754c8f12de47fadaa47d4b52d6098afd9fdda8c9032700544b1d071f0863"),
+    ("certify", "P1xdP6", 4, "json"): (0, "276b48a37afe2c73f9a6bb1e63ea24e673d328cff70f95e54dc8fe94ecb5dcf3"),
     ("analyze", "wdP5", 3, "json"): (0, "a3b51721b3a1b46f89188a0b301fdf1ae2dd93e6c184985de52cbd0158c98006"),
     ("analyze", "wdP5", 3, "text"): (0, "68bd509d188608b58de046984619cfaafa8cac6a14d08cc4d757d74266947219"),
     ("certify", "wdP5", 4, "json"): (0, "57dcfb09f44029078bc3f4cd410af7e3da28474f278bc71da00d34b68e542bf3"),
     ("ifunction", "wdP5", 4, "json"): (0, "8846832618ddd1fa3013ab7ba9e5231ac18529324168c46329aee7aab0877a38"),
     ("analyze", "wdP4", 3, "json"): (0, "d71c43c485b9e3f400c036110c63c7e67e4bc242c985ca2fbc693eef8b254185"),
     ("analyze", "wdP4", 3, "text"): (0, "71bc385973f8bd3e4a2cce767f22a50236a06c6d5829202a8fd5ca9bb729fc8e"),
+    ("ifunction", "wdP4", 4, "json"): (0, "4baa021e7460050237621aeea60c1b3958d8a8922df7c1fbdcfec3a0d8d78083"),
     ("analyze", "wdP3", 3, "json"): (0, "199b1ccfede09c67a6ff4229daadd4bcb492517e35d8cfdcc562baedbac2a397"),
     ("analyze", "wdP3", 3, "text"): (0, "6915721c7a5dc97bcdc7d5f1c5e617a63dc6668fa0b2b4e953c6f992a77d2cb4"),
 }

@@ -9,12 +9,13 @@ from toriq.lattice import (
     det_int,
     invert_rational,
     kernel_basis,
-    nullspace_rational,
     primitive_vector,
     smith_normal_form,
     solve_in_basis,
     solve_rational,
 )
+
+from oracles import nullspace_rational
 
 
 def brute_force_kernel(A, box=3):

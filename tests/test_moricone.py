@@ -1,9 +1,12 @@
+import itertools
 import random
 from itertools import combinations, product
 from math import gcd
 
 import pytest
 
+import oracles
+from toriq import moricone
 from toriq.catalog import CATALOG, NOT_SEMIPOSITIVE, SEMIPOSITIVE, builtin_fan
 from toriq import lattice
 from toriq.lattice import kernel_basis
@@ -417,6 +420,91 @@ def test_lattice_points_match_box_scan_random():
                     if all(sum(a * x for a, x in zip(row, y)) >= c
                            for row, c in rows)]
         assert _lattice_points(rows, r) == expected, rows
+
+
+def _kernel_generators(fan):
+    """The Mori generators in kernel coordinates, as enumeration sees them."""
+    basis, L = _kernel_setup(fan)
+    r = len(basis)
+    ys = [tuple(int(sum(L[a][i] * g[i] for i in range(fan.n_rays)))
+                for a in range(r)) for g in mori_data(fan).generators]
+    return ys, r
+
+
+FACET_FANS = dict(
+    [(name, lambda name=name: builtin_fan(name)) for name in sorted(CATALOG)]
+    + [(name, make) for name, (make, _) in DIFFERENTIAL_FANS.items()]
+    + [("wdP4", WIDE_FANS["wdP4"])])
+
+
+@pytest.mark.parametrize("name", sorted(FACET_FANS))
+def test_facet_normals_match_nullspace_oracle(name):
+    ys, r = _kernel_generators(FACET_FANS[name]())
+    assert _facet_normals(ys, r) == oracles.facet_normals(ys, r)
+
+
+def _dot(f, v):
+    return sum(a * b for a, b in zip(f, v))
+
+
+def _rank(vectors):
+    return len(lattice.rref([list(v) for v in vectors])[1]) if vectors else 0
+
+
+def _random_cone(rng, r):
+    """Generators of a pointed full-dimensional cone in ZZ^r and its facets.
+
+    The generators are shuffled with a repeated one, an interior point and
+    a point on a facet, none of which changes the cone, so the facets are
+    the oracle's on the generators drawn first.  A subset of rank below
+    ``r - 1`` can give the oracle a supporting normal that is no facet's;
+    only normals whose zero set has rank ``r - 1`` are kept.
+    """
+    w = [rng.randint(1, 3) for _ in range(r)]
+    gens = []
+    while _rank(gens) < r or len(gens) < r + rng.randint(0, 3):
+        v = tuple(rng.randint(-3, 3) for _ in range(r))
+        if _dot(w, v) > 0:
+            gens.append(v)
+    facets = [f for f in oracles.facet_normals(gens, r)
+              if _rank([v for v in gens if _dot(f, v) == 0]) == r - 1]
+    extras = [rng.choice(gens),
+              tuple(sum(col) for col in zip(*rng.sample(gens, r)))]
+    on_facet = [v for v in gens if _dot(rng.choice(facets), v) == 0]
+    if on_facet:    # a facet of a ray (r = 1) holds no generator
+        a, b = rng.choice(on_facet), rng.choice(on_facet)
+        extras.append(tuple(x + y for x, y in zip(a, b)))
+    gens += extras
+    rng.shuffle(gens)
+    return gens, facets
+
+
+def test_facet_normals_random_degenerate_cones():
+    rng = random.Random(1996)
+    for k in range(200):
+        r = k % 5 + 1
+        gens, facets = _random_cone(rng, r)
+        assert _facet_normals(gens, r) == facets, gens
+
+
+def test_facet_normals_wdp4_work(monkeypatch):
+    ys, r = _kernel_generators(WIDE_FANS["wdP4"]())
+    rref_calls = []
+    real_rref = lattice.rref
+
+    def counting_rref(M):
+        rref_calls.append(len(M))
+        return real_rref(M)
+
+    def forbidden(*args):
+        raise AssertionError("facets must not enumerate generator subsets")
+
+    monkeypatch.setattr(lattice, "rref", counting_rref)
+    monkeypatch.setattr(itertools, "combinations", forbidden)
+    monkeypatch.setattr(moricone, "combinations", forbidden)
+    monkeypatch.setattr(oracles, "nullspace_rational", forbidden)
+    assert len(_facet_normals(ys, r)) == 13
+    assert len(rref_calls) <= len(ys) == 20
 
 
 def test_effectivity_witness_f2():
