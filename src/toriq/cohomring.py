@@ -22,8 +22,8 @@ therefore run on ints alone; ``CohClass.coeffs`` gives the coefficients as
 Fractions for rendering and integration.
 
 Integration is normalized by requiring every maximal-cone monomial
-``prod_{rho in sigma} D_rho`` to integrate to 1, and the Poincare pairing is
-inverted exactly to produce the dual basis.
+``prod_{rho in sigma} D_rho`` to integrate to 1; the Poincare pairing of the
+monomial basis classes is their Gram matrix under integration.
 """
 
 from dataclasses import dataclass, field
@@ -47,10 +47,6 @@ class InconsistentNormalization(ValueError):
     """Maximal-cone integrals admit no common normalization (internal bug)."""
 
 
-class SingularPairing(ValueError):
-    """Poincare pairing failed to be perfect (internal bug)."""
-
-
 @dataclass(frozen=True)
 class CohomRing:
     fan: object
@@ -72,11 +68,6 @@ class CohomRing:
     @property
     def top_degree(self):
         return self.fan.dim
-
-    @property
-    def groebner(self):
-        """Reduced Groebner basis, polynomials in the surviving variables."""
-        return tuple(element[()] for _, element in self.rules)
 
     def basis_index(self, mono):
         return self.basis.index(mono)
@@ -325,21 +316,6 @@ def gram_matrix(ring):
     """Poincare pairings ``<T_a, T_b>`` of the monomial basis classes."""
     T = monomial_basis_classes(ring)
     return [[pairing(ring, a, b) for b in T] for a in T]
-
-
-def poincare_dual_basis(ring):
-    """Bases ({T_a}, {T^a}) with <T_a, T^b> = delta under integration."""
-    T = monomial_basis_classes(ring)
-    inv = lattice.invert_rational(gram_matrix(ring))
-    if inv is None:
-        raise SingularPairing("Poincare pairing matrix is singular")
-    duals = []
-    for a in range(ring.dim):
-        acc = ring.zero()
-        for b in range(ring.dim):
-            acc = acc + T[b].scale(inv[b][a])
-        duals.append(acc)
-    return T, duals
 
 
 def divisor_class(ring, rho):

@@ -14,11 +14,14 @@ Effective classes up to an ell-cutoff are the lattice points of a bounded
 polytope in the kernel coordinates.  They are enumerated by a depth-first
 walk whose per-coordinate ranges come from exact Fourier-Motzkin projections
 of that polytope, so the work follows the number of classes, not the volume
-of a bounding box.  The same walk searches for the positive functional.
+of a bounding box.  Chernikov's rule (Chernikov 1965; Kohler 1967; Imbert,
+"Fourier's elimination: which to choose?", 1993) keeps the projections
+small: after ``s`` eliminations a row combining more than ``s + 1`` of the
+given rows is redundant, so it is never formed.  The same walk searches for
+the smallest positive functional.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -134,91 +137,66 @@ def primitive_class(fan, pc):
 # --- exact linear programming (Fourier-Motzkin) ------------------------------
 
 
-def _fm_eliminate(system, k):
-    """One Fourier-Motzkin step on rows ``a . x >= c``: drop variable ``k``.
+def _fm_eliminate(system, k, steps):
+    """One Fourier-Motzkin step on rows ``(a, c, history)``: drop ``x_k``.
 
-    Returns the rows without ``x_k`` (those with ``a[k] == 0`` followed by one
-    positive combination per lower/upper pair) and the rows bounding ``x_k``
-    from below (``a[k] > 0``) and from above (``a[k] < 0``).
+    A row stands for ``a . x >= c``; its history is the bit mask of the
+    original rows it combines.  Returns the rows without ``x_k`` (those with
+    ``a[k] == 0`` followed by one positive combination per lower/upper pair)
+    and the rows bounding ``x_k`` from below (``a[k] > 0``) and from above
+    (``a[k] < 0``).  ``steps`` counts the eliminations so far, this one
+    included.  By Chernikov's rule a combination of more than ``steps + 1``
+    original rows is redundant in the projection, so it is not formed.
     """
     keep, lower, upper = [], [], []
-    for a, c in system:
+    for row in system:
+        a = row[0]
         if a[k] == 0:
-            keep.append((a, c))
+            keep.append(row)
         elif a[k] > 0:
-            lower.append((a, c))   # x_k >= (c - rest)/a_k
+            lower.append(row)   # x_k >= (c - rest)/a_k
         else:
-            upper.append((a, c))
-    for al, cl in lower:
-        for au, cu in upper:
+            upper.append(row)
+    for al, cl, hl in lower:
+        for au, cu, hu in upper:
+            h = hl | hu
+            if h.bit_count() > steps + 1:
+                continue
             coeff = [al[j] * (-au[k]) + au[j] * al[k] for j in range(len(al))]
-            keep.append((coeff, cl * (-au[k]) + cu * al[k]))
+            keep.append((coeff, cl * (-au[k]) + cu * al[k], h))
     return keep, lower, upper
 
 
-def _fm_feasible_point(constraints, nvars):
-    """A rational point satisfying ``a . x >= c`` for each (a, c), else None."""
-    system = [([Fraction(x) for x in a], Fraction(c)) for a, c in constraints]
-    stack = []
-    for k in range(nvars - 1, -1, -1):
-        system, lower, upper = _fm_eliminate(system, k)
-        stack.append((k, lower, upper))
-    if any(c > 0 for _, c in system):
-        return None
-    # back-substitute, innermost variable first
-    point = [Fraction(0)] * nvars
-    for k, lower, upper in reversed(stack):
-        lo, hi = None, None
-        for a, c in lower:
-            bound = (c - sum(a[j] * point[j] for j in range(nvars) if j != k)) / a[k]
-            lo = bound if lo is None else max(lo, bound)
-        for a, c in upper:
-            bound = (c - sum(a[j] * point[j] for j in range(nvars) if j != k)) / a[k]
-            hi = bound if hi is None else min(hi, bound)
-        if lo is not None:
-            point[k] = lo
-        elif hi is not None:
-            point[k] = hi
-        # else unconstrained: keep 0
-    for a, c in constraints:
-        assert sum(Fraction(x) * p for x, p in zip(a, point)) >= c
-    return point
-
-
 def positive_functional(generators, nvars):
-    """Integral ell with ell . beta >= 1 for every generator.
+    """The smallest integral ell with ell . beta >= 1 for every generator.
 
-    Starts from a rational Fourier-Motzkin point, scaled to be integral, of
-    sup-norm ``b``.  When ``(2b + 1)^nvars`` is at most 2,000,000, returns
-    the smallest functional: minimal sup-norm, then minimal 1-norm, then
-    lexicographically least -- a deterministic tie-break.  Above that guard
-    it returns the scaled point, which need not be smallest: on wdP4 it is
-    ``(0,0,1,3,4,3,3,1)``, although ``(1,2,2,3,3,2,2,1)`` has sup-norm 3.
-    Raises NoPositiveFunctional when the cone is not strictly convex.
+    Smallest means minimal sup-norm, then minimal 1-norm, then
+    lexicographically least -- a deterministic tie-break.  A rational
+    Fourier-Motzkin projection of ``{g . ell >= 1}`` decides whether ell
+    exists; if it does, the lattice points of that system in the boxes
+    ``[-k, k]^nvars`` are searched for ``k = 1, 2, ...``.  Raises
+    NoPositiveFunctional when the cone is not strictly convex.
     """
-    constraints = [(g, 1) for g in generators]
     if not generators:
         return (0,) * nvars
-    point = _fm_feasible_point(constraints, nvars)
-    if point is None:
+    constraints = [(g, 1) for g in generators]
+    system = [(g, 1, 1 << i) for i, g in enumerate(generators)]
+    for steps, k in enumerate(range(nvars - 1, -1, -1), 1):
+        system = _fm_eliminate(system, k, steps)[0]
+    if any(c > 0 for _, c, _ in system):
         raise NoPositiveFunctional(
             "no functional is >= 1 on all Mori generators; fan is not projective")
-    denom = 1
-    for x in point:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    scaled = tuple(int(x * denom) for x in point)
-    bound = max(abs(x) for x in scaled)
-    if (2 * bound + 1) ** nvars > 2_000_000:  # desk-scale guard
-        return scaled
-    # no functional has sup-norm below k, so every point found has norm k;
-    # scaled is found at k = bound at the latest
+    # a rational ell scales to an integral one, so some box holds a point;
+    # none has sup-norm below k, so every point found has norm k
     axes = [tuple(sign * int(i == j) for i in range(nvars))
             for j in range(nvars) for sign in (1, -1)]
-    for k in range(1, bound + 1):
+    k = 1
+    while True:
         box = [(e, -k) for e in axes]          # -k <= ell_i <= k
         points = _lattice_points(constraints + box, nvars)
         if points:
             return min(points, key=lambda p: (sum(abs(x) for x in p), p))
+        k += 1
 
 
 def mori_data(fan):
@@ -304,22 +282,27 @@ def _lattice_points(rows, r):
     Eliminates ``y_{r-1}``, then ``y_{r-2}``, down to ``y_0`` by
     Fourier-Motzkin.  Level ``k`` holds the rows of the projection onto
     ``y_0..y_k`` that involve ``y_k``, split into lower and upper bounds.
+    Chernikov's rule (Chernikov 1965; Imbert, "Fourier's elimination: which
+    to choose?", 1993) leaves out every combination of more than ``s + 1``
+    given rows after ``s`` eliminations, which keeps the levels small.
     Every derived row is divided by the gcd of its coefficients with the
     constant rounded up (valid for integer points), and only the strongest
     row per coefficient vector is kept.  A derived row ``0 >= c`` with
     ``c > 0`` proves there is no integer point.  Otherwise a depth-first
     walk takes each coordinate's integer range from its level once the
-    earlier ones are fixed, so it visits every point and few others.
+    earlier ones are fixed.  Every given row bounds the coordinate of its
+    last nonzero entry, so each point found satisfies the system, and every
+    row of a level holds at every integer point, so every point is found.
     Points come in lex order.
     """
     levels = [None] * r
-    system = rows
-    for k in range(r - 1, -1, -1):
-        derived, lower, upper = _fm_eliminate(system, k)
+    system = [(a, c, 1 << i) for i, (a, c) in enumerate(rows)]
+    for steps, k in enumerate(range(r - 1, -1, -1), 1):
+        derived, lower, upper = _fm_eliminate(system, k, steps)
         assert lower and upper, "the system must be bounded"
         levels[k] = (lower, upper)
         strongest = {}
-        for a, c in derived:
+        for a, c, h in derived:
             g = gcd(*a)
             if g == 0:
                 if c > 0:
@@ -327,18 +310,18 @@ def _lattice_points(rows, r):
                 continue
             a = tuple(x // g for x in a)
             c = -(-c // g)
-            if a not in strongest or c > strongest[a]:
-                strongest[a] = c
-        system = sorted(strongest.items())
+            if a not in strongest or c > strongest[a][0]:
+                strongest[a] = (c, h)
+        system = [(a, c, h) for a, (c, h) in sorted(strongest.items())]
     points = []
     y = [0] * r
 
     def walk(k):
         lower, upper = levels[k]
         lo = max(-((c - sum(a[j] * y[j] for j in range(k))) // -a[k])
-                 for a, c in lower)
+                 for a, c, _ in lower)
         hi = min((c - sum(a[j] * y[j] for j in range(k))) // a[k]
-                 for a, c in upper)
+                 for a, c, _ in upper)
         for v in range(lo, hi + 1):
             y[k] = v
             if k + 1 < r:

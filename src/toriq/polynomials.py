@@ -68,17 +68,6 @@ def padd(p, q):
     return out
 
 
-def psub(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, 0) - c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
 def pscale(p, c):
     c = _rational(c)
     if c == 0:

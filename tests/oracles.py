@@ -12,10 +12,16 @@ expanded from its definition in this arithmetic alone.
 
 The Groebner and cone oracles are the routines the engine used before its
 work was pruned: ``nullspace_rational`` with ``facet_normals``, which solves
-one nullspace per ``(r-1)``-subset of the generators; ``dp_reduce``, which
-scans every pending level for the least ell and forms every tail's class;
-``complete``, which reduces every S-pair; and ``module_matrices``, which
-reduces every ray variable.
+one nullspace per ``(r-1)``-subset of the generators; ``fm_feasible_point``,
+plain Fourier-Motzkin elimination with back-substitution, which keeps every
+combination of rows; ``dp_reduce``, which scans every pending level for the
+least ell and forms every tail's class; ``complete``, which reduces every
+S-pair; and ``module_matrices``, which reduces every ray variable.
+
+``psub``, ``groebner`` and ``poincare_dual_basis`` (with ``SingularPairing``)
+have no caller in ``toriq``: the polynomial difference, the classical ring's
+reduced Groebner basis read from its rules, and the dual basis of the
+Poincare pairing.
 """
 
 import heapq
@@ -38,12 +44,48 @@ from toriq.cohomring import (
     CohClass,
     _normal_form,
     divisor_class,
-    poincare_dual_basis,
+    gram_matrix,
+    monomial_basis_classes,
 )
 from toriq.fan import make_fan
 from toriq.novikov import HLaurent
 
 _TABLES = {}
+
+
+class SingularPairing(ValueError):
+    """Poincare pairing failed to be perfect."""
+
+
+def psub(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m, 0) - c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def groebner(ring):
+    """Reduced Groebner basis, polynomials in the surviving variables."""
+    return tuple(element[()] for _, element in ring.rules)
+
+
+def poincare_dual_basis(ring):
+    """Bases ({T_a}, {T^a}) with <T_a, T^b> = delta under integration."""
+    T = monomial_basis_classes(ring)
+    inv = lattice.invert_rational(gram_matrix(ring))
+    if inv is None:
+        raise SingularPairing("Poincare pairing matrix is singular")
+    duals = []
+    for a in range(ring.dim):
+        acc = ring.zero()
+        for b in range(ring.dim):
+            acc = acc + T[b].scale(inv[b][a])
+        duals.append(acc)
+    return T, duals
 
 
 def mult_table(ring):
@@ -249,6 +291,53 @@ def facet_normals(vectors, r):
     return sorted(normals)
 
 
+def _fm_eliminate(system, k):
+    """One Fourier-Motzkin step on rows ``a . x >= c``: drop variable ``k``,
+    combining every lower bound with every upper bound."""
+    keep, lower, upper = [], [], []
+    for a, c in system:
+        if a[k] == 0:
+            keep.append((a, c))
+        elif a[k] > 0:
+            lower.append((a, c))   # x_k >= (c - rest)/a_k
+        else:
+            upper.append((a, c))
+    for al, cl in lower:
+        for au, cu in upper:
+            coeff = [al[j] * (-au[k]) + au[j] * al[k] for j in range(len(al))]
+            keep.append((coeff, cl * (-au[k]) + cu * al[k]))
+    return keep, lower, upper
+
+
+def fm_feasible_point(constraints, nvars):
+    """A rational point satisfying ``a . x >= c`` for each (a, c), else None."""
+    system = [([Fraction(x) for x in a], Fraction(c)) for a, c in constraints]
+    stack = []
+    for k in range(nvars - 1, -1, -1):
+        system, lower, upper = _fm_eliminate(system, k)
+        stack.append((k, lower, upper))
+    if any(c > 0 for _, c in system):
+        return None
+    # back-substitute, innermost variable first
+    point = [Fraction(0)] * nvars
+    for k, lower, upper in reversed(stack):
+        lo, hi = None, None
+        for a, c in lower:
+            bound = (c - sum(a[j] * point[j] for j in range(nvars) if j != k)) / a[k]
+            lo = bound if lo is None else max(lo, bound)
+        for a, c in upper:
+            bound = (c - sum(a[j] * point[j] for j in range(nvars) if j != k)) / a[k]
+            hi = bound if hi is None else min(hi, bound)
+        if lo is not None:
+            point[k] = lo
+        elif hi is not None:
+            point[k] = hi
+        # else unconstrained: keep 0
+    for a, c in constraints:
+        assert sum(Fraction(x) * p for x, p in zip(a, point)) >= c
+    return point
+
+
 def dp_reduce(dp, rules, ctx):
     """Normal form modulo monic rules, taking the least pending level by a
     scan and forming every tail's class before testing its ell."""
@@ -285,7 +374,7 @@ def dp_reduce(dp, rules, ctx):
                 target = tuple(x + y for x, y in zip(beta, ebeta))
                 if ctx.ell_of(target) > ctx.cutoff:
                     continue
-                levels[target] = P.psub(levels.get(target, {}),
+                levels[target] = psub(levels.get(target, {}),
                                         P.pmul_term(epoly, quot, c))
                 if not levels[target]:
                     del levels[target]

@@ -37,7 +37,7 @@ from toriq.lattice import kernel_basis, solve_rational
 from toriq.moricone import enumerate_effective, mori_data
 from toriq.novikov import HLaurent, NovikovScalar, nilpotent_geometric
 
-from oracles import reconstruct_coefficient
+from oracles import fm_feasible_point, reconstruct_coefficient
 
 # hand-derived golden data: collection -> (gamma, coeffs), primitive classes
 GOLDEN = {
@@ -279,7 +279,6 @@ def test_criterion_09_isomorphism_certificate():
 
 
 def _fm_membership(generators, b):
-    from toriq.moricone import _fm_feasible_point
     s = len(generators)
     constraints = [(tuple(1 if i == j else 0 for i in range(s)), 0)
                    for j in range(s)]
@@ -287,7 +286,7 @@ def _fm_membership(generators, b):
         row = tuple(g[i] for g in generators)
         constraints.append((row, b[i]))
         constraints.append((tuple(-x for x in row), -b[i]))
-    return _fm_feasible_point(constraints, s) is not None
+    return fm_feasible_point(constraints, s) is not None
 
 
 def test_criterion_10_property_suite():

@@ -71,7 +71,7 @@ def test_q0_recovers_classical_groebner():
     for name in CATALOG:
         _, _, ring, ideal = setup(name)
         classical = {}
-        for g in ring.groebner:
+        for g in oracles.groebner(ring):
             from toriq.polynomials import leading
             classical[leading(g)[0]] = g
         deformed_q0 = {}

@@ -13,7 +13,6 @@ from toriq.lattice import kernel_basis
 from toriq.moricone import (
     NoPositiveFunctional,
     _facet_normals,
-    _fm_feasible_point,
     _kernel_setup,
     _lattice_points,
     effectivity_witness,
@@ -139,10 +138,11 @@ def test_no_positive_functional_for_line():
 
 
 def test_fm_point_feasibility():
-    point = _fm_feasible_point([((1, 0), 1), ((0, 1), 1), ((-1, -1), -5)], 2)
+    point = oracles.fm_feasible_point(
+        [((1, 0), 1), ((0, 1), 1), ((-1, -1), -5)], 2)
     assert point is not None
     assert point[0] >= 1 and point[1] >= 1 and point[0] + point[1] <= 5
-    assert _fm_feasible_point([((1,), 1), ((-1,), 1)], 1) is None
+    assert oracles.fm_feasible_point([((1,), 1), ((-1,), 1)], 1) is None
 
 
 def fm_cone_membership(generators, b):
@@ -155,7 +155,7 @@ def fm_cone_membership(generators, b):
         row = tuple(g[i] for g in generators)
         constraints.append((row, b[i]))
         constraints.append((tuple(-x for x in row), -b[i]))
-    return _fm_feasible_point(constraints, s) is not None
+    return oracles.fm_feasible_point(constraints, s) is not None
 
 
 def brute_force_effective(fan, md, cutoff):
@@ -317,9 +317,9 @@ WIDE_FANS = {
 
 
 def _scaled_fm_point(generators, nvars):
-    """Least integral multiple of the Fourier-Motzkin point: where
-    positive_functional starts, and what it returns above its guard."""
-    point = _fm_feasible_point([(g, 1) for g in generators], nvars)
+    """Least integral multiple of the Fourier-Motzkin point: a functional
+    whose sup-norm bounds the box scan."""
+    point = oracles.fm_feasible_point([(g, 1) for g in generators], nvars)
     if point is None:
         raise NoPositiveFunctional("cone is not strictly convex")
     denom = 1
@@ -328,18 +328,12 @@ def _scaled_fm_point(generators, nvars):
     return tuple(int(x * denom) for x in point)
 
 
-def _guard_fires(scaled):
-    return (2 * max(abs(x) for x in scaled) + 1) ** len(scaled) > 2_000_000
-
-
 def _box_scan_functional(generators, nvars):
     """Reference: the box scan that positive_functional used to run."""
     if not generators:
         return (0,) * nvars
     scaled = _scaled_fm_point(generators, nvars)
     bound = max(abs(x) for x in scaled)
-    if _guard_fires(scaled):
-        return scaled
     for k in range(1, bound + 1):
         best = None
         for cand in product(range(-k, k + 1), repeat=nvars):
@@ -359,7 +353,6 @@ def test_positive_functional_matches_box_scan():
     fans.update((name, make()) for name, (make, _) in DIFFERENTIAL_FANS.items())
     for name, fan in fans.items():
         md = mori_data(fan)
-        assert not _guard_fires(_scaled_fm_point(md.generators, fan.n_rays))
         assert md.ell == _box_scan_functional(md.generators, fan.n_rays), name
 
 
@@ -377,24 +370,29 @@ def test_positive_functional_matches_box_scan_random():
                 positive_functional(gens, nvars)
             raised += 1
             continue
-        assert not _guard_fires(_scaled_fm_point(gens, nvars))
         assert positive_functional(gens, nvars) == expected, gens
         compared += 1
     assert compared > 50 and raised > 50
 
 
+WIDE_FUNCTIONALS = {
+    "wdP4": (1, 2, 2, 3, 3, 2, 2, 1),
+    "wdP3": (2, 2, 3, 2, 2, 3, 2, 2, 3),
+}
+
+
 @pytest.mark.parametrize("name", sorted(WIDE_FANS))
-def test_positive_functional_scaled_point_above_guard(name):
+def test_positive_functional_wide_fans(name):
     fan = WIDE_FANS[name]()
     md = mori_data(fan)
-    scaled = _scaled_fm_point(md.generators, fan.n_rays)
-    assert _guard_fires(scaled)
-    assert md.ell == scaled
+    assert md.ell == WIDE_FUNCTIONALS[name]
+    assert all(md.ell_of(g) >= 1 for g in md.generators)
     if name == "wdP4":
-        # not the smallest: (1,2,2,3,3,2,2,1) is also positive, of sup-norm 3
-        assert md.ell == (0, 0, 1, 3, 4, 3, 3, 1)
-        assert all(sum(a * b for a, b in zip((1, 2, 2, 3, 3, 2, 2, 1), g)) >= 1
-                   for g in md.generators)
+        # sup-norm 3 is the least: no functional lies in [-2, 2]^8
+        assert not any(
+            all(sum(a * b for a, b in zip(cand, g)) >= 1
+                for g in md.generators)
+            for cand in product(range(-2, 3), repeat=fan.n_rays))
 
 
 def test_lattice_points_integer_empty():
@@ -403,7 +401,7 @@ def test_lattice_points_integer_empty():
     # rationally non-empty at (1/2, 0); eliminating y1 leaves 2 y0 >= 1 and
     # 2 y0 <= 1, which tighten to y0 >= 1 and y0 <= 0
     rows = [((2, 1), 1), ((-2, 1), -1), ((0, 1), 0), ((0, -1), 0)]
-    assert _fm_feasible_point(rows, 2) is not None
+    assert oracles.fm_feasible_point(rows, 2) is not None
     assert _lattice_points(rows, 2) == []
 
 
@@ -420,6 +418,40 @@ def test_lattice_points_match_box_scan_random():
                     if all(sum(a * x for a, x in zip(row, y)) >= c
                            for row, c in rows)]
         assert _lattice_points(rows, r) == expected, rows
+
+
+def _count_chernikov_drops(monkeypatch):
+    """Wrap ``_fm_eliminate``; the list's one entry counts the lower/upper
+    pairs it left uncombined."""
+    drops = [0]
+    real = moricone._fm_eliminate
+
+    def counting(system, k, steps):
+        keep, lower, upper = real(system, k, steps)
+        flat = sum(1 for a, _, _ in system if a[k] == 0)
+        drops[0] += len(lower) * len(upper) - (len(keep) - flat)
+        return keep, lower, upper
+
+    monkeypatch.setattr(moricone, "_fm_eliminate", counting)
+    return drops
+
+
+def test_lattice_points_chernikov_random(monkeypatch):
+    drops = _count_chernikov_drops(monkeypatch)
+    rng = random.Random(1965)
+    for _ in range(120):
+        r = rng.randint(2, 5)
+        box = rng.randint(1, 2 if r == 5 else 3)
+        rows = [(tuple(sign * int(i == j) for i in range(r)), -box)
+                for j in range(r) for sign in (1, -1)]
+        rows += [(tuple(rng.randint(-3, 3) for _ in range(r)),
+                  rng.randint(-6, 2)) for _ in range(rng.randint(3, 8))]
+        rng.shuffle(rows)
+        expected = [y for y in product(range(-box, box + 1), repeat=r)
+                    if all(sum(a * x for a, x in zip(row, y)) >= c
+                           for row, c in rows)]
+        assert _lattice_points(rows, r) == expected, rows
+    assert drops[0] > 1000
 
 
 def _kernel_generators(fan):
@@ -505,6 +537,23 @@ def test_facet_normals_wdp4_work(monkeypatch):
     monkeypatch.setattr(oracles, "nullspace_rational", forbidden)
     assert len(_facet_normals(ys, r)) == 13
     assert len(rref_calls) <= len(ys) == 20
+
+
+def test_lattice_points_wdp3_work(monkeypatch):
+    """Chernikov's rule keeps the projection small: without it the fifth
+    and sixth systems eliminated on wdP3 at cutoff 4 have 1,561 and 36,122
+    rows, where no system here exceeds 204."""
+    md = mori_data(WIDE_FANS["wdP3"]())
+    sizes = []
+    real = moricone._fm_eliminate
+
+    def sizing(system, k, steps):
+        sizes.append(len(system))
+        return real(system, k, steps)
+
+    monkeypatch.setattr(moricone, "_fm_eliminate", sizing)
+    assert len(enumerate_effective(md, 4)) == 726
+    assert len(sizes) == 7 and max(sizes) <= 204
 
 
 def test_effectivity_witness_f2():

@@ -13,12 +13,13 @@ from toriq.polynomials import (
     pconst,
     pmul,
     pmul_term,
-    psub,
     pvar,
     render_poly,
     standard_monomials,
     term_key,
 )
+
+from oracles import psub
 
 # Classical polynomials are the q^0 level of the completion engine.
 Q0 = NovikovContext(n_rays=0, ell=(), cutoff=0)
