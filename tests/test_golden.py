@@ -17,8 +17,11 @@ cohomology classes were still tuples of Fractions; both series carry large
 denominators.  The ``ifunction`` entry for wdP4 at cutoff 4 and the
 ``certify`` entry for P1xdP6 at cutoff 4 were recorded while the Mori cone's
 facets still came from one nullspace per generator subset and the completion
-still reduced every S-pair.  A change meant to keep the reports unchanged
-must leave every entry intact.
+still reduced every S-pair.  The four ``analyze`` entries for wdP4 and
+wdP3 were re-recorded when ``positive_functional`` lost its size guard and
+returned the smallest functional on those fans as well; the functional is
+the only line of those reports that changed.  A change meant to keep the
+reports unchanged must leave every entry intact.
 """
 
 import hashlib
@@ -155,11 +158,11 @@ GOLDEN_FILES = {
     ("analyze", "wdP5", 3, "text"): (0, "68bd509d188608b58de046984619cfaafa8cac6a14d08cc4d757d74266947219"),
     ("certify", "wdP5", 4, "json"): (0, "57dcfb09f44029078bc3f4cd410af7e3da28474f278bc71da00d34b68e542bf3"),
     ("ifunction", "wdP5", 4, "json"): (0, "8846832618ddd1fa3013ab7ba9e5231ac18529324168c46329aee7aab0877a38"),
-    ("analyze", "wdP4", 3, "json"): (0, "d71c43c485b9e3f400c036110c63c7e67e4bc242c985ca2fbc693eef8b254185"),
-    ("analyze", "wdP4", 3, "text"): (0, "71bc385973f8bd3e4a2cce767f22a50236a06c6d5829202a8fd5ca9bb729fc8e"),
+    ("analyze", "wdP4", 3, "json"): (0, "4c096abe4cc72cef733a8b9cc5081720830669b59a95dd6d1b8dc572831e6146"),
+    ("analyze", "wdP4", 3, "text"): (0, "88a049be800a573b94facdb1fc85d063f8e8828efc63fb8d221105fcea93f4cd"),
     ("ifunction", "wdP4", 4, "json"): (0, "4baa021e7460050237621aeea60c1b3958d8a8922df7c1fbdcfec3a0d8d78083"),
-    ("analyze", "wdP3", 3, "json"): (0, "199b1ccfede09c67a6ff4229daadd4bcb492517e35d8cfdcc562baedbac2a397"),
-    ("analyze", "wdP3", 3, "text"): (0, "6915721c7a5dc97bcdc7d5f1c5e617a63dc6668fa0b2b4e953c6f992a77d2cb4"),
+    ("analyze", "wdP3", 3, "json"): (0, "21869e31f9f15a8da4ee548dbffc23fdb0fe303dfff36ec6e292174eda48da71"),
+    ("analyze", "wdP3", 3, "text"): (0, "9000d725edf0e8d88a048ee5e186694aec02f2e6978de026849576d9772d2aa5"),
 }
 
 
