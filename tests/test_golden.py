@@ -20,8 +20,13 @@ facets still came from one nullspace per generator subset and the completion
 still reduced every S-pair.  The four ``analyze`` entries for wdP4 and
 wdP3 were re-recorded when ``positive_functional`` lost its size guard and
 returned the smallest functional on those fans as well; the functional is
-the only line of those reports that changed.  A change meant to keep the
-reports unchanged must leave every entry intact.
+the only line of those reports that changed.  The ``ifunction`` and
+``certify`` entries for wdP3 at cutoff 4 were first recorded then, since
+before Chernikov's rule the enumeration ran out of memory there.  Before
+they were recorded, the ``analyze``, ``ifunction`` and ``certify`` reports
+at cutoff 4 passed ``check_report`` of ``perfbench/checks.py`` (imported
+read-only) against ``checks.FanRef(workloads.FANS["wdP3"])``.  A change
+meant to keep the reports unchanged must leave every entry intact.
 """
 
 import hashlib
@@ -163,6 +168,8 @@ GOLDEN_FILES = {
     ("ifunction", "wdP4", 4, "json"): (0, "4baa021e7460050237621aeea60c1b3958d8a8922df7c1fbdcfec3a0d8d78083"),
     ("analyze", "wdP3", 3, "json"): (0, "21869e31f9f15a8da4ee548dbffc23fdb0fe303dfff36ec6e292174eda48da71"),
     ("analyze", "wdP3", 3, "text"): (0, "9000d725edf0e8d88a048ee5e186694aec02f2e6978de026849576d9772d2aa5"),
+    ("ifunction", "wdP3", 4, "json"): (0, "15fcdf83a5cdec8855617231750365f1d0dc474ddeb098e6c38ea3c82b4c8c74"),
+    ("certify", "wdP3", 4, "json"): (0, "ba785ea8da34ddf9d68d630b906f0c8d1be238136fe41afbd0fb2314b2e121c7"),
 }
 
 
