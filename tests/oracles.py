@@ -375,7 +375,7 @@ def dp_reduce(dp, rules, ctx):
                 if ctx.ell_of(target) > ctx.cutoff:
                     continue
                 levels[target] = psub(levels.get(target, {}),
-                                        P.pmul_term(epoly, quot, c))
+                                      P.pmul_term(epoly, quot, c))
                 if not levels[target]:
                     del levels[target]
         if poly:

@@ -420,10 +420,8 @@ def test_lattice_points_match_box_scan_random():
         assert _lattice_points(rows, r) == expected, rows
 
 
-def _count_chernikov_drops(monkeypatch):
-    """Wrap ``_fm_eliminate``; the list's one entry counts the lower/upper
-    pairs it left uncombined."""
-    drops = [0]
+def test_lattice_points_chernikov_random(monkeypatch):
+    drops = [0]     # lower/upper pairs that Chernikov's rule left uncombined
     real = moricone._fm_eliminate
 
     def counting(system, k, steps):
@@ -433,11 +431,6 @@ def _count_chernikov_drops(monkeypatch):
         return keep, lower, upper
 
     monkeypatch.setattr(moricone, "_fm_eliminate", counting)
-    return drops
-
-
-def test_lattice_points_chernikov_random(monkeypatch):
-    drops = _count_chernikov_drops(monkeypatch)
     rng = random.Random(1965)
     for _ in range(120):
         r = rng.randint(2, 5)
