@@ -16,10 +16,14 @@ Classes are visited in lex order and share the product of the factors of
 their common prefix.
 
 Box operators act coefficientwise through the rule "hbar-derivative along
-the divisor direction = multiplication by ``D_rho + hbar d'_rho``"; applying
-the operator of any Mori generator must annihilate the series exactly on the
-certified range, and the hbar -> 0 limit of the operator is the binomial
-relation fed to the quantum-deformed ring.
+the divisor direction = multiplication by ``D_rho + hbar d'_rho``".  Every
+coefficient is homogeneous of total degree ``-sum_rho d_rho``, so it is one
+class (see ``novikov.HLaurent``), and such a factor maps that class ``x`` to
+``(D_rho + d'_rho) x`` one degree up, through ``D_rho``'s integer
+multiplication columns, built once per ray from the ring's structure
+constants.  Applying the operator of any Mori generator must annihilate the
+series exactly on the certified range, and the hbar -> 0 limit of the
+operator is the binomial relation fed to the quantum-deformed ring.
 """
 
 from dataclasses import dataclass
@@ -77,25 +81,25 @@ def gkz_operator(beta):
     return GKZOperator(beta=tuple(beta), positive=pos, negative=neg)
 
 
-def _ray_factor(ring, D, d, cache):
+def _ray_factor(D, mult, d, cache):
     """Factor of a ray with divisor class ``D`` at pairing ``d != 0``.
 
-    ``cache`` maps pairings of this one ray to their factors.  The factor at
-    ``d`` is the one at ``d - 1`` (``d + 1`` when negative) times one new
-    term: ``(D + d hbar)^(-1)`` for ``d >= 2``, ``(D + (d + 1) hbar)`` for
-    ``d <= -2``.
+    ``mult`` is ``_divisor_columns(D)`` and ``cache`` maps pairings of this
+    one ray to their factors.  The factor at ``d`` is the one at ``d - 1``
+    (``d + 1`` when negative) times one new term: ``(D + d hbar)^(-1)`` for
+    ``d >= 2``, ``(D + (d + 1) hbar)`` for ``d <= -2``.
     """
     if d not in cache:
         if d == 1:
             cache[d] = nilpotent_geometric(D, 1)
         elif d > 1:
-            cache[d] = _ray_factor(ring, D, d - 1, cache) * \
+            cache[d] = _ray_factor(D, mult, d - 1, cache) * \
                 nilpotent_geometric(D, d)
         elif d == -1:
             cache[d] = HLaurent.of_class(D)
         else:
             cache[d] = _linear_factor_apply(
-                ring, _ray_factor(ring, D, d + 1, cache), D, d + 1)
+                _ray_factor(D, mult, d + 1, cache), mult, d + 1)
     return cache[d]
 
 
@@ -111,6 +115,7 @@ def i_function(ring, md, cutoff):
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
     divisors = [divisor_class(ring, rho) for rho in range(ctx.n_rays)]
+    mults = [_divisor_columns(D) for D in divisors]
     caches = [{} for _ in divisors]
     prefix = [None] * (ctx.n_rays + 1)
     previous = ()
@@ -123,7 +128,7 @@ def i_function(ring, md, cutoff):
             acc = prefix[rho]
             d = beta[rho]
             if d:
-                factor = _ray_factor(ring, divisors[rho], d, caches[rho])
+                factor = _ray_factor(divisors[rho], mults[rho], d, caches[rho])
                 acc = factor if acc is None else acc * factor
             prefix[rho + 1] = acc
         last = prefix[-1]
@@ -144,14 +149,8 @@ class LeadingTerms:
 def leading_terms(I):
     """Split off the hbar^0 and hbar^-1 layers and test i0 == 1."""
     ring = I.ring
-    i0, i1 = {}, {}
-    for beta, h in sorted(I.terms.items()):
-        c0 = h.coefficient(0)
-        c1 = h.coefficient(-1)
-        if c0:
-            i0[beta] = c0
-        if c1:
-            i1[beta] = c1
+    i0, i1 = ({beta: h.terms[k] for beta, h in sorted(I.terms.items())
+               if k in h.terms} for k in (0, -1))
     zero = I.ctx.zero_class
     i0_is_one = set(i0) == {zero} and i0[zero] == ring.one()
     return LeadingTerms(i0=i0, i1=i1, i0_is_one=i0_is_one)
@@ -194,13 +193,37 @@ def extract_two_point_invariants(ring, I):
     return TwoPointTable(entries=entries)
 
 
-def _linear_factor_apply(ring, h, D, c):
-    """Multiply an HLaurent by (D + c*hbar): ``out[k] = D h[k] + c h[k-1]``."""
-    parts = {k: [D._times(v)] for k, v in h.terms.items()}
-    if c:
-        for k, v in h.terms.items():
-            parts.setdefault(k + 1, []).append(([c * a for a in v.num], v.den))
-    return HLaurent(ring, {k: ring._from_parts(p) for k, p in parts.items()})
+def _divisor_columns(D):
+    """``(columns, den)``: ``D * x`` has numerators ``sum_j x.num[j] *
+    columns[j]`` (each column its nonzero ``(k, c)`` pairs) over ``x.den *
+    den``, where ``den = D.den * ring.denominator``."""
+    ring = D.ring
+    columns = []
+    for j in range(ring.dim):
+        col = [0] * ring.dim
+        for i, a in enumerate(D.num):
+            if a:
+                for k, c in ring.structure[i][j]:
+                    col[k] += a * c
+        columns.append(tuple((k, c) for k, c in enumerate(col) if c))
+    return tuple(columns), D.den * ring.denominator
+
+
+def _linear_factor_apply(h, mult, c):
+    """Multiply an HLaurent by ``(D + c*hbar)`` for a degree-1 class ``D``
+    given by its ``_divisor_columns``: bucket ``s`` becomes ``(D + c) h_s``
+    at ``s + 1``."""
+    columns, den = mult
+    ring = h.ring
+    out = {}
+    for s, v in h.buckets.items():
+        num = [c * den * a for a in v.num]
+        for j, b in enumerate(v.num):
+            if b:
+                for k, x in columns[j]:
+                    num[k] += b * x
+        out[s + 1] = ring._from_parts(((num, v.den * den),))
+    return HLaurent._graded(ring, out)
 
 
 def apply_gkz_operator(op, I):
@@ -219,37 +242,29 @@ def apply_gkz_operator(op, I):
             f"got {ctx.cutoff}")
     out_ctx = NovikovContext(n_rays=ctx.n_rays, ell=ctx.ell,
                              cutoff=reduced_cutoff)
-    divisors = {rho: divisor_class(ring, rho)
-                for rho, _ in op.positive + op.negative}
+    mults = {rho: _divisor_columns(divisor_class(ring, rho))
+             for rho, _ in op.positive + op.negative}
 
     def product(h, beta, factors):
         for rho, d in factors:
             for m in range(d):
-                h = _linear_factor_apply(ring, h, divisors[rho], beta[rho] - m)
+                h = _linear_factor_apply(h, mults[rho], beta[rho] - m)
         return h
 
     terms = {}
     for beta_p, h in I.terms.items():
         if out_ctx.ell_of(beta_p) > reduced_cutoff:
             continue
-        acc = product(h, beta_p, op.positive)
-        if acc:
-            terms[beta_p] = acc
+        terms[beta_p] = product(h, beta_p, op.positive)
     for beta_pp, h in I.terms.items():
         # second product, shifted by q^{op.beta}: built only where it lands
         target = tuple(x + y for x, y in zip(beta_pp, op.beta))
         if out_ctx.ell_of(target) > reduced_cutoff:
             continue
         acc = product(h, beta_pp, op.negative)
-        if acc:
-            if target in terms:
-                diff = terms[target] - acc
-                if diff:
-                    terms[target] = diff
-                else:
-                    del terms[target]
-            else:
-                terms[target] = acc.scale(-1)
+        terms[target] = terms[target] - acc if target in terms \
+            else acc.scale(-1)
+    # the series keeps the nonzero differences only
     return NovikovSeries(out_ctx, ring, terms)
 
 

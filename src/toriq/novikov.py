@@ -10,9 +10,10 @@ Three layers, each exact:
 * ``HLaurent`` -- a finitely supported Laurent polynomial in the formal
   variable hbar whose coefficients are cohomology classes.  Nilpotency of
   positive-degree classes keeps every expansion finite; nothing is ever
-  windowed or silently dropped.  Products run on the classes' integer
-  numerators and denominators: each hbar power sums its raw class products
-  and is reduced once.
+  windowed or silently dropped.  It is stored as one class per total degree
+  (``deg hbar = deg D_rho = 1``), so a product of homogeneous series, which
+  every series coefficient and box-operator factor is, is one class product
+  on integer numerators, reduced once.
 * ``NovikovSeries`` -- ``q^beta``-indexed families of HLaurent coefficients,
   truncated at the cutoff.
 """
@@ -158,13 +159,30 @@ class NovikovScalar:
 
 
 class HLaurent:
-    """hbar-Laurent polynomial with cohomology-class coefficients."""
+    """hbar-Laurent polynomial with cohomology-class coefficients.
 
-    __slots__ = ("ring", "terms")
+    Stored by total degree, with ``deg hbar = deg D_rho = 1``: ``buckets[s]``
+    is one class whose degree-p part is the coefficient of ``hbar^(s-p)``.
+    Every HLaurent has exactly one such form, so ``==`` compares buckets and
+    zero means every bucket is zero.  A product of two series is one class
+    product per pair of buckets, and a homogeneous series (every series
+    coefficient and every box-operator factor) is a single bucket.  The
+    ``{power: class}`` form is ``terms``, built from the buckets at most once.
+    """
+
+    __slots__ = ("ring", "buckets", "_terms")
 
     def __init__(self, ring, terms=None):
         self.ring = ring
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self._terms = {k: v for k, v in (terms or {}).items() if v}
+        self.buckets = _regrade(ring, self._terms, 1)
+
+    @classmethod
+    def _graded(cls, ring, buckets):
+        out = cls.__new__(cls)
+        out.ring, out._terms = ring, None
+        out.buckets = {s: v for s, v in buckets.items() if v}
+        return out
 
     @classmethod
     def one(cls, ring):
@@ -174,36 +192,40 @@ class HLaurent:
     def of_class(cls, c, power=0):
         return cls(c.ring, {power: c})
 
+    @property
+    def terms(self):
+        """``{hbar power: class}``, the nonzero coefficients."""
+        if self._terms is None:
+            self._terms = _regrade(self.ring, self.buckets, -1)
+        return self._terms
+
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.buckets)
 
     def __eq__(self, other):
-        return isinstance(other, HLaurent) and self.terms == other.terms
+        return isinstance(other, HLaurent) and self.buckets == other.buckets
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out[k] + v if k in out else v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return HLaurent(self.ring, out)
+        out = dict(self.buckets)
+        for s, v in other.buckets.items():
+            out[s] = out[s] + v if s in out else v
+        return HLaurent._graded(self.ring, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return HLaurent(self.ring, {k: v.scale(c) for k, v in self.terms.items()})
+        return HLaurent._graded(
+            self.ring, {s: v.scale(c) for s, v in self.buckets.items()})
 
     def __mul__(self, other):
         parts = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                parts.setdefault(k1 + k2, []).append(v1._times(v2))
+        for s1, v1 in self.buckets.items():
+            for s2, v2 in other.buckets.items():
+                parts.setdefault(s1 + s2, []).append(v1._times(v2))
         ring = self.ring
-        return HLaurent(ring, {k: ring._from_parts(p)
-                               for k, p in parts.items()})
+        return HLaurent._graded(ring, {s: ring._from_parts(p)
+                                       for s, p in parts.items()})
 
     def coefficient(self, power):
         return self.terms.get(power, self.ring.zero())
@@ -213,6 +235,20 @@ class HLaurent:
 
     def __repr__(self):
         return f"HLaurent({self.terms})"
+
+
+def _regrade(ring, classes, sign):
+    """Move the degree-p part of the class at each key ``k`` to ``k + sign*p``.
+
+    Sign 1 takes ``{hbar power: class}`` to buckets, sign -1 takes it back.
+    """
+    parts = {}
+    for k, v in classes.items():
+        for p in range(ring.top_degree + 1):
+            num = [a if d == p else 0 for a, d in zip(v.num, ring.basis_degrees)]
+            if any(num):
+                parts.setdefault(k + sign * p, []).append((num, v.den))
+    return {k: ring._from_parts(ps) for k, ps in parts.items()}
 
 
 def nilpotent_geometric(D, m):

@@ -18,6 +18,9 @@ combination of rows; ``dp_reduce``, which scans every pending level for the
 least ell and forms every tail's class; ``complete``, which reduces every
 S-pair; and ``module_matrices``, which reduces every ray variable.
 
+``perturbed_series`` changes one coefficient of a series, for the tests
+that the annihilation check must fail.
+
 ``psub``, ``groebner`` and ``poincare_dual_basis`` (with ``SingularPairing``)
 have no caller in ``toriq``: the polynomial difference, the classical ring's
 reduced Groebner basis read from its rules, and the dual basis of the
@@ -48,7 +51,7 @@ from toriq.cohomring import (
     monomial_basis_classes,
 )
 from toriq.fan import make_fan
-from toriq.novikov import HLaurent
+from toriq.novikov import HLaurent, NovikovSeries
 
 _TABLES = {}
 
@@ -182,6 +185,20 @@ def gkz_coefficient(ring, beta):
             for m in range(d + 1, 0):
                 out = laurent_mul(table, out, {0: D, 1: frac_scale(one, m)})
     return to_hlaurent(ring, out)
+
+
+def perturbed_series(I, beta, shift):
+    """``I`` with ``D_0 hbar^(s - 1 + shift)`` added to the coefficient of
+    ``q^beta``, which is homogeneous of total degree ``s``.  With ``shift``
+    0 the change has that same total degree; with 1 it lands in bucket
+    ``s + 1``, so the coefficient is no longer homogeneous."""
+    ring = I.ring
+    (s,) = I.terms[beta].buckets
+    change = HLaurent.of_class(divisor_class(ring, 0), s - 1 + shift)
+    terms = dict(I.terms)
+    terms[beta] = terms[beta] + change
+    assert set(terms[beta].buckets) == {s, s + shift}
+    return NovikovSeries(I.ctx, ring, terms)
 
 
 def reconstruct_coefficient(ring, table, beta):

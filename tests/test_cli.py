@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import toriq
+import toriq.gkz
 from toriq.cli import (
     SCHEMA,
     ParseError,
@@ -20,6 +21,9 @@ from toriq.cli import (
 )
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.fan import ValidationError
+from toriq.gkz import i_function
+
+from oracles import perturbed_series
 
 
 def validate_report(report):
@@ -257,3 +261,26 @@ def test_cutoff_below_generator_ell_is_input_error():
         assert proc.stderr.startswith("input error:"), command
         assert "Traceback" not in proc.stderr, command
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["same-degree", "other-degree"])
+def test_corrupted_series_fails_ifunction_and_certify(monkeypatch, capsys,
+                                                      shift):
+    beta = (1, -1, 1, 0)
+
+    def corrupted(ring, md, cutoff):
+        return perturbed_series(i_function(ring, md, cutoff), beta, shift)
+
+    # run_ifunction calls the name it imported, certify_isomorphism the
+    # gkz module's
+    monkeypatch.setattr(toriq.cli, "i_function", corrupted)
+    monkeypatch.setattr(toriq.gkz, "i_function", corrupted)
+    code, out, _ = run(capsys, "ifunction", "--fan", "F1")
+    assert code == 1
+    assert "annihilation: failed" in out
+    assert "FAILURE: annihilation failed: operator of" in out
+    assert f"leaves q^{beta} hbar^" in out
+    code, out, err = run(capsys, "certify", "--fan", "F1")
+    assert code == 1 and out == ""
+    assert err.startswith("certificate failure: operator of")
+    assert f"leaves q^{beta} hbar^" in err

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from toriq.cohomring import (
     monomial_basis_classes,
 )
 from toriq.gkz import (
+    AnnihilationFailure,
     AnnihilationReport,
     InsufficientCutoff,
     PositiveHbarPower,
+    _divisor_columns,
     _linear_factor_apply,
     annihilation_certificate,
     apply_gkz_operator,
@@ -36,6 +39,7 @@ from oracles import (
     max_power,
     mult_table,
     p1xdp6,
+    perturbed_series,
     random_laurent,
     reconstruct_coefficient,
     to_hlaurent,
@@ -362,10 +366,11 @@ def test_linear_factor_apply_matches_product(name):
     samples += [gkz_coefficient(ring, b) for b in enumerate_effective(md, 2)]
     for rho in range(ring.fan.n_rays):
         D = divisor_class(ring, rho)
+        mult = _divisor_columns(D)
         for c in (0, 1, -1, 2, -3):
             factor = HLaurent(ring, {0: D, 1: ring.one().scale(c)})
             for h in samples:
-                assert _linear_factor_apply(ring, h, D, c) == factor * h, \
+                assert _linear_factor_apply(h, mult, c) == factor * h, \
                     (name, rho, c)
 
 
@@ -377,12 +382,13 @@ def test_linear_factor_apply_matches_fraction_oracle(name):
     rng = random.Random(f"linear-{name}")
     for rho in range(ring.fan.n_rays):
         D = divisor_class(ring, rho)
+        mult = _divisor_columns(D)
         for c in (0, 1, -1, 2, -3):
             factor = {0: D.coeffs, 1: frac_scale(one, c)} if c else \
                 {0: D.coeffs}
             for _ in range(4):
                 f = random_laurent(rng, ring.dim)
-                got = _linear_factor_apply(ring, to_hlaurent(ring, f), D, c)
+                got = _linear_factor_apply(to_hlaurent(ring, f), mult, c)
                 assert laurent_of(got) == laurent_mul(table, factor, f), \
                     (name, rho, c)
 
@@ -411,3 +417,22 @@ def test_two_point_matches_integration(make, cutoff, scale):
                     if val:
                         expected[(a, -power - 1, beta)] = val
     assert table.entries == expected
+
+
+PERTURBED = [("F1", lambda: builtin_fan("F1"), (1, -1, 1, 0)),
+             ("dP6", dp6, (0, 1, -1, 1, 0, 0))]
+
+
+@pytest.mark.parametrize("shift", [0, 1], ids=["same-degree", "other-degree"])
+@pytest.mark.parametrize("make,beta", [case[1:] for case in PERTURBED],
+                         ids=[case[0] for case in PERTURBED])
+def test_annihilation_fails_on_perturbed_coefficient(make, beta, shift):
+    # one changed coefficient, at the series' total degree or in a second
+    # bucket, makes the check fail and name that class
+    fan = make()
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    I = perturbed_series(i_function(ring, md, 3), beta, shift)
+    with pytest.raises(AnnihilationFailure,
+                       match=re.escape(f"leaves q^{beta} hbar^")):
+        annihilation_certificate(I, md)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toriq.catalog import builtin_fan
-from toriq.cohomring import build_cohomology_ring, divisor_class
+from toriq.cohomring import CohClass, build_cohomology_ring, divisor_class
 from toriq.moricone import mori_data
 from toriq.novikov import (
     CutoffMismatch,
@@ -18,11 +18,14 @@ from toriq.novikov import (
 
 from oracles import (
     KERNEL_FANS,
+    frac_add,
+    frac_scale,
     frac_sub,
     geometric,
     laurent_mul,
     laurent_of,
     mult_table,
+    random_coeffs,
     random_laurent,
     to_hlaurent,
     variable_class,
@@ -125,3 +128,58 @@ def test_hlaurent_mul_matches_fraction_oracle(name):
         for m in (-2, 1, 3):
             assert laurent_of(nilpotent_geometric(D, m)) == \
                 geometric(table, ring.one().coeffs, D.coeffs, m), (rho, m)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FANS))
+def test_graded_hlaurent_matches_fraction_oracle(name):
+    # seeded values with several hbar powers of mixed degrees; every result
+    # is read back through its buckets, never through the terms it was
+    # built from
+    ring = build_cohomology_ring(KERNEL_FANS[name]())
+    table = mult_table(ring)
+    zero = (Fraction(0),) * ring.dim
+    rng = random.Random(f"graded-{name}")
+
+    def rebuilt(h):
+        return laurent_of(HLaurent._graded(ring, h.buckets))
+
+    def combine(op, f, g):
+        out = {k: op(f.get(k, zero), g.get(k, zero)) for k in {*f, *g}}
+        return {k: v for k, v in out.items() if any(v)}
+
+    mixed = 0
+    for _ in range(20):
+        f, g = random_laurent(rng, ring.dim), random_laurent(rng, ring.dim)
+        F, G = to_hlaurent(ring, f), to_hlaurent(ring, g)
+        mixed += len(F.buckets) > 1 and any(
+            len({d for a, d in zip(v.num, ring.basis_degrees) if a}) > 1
+            for v in F.buckets.values())
+        # bucket s holds the degree-p part of the coefficient of hbar^(s-p)
+        for s, v in F.buckets.items():
+            assert v and v.coeffs == tuple(
+                f.get(s - d, zero)[i] for i, d in enumerate(ring.basis_degrees))
+        assert rebuilt(F) == f and F.powers() == sorted(f)
+        for k in range(-7, 4):
+            assert F.coefficient(k).coeffs == f.get(k, zero)
+        assert rebuilt(F + G) == combine(frac_add, f, g)
+        assert rebuilt(F - G) == combine(frac_sub, f, g)
+        assert rebuilt(F * G) == laurent_mul(table, f, g)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        assert rebuilt(F.scale(c)) == combine(
+            frac_add, {k: frac_scale(v, c) for k, v in f.items()}, {})
+        assert F == HLaurent._graded(ring, F.buckets) == to_hlaurent(ring, f)
+        assert (F == G) == (f == g)
+        assert not (F - F) and (F - F) == HLaurent(ring)
+        assert bool(F) == bool(f)
+    assert mixed
+    # a nilpotent class of mixed degrees, and divisor classes, whose inverse
+    # factor is the single bucket at total degree -1
+    for _ in range(3):
+        D = random_coeffs(rng, ring.dim)
+        D = tuple(x if d else Fraction(0)
+                  for x, d in zip(D, ring.basis_degrees))
+        got = nilpotent_geometric(CohClass(ring, D), 2)
+        assert rebuilt(got) == geometric(table, ring.one().coeffs, D, 2)
+    for rho in range(ring.fan.n_rays):
+        assert set(nilpotent_geometric(divisor_class(ring, rho), 3).buckets) \
+            == {-1}
