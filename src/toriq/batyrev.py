@@ -125,9 +125,12 @@ def dp_reduce(dp, rules, ctx):
     is additive, so a tail whose ``ell(beta) + ell(level)`` exceeds the
     cutoff is dropped before its class is formed, and the others are
     subtracted into their target level in place.  The loop therefore
-    terminates with every surviving monomial standard.
+    terminates with every surviving monomial standard.  Each monomial's
+    reducer (an index into ``rules``, -1 for none) and each rule's tails with
+    their ells are found once per call.
     """
     zero, cutoff, ell_of = ctx.zero_class, ctx.cutoff, ctx.ell_of
+    reducer, tails = {}, {}
     levels, heap = {}, []
     for b, p in dp.items():
         e = ell_of(b)
@@ -143,19 +146,24 @@ def dp_reduce(dp, rules, ctx):
         while work:
             m = max(work, key=P.term_key)
             c = work.pop(m)
-            for lead, element in rules:
-                if P.mono_divides(lead, m):
-                    break
-            else:
+            i = reducer.get(m)
+            if i is None:
+                i = reducer[m] = next((i for i, (lead, _) in enumerate(rules)
+                                       if P.mono_divides(lead, m)), -1)
+            if i < 0:
                 poly[m] = c
                 continue
+            lead, element = rules[i]
+            if i not in tails:
+                tails[i] = [(b, p, b != zero and ell_of(b))
+                            for b, p in element.items()]
             quot = P.mono_div(m, lead)
-            for ebeta, epoly in element.items():
+            for ebeta, epoly, t_ell in tails[i]:
                 if ebeta == zero:
                     # the lead term cancels m exactly; the rest is smaller
                     target, level = None, work
                 else:
-                    t_ell = e + ell_of(ebeta)
+                    t_ell += e
                     if t_ell > cutoff:
                         continue
                     target = tuple(x + y for x, y in zip(beta, ebeta))
