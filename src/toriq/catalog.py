@@ -8,12 +8,8 @@ from .fan import make_fan
 
 
 def _hirzebruch(a):
-    return make_fan(
-        2,
-        [(1, 0), (0, 1), (-1, a), (0, -1)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)],
-        name=f"F{a}",
-    )
+    return make_fan(2, [(1, 0), (0, 1), (-1, a), (0, -1)],
+                    [(0, 1), (1, 2), (2, 3), (3, 0)], name=f"F{a}")
 
 
 def _build():
@@ -21,29 +17,16 @@ def _build():
     fans["P1"] = make_fan(1, [(1,), (-1,)], [(0,), (1,)], name="P1")
     fans["P2"] = make_fan(
         2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)], name="P2")
-    fans["P1xP1"] = make_fan(
-        2,
-        [(1, 0), (0, 1), (-1, 0), (0, -1)],
-        [(0, 1), (1, 2), (2, 3), (3, 0)],
-        name="P1xP1",
-    )
-    fans["F0"] = _hirzebruch(0)
-    fans["F1"] = _hirzebruch(1)
-    fans["F2"] = _hirzebruch(2)
-    fans["F3"] = _hirzebruch(3)
+    fans["P1xP1"] = make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                             [(0, 1), (1, 2), (2, 3), (3, 0)], name="P1xP1")
+    fans.update((f"F{a}", _hirzebruch(a)) for a in range(4))
     fans["P1xP2"] = make_fan(
-        3,
-        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)],
+        3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)],
         [(0, 2, 3), (0, 3, 4), (0, 2, 4), (1, 2, 3), (1, 3, 4), (1, 2, 4)],
-        name="P1xP2",
-    )
+        name="P1xP2")
     # blowup of P2 at the torus-fixed point of the cone {e1, e2}
-    fans["BlP2"] = make_fan(
-        2,
-        [(1, 0), (0, 1), (-1, -1), (1, 1)],
-        [(0, 3), (1, 3), (1, 2), (0, 2)],
-        name="BlP2",
-    )
+    fans["BlP2"] = make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
+                            [(0, 3), (1, 3), (1, 2), (0, 2)], name="BlP2")
     return fans
 
 

@@ -136,12 +136,8 @@ def novikov_monomial_str(md, beta):
     coords = _generator_coordinates(md, beta)
     if coords is None:
         return base
-    parts = []
-    for i, a in enumerate(coords):
-        if a == 1:
-            parts.append(f"q{i + 1}")
-        elif a > 1:
-            parts.append(f"q{i + 1}^{a}")
+    parts = [f"q{i + 1}^{a}" if a > 1 else f"q{i + 1}"
+             for i, a in enumerate(coords) if a]
     return "*".join(parts) if parts else base
 
 
@@ -193,11 +189,9 @@ def expansion_str(ring, md, expansion):
 
 
 def hlaurent_entries(ring, h):
-    out = []
-    for power in sorted(h.terms, reverse=True):
-        out.append({"hbar_power": power,
-                    "class": render_class(h.terms[power], coeff_str=frac_str)})
-    return out
+    return [{"hbar_power": power,
+             "class": render_class(h.terms[power], coeff_str=frac_str)}
+            for power in sorted(h.terms, reverse=True)]
 
 
 # --- report builders -----------------------------------------------------------
@@ -393,13 +387,8 @@ def _rule_rhs_str(ring, md, ideal, lead, elem):
                 pieces.append(mstr)
             term = "*".join(pieces) or "1"
             parts.append(("-" if c < 0 else "+", term))
-    if not parts:
-        return "0"
-    sign, term = parts[0]
-    text = f"-{term}" if sign == "-" else term
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
+    text = "".join(f" {sign} {term}" for sign, term in parts)
+    return "0" if not parts else text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _relation_str(md, op, fan):

@@ -118,12 +118,8 @@ class CohomRing:
         nv = len(self.surviving)
         if rho in self.surviving:
             return P.pvar(nv, self.surviving.index(rho))
-        coeffs = self.eliminations[rho]
-        poly = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                poly = P.padd(poly, P.pscale(P.pvar(nv, j), c))
-        return poly
+        return {tuple(int(i == j) for i in range(nv)): c
+                for j, c in enumerate(self.eliminations[rho]) if c}
 
     def ray_product(self, exponents):
         """Polynomial of ``prod D_rho^e`` over ``(rho, e)`` pairs."""
@@ -324,10 +320,7 @@ def divisor_class(ring, rho):
 
 
 def graded_dimensions(ring):
-    dims = [0] * (ring.top_degree + 1)
-    for d in ring.basis_degrees:
-        dims[d] += 1
-    return dims
+    return [ring.basis_degrees.count(d) for d in range(ring.top_degree + 1)]
 
 
 def render_class(c, coeff_str=str):

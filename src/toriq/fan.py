@@ -45,11 +45,9 @@ class Fan:
         for u in self.rays:
             if len(u) != self.dim:
                 raise ValidationError(f"ray {u} has wrong length")
-            g = 0
-            for x in u:
-                if not isinstance(x, int):
-                    raise ValidationError(f"non-integer ray entry in {u}")
-                g = gcd(g, abs(x))
+            if not all(isinstance(x, int) for x in u):
+                raise ValidationError(f"non-integer ray entry in {u}")
+            g = gcd(*u)
             if g != 1:
                 raise ValidationError(f"ray {u} is not primitive (gcd {g})")
         if len(set(self.rays)) != len(self.rays):

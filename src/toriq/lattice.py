@@ -10,7 +10,7 @@ matrices, integration normalizations and cone geometry.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class NotUnimodular(ValueError):
@@ -167,12 +167,8 @@ def solve_in_basis(basis, v):
     if abs(det_int(B)) != 1:
         raise NotUnimodular(f"basis determinant {det_int(B)} != +-1")
     sol = solve_rational(B, list(v))
-    assert sol is not None
-    coeffs = []
-    for x in sol:
-        assert x.denominator == 1
-        coeffs.append(int(x))
-    return coeffs
+    assert sol is not None and all(x.denominator == 1 for x in sol)
+    return [int(x) for x in sol]
 
 
 # --- rational Gaussian elimination -----------------------------------------
@@ -241,14 +237,8 @@ def invert_rational(A):
 
 def primitive_vector(v):
     """Divide a rational vector by content to a primitive integer vector."""
-    denoms = [Fraction(x).denominator for x in v]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(x) * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return [0] * len(ints)
-    return [x // g for x in ints]
+    v = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints

@@ -380,19 +380,10 @@ def effectivity_witness(fan, pc):
     elsewhere; nondegeneracy is anchored at a maximal cone containing gamma,
     which exists by completeness.
     """
-    b = primitive_class(fan, pc)
-    pattern = []
-    for i in range(fan.n_rays):
-        if i in pc.rays:
-            pattern.append("linear")
-        elif i in pc.gamma:
-            pattern.append("zero")
-        else:
-            pattern.append("constant")
-    sigma_max = None
-    for cone in fan.max_cones:
-        if set(pc.gamma) <= set(cone):
-            sigma_max = cone
-            break
+    pattern = tuple("linear" if i in pc.rays else "zero" if i in pc.gamma
+                    else "constant" for i in range(fan.n_rays))
+    sigma_max = next((cone for cone in fan.max_cones
+                      if set(pc.gamma) <= set(cone)), None)
     assert sigma_max is not None, "complete fan must have a cone containing gamma"
-    return Witness(degrees=b, pattern=tuple(pattern), sigma_max=sigma_max)
+    return Witness(degrees=primitive_class(fan, pc), pattern=pattern,
+                   sigma_max=sigma_max)

@@ -97,10 +97,8 @@ def pmul(p, q):
 
 def leading(p):
     """(monomial, coefficient) of the order-largest term; None for 0."""
-    if not p:
-        return None
-    m = max(p, key=term_key)
-    return m, p[m]
+    m = max(p, key=term_key, default=None)
+    return None if m is None else (m, p[m])
 
 
 def standard_monomials(lead_monomials, nvars):
@@ -116,12 +114,9 @@ def standard_monomials(lead_monomials, nvars):
         if not pure:
             raise ValueError(f"quotient is not finite-dimensional in variable {j}")
         bounds.append(min(pure))
-    out = []
-    for exps in product(*[range(b) for b in bounds]):
-        if not any(mono_divides(lm, exps) for lm in lead_monomials):
-            out.append(exps)
-    out.sort(key=term_key)
-    return out
+    return sorted((exps for exps in product(*[range(b) for b in bounds])
+                   if not any(mono_divides(lm, exps) for lm in lead_monomials)),
+                  key=term_key)
 
 
 def render_monomial(mono, names):
