@@ -155,7 +155,7 @@ def dp_reduce(dp, rules, ctx):
                 continue
             lead, element = rules[i]
             if i not in tails:
-                tails[i] = [(b, p, b != zero and ell_of(b))
+                tails[i] = [(b, p, None if b == zero else ell_of(b))
                             for b, p in element.items()]
             quot = P.mono_div(m, lead)
             for ebeta, epoly, t_ell in tails[i]:

@@ -387,8 +387,10 @@ def _rule_rhs_str(ring, md, ideal, lead, elem):
                 pieces.append(mstr)
             term = "*".join(pieces) or "1"
             parts.append(("-" if c < 0 else "+", term))
+    if not parts:
+        return "0"
     text = "".join(f" {sign} {term}" for sign, term in parts)
-    return "0" if not parts else text[3:] if text[1] == "+" else "-" + text[3:]
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _relation_str(md, op, fan):
