@@ -376,11 +376,11 @@ def module_matrices(ideal):
 def relation_check(ideal, operators):
     """Reduce each operator's binomial ``x^positive - q^beta x^negative``.
 
-    All must vanish.  The two monomials of a nonzero class have disjoint
-    supports, so they differ.
+    Raises ``RelationNonzero`` naming the first binomial that does not vanish
+    in the quotient; returns nothing.  The two monomials of a nonzero class
+    have disjoint supports, so they differ.
     """
     ctx = ideal.ctx
-    report = []
     for op in operators:
         expansion = normal_form(ideal, {
             op.positive_exponents: NovikovScalar.unit(ctx),
@@ -388,37 +388,25 @@ def relation_check(ideal, operators):
         if any(expansion):
             raise RelationNonzero(
                 f"relation of {op.beta} does not vanish in the quotient")
-        report.append((op, True))
-    return report
 
 
 # --- isomorphism certificate --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
-    phi: tuple                # rows x cols of NovikovScalar
-    determinant: object       # NovikovScalar
-    det_is_unit: bool
-    annihilation: object
-    relations: tuple          # (GKZOperator, ok) pairs
-    module: BatyrevModule
-    verdict: str
-
-
 def certify_isomorphism(ideal, md):
     """Replay of the quantum-module / deformed-ring comparison.
 
-    Requires semipositivity (the theorem's hypothesis).  Verifies the box
-    operators annihilate the series and reduces their hbar -> 0 relations to
-    zero in the deformed quotient.  Then ``phi``, the map from the monomial
-    lifts of the basis to the deformed basis, must be the identity: for each
-    basis monomial ``m != 1`` with last nonzero exponent ``j``, the module
-    column of ``x_j`` on the basis monomial ``m / x_j`` (standard monomials
-    are closed under division) must be the unit vector of ``m``.  Every check
-    raises on failure, so a returned certificate is ``certified`` with
-    determinant 1.  It carries the module and the relation results, so a
-    report renders from it without recomputing them.
+    Raises ``HypothesisUnmet`` unless the fan is semipositive (the theorem's
+    hypothesis).  Checks that the box operators annihilate the series
+    (``AnnihilationFailure``) and that their hbar -> 0 relations reduce to
+    zero in the deformed quotient (``RelationNonzero``).  Then ``phi``, the
+    map from the monomial lifts of the basis to the deformed basis, must be
+    the identity, so its determinant is 1: for each basis monomial ``m != 1``
+    with last nonzero exponent ``j``, the module column of ``x_j`` on the
+    basis monomial ``m / x_j`` (standard monomials are closed under
+    division) must be the unit vector of ``m`` (``BasisNotPreserved``).
+    Returns the checked ``BatyrevModule``, so a report renders from it
+    without recomputing it.
     """
     from .gkz import annihilation_certificate, gkz_operator, i_function
 
@@ -427,26 +415,18 @@ def certify_isomorphism(ideal, md):
     if not md.semipositive:
         raise HypothesisUnmet(
             "fan is not semipositive: the comparison theorem does not apply")
-    annihilation = annihilation_certificate(
-        i_function(ring, md, ctx.cutoff), md)
-    relations = tuple(relation_check(
-        ideal, [gkz_operator(beta) for beta in md.generators]))
+    annihilation_certificate(i_function(ring, md, ctx.cutoff), md)
+    relation_check(ideal, [gkz_operator(beta) for beta in md.generators])
     module = module_matrices(ideal)
     index = {m: i for i, m in enumerate(ring.basis)}
     unit, zero = NovikovScalar.unit(ctx), NovikovScalar(ctx)
-    phi_cols = []
     for a, mono in enumerate(ring.basis):
-        col = [unit if b == a else zero for b in range(ring.dim)]
         if any(mono):
             j = max(k for k, e in enumerate(mono) if e)
             below = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
             rho = ring.surviving[j]
+            col = [unit if b == a else zero for b in range(ring.dim)]
             if module.star_column(rho, index[below]) != col:
                 raise BasisNotPreserved(
                     f"x{rho + 1} * {below} is not the basis monomial {mono}")
-        phi_cols.append(col)
-    phi = tuple(zip(*phi_cols))
-    return IsoCertificate(
-        phi=phi, determinant=unit, det_is_unit=True,
-        annihilation=annihilation, relations=relations, module=module,
-        verdict="certified")
+    return module

@@ -4,9 +4,9 @@ A fan is given by its primitive ray generators and the index sets of its
 maximal cones; for the smooth complete simplicial fans handled here every
 maximal cone has exactly ``dim`` rays forming a lattice basis.  Validation is
 split in two: smoothness (per-cone unimodularity) and completeness (the
-closed-wall criterion: every wall lies in exactly two maximal cones and the
-wall-adjacency graph is connected, which characterizes completeness for pure
-full-dimensional simplicial fans).
+closed-wall criterion: every wall lies in exactly two maximal cones, on
+opposite sides of it, and the wall-adjacency graph is connected).  Each
+check raises ``ValidationError`` on the first violation.
 """
 
 from dataclasses import dataclass
@@ -22,12 +22,6 @@ class ValidationError(ValueError):
 
 class NotInSupport(ValueError):
     """Vector outside the fan's support (impossible for complete fans)."""
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -82,33 +76,47 @@ def make_fan(dim, rays, max_cones, name=""):
 
 
 def validate_smooth(fan):
-    """Every maximal cone's rays must form a ZZ-basis (determinant +-1)."""
+    """Check that every maximal cone's rays form a ZZ-basis (determinant +-1).
+
+    Raises ``ValidationError("fan is not smooth: ...")`` naming the first cone
+    that fails; returns nothing.
+    """
     for cone in fan.max_cones:
-        mat = fan.cone_rays(cone)
-        d = lattice.det_int(mat)
+        d = lattice.det_int(fan.cone_rays(cone))
         if abs(d) != 1:
-            return ValidationReport(
-                False, f"cone {tuple(i + 1 for i in cone)} has determinant {d}")
-    return ValidationReport(True)
+            raise ValidationError(
+                f"fan is not smooth: cone {tuple(i + 1 for i in cone)} "
+                f"has determinant {d}")
 
 
 def validate_complete(fan):
-    """Closed-wall criterion for completeness of a pure simplicial fan."""
+    """Check completeness of a pure simplicial fan by the closed-wall criterion.
+
+    Every wall must lie in exactly two maximal cones, on opposite sides of it
+    (the determinants of the wall's rays plus each cone's remaining ray have
+    opposite signs), and the wall-adjacency graph must be connected.  Raises
+    ``ValidationError("fan is not complete: ...")`` naming the first wall
+    that fails; returns nothing.
+    """
     walls = {}
     for ci, cone in enumerate(fan.max_cones):
         for wall in combinations(cone, fan.dim - 1):
             walls.setdefault(wall, []).append(ci)
     for wall, cones in sorted(walls.items()):
+        name = tuple(i + 1 for i in wall)
         if len(cones) != 2:
-            return ValidationReport(
-                False,
-                f"wall {tuple(i + 1 for i in wall)} lies in {len(cones)} "
+            raise ValidationError(
+                f"fan is not complete: wall {name} lies in {len(cones)} "
                 f"maximal cone(s), expected 2")
+        sides = [lattice.det_int(fan.cone_rays(wall) + [list(fan.rays[i])])
+                 for ci in cones for i in fan.max_cones[ci] if i not in wall]
+        if sides[0] * sides[1] >= 0:
+            raise ValidationError(
+                f"fan is not complete: the cones at wall {name} overlap")
     # connectivity of the wall-adjacency graph
     if fan.max_cones:
         adj = {i: set() for i in range(len(fan.max_cones))}
-        for cones in walls.values():
-            a, b = cones
+        for a, b in walls.values():
             adj[a].add(b)
             adj[b].add(a)
         seen = {0}
@@ -119,8 +127,8 @@ def validate_complete(fan):
                     seen.add(nxt)
                     stack.append(nxt)
         if len(seen) != len(fan.max_cones):
-            return ValidationReport(False, "maximal cones are not wall-connected")
-    return ValidationReport(True)
+            raise ValidationError(
+                "fan is not complete: maximal cones are not wall-connected")
 
 
 def minimal_cone_containing(fan, v):

@@ -268,16 +268,14 @@ def apply_gkz_operator(op, I):
     return NovikovSeries(out_ctx, ring, terms)
 
 
-@dataclass(frozen=True)
-class AnnihilationReport:
-    entries: tuple     # (generator, certified ell range, ok)
-    ok: bool
-
-
 def annihilation_certificate(I, md):
-    """Check that every Mori generator's box operator kills the series ``I``."""
+    """Check that every Mori generator's box operator kills the series ``I``.
+
+    Raises ``AnnihilationFailure`` naming the first surviving term; returns
+    ``(generator, certified ell)`` pairs, the operator of ``generator``
+    being zero on classes with ell up to ``certified ell``.
+    """
     cutoff = I.ctx.cutoff
-    entries = []
     for beta in md.generators:
         result = apply_gkz_operator(gkz_operator(beta), I)
         if result:
@@ -285,6 +283,4 @@ def annihilation_certificate(I, md):
             power = result.terms[bad_beta].powers()[0]
             raise AnnihilationFailure(
                 f"operator of {beta} leaves q^{bad_beta} hbar^{power}")
-        entries.append((beta, cutoff - md.ell_of(beta), True))
-    return AnnihilationReport(entries=tuple(entries), ok=True)
-
+    return [(beta, cutoff - md.ell_of(beta)) for beta in md.generators]

@@ -21,6 +21,11 @@ S-pair; and ``module_matrices``, which reduces every ray variable.
 ``perturbed_series`` changes one coefficient of a series, for the tests
 that the annihilation check must fail.
 
+``check_module`` checks Batyrev's module from its matrices alone, by plain
+dict arithmetic: no ``dp_reduce`` and no ``complete``.  It finds the
+primitive relations from the cones with its own linear algebra
+(``primitive_relations``) and takes only ``ell`` from ``mori_data``.
+
 ``psub``, ``groebner`` and ``poincare_dual_basis`` (with ``SingularPairing``)
 have no caller in ``toriq``: the polynomial difference, the classical ring's
 reduced Groebner basis read from its rules, and the dual basis of the
@@ -29,6 +34,7 @@ Poincare pairing.
 
 import heapq
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, count
 
 from toriq import lattice, polynomials as P
@@ -467,6 +473,137 @@ def module_matrices(ideal):
                 for mono in ring.basis]
         matrices[rho] = [[cols[a][b] for a in range(dim)] for b in range(dim)]
     return BatyrevModule(ideal=ideal, matrices=matrices)
+
+
+
+def primitive_relations(fan):
+    """``(P, beta_P)`` for each primitive collection ``P`` of a smooth
+    complete fan, found from the cones alone: ``P`` is a minimal set of rays
+    spanning no cone, and ``beta_P`` is 1 on ``P`` and ``-c_rho`` on the
+    rays of the cone where ``sum_{rho in P} u_rho = sum c_rho u_rho`` with
+    every ``c_rho >= 0``."""
+    faces = {face for cone in fan.max_cones for k in range(fan.dim + 1)
+             for face in combinations(cone, k)}
+    for size in range(2, fan.dim + 2):
+        for rays in combinations(range(fan.n_rays), size):
+            if rays in faces or not all(
+                    sub in faces for sub in combinations(rays, size - 1)):
+                continue
+            total = [sum(fan.rays[i][k] for i in rays)
+                     for k in range(fan.dim)]
+            for cone in fan.max_cones:
+                coords = _solve([fan.rays[i] for i in cone], total)
+                if all(x >= 0 for x in coords):
+                    break
+            beta = [1 if i in rays else 0 for i in range(fan.n_rays)]
+            for i, x in zip(cone, coords):
+                assert x.denominator == 1, (rays, cone)
+                beta[i] -= int(x)
+            yield rays, tuple(beta)
+
+
+def _solve(columns, target):
+    """Exact ``x`` with ``sum_j x_j columns[j] == target`` for a basis."""
+    n = len(target)
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])]
+            for i in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
+
+
+def check_module(fan, ell, cutoff, module):
+    """Check, with no Groebner basis, that ``module`` is Batyrev's module.
+
+    Each ``module.matrices[rho]`` is taken as the action of ``x_rho`` on the
+    standard monomials ``module.ring.basis``, over the Novikov ring truncated
+    at ``ell . beta <= cutoff``; entries are read as plain ``{beta: coeff}``
+    dicts.  Requires, raising AssertionError otherwise:
+
+    (a) ``sum_rho <e_k, u_rho> M_rho = 0`` for each lattice coordinate k;
+    (b) every pair of matrices commutes;
+    (c) ``prod_{rho in P} M_rho = q^beta_P prod_gamma M_rho^c_rho`` for each
+        primitive relation (``primitive_relations``);
+    (d) ``x^m`` carries the unit basis vector to ``e_m`` for each standard
+        monomial ``m``.
+
+    By (a)-(c), ``f -> f(M) e_unit`` is well defined on Batyrev's quotient Q
+    over the truncated ring R.  R is local and Artinian and the standard
+    monomials span Q's fibre at q = 0, so by Nakayama's lemma they generate
+    Q, and ``e_m -> m`` maps R^basis onto Q.  By (d) the composite is the
+    identity, so both maps are isomorphisms and the matrices are exactly
+    Batyrev's module at this cutoff (Batyrev, Asterisque 218, 1993).
+    """
+    ring = module.ring
+    dim, zero = ring.dim, (0,) * fan.n_rays
+
+    def mul(a, b):
+        out = {}
+        for b1, c1 in a.items():
+            for b2, c2 in b.items():
+                beta = tuple(x + y for x, y in zip(b1, b2))
+                if sum(e * x for e, x in zip(ell, beta)) <= cutoff:
+                    out[beta] = out.get(beta, 0) + c1 * c2
+        return {beta: c for beta, c in out.items() if c}
+
+    def add(a, b, scale=1):
+        out = dict(a)
+        for beta, c in b.items():
+            out[beta] = out.get(beta, 0) + scale * c
+        return {beta: c for beta, c in out.items() if c}
+
+    def matmul(A, B):
+        out = [[{} for _ in range(dim)] for _ in range(dim)]
+        for i in range(dim):
+            for k in range(dim):
+                if A[i][k]:
+                    for j in range(dim):
+                        if B[k][j]:
+                            out[i][j] = add(out[i][j], mul(A[i][k], B[k][j]))
+        return out
+
+    def scalar(s):
+        return [[dict(s) if i == j else {} for j in range(dim)]
+                for i in range(dim)]
+
+    assert sorted(module.matrices) == list(range(fan.n_rays))
+    M = {rho: [[dict(x.terms) for x in row] for row in mat]
+         for rho, mat in module.matrices.items()}
+    for k in range(fan.dim):
+        total = scalar({})
+        for rho, u in enumerate(fan.rays):
+            total = [[add(t, m, u[k]) for t, m in zip(trow, mrow)]
+                     for trow, mrow in zip(total, M[rho])]
+        assert total == scalar({}), f"linear relation of coordinate {k}"
+    for rho, sigma in combinations(range(fan.n_rays), 2):
+        assert matmul(M[rho], M[sigma]) == matmul(M[sigma], M[rho]), \
+            f"x{rho + 1} and x{sigma + 1} do not commute"
+    identity = scalar({zero: 1})
+    for rays, beta in primitive_relations(fan):
+        lhs = identity
+        for rho in rays:
+            lhs = matmul(lhs, M[rho])
+        rhs = scalar(mul({zero: 1}, {beta: 1}))
+        for rho, b in enumerate(beta):
+            for _ in range(max(-b, 0)):
+                rhs = matmul(rhs, M[rho])
+        assert lhs == rhs, f"primitive relation of {rays} with class {beta}"
+    unit = ring.basis.index((0,) * len(ring.surviving))
+    for a, mono in enumerate(ring.basis):
+        vec = identity[unit]
+        for j, e in enumerate(mono):
+            for _ in range(e):
+                vec = [
+                    reduce(add, (mul(x, v) for x, v in zip(row, vec)), {})
+                    for row in M[ring.surviving[j]]]
+        assert vec == identity[a], \
+            f"x^{mono} does not carry the unit to its basis vector"
 
 
 # the fans the kernel is checked on: the catalog, the hexagon, two

@@ -177,6 +177,29 @@ def test_ingest_rejects_non_smooth(tmp_path, capsys):
     assert "smooth" in err
 
 
+# smooth cones, two at every wall and wall-connected, yet the cones at
+# wall (1, 5) lie on one side of it: some directions lie in three cones and
+# some in none
+OVERLAPPING_CONES = {
+    "dim": 3,
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 0, 1],
+             [1, 1, 0], [2, 1, 2]],
+    "max_cones": [[5, 6, 7], [1, 2, 5], [2, 5, 6], [2, 3, 6], [3, 6, 7],
+                  [3, 1, 7], [1, 7, 5], [1, 2, 4], [2, 3, 4], [1, 3, 4]]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "ifunction", "certify"])
+def test_overlapping_cones_are_input_error(tmp_path, capsys, command):
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(OVERLAPPING_CONES))
+    code, out, err = run(capsys, command, "--fan", str(path))
+    assert code == 2
+    assert err == ("input error: fan is not complete: "
+                   "the cones at wall (1, 5) overlap\n")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_ingest_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -12,29 +12,40 @@ from toriq.fan import (
 
 
 def test_catalog_fans_validate():
-    for name, fan in CATALOG.items():
-        assert validate_smooth(fan).ok, name
-        assert validate_complete(fan).ok, name
+    for fan in CATALOG.values():
+        validate_smooth(fan)
+        validate_complete(fan)
 
 
 def test_smoothness_violation_reported():
     fan = make_fan(2, [(1, 0), (1, 2), (-1, -1), (0, 1)],
                    [(0, 1), (1, 3), (2, 3), (0, 2)])
-    report = validate_smooth(fan)
-    assert not report.ok
-    assert "determinant" in report.detail
+    with pytest.raises(ValidationError,
+                       match=r"^fan is not smooth: cone .* has determinant"):
+        validate_smooth(fan)
 
 
 def test_p1_smooth():
-    assert validate_smooth(builtin_fan("P1")).ok
+    validate_smooth(builtin_fan("P1"))
 
 
 def test_completeness_violation_on_deleted_cone():
     # P2 with the cone {1,3} removed: ray 3 still covered via {2,3}
     fan = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)])
-    report = validate_complete(fan)
-    assert not report.ok
-    assert "wall" in report.detail
+    with pytest.raises(ValidationError,
+                       match=r"^fan is not complete: wall .* expected 2"):
+        validate_complete(fan)
+
+
+def test_completeness_violation_on_folded_cones():
+    # a closed, wall-connected cycle of smooth cones that folds back at rays
+    # 1 and 5: the cones {1,2} and {5,1} both lie on the same side of ray 1
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)],
+                   [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    with pytest.raises(ValidationError,
+                       match=r"^fan is not complete: the cones at wall "
+                             r"\(1,\) overlap$"):
+        validate_complete(fan)
 
 
 def test_ingestion_rejects_non_primitive_ray():
