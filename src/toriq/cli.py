@@ -93,6 +93,9 @@ def fan_from_dict(data, origin="<fan>"):
             isinstance(c, list) and all(type(i) is int for i in c)
             for c in cones):
         raise ParseError(f"{origin}: max_cones must be lists of integers")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError(f"{origin}: name must be a string")
     for c in cones:
         for i in c:
             if not 1 <= i <= len(rays):
@@ -101,7 +104,7 @@ def fan_from_dict(data, origin="<fan>"):
     try:
         return make_fan(dim, [tuple(u) for u in rays],
                         [tuple(i - 1 for i in c) for c in cones],
-                        name=str(data.get("name", "")))
+                        name=name)
     except ValidationError:
         raise
     except Exception as exc:  # defensive: surface anything else as ingestion

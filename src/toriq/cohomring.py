@@ -2,12 +2,13 @@
 
 The ring is the polynomial ring on one variable per ray, modulo the linear
 relations ``sum <m, u_rho> x_rho`` and the square-free Stanley-Reisner ideal.
-A maximal cone ``sigma0`` is chosen (the one whose complement -- the surviving
-variable set -- is lexicographically least) and its ``n`` variables are
-eliminated through the linear relations, which carry integer coefficients by
-unimodularity.  The image of the Stanley-Reisner ideal in the surviving
-variables is completed to a reduced Groebner basis; the standard monomials
-form the module basis, with one basis element per maximal cone.
+The variables of the maximal cone ``sigma0`` of ``fan.chart`` are eliminated
+through the linear relations; their coefficients are the surviving rays'
+integer coordinates in ``sigma0``'s basis, so the surviving variables are the
+chart's basis of the Picard group.  The image of the Stanley-Reisner ideal
+in the surviving variables is completed to a reduced Groebner basis; the
+standard monomials form the module basis, with one basis element per
+maximal cone.
 
 There is no separate classical Groebner code: the completion and every normal
 form here are ``batyrev.complete`` and ``batyrev.dp_reduce`` run at cutoff 0,
@@ -32,6 +33,7 @@ from math import gcd, lcm
 
 from . import lattice, polynomials as P
 from .batyrev import complete, dp_reduce
+from .fan import chart
 from .moricone import primitive_collections
 from .novikov import NovikovContext
 
@@ -199,36 +201,16 @@ class CohClass:
         return f"CohClass({render_class(self)})"
 
 
-def _choose_sigma0(fan):
-    """Maximal cone whose surviving complement is lexicographically least."""
-    best = None
-    for cone in fan.max_cones:
-        complement = tuple(i for i in range(fan.n_rays) if i not in cone)
-        if best is None or complement < best[0]:
-            best = (complement, cone)
-    return best[1], best[0]
-
-
 def build_cohomology_ring(fan):
-    sigma0, surviving = _choose_sigma0(fan)
+    sigma0, surviving, coords = chart(fan)
     nv = len(surviving)
-    # dual basis of the sigma0 ray basis: integer because the cone is unimodular
-    cone_rays = fan.cone_rays(sigma0)
-    eliminations = {}
-    for pos, rho in enumerate(sigma0):
-        target = [1 if k == pos else 0 for k in range(fan.dim)]
-        # m with <m, u_rho'> = delta for rho' in sigma0
-        mat = [[cone_rays[i][k] for k in range(fan.dim)] for i in range(fan.dim)]
-        m = lattice.solve_rational(mat, target)
-        assert m is not None and all(x.denominator == 1 for x in m)
-        m = [int(x) for x in m]
-        # x_rho = - sum_j <m, u_j> x_j over surviving rays j
-        eliminations[rho] = tuple(
-            -sum(m[k] * fan.rays[j][k] for k in range(fan.dim))
-            for j in surviving)
+    # x_rho = -sum_j <m_rho, u_j> x_j over surviving rays j, where m_rho is
+    # the dual basis of sigma0's rays: <m_rho, u_j> is u_j's rho-coordinate
+    eliminations = {rho: tuple(-c[pos] for c in coords)
+                    for pos, rho in enumerate(sigma0)}
 
     ring_stub = CohomRing(
-        fan=fan, sigma0=sigma0, surviving=tuple(surviving),
+        fan=fan, sigma0=sigma0, surviving=surviving,
         eliminations=eliminations, rules=(), basis=(), basis_degrees=(),
         structure=(), denominator=1, point_integrals={})
 
@@ -278,7 +260,7 @@ def build_cohomology_ring(fan):
     integrals = {basis[top[k]]: sol[k] for k in range(len(top))}
 
     return CohomRing(
-        fan=fan, sigma0=sigma0, surviving=tuple(surviving),
+        fan=fan, sigma0=sigma0, surviving=surviving,
         eliminations=eliminations, rules=rules, basis=basis,
         basis_degrees=degrees, structure=structure,
         denominator=denominator, point_integrals=integrals,

@@ -6,7 +6,8 @@ maximal cone has exactly ``dim`` rays forming a lattice basis.  Validation is
 split in two: smoothness (per-cone unimodularity) and completeness (the
 closed-wall criterion: every wall lies in exactly two maximal cones, on
 opposite sides of it, and the wall-adjacency graph is connected).  Each
-check raises ``ValidationError`` on the first violation.
+check raises ``ValidationError`` on the first violation.  ``chart`` fixes the
+cone that the cohomology ring and the curve-class lattice are read in.
 """
 
 from dataclasses import dataclass
@@ -98,6 +99,8 @@ def validate_complete(fan):
     ``ValidationError("fan is not complete: ...")`` naming the first wall
     that fails; returns nothing.
     """
+    if not fan.max_cones:
+        raise ValidationError("fan is not complete: no maximal cones")
     walls = {}
     for ci, cone in enumerate(fan.max_cones):
         for wall in combinations(cone, fan.dim - 1):
@@ -114,21 +117,39 @@ def validate_complete(fan):
             raise ValidationError(
                 f"fan is not complete: the cones at wall {name} overlap")
     # connectivity of the wall-adjacency graph
-    if fan.max_cones:
-        adj = {i: set() for i in range(len(fan.max_cones))}
-        for a, b in walls.values():
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(fan.max_cones):
-            raise ValidationError(
-                "fan is not complete: maximal cones are not wall-connected")
+    adj = {i: set() for i in range(len(fan.max_cones))}
+    for a, b in walls.values():
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) != len(fan.max_cones):
+        raise ValidationError(
+            "fan is not complete: maximal cones are not wall-connected")
+
+
+def chart(fan):
+    """The maximal cone ``sigma0``, the surviving rays, and their coordinates.
+
+    ``sigma0`` is the cone whose complement, the ascending ``surviving``,
+    is lexicographically least.  The divisors of the surviving rays are a
+    basis of the Picard group, and a curve class is fixed by its entries on
+    the same rays (Cox, Little and Schenck, *Toric Varieties*, 2011, 4.1).
+    Returns ``(sigma0, surviving, coords)``: ``coords[j]`` holds the integer
+    coordinates of ray ``surviving[j]`` in the basis of ``sigma0``'s rays.
+    """
+    surviving, sigma0 = min(
+        (tuple(i for i in range(fan.n_rays) if i not in cone), cone)
+        for cone in fan.max_cones)
+    basis = fan.cone_rays(sigma0)
+    coords = tuple(tuple(lattice.solve_in_basis(basis, list(fan.rays[j])))
+                   for j in surviving)
+    return sigma0, surviving, coords
 
 
 def minimal_cone_containing(fan, v):

@@ -2,11 +2,11 @@
 
 Everything here runs on Python ints and ``fractions.Fraction`` -- no floating
 point, no overflow.  Matrices are plain lists of row lists.  The integer side
-provides the Smith normal form and the two lattice operations the fan machinery
-needs: a saturated kernel basis (primitive relations among rays live in it) and
-coordinates with respect to a unimodular basis (smooth cones).  The rational
-side is a thin Gaussian-elimination toolkit used downstream for pairing
-matrices, integration normalizations and cone geometry.
+is what the fan machinery needs: determinants (smoothness, wall sides) and
+coordinates with respect to a unimodular basis (smooth cones, and with them
+the chart that fixes the curve-class lattice).  The rational side is a thin
+Gaussian-elimination toolkit used downstream for pairing matrices,
+integration normalizations and cone geometry.
 """
 
 from fractions import Fraction
@@ -28,99 +28,6 @@ def check_matrix(A):
             if not isinstance(x, int):
                 raise ValueError(f"non-integer entry {x!r}")
     return rows, cols
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(A):
-    """Return (D, L, R) with L*A*R = D diagonal, L and R unimodular.
-
-    Diagonal entries of D are the invariant factors (not normalized to the
-    divisibility chain; only diagonality and exactness are needed here).
-    """
-    rows, cols = check_matrix(A)
-    D = [list(row) for row in A]
-    L = _identity(rows)
-    R = _identity(cols)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        L[i], L[j] = L[j], L[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in R:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):  # row dst += c * row src
-        D[dst] = [x + c * y for x, y in zip(D[dst], D[src])]
-        L[dst] = [x + c * y for x, y in zip(L[dst], L[src])]
-
-    def add_col(src, dst, c):
-        for row in D:
-            row[dst] += c * row[src]
-        for row in R:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # pick the absolutely smallest nonzero entry of the trailing block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        dirty = False
-        for i in range(t + 1, rows):
-            if D[i][t] != 0:
-                q = D[i][t] // D[t][t]
-                add_row(t, i, -q)
-                if D[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if D[t][j] != 0:
-                q = D[t][j] // D[t][t]
-                add_col(t, j, -q)
-                if D[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue  # remainders left; re-pick a smaller pivot
-        if D[t][t] < 0:  # negating a row keeps L unimodular (det flips sign)
-            D[t] = [-x for x in D[t]]
-            L[t] = [-x for x in L[t]]
-        t += 1
-
-    return D, L, R
-
-
-def kernel_basis(A):
-    """Basis of the saturated integer kernel {v : A v = 0}.
-
-    The returned vectors generate the full lattice ker(A) over ZZ (they are
-    columns of a unimodular matrix, hence primitive as a sublattice basis).
-    Empty list for injective A.
-    """
-    rows, cols = check_matrix(A)
-    if cols == 0:
-        return []
-    D, _, R = smith_normal_form(A)
-    basis = []
-    for j in range(cols):
-        d = D[j][j] if j < rows else 0
-        if d == 0:
-            basis.append([R[i][j] for i in range(cols)])
-    for v in basis:  # defensive: exactness is the whole point
-        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A)
-    return basis
 
 
 def det_int(A):

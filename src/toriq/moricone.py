@@ -11,7 +11,8 @@ semipositivity means the anticanonical divisor ``sum D_rho`` pairs >= 0 with
 each of them.
 
 Effective classes up to an ell-cutoff are the lattice points of a bounded
-polytope in the kernel coordinates.  They are enumerated by a depth-first
+polytope in the chart coordinates of ``fan.chart``: a class is fixed by its
+entries on the rays outside ``sigma0``.  They are enumerated by a depth-first
 walk whose per-coordinate ranges come from exact Fourier-Motzkin projections
 of that polytope, so the work follows the number of classes, not the volume
 of a bounding box.  Chernikov's rule (Chernikov 1965; Kohler 1967; Imbert,
@@ -27,7 +28,7 @@ from itertools import combinations
 from math import gcd
 
 from . import lattice
-from .fan import minimal_cone_containing
+from .fan import chart, minimal_cone_containing
 
 
 class NonIntegralCoefficient(ValueError):
@@ -213,21 +214,21 @@ def mori_data(fan):
 
 
 def _kernel_setup(fan):
-    """Basis of the curve-class lattice and a rational left inverse."""
-    A = [[fan.rays[j][k] for j in range(fan.n_rays)] for k in range(fan.dim)]
-    basis = lattice.kernel_basis(A)
-    if not basis:
-        return [], []
-    # left inverse: y = L b for b in the kernel lattice
-    cols = len(basis[0])
-    BT = [[b[i] for b in basis] for i in range(cols)]   # cols x r
-    gram = [[sum(BT[i][a] * BT[i][b] for i in range(cols))
-             for b in range(len(basis))] for a in range(len(basis))]
-    gram_inv = lattice.invert_rational(gram)
-    assert gram_inv is not None
-    L = [[sum(gram_inv[a][j] * basis[j][i] for j in range(len(basis)))
-          for i in range(cols)] for a in range(len(basis))]
-    return basis, L
+    """Basis of the curve-class lattice, one vector per surviving ray.
+
+    The vector of surviving ray ``j`` of ``fan.chart`` is ``e_j`` minus
+    ``u_j``'s coordinates placed on ``sigma0``'s rays, so a class's
+    coordinates in this basis are its entries on the surviving rays.
+    """
+    sigma0, surviving, coords = chart(fan)
+    basis = []
+    for j, c in zip(surviving, coords):
+        b = [0] * fan.n_rays
+        b[j] = 1
+        for i, x in zip(sigma0, c):
+            b[i] = -x
+        basis.append(b)
+    return basis, surviving
 
 
 def _facet_normals(vectors, r):
@@ -337,7 +338,7 @@ def enumerate_effective(md, cutoff):
     """All lattice points of the Mori cone with ell-degree <= cutoff.
 
     Saturated enumeration: lattice points of the rational cone, not just
-    semigroup combinations of the generators.  In kernel coordinates ``y``
+    semigroup combinations of the generators.  In chart coordinates ``y``
     the points form the polytope ``{f . y >= 0 for every facet normal f,
     ell . y <= cutoff}``, bounded because ``ell`` is positive on the pointed
     cone.  Its Fourier-Motzkin projections give each coordinate an exact
@@ -349,15 +350,11 @@ def enumerate_effective(md, cutoff):
     zero = (0,) * fan.n_rays
     if cutoff < 0:
         return []
-    basis, L = _kernel_setup(fan)
+    basis, surviving = _kernel_setup(fan)
     r = len(basis)
     if r == 0 or not md.generators:
         return [zero]
-    ys = []
-    for g in md.generators:
-        y = [sum(L[a][i] * g[i] for i in range(fan.n_rays)) for a in range(r)]
-        assert all(x.denominator == 1 for x in y)
-        ys.append(tuple(int(x) for x in y))
+    ys = [tuple(g[j] for j in surviving) for g in md.generators]
     assert len(lattice.rref([list(y) for y in ys])[1]) == r, \
         "Mori cone of a projective fan must span the curve-class lattice"
     ell_y = tuple(md.ell_of(b) for b in basis)

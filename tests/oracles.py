@@ -18,6 +18,9 @@ combination of rows; ``dp_reduce``, which scans every pending level for the
 least ell and forms every tail's class; ``complete``, which reduces every
 S-pair; and ``module_matrices``, which reduces every ray variable.
 
+``curve_lattice_basis`` reads the curve-class lattice in a chart of its own,
+for the scans that check effective-class enumeration.
+
 ``perturbed_series`` changes one coefficient of a series, for the tests
 that the annihilation check must fail.
 
@@ -500,6 +503,30 @@ def primitive_relations(fan):
                 assert x.denominator == 1, (rays, cone)
                 beta[i] -= int(x)
             yield rays, tuple(beta)
+
+
+def curve_lattice_basis(fan):
+    """A basis of the curve-class lattice, in another chart than toriq's.
+
+    ``fan.chart`` reads classes at the maximal cone whose complement is
+    lexicographically least; this reads them at the cone whose complement
+    is greatest, so a scan over these coordinates shares none with the code
+    it checks.  Each ray ``j`` outside that cone gives ``e_j`` minus
+    ``u_j``'s coordinates on the cone's rays, and a class's coordinates are
+    its entries on those rays.
+    """
+    tau = max(fan.max_cones, key=lambda cone: [
+        i for i in range(fan.n_rays) if i not in cone])
+    basis = []
+    for j in range(fan.n_rays):
+        if j not in tau:
+            b = [int(i == j) for i in range(fan.n_rays)]
+            for i, x in zip(tau, _solve([fan.rays[i] for i in tau],
+                                        fan.rays[j])):
+                assert x.denominator == 1, (j, tau)
+                b[i] = -int(x)
+            basis.append(b)
+    return basis
 
 
 def _solve(columns, target):

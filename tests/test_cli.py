@@ -200,6 +200,37 @@ def test_overlapping_cones_are_input_error(tmp_path, capsys, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("command", ["analyze", "ifunction", "certify"])
+def test_empty_fan_is_input_error(tmp_path, capsys, command, dim):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"dim": dim, "rays": [], "max_cones": []}))
+    code, out, err = run(capsys, command, "--fan", str(path))
+    assert code == 2
+    assert err == "input error: fan is not complete: no maximal cones\n"
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", [None, 5, ["P1"]])
+@pytest.mark.parametrize("command", ["analyze", "ifunction", "certify"])
+def test_non_string_name_is_input_error(tmp_path, capsys, command, name):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"dim": 1, "rays": [[1], [-1]],
+                                "max_cones": [[1], [2]], "name": name}))
+    code, out, err = run(capsys, command, "--fan", str(path))
+    assert code == 2
+    assert err == f"input error: {path}: name must be a string\n"
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_absent_name_is_empty():
+    fan = fan_from_dict({"dim": 1, "rays": [[1], [-1]],
+                         "max_cones": [[1], [2]]})
+    assert fan.name == ""
+
+
 def test_ingest_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -8,83 +7,12 @@ from toriq.lattice import (
     NotUnimodular,
     det_int,
     invert_rational,
-    kernel_basis,
     primitive_vector,
-    smith_normal_form,
     solve_in_basis,
     solve_rational,
 )
 
 from oracles import nullspace_rational
-
-
-def brute_force_kernel(A, box=3):
-    """All kernel vectors with sup-norm <= box, by exhaustive scan."""
-    cols = len(A[0])
-    found = []
-    for v in product(range(-box, box + 1), repeat=cols):
-        if all(sum(a * x for a, x in zip(row, v)) == 0 for row in A):
-            found.append(list(v))
-    return found
-
-
-def in_integer_span(basis, v):
-    if not basis:
-        return all(x == 0 for x in v)
-    cols = len(v)
-    B = [[b[i] for b in basis] for i in range(cols)]
-    sol = solve_rational(B, list(v))
-    return sol is not None and all(x.denominator == 1 for x in sol)
-
-
-def test_kernel_p1():
-    assert kernel_basis([[1, -1]]) == [[1, 1]]
-
-
-def test_kernel_identity_empty():
-    assert kernel_basis([[1, 0], [0, 1]]) == []
-
-
-def test_kernel_p2_rays():
-    A = [[1, 0, -1], [0, 1, -1]]
-    basis = kernel_basis(A)
-    assert len(basis) == 1
-    assert basis[0] in ([1, 1, 1], [-1, -1, -1])
-
-
-def test_kernel_box_oracle_random():
-    rng = random.Random(20260809)
-    for _ in range(40):
-        rows = rng.randint(1, 3)
-        cols = rng.randint(1, 4)
-        A = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        basis = kernel_basis(A)
-        for row in A:
-            for b in basis:
-                assert sum(a * x for a, x in zip(row, b)) == 0
-        for v in brute_force_kernel(A):
-            assert in_integer_span(basis, v), (A, basis, v)
-
-
-def test_smith_form_identity_products():
-    rng = random.Random(7)
-    for _ in range(30):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        A = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        D, L, R = smith_normal_form(A)
-        # D == L A R entry by entry
-        LA = [[sum(L[i][k] * A[k][j] for k in range(rows)) for j in range(cols)]
-              for i in range(rows)]
-        LAR = [[sum(LA[i][k] * R[k][j] for k in range(cols)) for j in range(cols)]
-               for i in range(rows)]
-        assert LAR == D
-        assert abs(det_int(L)) == 1
-        assert abs(det_int(R)) == 1
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert D[i][j] == 0
 
 
 def test_solve_in_basis_standard():

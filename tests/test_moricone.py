@@ -9,7 +9,6 @@ import oracles
 from toriq import moricone
 from toriq.catalog import CATALOG, NOT_SEMIPOSITIVE, SEMIPOSITIVE, builtin_fan
 from toriq import lattice
-from toriq.lattice import kernel_basis
 from toriq.moricone import (
     NoPositiveFunctional,
     _facet_normals,
@@ -23,7 +22,9 @@ from toriq.moricone import (
     primitive_collections,
     primitive_relation,
 )
-from toriq.fan import make_fan
+from toriq.cohomring import build_cohomology_ring
+from toriq.fan import chart, make_fan
+from toriq import polynomials as P
 
 GOLDEN_COLLECTIONS = {
     "P1": [(0, 1)],
@@ -159,8 +160,7 @@ def fm_cone_membership(generators, b):
 
 
 def brute_force_effective(fan, md, cutoff):
-    A = [[fan.rays[j][k] for j in range(fan.n_rays)] for k in range(fan.dim)]
-    basis = kernel_basis(A)
+    basis = oracles.curve_lattice_basis(fan)
     r = len(basis)
     if r == 0:
         return [(0,) * fan.n_rays]
@@ -264,22 +264,17 @@ def _box_scan_effective(md, cutoff):
     zero = (0,) * fan.n_rays
     if cutoff < 0:
         return []
-    basis, L = _kernel_setup(fan)
+    basis, surviving = _kernel_setup(fan)
     r = len(basis)
     if r == 0 or not md.generators:
         return [zero]
-    ys = []
-    for g in md.generators:
-        y = [sum(L[a][i] * g[i] for i in range(fan.n_rays)) for a in range(r)]
-        assert all(x.denominator == 1 for x in y)
-        ys.append(tuple(int(x) for x in y))
+    ys = [tuple(g[j] for j in surviving) for g in md.generators]
     assert len(lattice.rref([list(y) for y in ys])[1]) == r
     normals = _facet_normals(ys, r)
-    # any point is sum lambda_P beta_P with sum lambda_P <= cutoff
-    bmax = [cutoff * max(abs(g[i]) for g in md.generators)
-            for i in range(fan.n_rays)]
-    ybound = [int(sum(abs(L[a][i]) * bmax[i] for i in range(fan.n_rays)))
-              for a in range(r)]
+    # any point is sum lambda_P beta_P with sum lambda_P <= cutoff, and its
+    # coordinates are its entries on the surviving rays
+    ybound = [cutoff * max(abs(g[j]) for g in md.generators)
+              for j in surviving]
     points = []
     for y in product(*[range(-b, b + 1) for b in ybound]):
         if any(sum(f[a] * y[a] for a in range(r)) < 0 for f in normals):
@@ -448,18 +443,42 @@ def test_lattice_points_chernikov_random(monkeypatch):
 
 
 def _kernel_generators(fan):
-    """The Mori generators in kernel coordinates, as enumeration sees them."""
-    basis, L = _kernel_setup(fan)
-    r = len(basis)
-    ys = [tuple(int(sum(L[a][i] * g[i] for i in range(fan.n_rays)))
-                for a in range(r)) for g in mori_data(fan).generators]
-    return ys, r
+    """The Mori generators in chart coordinates, as enumeration sees them."""
+    _, surviving = _kernel_setup(fan)
+    ys = [tuple(g[j] for j in surviving) for g in mori_data(fan).generators]
+    return ys, len(surviving)
 
 
 FACET_FANS = dict(
     [(name, lambda name=name: builtin_fan(name)) for name in sorted(CATALOG)]
     + [(name, make) for name, (make, _) in DIFFERENTIAL_FANS.items()]
     + [("wdP4", WIDE_FANS["wdP4"])])
+
+
+CHART_FANS = {**FACET_FANS, **WIDE_FANS}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_FANS))
+def test_chart_basis_and_kirwan_lift(name):
+    """Each chart basis vector is an integer relation among the rays with
+    the identity on the surviving rays, and the ring's Kirwan lift satisfies
+    every linear relation ``sum_rho <e_k, u_rho> D_rho = 0``."""
+    fan = CHART_FANS[name]()
+    basis, surviving = _kernel_setup(fan)
+    for b in basis:
+        assert all(isinstance(x, int) for x in b)
+        assert all(sum(x * u[k] for x, u in zip(b, fan.rays)) == 0
+                   for k in range(fan.dim)), b
+    assert [[b[j] for j in surviving] for b in basis] == \
+        [[int(a == c) for c in range(len(surviving))]
+         for a in range(len(surviving))]
+    ring = build_cohomology_ring(fan)
+    assert (ring.sigma0, ring.surviving) == chart(fan)[:2]
+    for k in range(fan.dim):
+        total = {}
+        for rho, u in enumerate(fan.rays):
+            total = P.padd(total, P.pscale(ring.ray_poly(rho), u[k]))
+        assert not any(total.values()), (k, total)
 
 
 @pytest.mark.parametrize("name", sorted(FACET_FANS))
