@@ -15,7 +15,11 @@ levels (every nonzero effective class has ell >= 1) -- which is what makes the
 procedure terminate.  Buchberger completion over these rules only ever adds
 elements mirroring the classical completion of the level-0 layer; an S-pair
 residue with no unit coefficient at all would mean the quotient is not free
-over the truncated scalars and is reported, never skipped.
+over the truncated scalars and is reported, never skipped.  Because every
+lead is monic, Buchberger's product and chain criteria carry over from fields
+unchanged: a pair they drop has an S-polynomial that is a monomial
+combination of S-polynomials already reduced, so it has a standard
+representation at every level of the truncated scalars.
 
 ``complete`` and ``dp_reduce`` are the package's only Groebner engine.  At
 cutoff 0 only the q^0 level occurs, the deformation disappears and they
@@ -193,6 +197,11 @@ def _unit_lead(dp, ctx):
     return P.leading(zero_poly)[0]
 
 
+def _support(mono):
+    """Bitmask of the variables a monomial contains."""
+    return sum(1 << v for v, e in enumerate(mono) if e)
+
+
 def _monicize(dp, ctx):
     lead = _unit_lead(dp, ctx)
     if lead is None:
@@ -236,21 +245,37 @@ def complete(gens, ctx):
     lead's full normal form (hence supported on standard monomials at every
     level), and ``added`` counts the S-pair residues the completion inserted.
     S-pairs are processed smallest leading-lcm first, the oldest pair first
-    among equal lcms; residues are reduced fully before insertion.  A pair
-    whose leads share no variable is never formed: the leads are monic, so
-    by Buchberger's product criterion (1979) its S-polynomial reduces to
-    zero, at every level of the truncated scalars as classically.  At cutoff
-    0 only the q^0 level occurs and this is the classical reduced Groebner
-    basis.
+    among equal lcms; residues are reduced fully before insertion.  Two
+    criteria of Buchberger (1979) drop pairs without reducing them, and
+    both hold at every level of the truncated scalars as classically
+    because the leads are monic.  A pair whose leads share no variable is
+    never formed (the product criterion).  A pair (i, j) is skipped when a
+    third rule k has a lead dividing lcm(lead_i, lead_j) and neither (i, k)
+    nor (j, k) still waits (the chain criterion): S(i, j) is then a
+    monomial combination of S(i, k) and S(j, k), which already have
+    standard representations, so it has one through k.  A variable-support
+    bitmask of each lead rejects most candidates k before the divisibility
+    test.  At cutoff 0 only the q^0 level occurs and this is the classical
+    reduced Groebner basis.
     """
     rules = [_monicize(g, ctx) for g in gens if g]
-    pairs, order = [], count()
+    masks = [_support(lead) for lead, _ in rules]
+    pairs, waiting, order = [], set(), count()
 
     def push(i, j):
-        a, b = rules[i][0], rules[j][0]
-        if any(x and y for x, y in zip(a, b)):
-            lcm = P.mono_lcm(a, b)
+        if masks[i] & masks[j]:
+            lcm = P.mono_lcm(rules[i][0], rules[j][0])
             heapq.heappush(pairs, (P.term_key(lcm), next(order), i, j))
+            waiting.add((i, j))
+
+    def chain(i, j, lcm):
+        both = masks[i] | masks[j]
+        return any(
+            not masks[k] & ~both and k != i and k != j
+            and (max(i, k), min(i, k)) not in waiting
+            and (max(j, k), min(j, k)) not in waiting
+            and P.mono_divides(rules[k][0], lcm)
+            for k in range(len(rules)))
 
     for i in range(len(rules)):
         for j in range(i):
@@ -258,9 +283,12 @@ def complete(gens, ctx):
     added = 0
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
+        waiting.discard((i, j))
         lead_i, gi = rules[i]
         lead_j, gj = rules[j]
         lcm = P.mono_lcm(lead_i, lead_j)
+        if chain(i, j, lcm):
+            continue
         spair = dp_sub(dp_mul_term(gi, P.mono_div(lcm, lead_i), 1),
                        dp_mul_term(gj, P.mono_div(lcm, lead_j), 1))
         residue = dp_reduce(spair, rules, ctx)
@@ -270,6 +298,7 @@ def complete(gens, ctx):
                     f"S-pair of {lead_i} and {lead_j} reduced to a pure-q "
                     f"element: quotient is not free on the classical basis")
             rules.append(_monicize(residue, ctx))
+            masks.append(_support(rules[-1][0]))
             added += 1
             for k in range(len(rules) - 1):
                 push(len(rules) - 1, k)

@@ -5,14 +5,15 @@ maximal cones; for the smooth complete simplicial fans handled here every
 maximal cone has exactly ``dim`` rays forming a lattice basis.  Validation is
 split in two: smoothness (per-cone unimodularity) and completeness (the
 closed-wall criterion: every wall lies in exactly two maximal cones, on
-opposite sides of it, and the wall-adjacency graph is connected).  Each
+opposite sides of it, and the wall-adjacency graph is connected; then the
+covering degree: one generic point lies in exactly one maximal cone).  Each
 check raises ``ValidationError`` on the first violation.  ``chart`` fixes the
 cone that the cohomology ring and the curve-class lattice are read in.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 
 from . import lattice
 
@@ -95,9 +96,12 @@ def validate_complete(fan):
 
     Every wall must lie in exactly two maximal cones, on opposite sides of it
     (the determinants of the wall's rays plus each cone's remaining ray have
-    opposite signs), and the wall-adjacency graph must be connected.  Raises
-    ``ValidationError("fan is not complete: ...")`` naming the first wall
-    that fails; returns nothing.
+    opposite signs), and the wall-adjacency graph must be connected.  Such
+    cones cover space a whole number of times (a cycle of 2-D cones can wind
+    twice around the origin), so exactly one maximal cone must contain a
+    generic point in its interior.  Raises ``ValidationError("fan is not
+    complete: ...")`` naming the first wall that fails or the covering
+    degree; returns nothing.
     """
     if not fan.max_cones:
         raise ValidationError("fan is not complete: no maximal cones")
@@ -131,6 +135,22 @@ def validate_complete(fan):
     if len(seen) != len(fan.max_cones):
         raise ValidationError(
             "fan is not complete: maximal cones are not wall-connected")
+    # The cones now cover space some whole number of times without folds;
+    # count those whose interior holds a point on no wall's span.  A wall's
+    # normal has entries at most (dim-1)! R^(dim-1), R the largest ray
+    # entry, so by Cauchy's root bound (1, n, ..., n^(dim-1)) lies off every
+    # wall once n exceeds that plus 1.
+    big = max(abs(x) for u in fan.rays for x in u)
+    n = factorial(fan.dim - 1) * big ** (fan.dim - 1) + 2
+    point = [n ** k for k in range(fan.dim)]
+    degree = sum(
+        all(c > 0 for c in lattice.solve_rational(
+            [list(col) for col in zip(*fan.cone_rays(cone))], point))
+        for cone in fan.max_cones)
+    if degree != 1:
+        raise ValidationError(
+            f"fan is not complete: its cones cover space {degree} times, "
+            f"expected once")
 
 
 def chart(fan):

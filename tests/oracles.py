@@ -259,6 +259,17 @@ def wdp5():
                               (-1, -1), (0, -1)])
 
 
+def wdp4():
+    return cycle_fan("wdP4", [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 0),
+                              (-1, -1), (-1, -2), (0, -1)])
+
+
+def wdp3():
+    # the 9 boundary lattice points of conv{(-1,-1),(2,-1),(-1,2)}
+    return cycle_fan("wdP3", [(1, 0), (0, 1), (-1, 2), (-1, 1), (-1, 0),
+                              (-1, -1), (0, -1), (1, -1), (2, -1)])
+
+
 def p1xdp6():
     rays = [(a, b, 0) for a, b in HEXAGON] + [(0, 0, 1), (0, 0, -1)]
     return make_fan(3, rays, [(i, (i + 1) % 6, pole)
@@ -634,7 +645,9 @@ def check_module(fan, ell, cutoff, module):
 
 
 # the fans the kernel is checked on: the catalog, the hexagon, two
-# products and wdP5, whose structure constants have denominator 2
+# products, wdP5, whose structure constants have denominator 2, and wdP4
+# and wdP3, whose completions skip most S-pairs by the chain criterion
 KERNEL_FANS = dict(
     [(name, lambda name=name: builtin_fan(name)) for name in sorted(CATALOG)]
-    + [("dP6", dp6), ("P2xP2", p2xp2), ("P1xdP6", p1xdp6), ("wdP5", wdp5)])
+    + [("dP6", dp6), ("P2xP2", p2xp2), ("P1xdP6", p1xdp6), ("wdP5", wdp5),
+       ("wdP4", wdp4), ("wdP3", wdp3)])

@@ -200,6 +200,26 @@ def test_overlapping_cones_are_input_error(tmp_path, capsys, command):
     assert out == ""
 
 
+# smooth cones, two on opposite sides of every wall and wall-connected, yet
+# the cycle winds twice around the origin
+DOUBLE_WINDING = {
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, -2], [2, 3], [-1, -1], [0, -1]],
+    "max_cones": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1]]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "ifunction", "certify"])
+def test_double_winding_fan_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(DOUBLE_WINDING))
+    code, out, err = run(capsys, command, "--fan", str(path))
+    assert code == 2
+    assert err == ("input error: fan is not complete: "
+                   "its cones cover space 2 times, expected once\n")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("command", ["analyze", "ifunction", "certify"])
 def test_empty_fan_is_input_error(tmp_path, capsys, command, dim):

@@ -48,6 +48,18 @@ def test_completeness_violation_on_folded_cones():
         validate_complete(fan)
 
 
+def test_completeness_violation_on_double_winding():
+    # a smooth cycle with two cones on opposite sides of every wall, wall-
+    # connected, that winds twice around the origin
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, -2), (2, 3), (-1, -1), (0, -1)],
+                   [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    validate_smooth(fan)
+    with pytest.raises(ValidationError,
+                       match=r"^fan is not complete: its cones cover space "
+                             r"2 times, expected once$"):
+        validate_complete(fan)
+
+
 def test_ingestion_rejects_non_primitive_ray():
     with pytest.raises(ValidationError):
         make_fan(2, [(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
