@@ -13,12 +13,16 @@ Exit codes: 0 all certificates passed, 1 certificate failure, 2 input error
 (including a cutoff below the ell of a Mori generator), 3 theorem hypothesis
 unmet.  Reports are deterministic; the JSON form carries
 ``"schema": "toriq/1"`` and renders every rational exactly as a string.
+
+Every signed sum is rendered by ``polynomials._signed_sum``; a Novikov
+coefficient's exponents over the Mori generators are dot products with the
+cached ``MoriData.generator_inverse``.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
+from operator import mul
 
 from . import polynomials as P
 from .batyrev import (
@@ -42,7 +46,6 @@ from .gkz import (
     i_function,
     leading_terms,
 )
-from .lattice import solve_rational
 from .moricone import NoPositiveFunctional, effectivity_witness, mori_data
 
 SCHEMA = "toriq/1"
@@ -114,51 +117,31 @@ def fan_from_dict(data, origin="<fan>"):
 # --- rendering helpers ----------------------------------------------------------
 
 
-def frac_str(x):
-    return str(Fraction(x))
-
-
-def _generator_coordinates(md, beta):
-    """Integer coordinates of beta over the Mori generators, if simplicial."""
-    rows = md.generator_matrix
-    if rows is None:
-        return None  # not simplicial: generators dependent
-    sol = solve_rational(rows, list(beta))
-    if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
-        return None
-    return tuple(int(x) for x in sol)
-
-
 def novikov_monomial_str(md, beta):
-    if all(x == 0 for x in beta):
+    """``q^beta`` as a monomial over the Mori generators; "1" for beta = 0.
+
+    Its exponents are the rows of ``md.generator_inverse`` dotted with beta,
+    exact because beta lies in the curve lattice: the effective classes, the
+    generators and the q-levels of rules and module entries all do.  A
+    non-simplicial Mori cone, or an exponent that is negative or not an
+    integer, gives the vector form ``q^(b_1,...,b_n)`` instead.
+    """
+    if not any(beta):
         return "1"
-    base = "q^(" + ",".join(str(x) for x in beta) + ")"
-    coords = _generator_coordinates(md, beta)
-    if coords is None:
-        return base
-    parts = [f"q{i + 1}^{a}" if a > 1 else f"q{i + 1}"
-             for i, a in enumerate(coords) if a]
-    return "*".join(parts) if parts else base
+    inv = md.generator_inverse
+    coords = [sum(map(mul, row, beta)) for row in inv] if inv else ()
+    if not coords or any(x.denominator != 1 or x < 0 for x in coords):
+        return "q^(" + ",".join(map(str, beta)) + ")"
+    return "*".join(f"q{i + 1}^{a}" if a > 1 else f"q{i + 1}"
+                    for i, a in enumerate(coords) if a)
 
 
 def scalar_str(scalar, md):
     """Render a NovikovScalar with generator-coordinate monomials."""
-    if not scalar:
-        return "0"
     ctx = scalar.ctx
-    parts = []
-    for beta in sorted(scalar.terms, key=lambda b: (ctx.ell_of(b), b)):
-        c = scalar.terms[beta]
-        mono = novikov_monomial_str(md, beta)
-        if mono == "1":
-            parts.append(frac_str(c))
-        elif c == 1:
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{frac_str(c)}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
+    return P._signed_sum(
+        (scalar.terms[b], novikov_monomial_str(md, b) if any(b) else "")
+        for b in sorted(scalar.terms, key=lambda b: (ctx.ell_of(b), b)))
 
 
 def basis_monomial_str(ring, mono):
@@ -167,30 +150,14 @@ def basis_monomial_str(ring, mono):
 
 def expansion_str(ring, md, expansion):
     """Render a basis expansion with NovikovScalar coefficients."""
-    parts = []
-    for mono, scalar in zip(ring.basis, expansion):
-        if not scalar:
-            continue
-        mstr = basis_monomial_str(ring, mono)
-        sstr = scalar_str(scalar, md)
-        if mstr == "1":
-            parts.append(sstr)
-        elif sstr == "1":
-            parts.append(mstr)
-        elif sstr == "-1":
-            parts.append(f"-{mstr}")
-        elif "+" in sstr or " - " in sstr:
-            parts.append(f"({sstr})*{mstr}")
-        else:
-            parts.append(f"{sstr}*{mstr}")
-    if not parts:
-        return "0"
-    return " + ".join(parts).replace("+ -", "- ")
+    return P._signed_sum(
+        (scalar_str(scalar, md), P.render_monomial(mono, ring.var_names))
+        for mono, scalar in zip(ring.basis, expansion) if scalar)
 
 
 def hlaurent_entries(ring, h):
     return [{"hbar_power": power,
-             "class": render_class(h.terms[power], coeff_str=frac_str)}
+             "class": render_class(h.terms[power])}
             for power in sorted(h.terms, reverse=True)]
 
 
@@ -266,11 +233,11 @@ def run_ifunction(fan, cutoff):
         "leading_terms": {
             "i0_is_one": lt.i0_is_one,
             "i0_deviations": [
-                {"class": list(b), "value": render_class(c, coeff_str=frac_str)}
+                {"class": list(b), "value": render_class(c)}
                 for b, c in sorted(lt.i0.items())
                 if any(b) or c != ring.one()],
             "i1": [
-                {"class": list(b), "value": render_class(c, coeff_str=frac_str)}
+                {"class": list(b), "value": render_class(c)}
                 for b, c in sorted(lt.i1.items())],
         },
     }
@@ -285,7 +252,7 @@ def run_ifunction(fan, cutoff):
                 "basis_monomial": basis_monomial_str(ring, ring.basis[a]),
                 "psi_power": k,
                 "class": list(beta),
-                "value": frac_str(val),
+                "value": str(val),
             })
         report["two_point_invariants"] = {"status": "ok", "entries": entries}
     except PositiveHbarPower as exc:
@@ -332,8 +299,7 @@ def run_certify(fan, cutoff):
     var_all = [f"x{r + 1}" for r in range(fan.n_rays)]
     report["presentation"] = {
         "eliminated": {
-            var_all[rho]: P.render_poly(
-                ring.ray_poly(rho), list(ring.var_names), coeff_str=frac_str)
+            var_all[rho]: P.render_poly(ring.ray_poly(rho), ring.var_names)
             for rho in ring.sigma0},
         "rules": [
             {"lead": basis_monomial_str(ring, lead),
@@ -374,26 +340,13 @@ def _rule_rhs_str(ring, md, ideal, lead, elem):
     from .batyrev import dp_sub
     rhs = dp_sub({ideal.ctx.zero_class: {lead: 1}}, elem)
     ctx = ideal.ctx
-    parts = []
+    terms = []
     for beta in sorted(rhs, key=lambda b: (ctx.ell_of(b), b)):
-        poly = rhs[beta]
-        qstr = novikov_monomial_str(md, beta)
-        for mono in sorted(poly, key=P.term_key, reverse=True):
-            c = poly[mono]
-            mstr = P.render_monomial(mono, ring.var_names)
-            pieces = []
-            if abs(c) != 1 or (qstr == "1" and not mstr):
-                pieces.append(frac_str(abs(c)))
-            if qstr != "1":
-                pieces.append(qstr)
-            if mstr:
-                pieces.append(mstr)
-            term = "*".join(pieces) or "1"
-            parts.append(("-" if c < 0 else "+", term))
-    if not parts:
-        return "0"
-    text = "".join(f" {sign} {term}" for sign, term in parts)
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+        q = novikov_monomial_str(md, beta) if any(beta) else ""
+        for mono in sorted(rhs[beta], key=P.term_key, reverse=True):
+            m = P.render_monomial(mono, ring.var_names)
+            terms.append((rhs[beta][mono], "*".join(f for f in (q, m) if f)))
+    return P._signed_sum(terms)
 
 
 def _relation_str(md, op, fan):

@@ -305,7 +305,7 @@ def graded_dimensions(ring):
     return [ring.basis_degrees.count(d) for d in range(ring.top_degree + 1)]
 
 
-def render_class(c, coeff_str=str):
+def render_class(c):
     ring = c.ring
     poly = {m: Fraction(a, c.den) for m, a in zip(ring.basis, c.num) if a}
-    return P.render_poly(poly, list(ring.var_names), coeff_str=coeff_str)
+    return P.render_poly(poly, ring.var_names)

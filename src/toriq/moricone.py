@@ -8,7 +8,8 @@ produces the relation ``sum_{rho in P} u_rho = sum_{rho in gamma(1)} c_rho
 u_rho`` and hence the primitive class with entries 1 on ``P``, ``-c_rho`` on
 ``gamma(1)`` and 0 elsewhere.  The Mori cone is generated by these classes;
 semipositivity means the anticanonical divisor ``sum D_rho`` pairs >= 0 with
-each of them.
+each of them.  When the cone is simplicial, ``MoriData.generator_inverse``
+reads a class's coordinates over the generators from its chart coordinates.
 
 Effective classes up to an ell-cutoff are the lattice points of a bounded
 polytope in the chart coordinates of ``fan.chart``: a class is fixed by its
@@ -73,19 +74,23 @@ class MoriData:
         return sum(a * b for a, b in zip(self.ell, beta))
 
     @cached_property
-    def generator_matrix(self):
-        """Rows (one per ray) of the matrix whose columns are the generators.
+    def generator_inverse(self):
+        """Inverse of the generators' chart coordinates, or None.
 
-        None unless the generators are linearly independent, i.e. the Mori
-        cone is simplicial.  Computed once per MoriData.
+        Row i, spread over all rays with zeros on ``sigma0``'s, dotted with a
+        class of the curve lattice (which its chart coordinates fix) gives
+        the class's coordinate on generator i.  None unless the Mori cone is
+        simplicial.  Computed once per MoriData.
         """
+        surviving = chart(self.fan)[1]
         gens = self.generators
-        if not gens:
+        inv = len(gens) == len(surviving) and lattice.invert_rational(
+            [[g[j] for g in gens] for j in surviving])
+        if not inv:
             return None
-        rows = tuple(tuple(g[i] for g in gens) for i in range(len(gens[0])))
-        if len(lattice.rref([list(r) for r in rows])[1]) != len(gens):
-            return None
-        return rows
+        pos = {j: k for k, j in enumerate(surviving)}
+        return tuple(tuple(row[pos[j]] if j in pos else 0
+                           for j in range(self.fan.n_rays)) for row in inv)
 
 
 def primitive_collections(fan):

@@ -51,13 +51,9 @@ class NovikovContext:
     def zero_class(self):
         return (0,) * self.n_rays
 
-    def compatible(self, other):
-        return self.n_rays == other.n_rays and self.ell == other.ell \
-            and self.cutoff == other.cutoff
-
 
 def _check_ctx(a, b):
-    if not a.ctx.compatible(b.ctx):
+    if a.ctx != b.ctx:
         raise CutoffMismatch(f"{a.ctx} vs {b.ctx}")
 
 

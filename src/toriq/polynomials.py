@@ -11,6 +11,10 @@ square-free-power leading terms and finite standard monomial bases.
 
 There is no Groebner code here: one completion (``batyrev.complete``, with
 ``batyrev.dp_reduce``) serves both the classical and the deformed ring.
+
+Every signed sum in the reports -- polynomials, classes, Novikov scalars,
+basis expansions and rewriting rules -- is rendered by ``_signed_sum``, which
+``cli`` shares the way ``novikov`` shares ``_rational``.
 """
 
 from fractions import Fraction
@@ -126,23 +130,28 @@ def render_monomial(mono, names):
                     for j, e in enumerate(mono) if e)
 
 
-def render_poly(p, var_names, coeff_str=str):
-    """Deterministic human-readable form, leading term first."""
-    if not p:
-        return "0"
+def _signed_sum(terms):
+    """Render ``(coefficient, factor)`` pairs as one signed sum; "0" if none.
+
+    A coefficient of 1 or -1 before a factor is left out, one before the
+    empty factor stands alone, and one that is itself a sum is parenthesized.
+    Coefficients are numbers or already rendered strings.
+    """
     parts = []
-    for m in sorted(p, key=term_key, reverse=True):
-        c = p[m]
-        mono = render_monomial(m, var_names)
-        cs = coeff_str(c)
-        if mono:
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
+    for coeff, factor in terms:
+        c = str(coeff)
+        if not factor:
+            parts.append(c)
+        elif c in ("1", "-1"):
+            parts.append(c[:-1] + factor)
+        elif "+" in c or " - " in c:
+            parts.append(f"({c})*{factor}")
         else:
-            parts.append(cs)
-    text = " + ".join(parts)
-    return text.replace("+ -", "- ")
+            parts.append(f"{c}*{factor}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+def render_poly(p, var_names):
+    """Deterministic human-readable form, leading term first."""
+    return _signed_sum((p[m], render_monomial(m, var_names))
+                       for m in sorted(p, key=term_key, reverse=True))

@@ -582,11 +582,16 @@ def check_module(fan, ell, cutoff, module):
     dim, zero = ring.dim, (0,) * fan.n_rays
 
     def mul(a, b):
+        # ell is additive: a pair past the cutoff is skipped before its
+        # class is formed
+        right = [(b2, c2, sum(e * x for e, x in zip(ell, b2)))
+                 for b2, c2 in b.items()]
         out = {}
         for b1, c1 in a.items():
-            for b2, c2 in b.items():
-                beta = tuple(x + y for x, y in zip(b1, b2))
-                if sum(e * x for e, x in zip(ell, beta)) <= cutoff:
+            room = cutoff - sum(e * x for e, x in zip(ell, b1))
+            for b2, c2, e2 in right:
+                if e2 <= room:
+                    beta = tuple(x + y for x, y in zip(b1, b2))
                     out[beta] = out.get(beta, 0) + c1 * c2
         return {beta: c for beta, c in out.items() if c}
 

@@ -281,7 +281,7 @@ def test_certify_semipositive_catalog():
 
 # the oracle check of wdP3's module at cutoff 4 alone takes about 20 s;
 # the certify golden entry for wdP3 at cutoff 4 pins that module instead
-@pytest.mark.parametrize("name", sorted(set(oracles.KERNEL_FANS) - {"wdP3"}))
+@pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))
 def test_module_passes_groebner_free_oracle(name):
     # the module certify_isomorphism returns is Batyrev's module, checked
     # without a Groebner basis; F3 is not semipositive, so certify_isomorphism

@@ -15,6 +15,7 @@ from toriq.cli import (
     fan_from_dict,
     ingest,
     main,
+    novikov_monomial_str,
     run_analyze,
     run_certify,
     run_ifunction,
@@ -22,6 +23,7 @@ from toriq.cli import (
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.fan import ValidationError
 from toriq.gkz import i_function
+from toriq.moricone import mori_data
 
 from oracles import perturbed_series
 
@@ -220,6 +222,25 @@ def test_double_winding_fan_is_input_error(tmp_path, capsys, command):
     assert out == ""
 
 
+# two copies of P2 on disjoint ray sets
+TWO_COPIES = {
+    "dim": 2,
+    "rays": [[1, 0], [0, 1], [-1, -1], [1, 1], [-1, 0], [0, -1]],
+    "max_cones": [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]}
+
+
+@pytest.mark.parametrize("command", ["analyze", "ifunction", "certify"])
+def test_disconnected_fan_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_COPIES))
+    code, out, err = run(capsys, command, "--fan", str(path))
+    assert code == 2
+    assert err == ("input error: fan is not complete: "
+                   "maximal cones are not wall-connected\n")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("command", ["analyze", "ifunction", "certify"])
 def test_empty_fan_is_input_error(tmp_path, capsys, command, dim):
@@ -319,6 +340,18 @@ def test_non_simplicial_mori_cone_renders_vectors(tmp_path, capsys):
                        "--cutoff", "2")
     assert code == 0
     assert "leading term I0 == 1: true" in out
+
+
+def test_q_monomial_with_negative_generator_coordinate_renders_vector():
+    # g1 - g2 on P1xP2 is not a nonnegative combination of the generators
+    md = mori_data(builtin_fan("P1xP2"))
+    g1, g2 = md.generators
+    assert novikov_monomial_str(md, (0,) * 5) == "1"
+    assert novikov_monomial_str(md, g2) == "q2"
+    assert novikov_monomial_str(
+        md, tuple(2 * a + b for a, b in zip(g1, g2))) == "q1^2*q2"
+    assert novikov_monomial_str(
+        md, tuple(a - b for a, b in zip(g1, g2))) == "q^(1,1,-1,-1,-1)"
 
 
 def test_cutoff_below_generator_ell_is_input_error():

@@ -60,6 +60,18 @@ def test_completeness_violation_on_double_winding():
         validate_complete(fan)
 
 
+def test_completeness_violation_on_disjoint_copies():
+    # two copies of P2 on disjoint ray sets: each wall has two cones on
+    # opposite sides, but no wall joins one copy to the other
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0), (0, -1)],
+                   [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    validate_smooth(fan)
+    with pytest.raises(ValidationError,
+                       match=r"^fan is not complete: maximal cones are not "
+                             r"wall-connected$"):
+        validate_complete(fan)
+
+
 def test_ingestion_rejects_non_primitive_ray():
     with pytest.raises(ValidationError):
         make_fan(2, [(2, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])

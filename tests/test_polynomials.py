@@ -6,6 +6,7 @@ import pytest
 from toriq.batyrev import complete, dp_reduce
 from toriq.novikov import NovikovContext
 from toriq.polynomials import (
+    _signed_sum,
     leading,
     mono_div,
     mono_lcm,
@@ -136,3 +137,24 @@ def test_spoly_membership_property():
 def test_render_poly():
     p = P({(0, 2): 1, (1, 1): -2, (0, 0): Fraction(1, 2)})
     assert render_poly(p, ["x1", "x2"]) == "x2^2 - 2*x1*x2 + 1/2"
+
+
+@pytest.mark.parametrize("terms,text", [
+    ([], "0"),
+    ([(1, "x1"), (-1, "x2")], "x1 - x2"),
+    ([(-1, "x1"), (1, "q1*x2")], "-x1 + q1*x2"),
+    ([(1, ""), (-1, ""), (3, "")], "1 - 1 + 3"),
+    ([(2, "x1"), (-5, "")], "2*x1 - 5"),
+    ([(Fraction(1, 2), "x1"), (Fraction(-3, 4), "")], "1/2*x1 - 3/4"),
+    ([(Fraction(2), "x1")], "2*x1"),
+    ([("1 + q1", "x1"), ("q1 - 2*q2", "x2"), ("-q1", "x3"), ("-1/2", "x4"),
+      ("2 + q1", "")],
+     "(1 + q1)*x1 + (q1 - 2*q2)*x2 - q1*x3 - 1/2*x4 + 2 + q1"),
+    ([(-2, "x1"), (3, "x2")], "-2*x1 + 3*x2"),
+    ([(-1, "")], "-1"),
+], ids=["empty", "units", "negative-unit-first", "empty-factor",
+        "constant-last", "fractions", "integral-fraction", "compound",
+        "negative-first", "minus-one"])
+def test_signed_sum(terms, text):
+    # the one rendering rule of the reports' signed sums
+    assert _signed_sum(terms) == text

@@ -1,6 +1,8 @@
 """The examples in README.md run as documented."""
 
 import re
+import shlex
+import sys
 from pathlib import Path
 
 from toriq.cli import main
@@ -22,3 +24,18 @@ def test_fan_file_example_analyzes(tmp_path, capsys):
     path.write_text(fenced_block("json"))
     assert main(["analyze", "--fan", str(path)]) == 0
     assert capsys.readouterr().out.startswith("fan my-F2:")
+
+
+def test_shell_examples_exit_zero(monkeypatch, capsys):
+    # as the console script runs them: main() reads the words after "toriq"
+    # from sys.argv
+    lines = [line.split("#")[0].strip()
+             for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+             for line in block.splitlines()]
+    commands = [shlex.split(line) for line in lines
+                if line.startswith("toriq ")]
+    assert commands
+    for argv in commands:
+        monkeypatch.setattr(sys, "argv", argv)
+        assert main() == 0, argv
+    capsys.readouterr()
