@@ -155,7 +155,7 @@ def expansion_str(ring, md, expansion):
         for mono, scalar in zip(ring.basis, expansion) if scalar)
 
 
-def hlaurent_entries(ring, h):
+def hlaurent_entries(h):
     return [{"hbar_power": power,
              "class": render_class(h.terms[power])}
             for power in sorted(h.terms, reverse=True)]
@@ -222,7 +222,7 @@ def run_ifunction(fan, cutoff):
             "class": list(beta),
             "ell": md.ell_of(beta),
             "novikov": novikov_monomial_str(md, beta),
-            "terms": hlaurent_entries(ring, I.terms[beta]),
+            "terms": hlaurent_entries(I.terms[beta]),
         })
     report = {
         "schema": SCHEMA,

@@ -23,15 +23,19 @@ therefore run on ints alone; ``CohClass.coeffs`` gives the coefficients as
 Fractions for rendering and integration.
 
 Integration is normalized by requiring every maximal-cone monomial
-``prod_{rho in sigma} D_rho`` to integrate to 1; the Poincare pairing of the
-monomial basis classes is their Gram matrix under integration.
+``prod_{rho in sigma} D_rho`` to integrate to 1: each reduces to the same
+term ``c m`` on the one top-degree basis monomial ``m``, whose integral is
+``1/c``.  The Poincare pairing of the monomial basis classes is their Gram
+matrix under integration.  Each ray's divisor class and its multiplication
+columns are built once per ring.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
-from . import lattice, polynomials as P
+from . import polynomials as P
 from .batyrev import complete, dp_reduce
 from .fan import chart
 from .moricone import primitive_collections
@@ -71,8 +75,29 @@ class CohomRing:
     def top_degree(self):
         return self.fan.dim
 
-    def basis_index(self, mono):
-        return self.basis.index(mono)
+    @cached_property
+    def divisors(self):
+        """Degree-2 class of each ray's toric divisor, built once per ring."""
+        return tuple(self.from_poly(self.ray_poly(rho))
+                     for rho in range(self.fan.n_rays))
+
+    @cached_property
+    def divisor_columns(self):
+        """Per ray, ``(columns, den)``: ``D_rho * x`` has numerators ``sum_j
+        x.num[j] * columns[j]`` (each column its nonzero ``(k, c)`` pairs)
+        over ``x.den * den``, where ``den = D_rho.den * denominator``."""
+        out = []
+        for D in self.divisors:
+            columns = []
+            for j in range(self.dim):
+                col = [0] * self.dim
+                for i, a in enumerate(D.num):
+                    if a:
+                        for k, c in self.structure[i][j]:
+                            col[k] += a * c
+                columns.append(tuple((k, c) for k, c in enumerate(col) if c))
+            out.append((tuple(columns), D.den * self.denominator))
+        return tuple(out)
 
     def zero(self):
         return CohClass(self, (0,) * self.dim)
@@ -237,33 +262,20 @@ def build_cohomology_ring(fan):
               for j in range(len(basis)))
         for i in range(len(basis)))
 
-    # integration: every maximal-cone monomial has integral 1
-    top = [i for i, d in enumerate(degrees) if d == fan.dim]
-    rows, rhs = [], []
-    for cone in fan.max_cones:
-        nf = _normal_form(rules, ring_stub.ray_product((rho, 1) for rho in cone))
-        row = [Fraction(0)] * len(top)
-        for m, c in nf.items():
-            if P.mono_deg(m) != fan.dim:
-                raise InconsistentNormalization(
-                    f"maximal-cone monomial reduced to degree {P.mono_deg(m)}")
-            row[top.index(basis.index(m))] = c
-        rows.append(row)
-        rhs.append(Fraction(1))
-    sol = lattice.solve_rational(rows, rhs)
-    if sol is None:
+    # each maximal-cone monomial integrates to 1 and reduces to c * top
+    forms = [_normal_form(rules,
+                          ring_stub.ray_product((rho, 1) for rho in cone))
+             for cone in fan.max_cones]
+    if len(forms[0]) != 1 or any(f != forms[0] for f in forms):
         raise InconsistentNormalization(
-            "no integral assignment satisfies all maximal-cone normalizations")
-    for row, target in zip(rows, rhs):  # rref sets free vars to 0; verify all rows
-        if sum(a * s for a, s in zip(row, sol)) != target:
-            raise InconsistentNormalization("normalization system is inconsistent")
-    integrals = {basis[top[k]]: sol[k] for k in range(len(top))}
+            "maximal-cone monomials do not reduce to one common term")
+    ((top, c),) = forms[0].items()
 
     return CohomRing(
         fan=fan, sigma0=sigma0, surviving=surviving,
         eliminations=eliminations, rules=rules, basis=basis,
         basis_degrees=degrees, structure=structure,
-        denominator=denominator, point_integrals=integrals,
+        denominator=denominator, point_integrals={top: 1 / Fraction(c)},
         var_names=tuple(f"x{j + 1}" for j in surviving))
 
 
@@ -298,7 +310,7 @@ def gram_matrix(ring):
 
 def divisor_class(ring, rho):
     """Degree-2 class of the toric divisor attached to ray ``rho``."""
-    return ring.from_poly(ring.ray_poly(rho))
+    return ring.divisors[rho]
 
 
 def graded_dimensions(ring):

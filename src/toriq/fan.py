@@ -9,9 +9,12 @@ opposite sides of it, and the wall-adjacency graph is connected; then the
 covering degree: one generic point lies in exactly one maximal cone).  Each
 check raises ``ValidationError`` on the first violation.  ``chart`` fixes the
 cone that the cohomology ring and the curve-class lattice are read in.
+Each maximal cone's ray matrix is inverted once (``Fan.cone_inverses``), and
+every coordinate on a cone's rays is a dot product with a row of its inverse.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import factorial, gcd
 
@@ -70,6 +73,23 @@ class Fan:
     def cone_rays(self, cone):
         return [list(self.rays[i]) for i in cone]
 
+    @cached_property
+    def cone_inverses(self):
+        """Maximal cone -> inverse of its ray matrix (rays as columns), None
+        when singular; integral entries are ints.  Computed once per Fan."""
+        out = {}
+        for cone in self.max_cones:
+            inv = lattice.invert_rational(
+                [list(col) for col in zip(*self.cone_rays(cone))])
+            out[cone] = inv and tuple(tuple(int(x) if x.denominator == 1 else x
+                                            for x in row) for row in inv)
+        return out
+
+    def coordinates(self, cone, v):
+        """Coordinates of ``v`` on the rays of a nonsingular maximal cone."""
+        return [sum(a * b for a, b in zip(row, v))
+                for row in self.cone_inverses[cone]]
+
 
 def make_fan(dim, rays, max_cones, name=""):
     """Build a Fan with canonicalized (sorted) cone index sets."""
@@ -84,11 +104,15 @@ def validate_smooth(fan):
     that fails; returns nothing.
     """
     for cone in fan.max_cones:
-        d = lattice.det_int(fan.cone_rays(cone))
-        if abs(d) != 1:
-            raise ValidationError(
-                f"fan is not smooth: cone {tuple(i + 1 for i in cone)} "
-                f"has determinant {d}")
+        _check_smooth(fan, cone)
+
+
+def _check_smooth(fan, cone):
+    d = lattice.det_int(fan.cone_rays(cone))
+    if abs(d) != 1:
+        raise ValidationError(
+            f"fan is not smooth: cone {tuple(i + 1 for i in cone)} "
+            f"has determinant {d}")
 
 
 def validate_complete(fan):
@@ -143,10 +167,8 @@ def validate_complete(fan):
     big = max(abs(x) for u in fan.rays for x in u)
     n = factorial(fan.dim - 1) * big ** (fan.dim - 1) + 2
     point = [n ** k for k in range(fan.dim)]
-    degree = sum(
-        all(c > 0 for c in lattice.solve_rational(
-            [list(col) for col in zip(*fan.cone_rays(cone))], point))
-        for cone in fan.max_cones)
+    degree = sum(all(c > 0 for c in fan.coordinates(cone, point))
+                 for cone in fan.max_cones)
     if degree != 1:
         raise ValidationError(
             f"fan is not complete: its cones cover space {degree} times, "
@@ -162,12 +184,13 @@ def chart(fan):
     the same rays (Cox, Little and Schenck, *Toric Varieties*, 2011, 4.1).
     Returns ``(sigma0, surviving, coords)``: ``coords[j]`` holds the integer
     coordinates of ray ``surviving[j]`` in the basis of ``sigma0``'s rays.
+    Raises ``ValidationError`` unless ``sigma0`` is smooth.
     """
     surviving, sigma0 = min(
         (tuple(i for i in range(fan.n_rays) if i not in cone), cone)
         for cone in fan.max_cones)
-    basis = fan.cone_rays(sigma0)
-    coords = tuple(tuple(lattice.solve_in_basis(basis, list(fan.rays[j])))
+    _check_smooth(fan, sigma0)
+    coords = tuple(tuple(fan.coordinates(sigma0, fan.rays[j]))
                    for j in surviving)
     return sigma0, surviving, coords
 
@@ -182,7 +205,7 @@ def minimal_cone_containing(fan, v):
     if all(x == 0 for x in v):
         return (), ()
     for cone in fan.max_cones:
-        coords = lattice.solve_in_basis(fan.cone_rays(cone), list(v))
+        coords = fan.coordinates(cone, v)
         if all(c >= 0 for c in coords):
             support = tuple(i for i, c in zip(cone, coords) if c > 0)
             coeffs = tuple(c for c in coords if c > 0)

@@ -20,17 +20,18 @@ the divisor direction = multiplication by ``D_rho + hbar d'_rho``".  Every
 coefficient is homogeneous of total degree ``-sum_rho d_rho``, so it is one
 class (see ``novikov.HLaurent``), and such a factor maps that class ``x`` to
 ``(D_rho + d'_rho) x`` one degree up, through ``D_rho``'s integer
-multiplication columns, built once per ray from the ring's structure
-constants.  Applying the operator of any Mori generator must annihilate the
-series exactly on the certified range, and the hbar -> 0 limit of the
-operator is the binomial relation fed to the quantum-deformed ring.
+multiplication columns, built once per ring from its structure constants
+(``CohomRing.divisor_columns``).  Applying the operator of any Mori
+generator must annihilate the series exactly on the certified range, and the
+hbar -> 0 limit of the operator is the binomial relation fed to the
+quantum-deformed ring.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cohomring import divisor_class, gram_matrix
+from .cohomring import gram_matrix
 from .moricone import enumerate_effective
 from .novikov import (
     HLaurent,
@@ -84,10 +85,11 @@ def gkz_operator(beta):
 def _ray_factor(D, mult, d, cache):
     """Factor of a ray with divisor class ``D`` at pairing ``d != 0``.
 
-    ``mult`` is ``_divisor_columns(D)`` and ``cache`` maps pairings of this
-    one ray to their factors.  The factor at ``d`` is the one at ``d - 1``
-    (``d + 1`` when negative) times one new term: ``(D + d hbar)^(-1)`` for
-    ``d >= 2``, ``(D + (d + 1) hbar)`` for ``d <= -2``.
+    ``mult`` is the ray's entry of ``ring.divisor_columns`` and ``cache``
+    maps pairings of this one ray to their factors.  The factor at ``d`` is
+    the one at ``d - 1`` (``d + 1`` when negative) times one new term:
+    ``(D + d hbar)^(-1)`` for ``d >= 2``, ``(D + (d + 1) hbar)`` for
+    ``d <= -2``.
     """
     if d not in cache:
         if d == 1:
@@ -106,16 +108,15 @@ def _ray_factor(D, mult, d, cache):
 def i_function(ring, md, cutoff):
     """Reduced series: sum over effective classes of q^beta times the coefficient.
 
-    Each ray's divisor class is built once, and each ray keeps a cache of its
-    factors by pairing.  Classes are visited in lex order with a stack of
-    prefix products (``prefix[k]`` is the product over rays ``< k``, ``None``
-    standing for 1), so a class only multiplies the factors after its common
-    prefix with the class before it.
+    The divisor classes and their columns are the ring's, and each ray
+    keeps a cache of its factors by pairing.  Classes are visited in lex
+    order with a stack of prefix products (``prefix[k]`` is the product over
+    rays ``< k``, ``None`` standing for 1), so a class only multiplies the
+    factors after its common prefix with the class before it.
     """
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
-    divisors = [divisor_class(ring, rho) for rho in range(ctx.n_rays)]
-    mults = [_divisor_columns(D) for D in divisors]
+    divisors, mults = ring.divisors, ring.divisor_columns
     caches = [{} for _ in divisors]
     prefix = [None] * (ctx.n_rays + 1)
     previous = ()
@@ -193,26 +194,10 @@ def extract_two_point_invariants(ring, I):
     return TwoPointTable(entries=entries)
 
 
-def _divisor_columns(D):
-    """``(columns, den)``: ``D * x`` has numerators ``sum_j x.num[j] *
-    columns[j]`` (each column its nonzero ``(k, c)`` pairs) over ``x.den *
-    den``, where ``den = D.den * ring.denominator``."""
-    ring = D.ring
-    columns = []
-    for j in range(ring.dim):
-        col = [0] * ring.dim
-        for i, a in enumerate(D.num):
-            if a:
-                for k, c in ring.structure[i][j]:
-                    col[k] += a * c
-        columns.append(tuple((k, c) for k, c in enumerate(col) if c))
-    return tuple(columns), D.den * ring.denominator
-
-
 def _linear_factor_apply(h, mult, c):
     """Multiply an HLaurent by ``(D + c*hbar)`` for a degree-1 class ``D``
-    given by its ``_divisor_columns``: bucket ``s`` becomes ``(D + c) h_s``
-    at ``s + 1``."""
+    given by its entry of ``ring.divisor_columns``: bucket ``s`` becomes
+    ``(D + c) h_s`` at ``s + 1``."""
     columns, den = mult
     ring = h.ring
     out = {}
@@ -242,8 +227,7 @@ def apply_gkz_operator(op, I):
             f"got {ctx.cutoff}")
     out_ctx = NovikovContext(n_rays=ctx.n_rays, ell=ctx.ell,
                              cutoff=reduced_cutoff)
-    mults = {rho: _divisor_columns(divisor_class(ring, rho))
-             for rho, _ in op.positive + op.negative}
+    mults = ring.divisor_columns
 
     def product(h, beta, factors):
         for rho, d in factors:

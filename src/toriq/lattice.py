@@ -2,19 +2,16 @@
 
 Everything here runs on Python ints and ``fractions.Fraction`` -- no floating
 point, no overflow.  Matrices are plain lists of row lists.  The integer side
-is what the fan machinery needs: determinants (smoothness, wall sides) and
-coordinates with respect to a unimodular basis (smooth cones, and with them
-the chart that fixes the curve-class lattice).  The rational side is a thin
-Gaussian-elimination toolkit used downstream for pairing matrices,
-integration normalizations and cone geometry.
+is what the fan machinery needs for validation: determinants (smoothness,
+wall sides).  The rational side is a thin Gaussian-elimination toolkit:
+reduced row echelon forms and exact inverses.  Coordinates are never solved
+for one query at a time; each matrix that gives them is inverted once (a
+fan's maximal cones, the Mori generators) and a coordinate is a dot product
+with a row of its inverse.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-class NotUnimodular(ValueError):
-    """Basis matrix has determinant other than +-1."""
 
 
 def check_matrix(A):
@@ -56,28 +53,6 @@ def det_int(A):
     return sign * M[n - 1][n - 1]
 
 
-def solve_in_basis(basis, v):
-    """Integer coordinates of v in a unimodular basis of ZZ^n.
-
-    ``basis`` is a list of n integer vectors; raises NotUnimodular unless
-    their matrix has determinant +-1, in which case coordinates are unique
-    integers.
-    """
-    n = len(basis)
-    if n == 0:
-        if any(x != 0 for x in v):
-            raise NotUnimodular("empty basis cannot express a nonzero vector")
-        return []
-    if any(len(b) != n for b in basis) or len(v) != n:
-        raise ValueError("basis must be square and match the vector length")
-    B = [[basis[j][i] for j in range(n)] for i in range(n)]  # columns = basis
-    if abs(det_int(B)) != 1:
-        raise NotUnimodular(f"basis determinant {det_int(B)} != +-1")
-    sol = solve_rational(B, list(v))
-    assert sol is not None and all(x.denominator == 1 for x in sol)
-    return [int(x) for x in sol]
-
-
 # --- rational Gaussian elimination -----------------------------------------
 
 
@@ -108,26 +83,6 @@ def rref(M):
         if r == nrows:
             break
     return rows, pivots
-
-
-def solve_rational(A, b):
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables (if any) are set to zero.
-    """
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    aug = [list(A[i]) + [b[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
-    for i in range(len(red)):
-        if all(red[i][j] == 0 for j in range(ncols)) and red[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = red[r][ncols]
-    return x
 
 
 def invert_rational(A):

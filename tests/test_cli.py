@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import toriq
+import toriq.batyrev
+import toriq.cohomring
 import toriq.gkz
+import toriq.lattice
 from toriq.cli import (
     SCHEMA,
     ParseError,
@@ -26,6 +29,7 @@ from toriq.gkz import i_function
 from toriq.moricone import mori_data
 
 from oracles import perturbed_series
+from test_golden import FAN_FILES
 
 
 def validate_report(report):
@@ -391,3 +395,36 @@ def test_corrupted_series_fails_ifunction_and_certify(monkeypatch, capsys,
     assert code == 1 and out == ""
     assert err.startswith("certificate failure: operator of")
     assert f"leaves q^{beta} hbar^" in err
+
+
+@pytest.mark.parametrize("command,fan,cutoff,rref_max,dp_reduce_max", [
+    ("analyze", "wdP3", 3, 9, None),
+    ("certify", "dP6", 6, 9, 134),
+])
+def test_command_work_is_pinned(monkeypatch, capsys, tmp_path, command, fan,
+                                cutoff, rref_max, dp_reduce_max):
+    # one Gaussian elimination per maximal cone (9 on wdP3, 6 on dP6, plus
+    # the Mori generators' inverse), not one per coordinate query, and each
+    # ray's divisor class reduced once per ring, not once per operator
+    calls = {"rref": 0, "dp_reduce": 0}
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(toriq.lattice, "rref",
+                        counting("rref", toriq.lattice.rref))
+    # the ring calls the name it imported
+    dp_reduce = counting("dp_reduce", toriq.batyrev.dp_reduce)
+    monkeypatch.setattr(toriq.batyrev, "dp_reduce", dp_reduce)
+    monkeypatch.setattr(toriq.cohomring, "dp_reduce", dp_reduce)
+    path = tmp_path / f"{fan}.json"
+    path.write_text(json.dumps(FAN_FILES[fan]))
+    code, _, _ = run(capsys, command, "--fan", str(path), "--cutoff",
+                     str(cutoff))
+    assert code == 0
+    assert calls["rref"] <= rref_max, calls
+    if dp_reduce_max is not None:
+        assert calls["dp_reduce"] <= dp_reduce_max, calls

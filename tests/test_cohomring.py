@@ -119,7 +119,8 @@ def test_p1_structure():
 
 
 def test_max_cone_monomials_integrate_to_one():
-    for name, fan in CATALOG.items():
+    for name, make in KERNEL_FANS.items():
+        fan = make()
         ring = build_cohomology_ring(fan)
         for cone in fan.max_cones:
             c = ring.one()

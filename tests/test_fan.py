@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.fan import (
     Fan,
     ValidationError,
+    chart,
     make_fan,
     minimal_cone_containing,
     validate_complete,
@@ -140,3 +143,44 @@ def test_minimal_cone_outside_support():
     fan = make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
     with pytest.raises(NotInSupport):
         minimal_cone_containing(fan, (0, -1))
+
+
+def test_coordinates_identity_basis():
+    fan = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    assert fan.coordinates((0, 1), (0, 2)) == [0, 2]
+    assert fan.coordinates((0, 1), (0, 0)) == [0, 0]
+
+
+def test_coordinates_f2_cone():
+    # cone {u2, u3} of the Hirzebruch surface of type 2
+    f2 = builtin_fan("F2")
+    assert f2.cone_rays((1, 2)) == [[0, 1], [-1, 2]]
+    assert f2.coordinates((1, 2), (1, 0)) == [2, -1]
+
+
+def test_chart_rejects_non_unimodular_sigma0():
+    # sigma0 is the cone on (1, 0) and (1, 2), of determinant 2
+    fan = make_fan(2, [(0, 1), (1, 0), (1, 2)], [(0, 1), (1, 2)])
+    with pytest.raises(ValidationError,
+                       match=r"^fan is not smooth: cone \(2, 3\) has "
+                             r"determinant 2$"):
+        chart(fan)
+
+
+def test_coordinates_recombine_roundtrip():
+    rng = random.Random(99)
+    for _ in range(25):
+        n = rng.randint(1, 4)
+        # random unimodular basis: integer row operations on the identity
+        B = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(12):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                c = rng.randint(-2, 2)
+                B[i] = [x + c * y for x, y in zip(B[i], B[j])]
+        v = [rng.randint(-8, 8) for _ in range(n)]
+        fan = make_fan(n, B, [range(n)])
+        coeffs = fan.coordinates(tuple(range(n)), v)
+        assert all(type(c) is int for c in coeffs)
+        recombined = [sum(c * B[k][i] for k, c in enumerate(coeffs)) for i in range(n)]
+        assert recombined == v
