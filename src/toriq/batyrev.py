@@ -28,7 +28,7 @@ compute the classical reduced Groebner basis and normal forms, which is how
 """
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 
 from . import polynomials as P
@@ -213,16 +213,12 @@ def _monicize(dp, ctx):
     return lead, out
 
 
-@dataclass(frozen=True)
-class DeformedIdeal:
-    ring: object
-    ctx: NovikovContext
-    rules: tuple              # (lead monomial, monic element) pairs
-    completion_added: int
-
-    @property
-    def cutoff(self):
-        return self.ctx.cutoff
+class DeformedIdeal(namedtuple("DeformedIdeal", (
+        "ring",
+        "ctx",                # NovikovContext
+        "rules",              # (lead monomial, monic element) pairs
+        "completion_added"))):
+    __slots__ = ()
 
 
 def _deformed_generators(fan, md, ring, ctx):
@@ -365,10 +361,10 @@ def _basis_expansion(ideal, dp):
     return out
 
 
-@dataclass(frozen=True)
-class BatyrevModule:
-    ideal: DeformedIdeal
-    matrices: dict            # ray index -> rows x cols of NovikovScalar
+class BatyrevModule(namedtuple("BatyrevModule", (
+        "ideal",              # DeformedIdeal
+        "matrices"))):        # ray index -> rows x cols of NovikovScalar
+    __slots__ = ()
 
     @property
     def ring(self):

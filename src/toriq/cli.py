@@ -10,8 +10,8 @@ Three subcommands over a fan (builtin catalog name or JSON file):
                    isomorphism certificate.
 
 Exit codes: 0 all certificates passed, 1 certificate failure, 2 input error
-(including a cutoff below the ell of a Mori generator), 3 theorem hypothesis
-unmet.  Reports are deterministic; the JSON form carries
+(including a cutoff below the ell of a Mori generator, checked before any
+series is built), 3 theorem hypothesis unmet.  Reports are deterministic; the JSON form carries
 ``"schema": "toriq/1"`` and renders every rational exactly as a string.
 
 Every signed sum is rendered by ``polynomials._signed_sum``; a Novikov
@@ -41,6 +41,7 @@ from .gkz import (
     InsufficientCutoff,
     PositiveHbarPower,
     annihilation_certificate,
+    check_cutoff,
     extract_two_point_invariants,
     gkz_operator,
     i_function,
@@ -213,6 +214,7 @@ def run_analyze(fan):
 
 def run_ifunction(fan, cutoff):
     md = mori_data(fan)
+    check_cutoff(md.ell_of, md.generators, cutoff)
     ring = build_cohomology_ring(fan)
     I = i_function(ring, md, cutoff)
     lt = leading_terms(I)
@@ -280,7 +282,6 @@ def run_ifunction(fan, cutoff):
 
 def run_certify(fan, cutoff):
     md = mori_data(fan)
-    ring = build_cohomology_ring(fan)
     report = {
         "schema": SCHEMA,
         "command": "certify",
@@ -294,6 +295,8 @@ def run_certify(fan, cutoff):
             "reason": "theorem not applicable: fan is not semipositive",
         }
         return report
+    check_cutoff(md.ell_of, md.generators, cutoff)
+    ring = build_cohomology_ring(fan)
     ideal = build_deformed_ideal(fan, md, ring, cutoff)
     module = certify_isomorphism(ideal, md)
     var_all = [f"x{r + 1}" for r in range(fan.n_rays)]

@@ -30,7 +30,7 @@ matrix under integration.  Each ray's divisor class and its multiplication
 columns are built once per ring.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -53,19 +53,18 @@ class InconsistentNormalization(ValueError):
     """Maximal-cone integrals admit no common normalization (internal bug)."""
 
 
-@dataclass(frozen=True)
-class CohomRing:
-    fan: object
-    sigma0: tuple                 # eliminated ray indices
-    surviving: tuple              # remaining ray indices, ascending
-    eliminations: dict            # eliminated ray -> integer coeffs over surviving
-    rules: tuple                  # (lead, {(): monic polynomial}) from complete
-    basis: tuple                  # standard monomials (exponent tuples)
-    basis_degrees: tuple
-    structure: tuple              # [i][j] -> nonzero (k, integer c) pairs
-    denominator: int              # common denominator of every c
-    point_integrals: dict         # top-degree basis monomial -> Fraction
-    var_names: tuple = field(default=(), compare=False)
+class CohomRing(namedtuple("CohomRing", (
+        "fan",
+        "sigma0",                 # eliminated ray indices
+        "surviving",              # remaining ray indices, ascending
+        "eliminations",           # eliminated ray -> integer coeffs over surviving
+        "rules",                  # (lead, {(): monic polynomial}) from complete
+        "basis",                  # standard monomials (exponent tuples)
+        "basis_degrees",
+        "structure",              # [i][j] -> nonzero (k, integer c) pairs
+        "denominator",            # common denominator of every c
+        "point_integrals",        # top-degree basis monomial -> Fraction
+        "var_names"), defaults=((),))):
 
     @property
     def dim(self):
@@ -271,10 +270,8 @@ def build_cohomology_ring(fan):
             "maximal-cone monomials do not reduce to one common term")
     ((top, c),) = forms[0].items()
 
-    return CohomRing(
-        fan=fan, sigma0=sigma0, surviving=surviving,
-        eliminations=eliminations, rules=rules, basis=basis,
-        basis_degrees=degrees, structure=structure,
+    return ring_stub._replace(
+        rules=rules, basis=basis, basis_degrees=degrees, structure=structure,
         denominator=denominator, point_integrals={top: 1 / Fraction(c)},
         var_names=tuple(f"x{j + 1}" for j in surviving))
 

@@ -2,18 +2,20 @@
 
 A fan is given by its primitive ray generators and the index sets of its
 maximal cones; for the smooth complete simplicial fans handled here every
-maximal cone has exactly ``dim`` rays forming a lattice basis.  Validation is
-split in two: smoothness (per-cone unimodularity) and completeness (the
-closed-wall criterion: every wall lies in exactly two maximal cones, on
-opposite sides of it, and the wall-adjacency graph is connected; then the
-covering degree: one generic point lies in exactly one maximal cone).  Each
-check raises ``ValidationError`` on the first violation.  ``chart`` fixes the
-cone that the cohomology ring and the curve-class lattice are read in.
-Each maximal cone's ray matrix is inverted once (``Fan.cone_inverses``), and
-every coordinate on a cone's rays is a dot product with a row of its inverse.
+maximal cone has exactly ``dim`` rays forming a lattice basis.  A ``Fan`` is
+an immutable named tuple that checks the shapes of its fields when built.
+Validation is split in two: smoothness (per-cone unimodularity) and
+completeness (the closed-wall criterion: every wall lies in exactly two
+maximal cones, on opposite sides of it, and the wall-adjacency graph is
+connected; then the covering degree: one generic point lies in exactly one
+maximal cone).  Each check raises ``ValidationError`` on the first
+violation.  ``chart`` fixes the cone that the cohomology ring and the
+curve-class lattice are read in.  Each maximal cone's ray matrix is
+inverted once (``Fan.cone_inverses``), and every coordinate on a cone's
+rays is a dot product with a row of its inverse.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 from math import factorial, gcd
@@ -29,42 +31,37 @@ class NotInSupport(ValueError):
     """Vector outside the fan's support (impossible for complete fans)."""
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(namedtuple("Fan", "dim rays max_cones name")):
     """Immutable fan: primitive rays plus maximal-cone ray-index sets (0-based)."""
 
-    dim: int
-    rays: tuple
-    max_cones: tuple
-    name: str = ""
-
-    def __post_init__(self):
-        if self.dim < 1:
+    def __new__(cls, dim, rays, max_cones, name=""):
+        if dim < 1:
             raise ValidationError("dimension must be positive")
-        for u in self.rays:
-            if len(u) != self.dim:
+        for u in rays:
+            if len(u) != dim:
                 raise ValidationError(f"ray {u} has wrong length")
             if not all(isinstance(x, int) for x in u):
                 raise ValidationError(f"non-integer ray entry in {u}")
             g = gcd(*u)
             if g != 1:
                 raise ValidationError(f"ray {u} is not primitive (gcd {g})")
-        if len(set(self.rays)) != len(self.rays):
+        if len(set(rays)) != len(rays):
             raise ValidationError("duplicate rays")
         covered = set()
-        for cone in self.max_cones:
+        for cone in max_cones:
             if len(set(cone)) != len(cone):
                 raise ValidationError(f"repeated ray index in cone {cone}")
-            if len(cone) != self.dim:
+            if len(cone) != dim:
                 raise ValidationError(
-                    f"maximal cone {cone} has {len(cone)} rays, expected {self.dim}")
+                    f"maximal cone {cone} has {len(cone)} rays, expected {dim}")
             for i in cone:
-                if not 0 <= i < len(self.rays):
+                if not 0 <= i < len(rays):
                     raise ValidationError(f"cone {cone} references missing ray {i}")
             covered.update(cone)
-        if covered != set(range(len(self.rays))):
-            missing = sorted(set(range(len(self.rays))) - covered)
+        if covered != set(range(len(rays))):
+            missing = sorted(set(range(len(rays))) - covered)
             raise ValidationError(f"rays {missing} appear in no maximal cone")
+        return super().__new__(cls, dim, rays, max_cones, name)
 
     @property
     def n_rays(self):
@@ -77,13 +74,8 @@ class Fan:
     def cone_inverses(self):
         """Maximal cone -> inverse of its ray matrix (rays as columns), None
         when singular; integral entries are ints.  Computed once per Fan."""
-        out = {}
-        for cone in self.max_cones:
-            inv = lattice.invert_rational(
-                [list(col) for col in zip(*self.cone_rays(cone))])
-            out[cone] = inv and tuple(tuple(int(x) if x.denominator == 1 else x
-                                            for x in row) for row in inv)
-        return out
+        return {cone: lattice.invert_int(list(zip(*self.cone_rays(cone))))
+                for cone in self.max_cones}
 
     def coordinates(self, cone, v):
         """Coordinates of ``v`` on the rays of a nonsingular maximal cone."""

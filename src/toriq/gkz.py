@@ -27,7 +27,7 @@ hbar -> 0 limit of the operator is the binomial relation fed to the
 quantum-deformed ring.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -53,17 +53,17 @@ class AnnihilationFailure(AssertionError):
     """A box operator failed to annihilate the series (internal bug)."""
 
 
-@dataclass(frozen=True)
-class GKZOperator:
+class GKZOperator(namedtuple("GKZOperator", (
+        "beta",
+        "positive",   # (ray index, d_rho > 0)
+        "negative"))):  # (ray index, -d_rho for d_rho < 0)
     """Box operator of a curve class: positive and negative ray factors.
 
     Its hbar -> 0 limit is the binomial relation ``x^positive_exponents -
     q^beta x^negative_exponents`` of the quantum-deformed ring.
     """
 
-    beta: tuple
-    positive: tuple   # (ray index, d_rho > 0)
-    negative: tuple   # (ray index, -d_rho for d_rho < 0)
+    __slots__ = ()
 
     @property
     def positive_exponents(self):
@@ -140,11 +140,11 @@ def i_function(ring, md, cutoff):
     return NovikovSeries(ctx, ring, terms)
 
 
-@dataclass(frozen=True)
-class LeadingTerms:
-    i0: dict            # beta -> CohClass (hbar^0 parts)
-    i1: dict            # beta -> CohClass (hbar^-1 parts)
-    i0_is_one: bool
+class LeadingTerms(namedtuple("LeadingTerms", (
+        "i0",           # beta -> CohClass (hbar^0 parts)
+        "i1",           # beta -> CohClass (hbar^-1 parts)
+        "i0_is_one"))):
+    __slots__ = ()
 
 
 def leading_terms(I):
@@ -157,11 +157,10 @@ def leading_terms(I):
     return LeadingTerms(i0=i0, i1=i1, i0_is_one=i0_is_one)
 
 
-@dataclass(frozen=True)
-class TwoPointTable:
+class TwoPointTable(namedtuple("TwoPointTable", "entries")):
     """Invariants <T_a psi^k, 1> keyed by (basis index a, k, beta)."""
 
-    entries: dict
+    __slots__ = ()
 
     def value(self, a, k, beta):
         return self.entries.get((a, int(k), tuple(beta)), Fraction(0))
@@ -211,20 +210,25 @@ def _linear_factor_apply(h, mult, c):
     return HLaurent._graded(ring, out)
 
 
+def check_cutoff(ell_of, generators, cutoff):
+    """Raise ``InsufficientCutoff`` at the first of ``generators`` whose
+    ell, the degree of its box operator, exceeds ``cutoff``."""
+    for beta in generators:
+        if ell_of(beta) > cutoff:
+            raise InsufficientCutoff(
+                f"box operator of {beta} needs cutoff >= {ell_of(beta)}, "
+                f"got {cutoff}")
+
+
 def apply_gkz_operator(op, I):
     """Difference of the two operator products applied to the reduced series.
 
     Valid (and returned) on classes with ``ell(beta') <= cutoff - ell(op.beta)``;
     raises InsufficientCutoff when the operator degree exceeds the cutoff.
     """
-    ring = I.ring
-    ctx = I.ctx
-    ell_op = ctx.ell_of(op.beta)
-    reduced_cutoff = ctx.cutoff - ell_op
-    if reduced_cutoff < 0:
-        raise InsufficientCutoff(
-            f"box operator of {op.beta} needs cutoff >= {ell_op}, "
-            f"got {ctx.cutoff}")
+    ring, ctx = I.ring, I.ctx
+    check_cutoff(ctx.ell_of, (op.beta,), ctx.cutoff)
+    reduced_cutoff = ctx.cutoff - ctx.ell_of(op.beta)
     out_ctx = NovikovContext(n_rays=ctx.n_rays, ell=ctx.ell,
                              cutoff=reduced_cutoff)
     mults = ring.divisor_columns
@@ -259,7 +263,6 @@ def annihilation_certificate(I, md):
     ``(generator, certified ell)`` pairs, the operator of ``generator``
     being zero on classes with ell up to ``certified ell``.
     """
-    cutoff = I.ctx.cutoff
     for beta in md.generators:
         result = apply_gkz_operator(gkz_operator(beta), I)
         if result:
@@ -267,4 +270,4 @@ def annihilation_certificate(I, md):
             power = result.terms[bad_beta].powers()[0]
             raise AnnihilationFailure(
                 f"operator of {beta} leaves q^{bad_beta} hbar^{power}")
-    return [(beta, cutoff - md.ell_of(beta)) for beta in md.generators]
+    return [(beta, I.ctx.cutoff - md.ell_of(beta)) for beta in md.generators]

@@ -2,12 +2,11 @@
 
 Everything here runs on Python ints and ``fractions.Fraction`` -- no floating
 point, no overflow.  Matrices are plain lists of row lists.  The integer side
-is what the fan machinery needs for validation: determinants (smoothness,
-wall sides).  The rational side is a thin Gaussian-elimination toolkit:
-reduced row echelon forms and exact inverses.  Coordinates are never solved
-for one query at a time; each matrix that gives them is inverted once (a
-fan's maximal cones, the Mori generators) and a coordinate is a dot product
-with a row of its inverse.
+is what the fan machinery needs: determinants (smoothness, wall sides) and
+exact inverses, both fraction-free.  The rational side is reduced row
+echelon form.  Coordinates are never solved for one query at a time; each
+matrix that gives them is inverted once (a fan's maximal cones, the Mori
+generators) and a coordinate is a dot product with a row of its inverse.
 """
 
 from fractions import Fraction
@@ -85,16 +84,29 @@ def rref(M):
     return rows, pivots
 
 
-def invert_rational(A):
-    """Exact inverse of a square rational matrix; None when singular."""
+def invert_int(A):
+    """Inverse of a square integer matrix as row tuples; None when singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan on ``[A | I]``: every entry stays an
+    integer minor, so each division is exact, and the blocks end as ``d``
+    times the identity and ``d`` times the inverse.  Entries are ints where
+    integral, Fractions otherwise.
+    """
     n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)]
-           + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    d = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return None
+        M[k], M[p] = M[p], M[k]
+        top, pivot = M[k], M[k][k]
+        M = [row if i == k else [(pivot * a - row[k] * b) // d
+                                 for a, b in zip(row, top)]
+             for i, row in enumerate(M)]
+        d = pivot
+    return tuple(tuple(x // d if x % d == 0 else Fraction(x, d)
+                       for x in row[n:]) for row in M)
 
 
 def primitive_vector(v):

@@ -23,7 +23,7 @@ given rows is redundant, so it is never formed.  The same walk searches for
 the smallest positive functional.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -44,31 +44,30 @@ class NoPositiveFunctional(ValueError):
     """Mori cone is not strictly convex: the fan is not projective."""
 
 
-@dataclass(frozen=True)
-class PrimitiveCollection:
+class PrimitiveCollection(namedtuple("PrimitiveCollection", (
+        "rays",          # index set P
+        "gamma",         # ray indices of the minimal cone of sum(u_rho)
+        "coeffs"))):     # positive integers aligned with gamma
     """A minimal non-face with its relation data filled in."""
 
-    rays: tuple          # index set P
-    gamma: tuple         # ray indices of the minimal cone of sum(u_rho)
-    coeffs: tuple        # positive integers aligned with gamma
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", (
+        "degrees",       # b_rho per ray
+        "pattern",       # per ray: "linear" | "zero" | "constant"
+        "sigma_max"))):  # a maximal cone containing gamma
     """Line-bundle/section data realizing a primitive class by a quasimap."""
 
-    degrees: tuple       # b_rho per ray
-    pattern: tuple       # per ray: "linear" | "zero" | "constant"
-    sigma_max: tuple     # a maximal cone containing gamma
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MoriData:
-    fan: object
-    collections: tuple   # PrimitiveCollection, canonical order
-    generators: tuple    # primitive classes, aligned with collections
-    ell: tuple           # strictly positive integral functional on the cone
-    semipositive: bool
+class MoriData(namedtuple("MoriData", (
+        "fan",
+        "collections",   # PrimitiveCollection, canonical order
+        "generators",    # primitive classes, aligned with collections
+        "ell",           # strictly positive integral functional on the cone
+        "semipositive"))):
 
     def ell_of(self, beta):
         return sum(a * b for a, b in zip(self.ell, beta))
@@ -84,7 +83,7 @@ class MoriData:
         """
         surviving = chart(self.fan)[1]
         gens = self.generators
-        inv = len(gens) == len(surviving) and lattice.invert_rational(
+        inv = len(gens) == len(surviving) and lattice.invert_int(
             [[g[j] for g in gens] for j in surviving])
         if not inv:
             return None
@@ -252,7 +251,7 @@ def _facet_normals(vectors, r):
     primitive and integral.
     """
     start = lattice.rref([list(c) for c in zip(*vectors)])[1]
-    inv = lattice.invert_rational([list(vectors[i]) for i in start])
+    inv = lattice.invert_int([list(vectors[i]) for i in start])
     rays = []
     for j in range(r):
         f = lattice.primitive_vector([inv[i][j] for i in range(r)])

@@ -18,7 +18,7 @@ Three layers, each exact:
   truncated at the cutoff.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polynomials import _rational
@@ -36,13 +36,10 @@ class NotNilpotent(ValueError):
     """Geometric expansion of a class with nonzero scalar part."""
 
 
-@dataclass(frozen=True)
-class NovikovContext:
+class NovikovContext(namedtuple("NovikovContext", "n_rays ell cutoff")):
     """Shared truncation data: ray count, positive functional, cutoff."""
 
-    n_rays: int
-    ell: tuple
-    cutoff: int
+    __slots__ = ()
 
     def ell_of(self, beta):
         return sum(a * b for a, b in zip(self.ell, beta))

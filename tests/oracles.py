@@ -32,7 +32,9 @@ primitive relations from the cones with its own linear algebra
 ``psub``, ``groebner`` and ``poincare_dual_basis`` (with ``SingularPairing``)
 have no caller in ``toriq``: the polynomial difference, the classical ring's
 reduced Groebner basis read from its rules, and the dual basis of the
-Poincare pairing.
+Poincare pairing.  ``invert_rational`` is the Fraction Gauss-Jordan inverse
+that the fraction-free ``lattice.invert_int`` replaced; the pairing's Gram
+matrix is rational, so the dual basis keeps it.
 """
 
 import heapq
@@ -88,7 +90,7 @@ def groebner(ring):
 def poincare_dual_basis(ring):
     """Bases ({T_a}, {T^a}) with <T_a, T^b> = delta under integration."""
     T = monomial_basis_classes(ring)
-    inv = lattice.invert_rational(gram_matrix(ring))
+    inv = invert_rational(gram_matrix(ring))
     if inv is None:
         raise SingularPairing("Poincare pairing matrix is singular")
     duals = []
@@ -283,6 +285,19 @@ def p2xp2():
     tri = [(0, 1), (1, 2), (0, 2)]
     return make_fan(4, rays, [a + tuple(3 + j for j in b)
                               for a in tri for b in tri], name="P2xP2")
+
+
+def invert_rational(A):
+    """Exact inverse of a square rational matrix by Fraction Gauss-Jordan;
+    None when singular.  The reference for ``lattice.invert_int``."""
+    n = len(A)
+    aug = [[Fraction(A[i][j]) for j in range(n)]
+           + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i in range(n)]
+    red, pivots = lattice.rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red[:n]]
 
 
 def nullspace_rational(A):

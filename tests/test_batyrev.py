@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -309,7 +308,7 @@ def test_module_oracle_rejects_doubled_rule_tail(name):
     element = dict(element)
     element[beta] = {**element[beta], mono: 2 * element[beta][mono]}
     rules = ideal.rules[:i] + ((lead, element),) + ideal.rules[i + 1:]
-    broken = module_matrices(dataclasses.replace(ideal, rules=rules))
+    broken = module_matrices(ideal._replace(rules=rules))
     with pytest.raises(AssertionError,
                        match="do not commute|primitive relation"):
         oracles.check_module(fan, md.ell, 4, broken)

@@ -428,3 +428,23 @@ def test_command_work_is_pinned(monkeypatch, capsys, tmp_path, command, fan,
     assert calls["rref"] <= rref_max, calls
     if dp_reduce_max is not None:
         assert calls["dp_reduce"] <= dp_reduce_max, calls
+
+
+@pytest.mark.parametrize("command", ["ifunction", "certify"])
+def test_insufficient_cutoff_fails_before_the_expensive_work(
+        monkeypatch, capsys, tmp_path, command):
+    def forbidden(*args):
+        raise AssertionError("ran before the cutoff check")
+
+    # the commands call the names they imported, certify_isomorphism the
+    # gkz module's
+    for module in (toriq.cli, toriq.batyrev):
+        monkeypatch.setattr(module, "build_deformed_ideal", forbidden)
+    for module in (toriq.cli, toriq.gkz):
+        monkeypatch.setattr(module, "i_function", forbidden)
+    path = tmp_path / "wdP3.json"
+    path.write_text(json.dumps(FAN_FILES["wdP3"]))
+    code, out, err = run(capsys, command, "--fan", str(path), "--cutoff", "3")
+    assert (code, out) == (2, "")
+    assert err == ("input error: box operator of (1, 0, 0, 0, 1, 0, 0, 0, 0) "
+                   "needs cutoff >= 4, got 3\n")

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -270,7 +269,7 @@ def test_common_denominator_path():
     ring = build_cohomology_ring(builtin_fan("P1xP2"))
     rng = random.Random(2)
     for den in (2, 4):
-        stub = dataclasses.replace(ring, denominator=den)
+        stub = ring._replace(denominator=den)
         table = {key: frac_scale(col, Fraction(1, den))
                  for key, col in mult_table(ring).items()}
         for _ in range(60):

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
-from toriq.lattice import det_int, invert_rational, primitive_vector
+from toriq.lattice import det_int, invert_int, primitive_vector
 
-from oracles import nullspace_rational
+from oracles import invert_rational, nullspace_rational
 
 
 def test_det_int():
@@ -20,6 +21,35 @@ def test_rational_helpers():
     assert len(ns) == 2
     for v in ns:
         assert sum(v) == 0
+
+
+def test_invert_int_matches_fraction_gauss_jordan():
+    rng = random.Random(16)
+    singular = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        inv = invert_int(A)
+        expected = invert_rational(A)
+        assert inv == (expected and tuple(map(tuple, expected))), A
+        if inv is None:
+            singular += 1
+            assert det_int(A) == 0
+        else:
+            # ints exactly where the entry is integral
+            assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                       for row in inv for x in row)
+    assert singular > 50
+
+
+def test_invert_int_examples():
+    # the first needs a row swap; rows come back as tuples
+    assert invert_int([[0, 1], [1, -2]]) == ((2, 1), (1, 0))
+    assert invert_int([[2, 1], [1, 1]]) == ((1, -1), (-1, 2))
+    assert invert_int([[2, 0], [0, 4]]) == ((Fraction(1, 2), 0),
+                                            (0, Fraction(1, 4)))
+    assert invert_int([[0, 0], [0, 1]]) is None
+    assert invert_int([]) == ()
 
 
 def test_primitive_vector():
