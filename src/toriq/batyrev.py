@@ -21,15 +21,20 @@ unchanged: a pair they drop has an S-polynomial that is a monomial
 combination of S-polynomials already reduced, so it has a standard
 representation at every level of the truncated scalars.
 
-``complete`` and ``dp_reduce`` are the package's only Groebner engine.  At
-cutoff 0 only the q^0 level occurs, the deformation disappears and they
-compute the classical reduced Groebner basis and normal forms, which is how
-``cohomring`` builds the cohomology ring.
+``complete`` and ``dp_reduce`` are the package's only Groebner engine.  The
+normal form of a variable ``y`` times a standard monomial ``m`` is ``y m``
+when that is standard, the rule's tail when it is a lead, and a reduction
+only for the rest of the border; ``_multiplication_columns`` reads these
+columns, which are Batyrev's module.  At cutoff 0 only the q^0 level occurs,
+and the rules and columns are the classical Groebner basis and
+multiplication, from which ``cohomring`` builds the cohomology ring.
 """
 
 import heapq
 from collections import namedtuple
+from fractions import Fraction
 from itertools import count
+from math import lcm
 
 from . import polynomials as P
 from .novikov import NovikovContext, NovikovScalar
@@ -80,16 +85,6 @@ def dp_sub(a, b):
 def dp_mul_term(dp, mono, coeff):
     """Multiply by a single x-monomial with a rational coefficient."""
     return dp_clean({b: P.pmul_term(p, mono, coeff) for b, p in dp.items()})
-
-
-def dp_shift(dp, beta, ctx):
-    """Multiply by q^beta, truncating levels beyond the cutoff."""
-    out = {}
-    for b, poly in dp.items():
-        target = tuple(x + y for x, y in zip(b, beta))
-        if ctx.ell_of(target) <= ctx.cutoff:
-            out[target] = poly
-    return out
 
 
 def dp_mul_scalar(dp, scalar, ctx):
@@ -221,16 +216,18 @@ class DeformedIdeal(namedtuple("DeformedIdeal", (
     __slots__ = ()
 
 
+def _binomial(ring, ctx, head, tail, beta):
+    """``x^head - q^beta x^tail``, level-indexed, for ``(rho, e)`` pairs."""
+    zero = ctx.zero_class
+    return dp_clean(dp_add({zero: ring.ray_product(head)}, dp_mul_scalar(
+        {zero: ring.ray_product(tail)}, NovikovScalar.monomial(ctx, beta, -1),
+        ctx)))
+
+
 def _deformed_generators(fan, md, ring, ctx):
-    gens = []
-    for pc, beta in zip(md.collections, md.generators):
-        head = ring.ray_product((rho, 1) for rho in pc.rays)
-        tail = ring.ray_product(zip(pc.gamma, pc.coeffs))
-        element = dp_add({ctx.zero_class: head},
-                         dp_shift({ctx.zero_class: P.pscale(tail, -1)},
-                                  beta, ctx))
-        gens.append(dp_clean(element))
-    return gens
+    return [_binomial(ring, ctx, ((rho, 1) for rho in pc.rays),
+                      zip(pc.gamma, pc.coeffs), beta)
+            for pc, beta in zip(md.collections, md.generators)]
 
 
 def complete(gens, ctx):
@@ -324,41 +321,25 @@ def build_deformed_ideal(fan, md, ring, cutoff):
                          completion_added=added)
 
 
-def normal_form(ideal, ray_terms):
-    """Reduce a polynomial in the full ray variables to its basis expansion.
+def _multiplication_columns(rules, basis, ctx):
+    """``columns[v][a]``, the level-indexed normal form of ``y_v basis[a]``:
+    the product itself when it is standard, the lead minus the rule's
+    element when it is a lead (every lead of a reduced system is on the
+    border), and ``dp_reduce``'s, once per monomial, for the rest of the
+    border (Kehrein and Kreuzer, J. Pure Appl. Algebra 196, 2005).  Equal
+    monomials share one dict, which callers must not change."""
+    zero = ctx.zero_class
+    forms = {m: {zero: {m: 1}} for m in basis}
+    forms.update((lead, dp_sub({zero: {lead: 1}}, element))
+                 for lead, element in rules)
 
-    ``ray_terms`` maps exponent tuples over *all* rays to NovikovScalar (or
-    plain rational) coefficients.  Eliminated variables are substituted first.
-    Returns one NovikovScalar per basis monomial of the classical ring.
-    """
-    ring = ideal.ring
-    ctx = ideal.ctx
-    dp = {}
-    for mono, coeff in ray_terms.items():
-        expanded = ring.ray_product(enumerate(mono))
-        if isinstance(coeff, NovikovScalar):
-            contrib = dp_mul_scalar({ctx.zero_class: expanded}, coeff, ctx)
-        else:
-            contrib = {ctx.zero_class: P.pscale(expanded, coeff)}
-        dp = dp_add(dp, contrib)
-    return _basis_expansion(ideal, dp)
+    def form(ym):
+        if ym not in forms:
+            forms[ym] = dp_reduce({zero: {ym: 1}}, rules, ctx)
+        return forms[ym]
 
-
-def normal_form_surviving(ideal, poly):
-    """Basis expansion of a polynomial already in the surviving variables."""
-    return _basis_expansion(ideal, {ideal.ctx.zero_class: poly})
-
-
-def _basis_expansion(ideal, dp):
-    """Reduce, then read off one NovikovScalar per classical basis monomial."""
-    ctx = ideal.ctx
-    out = [NovikovScalar(ctx) for _ in ideal.ring.basis]
-    index = {m: i for i, m in enumerate(ideal.ring.basis)}
-    for beta, poly in dp_reduce(dp, ideal.rules, ctx).items():
-        for m, c in poly.items():
-            assert m in index, f"non-standard monomial {m} survived reduction"
-            out[index[m]] = out[index[m]] + NovikovScalar.monomial(ctx, beta, c)
-    return out
+    return [[form(m[:v] + (m[v] + 1,) + m[v + 1:]) for m in basis]
+            for v in range(len(basis[0]))]
 
 
 class BatyrevModule(namedtuple("BatyrevModule", (
@@ -379,38 +360,49 @@ class BatyrevModule(namedtuple("BatyrevModule", (
 def module_matrices(ideal):
     """Multiplication matrix of every ray variable on the classical basis.
 
-    Only the surviving variables are reduced.  An eliminated ray's matrix is
-    the combination of theirs that its Kirwan lift ``ring.eliminations[rho]``
-    gives, since the normal form is linear.
+    A surviving variable's columns come from ``_multiplication_columns``:
+    a unit vector where its product with the basis monomial is standard, a
+    rule where the product is a lead, a reduction for the rest of the
+    border.  An eliminated ray's matrix is the combination of theirs that
+    its Kirwan lift ``ring.eliminations[rho]`` gives, since the normal form
+    is linear.  Entries are integer numerators over one common denominator
+    until each is made into a NovikovScalar, once.
     """
-    ring, dim = ideal.ring, ideal.ring.dim
-    matrices = {}
-    for rho in ring.surviving:
-        ray = ring.ray_poly(rho)
-        cols = [normal_form_surviving(ideal, P.pmul(ray, {mono: 1}))
-                for mono in ring.basis]
-        matrices[rho] = [[cols[a][b] for a in range(dim)] for b in range(dim)]
-    zero = NovikovScalar(ideal.ctx)
+    ring, ctx, dim = ideal.ring, ideal.ctx, ideal.ring.dim
+    index = {m: k for k, m in enumerate(ring.basis)}
+    columns = _multiplication_columns(ideal.rules, ring.basis, ctx)
+    den = lcm(*(c.denominator for column in columns for form in column
+                for poly in form.values() for c in poly.values()))
+    nums = {}
+    for rho, column in zip(ring.surviving, columns):
+        mat = nums[rho] = [[{} for _ in range(dim)] for _ in range(dim)]
+        for a, form in enumerate(column):
+            for beta, poly in form.items():
+                for m, c in poly.items():
+                    mat[index[m]][a][beta] = c.numerator * (den // c.denominator)
     for rho, coeffs in ring.eliminations.items():
-        lift = [(matrices[s], c) for s, c in zip(ring.surviving, coeffs) if c]
-        matrices[rho] = [[sum((m[b][a].scale(c) for m, c in lift), zero)
-                          for a in range(dim)] for b in range(dim)]
-    return BatyrevModule(ideal=ideal, matrices=dict(sorted(matrices.items())))
+        mat = nums[rho] = [[{} for _ in range(dim)] for _ in range(dim)]
+        for s, c in zip(ring.surviving, coeffs):
+            if c:
+                for row, lifted in zip(mat, nums[s]):
+                    for out, terms in zip(row, lifted):
+                        for beta, x in terms.items():
+                            out[beta] = out.get(beta, 0) + c * x
+    return BatyrevModule(ideal=ideal, matrices={
+        rho: [[NovikovScalar(ctx, {b: Fraction(x, den) for b, x in t.items()})
+               for t in row] for row in mat]
+        for rho, mat in sorted(nums.items())})
 
 
 def relation_check(ideal, operators):
-    """Reduce each operator's binomial ``x^positive - q^beta x^negative``.
-
-    Raises ``RelationNonzero`` naming the first binomial that does not vanish
-    in the quotient; returns nothing.  The two monomials of a nonzero class
-    have disjoint supports, so they differ.
-    """
-    ctx = ideal.ctx
+    """Reduce each operator's binomial ``x^positive - q^beta x^negative``,
+    built as a deformed generator is.  Raises ``RelationNonzero`` naming the
+    first that does not vanish in the quotient; returns nothing."""
     for op in operators:
-        expansion = normal_form(ideal, {
-            op.positive_exponents: NovikovScalar.unit(ctx),
-            op.negative_exponents: NovikovScalar.monomial(ctx, op.beta, -1)})
-        if any(expansion):
+        binomial = _binomial(ideal.ring, ideal.ctx,
+                             enumerate(op.positive_exponents),
+                             enumerate(op.negative_exponents), op.beta)
+        if dp_reduce(binomial, ideal.rules, ideal.ctx):
             raise RelationNonzero(
                 f"relation of {op.beta} does not vanish in the quotient")
 

@@ -10,9 +10,13 @@ in the surviving variables is completed to a reduced Groebner basis; the
 standard monomials form the module basis, with one basis element per
 maximal cone.
 
-There is no separate classical Groebner code: the completion and every normal
-form here are ``batyrev.complete`` and ``batyrev.dp_reduce`` run at cutoff 0,
-where only the q^0 level occurs and the deformed ring is the classical one.
+There is no separate classical Groebner code.  The completion is
+``batyrev.complete`` at cutoff 0, where the deformed ring is the classical
+one, and a variable ``y`` times a standard monomial ``m`` is read off its
+rules by ``batyrev``'s column reader: ``y m`` itself when it is standard, the
+rule when it is a lead, a reduction for the rest of the border.  Standard
+monomials are closed under division, so ``m_i m_j = y (m_i' m_j)`` for
+``m_i = y m_i'`` gives every basis product from those columns.
 
 A class is stored as integer numerators over the basis and one positive
 integer denominator, reduced by their gcd, so equal classes have equal
@@ -23,20 +27,21 @@ therefore run on ints alone; ``CohClass.coeffs`` gives the coefficients as
 Fractions for rendering and integration.
 
 Integration is normalized by requiring every maximal-cone monomial
-``prod_{rho in sigma} D_rho`` to integrate to 1: each reduces to the same
-term ``c m`` on the one top-degree basis monomial ``m``, whose integral is
-``1/c``.  The Poincare pairing of the monomial basis classes is their Gram
-matrix under integration.  Each ray's divisor class and its multiplication
-columns are built once per ring.
+``prod_{rho in sigma} D_rho`` to integrate to 1: each product of divisor
+classes is the same class ``c m`` on the one top-degree basis monomial ``m``,
+whose integral is ``1/c``.  The Poincare pairing of the monomial basis
+classes is their Gram matrix under integration.  Each ray's divisor class
+and its multiplication columns are built once per ring.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
+from operator import mul
 
 from . import polynomials as P
-from .batyrev import complete, dp_reduce
+from .batyrev import _multiplication_columns, complete
 from .fan import chart
 from .moricone import primitive_collections
 from .novikov import NovikovContext
@@ -76,8 +81,10 @@ class CohomRing(namedtuple("CohomRing", (
 
     @cached_property
     def divisors(self):
-        """Degree-2 class of each ray's toric divisor, built once per ring."""
-        return tuple(self.from_poly(self.ray_poly(rho))
+        """Degree-2 class of each ray's toric divisor, built once per ring:
+        its Kirwan lift, whose variables are basis monomials."""
+        return tuple(CohClass(self, [self.ray_poly(rho).get(m, 0)
+                                     for m in self.basis])
                      for rho in range(self.fan.n_rays))
 
     @cached_property
@@ -104,14 +111,6 @@ class CohomRing(namedtuple("CohomRing", (
     def one(self):
         coeffs = [0] * self.dim
         coeffs[self.basis.index((0,) * len(self.surviving))] = 1
-        return CohClass(self, coeffs)
-
-    def from_poly(self, poly):
-        """Class of a polynomial in the surviving variables."""
-        nf = _normal_form(self.rules, poly)
-        coeffs = [0] * self.dim
-        for m, c in nf.items():
-            coeffs[self.basis.index(m)] = c
         return CohClass(self, coeffs)
 
     def _from_parts(self, parts):
@@ -248,37 +247,44 @@ def build_cohomology_ring(fan):
             f"{len(fan.max_cones)} maximal cones")
     degrees = tuple(P.mono_deg(m) for m in basis)
 
-    products = {}
-    for i, mi in enumerate(basis):
-        for j in range(i, len(basis)):
-            nf = _normal_form(rules, {P.mono_mul(mi, basis[j]): 1})
-            products[i, j] = products[j, i] = \
-                sorted((basis.index(m), c) for m, c in nf.items() if c)
-    denominator = lcm(*(c.denominator for terms in products.values()
-                        for _, c in terms))
-    structure = tuple(
-        tuple(tuple((k, int(c * denominator)) for k, c in products[i, j])
-              for j in range(len(basis)))
-        for i in range(len(basis)))
-
-    # each maximal-cone monomial integrates to 1 and reduces to c * top
-    forms = [_normal_form(rules,
-                          ring_stub.ray_product((rho, 1) for rho in cone))
-             for cone in fan.max_cones]
-    if len(forms[0]) != 1 or any(f != forms[0] for f in forms):
-        raise InconsistentNormalization(
-            "maximal-cone monomials do not reduce to one common term")
-    ((top, c),) = forms[0].items()
-
-    return ring_stub._replace(
-        rules=rules, basis=basis, basis_degrees=degrees, structure=structure,
-        denominator=denominator, point_integrals={top: 1 / Fraction(c)},
+    # basis[0] is 1; basis[i] basis[j] = y_v (basis[i'] basis[j]) for the
+    # last variable y_v of basis[i] = y_v basis[i']
+    index = {m: k for k, m in enumerate(basis)}
+    columns = [[{index[m]: c for m, c in form.get((), {}).items()}
+                for form in column]
+               for column in _multiplication_columns(rules, basis, _Q0)]
+    products = [[{j: 1} for j in range(len(basis))]]
+    for i, mi in enumerate(basis[1:], 1):
+        v = max(k for k, e in enumerate(mi) if e)
+        below = products[index[mi[:v] + (mi[v] - 1,) + mi[v + 1:]]]
+        row = [products[j][i] for j in range(i)]
+        for p in below[i:]:
+            out = {}
+            for k, c in p.items():
+                for l, d in columns[v][k].items():
+                    out[l] = out.get(l, 0) + c * d
+            row.append({l: c for l, c in out.items() if c})
+        products.append(row)
+    denominator = lcm(*(c.denominator for row in products for p in row
+                        for c in p.values()))
+    ring = ring_stub._replace(
+        rules=rules, basis=basis, basis_degrees=degrees,
+        structure=tuple(tuple(tuple((k, int(p[k] * denominator))
+                                    for k in sorted(p)) for p in row)
+                        for row in products),
+        denominator=denominator,
         var_names=tuple(f"x{j + 1}" for j in surviving))
 
-
-def _normal_form(rules, poly):
-    """Normal form of a surviving-variable polynomial modulo the ring's rules."""
-    return dp_reduce({(): poly}, rules, _Q0).get((), {})
+    # each maximal-cone monomial integrates to 1 and is c times the top one
+    forms = {reduce(mul, (ring.divisors[rho] for rho in cone))
+             for cone in fan.max_cones}
+    support = [k for k, a in enumerate(next(iter(forms)).num) if a]
+    if len(forms) != 1 or len(support) != 1:
+        raise InconsistentNormalization(
+            "maximal-cone monomials do not reduce to one common term")
+    (form,), (top,) = forms, support
+    return ring._replace(point_integrals={
+        basis[top]: Fraction(form.den, form.num[top])})
 
 
 def integrate(ring, c):

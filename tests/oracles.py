@@ -16,7 +16,10 @@ one nullspace per ``(r-1)``-subset of the generators; ``fm_feasible_point``,
 plain Fourier-Motzkin elimination with back-substitution, which keeps every
 combination of rows; ``dp_reduce``, which scans every pending level for the
 least ell and forms every tail's class; ``complete``, which reduces every
-S-pair; and ``module_matrices``, which reduces every ray variable.
+S-pair; ``module_matrices``, which reduces every ray variable on every basis
+monomial; and ``normal_form``, which reduces a polynomial in the full ray
+variables to one NovikovScalar per basis monomial.  These three, and
+``mult_table``, reduce through this ``dp_reduce``.
 
 ``curve_lattice_basis`` reads the curve-class lattice in a chart of its own,
 for the scans that check effective-class enumeration.
@@ -48,23 +51,25 @@ from toriq.batyrev import (
     NonUnitLeadingCoefficient,
     _monicize,
     _unit_lead,
+    dp_add,
     dp_clean,
+    dp_mul_scalar,
     dp_mul_term,
     dp_sub,
-    normal_form_surviving,
 )
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cohomring import (
     CohClass,
-    _normal_form,
     divisor_class,
     gram_matrix,
     monomial_basis_classes,
 )
 from toriq.fan import make_fan
-from toriq.novikov import HLaurent, NovikovSeries
+from toriq.novikov import HLaurent, NovikovContext, NovikovScalar, NovikovSeries
 
 _TABLES = {}
+# scalars of the classical ring: the q^0 level alone
+Q0 = NovikovContext(n_rays=0, ell=(), cutoff=0)
 
 
 class SingularPairing(ValueError):
@@ -108,8 +113,8 @@ def mult_table(ring):
         table = {}
         for i, mi in enumerate(ring.basis):
             for j in range(i, ring.dim):
-                nf = _normal_form(ring.rules,
-                                  {P.mono_mul(mi, ring.basis[j]): Fraction(1)})
+                nf = dp_reduce({(): {P.mono_mul(mi, ring.basis[j]):
+                                     Fraction(1)}}, ring.rules, Q0).get((), {})
                 col = [Fraction(0)] * ring.dim
                 for m, c in nf.items():
                     col[ring.basis.index(m)] = c
@@ -223,8 +228,9 @@ def reconstruct_coefficient(ring, table, beta):
 
 
 def variable_class(ring, j):
-    """Class of the j-th surviving variable."""
-    return ring.from_poly(P.pvar(len(ring.surviving), j))
+    """Class of the j-th surviving variable, a basis monomial."""
+    y = tuple(int(i == j) for i in range(len(ring.surviving)))
+    return CohClass(ring, [int(m == y) for m in ring.basis])
 
 
 def max_power(h):
@@ -492,16 +498,46 @@ def complete(gens, ctx):
 
 
 def module_matrices(ideal):
-    """Multiplication matrix of every ray variable, each one reduced."""
-    ring = ideal.ring
+    """Multiplication matrix of every ray variable, each column reduced."""
+    ring, ctx = ideal.ring, ideal.ctx
     dim = ring.dim
     matrices = {}
     for rho in range(ring.fan.n_rays):
         ray = ring.ray_poly(rho)
-        cols = [normal_form_surviving(ideal, P.pmul(ray, {mono: Fraction(1)}))
+        cols = [_expansion(ring, ctx, dp_reduce(
+                    {ctx.zero_class: P.pmul(ray, {mono: Fraction(1)})},
+                    ideal.rules, ctx))
                 for mono in ring.basis]
         matrices[rho] = [[cols[a][b] for a in range(dim)] for b in range(dim)]
     return BatyrevModule(ideal=ideal, matrices=matrices)
+
+
+def normal_form(ideal, ray_terms):
+    """Reduce a polynomial in the full ray variables to its basis expansion.
+
+    ``ray_terms`` maps exponent tuples over *all* rays to NovikovScalar (or
+    plain rational) coefficients.  Eliminated variables are substituted first.
+    Returns one NovikovScalar per basis monomial of the classical ring.
+    """
+    ring, ctx = ideal.ring, ideal.ctx
+    dp = {}
+    for mono, coeff in ray_terms.items():
+        expanded = ring.ray_product(enumerate(mono))
+        if isinstance(coeff, NovikovScalar):
+            contrib = dp_mul_scalar({ctx.zero_class: expanded}, coeff, ctx)
+        else:
+            contrib = {ctx.zero_class: P.pscale(expanded, coeff)}
+        dp = dp_add(dp, contrib)
+    return _expansion(ring, ctx, dp_reduce(dp, ideal.rules, ctx))
+
+
+def _expansion(ring, ctx, reduced):
+    """One NovikovScalar per basis monomial of a reduced level polynomial."""
+    terms = [{} for _ in ring.basis]
+    for beta, poly in reduced.items():
+        for m, c in poly.items():
+            terms[ring.basis.index(m)][beta] = c
+    return [NovikovScalar(ctx, t) for t in terms]
 
 
 

@@ -17,7 +17,6 @@ from toriq.batyrev import (
     build_deformed_ideal,
     certify_isomorphism,
     module_matrices,
-    normal_form,
 )
 from toriq.catalog import CATALOG, NOT_SEMIPOSITIVE, SEMIPOSITIVE, builtin_fan
 from toriq.cohomring import (
@@ -40,6 +39,7 @@ from oracles import (
     check_module,
     curve_lattice_basis,
     fm_feasible_point,
+    normal_form,
     reconstruct_coefficient,
 )
 

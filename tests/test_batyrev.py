@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,10 @@ from toriq.batyrev import (
     BatyrevModule,
     DeformedIdeal,
     HypothesisUnmet,
+    RelationNonzero,
     build_deformed_ideal,
     certify_isomorphism,
     module_matrices,
-    normal_form,
     relation_check,
 )
 from toriq.catalog import CATALOG, SEMIPOSITIVE, builtin_fan
@@ -23,6 +24,7 @@ from toriq.moricone import mori_data
 from toriq.novikov import NovikovContext, NovikovScalar
 
 import oracles
+from oracles import normal_form
 
 B1 = (1, -2, 1, 0)
 B2 = (0, 1, 0, 1)
@@ -312,6 +314,72 @@ def test_module_oracle_rejects_doubled_rule_tail(name):
     with pytest.raises(AssertionError,
                        match="do not commute|primitive relation"):
         oracles.check_module(fan, md.ell, 4, broken)
+
+
+# border monomials y * m (y a surviving variable, m standard) that are
+# neither standard nor a rule's lead, at cutoff 4; on P1xdP6 they are 21,
+# six of them the product of two different (y, m) pairs
+REDUCED_BORDER = {"dP6": 3, "wdP5": 4, "wdP4": 5, "wdP3": 6, "P1xdP6": 21,
+                  "P2xP2": 4}
+
+
+@pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))
+def test_module_reduces_only_the_rest_of_the_border(monkeypatch, name):
+    # a column whose product is standard or a rule's lead is read off the
+    # rules: module_matrices reduces each other border monomial once
+    fan = oracles.KERNEL_FANS[name]()
+    md = mori_data(fan)
+    ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), 4)
+    basis = set(ideal.ring.basis)
+    border = {m[:v] + (m[v] + 1,) + m[v + 1:]
+              for m in basis for v in range(len(m))}
+    rest = border - basis - {lead for lead, _ in ideal.rules}
+    reduced = []
+    real = batyrev.dp_reduce
+
+    def recording(dp, rules, ctx):
+        (mono,) = dp[ctx.zero_class]
+        reduced.append(mono)
+        return real(dp, rules, ctx)
+
+    monkeypatch.setattr(batyrev, "dp_reduce", recording)
+    module_matrices(ideal)
+    assert sorted(reduced) == sorted(rest)
+    assert len(rest) == REDUCED_BORDER.get(name, len(rest))
+
+
+@pytest.mark.parametrize("name,rejected,total", [("dP6", 45, 58),
+                                                 ("P1xdP6", 46, 59)])
+def test_relation_check_rejects_doubled_rule_coefficients(name, rejected,
+                                                           total):
+    # every doubling of one q-level coefficient of one rule: relation_check
+    # rejects exactly those whose operator binomials do not all reduce to
+    # zero under the reference normal form, naming the first such class
+    fan = oracles.KERNEL_FANS[name]()
+    md = mori_data(fan)
+    ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), 4)
+    ctx, zero = ideal.ctx, ideal.ctx.zero_class
+    operators = [gkz_operator(beta) for beta in md.generators]
+    tried = caught = 0
+    for i, (lead, element) in enumerate(ideal.rules):
+        for beta in sorted(set(element) - {zero}):
+            for mono, c in sorted(element[beta].items()):
+                changed = {**element, beta: {**element[beta], mono: 2 * c}}
+                broken = ideal._replace(rules=ideal.rules[:i] + (
+                    (lead, changed),) + ideal.rules[i + 1:])
+                failing = [op.beta for op in operators if any(normal_form(
+                    broken, {op.positive_exponents: NovikovScalar.unit(ctx),
+                             op.negative_exponents:
+                                 NovikovScalar.monomial(ctx, op.beta, -1)}))]
+                tried += 1
+                if failing:
+                    caught += 1
+                    with pytest.raises(RelationNonzero, match=re.escape(
+                            f"relation of {failing[0]} does not vanish")):
+                        relation_check(broken, operators)
+                else:
+                    relation_check(broken, operators)
+    assert (caught, tried) == (rejected, total)
 
 
 def test_certify_rejects_module_not_preserving_basis(monkeypatch, capsys):

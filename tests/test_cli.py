@@ -397,16 +397,18 @@ def test_corrupted_series_fails_ifunction_and_certify(monkeypatch, capsys,
     assert f"leaves q^{beta} hbar^" in err
 
 
-@pytest.mark.parametrize("command,fan,cutoff,rref_max,dp_reduce_max", [
-    ("analyze", "wdP3", 3, 9, None),
-    ("certify", "dP6", 6, 9, 134),
+@pytest.mark.parametrize("command,fan,cutoff,dp_reduce_max", [
+    ("analyze", "wdP3", 3, 156),
+    ("certify", "dP6", 6, 83),
 ])
 def test_command_work_is_pinned(monkeypatch, capsys, tmp_path, command, fan,
-                                cutoff, rref_max, dp_reduce_max):
-    # one Gaussian elimination per maximal cone (9 on wdP3, 6 on dP6, plus
-    # the Mori generators' inverse), not one per coordinate query, and each
-    # ray's divisor class reduced once per ring, not once per operator
-    calls = {"rref": 0, "dp_reduce": 0}
+                                cutoff, dp_reduce_max):
+    # one matrix inversion per maximal cone (9 on wdP3, 6 on dP6) plus the
+    # Mori generators' inverse, not one per coordinate query; each ray's
+    # divisor class made once per ring, not once per operator; and a
+    # reduction only for the products of a variable and a basis monomial
+    # that are neither standard nor a rule's lead
+    calls = {"invert_int": 0, "dp_reduce": 0}
 
     def counting(name, real):
         def counted(*args):
@@ -414,20 +416,17 @@ def test_command_work_is_pinned(monkeypatch, capsys, tmp_path, command, fan,
             return real(*args)
         return counted
 
-    monkeypatch.setattr(toriq.lattice, "rref",
-                        counting("rref", toriq.lattice.rref))
-    # the ring calls the name it imported
-    dp_reduce = counting("dp_reduce", toriq.batyrev.dp_reduce)
-    monkeypatch.setattr(toriq.batyrev, "dp_reduce", dp_reduce)
-    monkeypatch.setattr(toriq.cohomring, "dp_reduce", dp_reduce)
+    monkeypatch.setattr(toriq.lattice, "invert_int",
+                        counting("invert_int", toriq.lattice.invert_int))
+    monkeypatch.setattr(toriq.batyrev, "dp_reduce",
+                        counting("dp_reduce", toriq.batyrev.dp_reduce))
     path = tmp_path / f"{fan}.json"
     path.write_text(json.dumps(FAN_FILES[fan]))
     code, _, _ = run(capsys, command, "--fan", str(path), "--cutoff",
                      str(cutoff))
     assert code == 0
-    assert calls["rref"] <= rref_max, calls
-    if dp_reduce_max is not None:
-        assert calls["dp_reduce"] <= dp_reduce_max, calls
+    assert calls["invert_int"] <= len(FAN_FILES[fan]["max_cones"]) + 1, calls
+    assert calls["dp_reduce"] <= dp_reduce_max, calls
 
 
 @pytest.mark.parametrize("command", ["ifunction", "certify"])

@@ -51,7 +51,6 @@ def test_tracer_counts_class_products_and_restores(capsys):
 WRAPPED_ENGINE = {
     "batyrev.build_deformed_ideal", "batyrev.certify_isomorphism",
     "batyrev.complete", "batyrev.dp_reduce", "batyrev.module_matrices",
-    "batyrev.normal_form", "batyrev.normal_form_surviving",
     "batyrev.relation_check", "polynomials.render_monomial",
     "polynomials.render_poly", "polynomials.standard_monomials",
 }
