@@ -5,28 +5,31 @@ The deformed ideal replaces each Stanley-Reisner generator
 q^{beta_P} prod_{rho in gamma(1)} x_rho^{c_rho}`` coming from the primitive
 relation of ``P``.  After the linear eliminations the coefficients live in the
 truncated semigroup algebra; polynomials are stored level by level as
-``{curve class -> rational polynomial}``.
+``{curve class -> rational polynomial}``.  A rewriting rule is a pair
+``(lead, tail)``: it rewrites the monomial ``x^lead`` to ``tail`` and stands
+for the monic element ``x^lead - tail`` of the ideal; in the rules that
+``complete`` returns, each tail is its lead's normal form.
 
-Reduction runs in increasing ell-degree: the level-0 layer of every rule is a
-classical polynomial whose leading monomial has a unit coefficient, so each
-reduction step cancels a monomial at the current level against strictly
-smaller classical terms while pushing deformation tails to strictly higher
-levels (every nonzero effective class has ell >= 1) -- which is what makes the
-procedure terminate.  Buchberger completion over these rules only ever adds
-elements mirroring the classical completion of the level-0 layer; an S-pair
-residue with no unit coefficient at all would mean the quotient is not free
-over the truncated scalars and is reported, never skipped.  Because every
-lead is monic, Buchberger's product and chain criteria carry over from fields
-unchanged: a pair they drop has an S-polynomial that is a monomial
-combination of S-polynomials already reduced, so it has a standard
-representation at every level of the truncated scalars.
+Reduction runs in increasing ell-degree: the level-0 layer of every tail holds
+only monomials smaller than its lead, so each reduction step replaces a
+monomial at the current level by strictly smaller classical terms while
+pushing deformation tails to strictly higher levels (every nonzero effective
+class has ell >= 1) -- which is what makes the procedure terminate.
+Buchberger completion over these rules only ever adds elements mirroring the
+classical completion of the level-0 layer; an S-pair residue with no unit
+coefficient at all would mean the quotient is not free over the truncated
+scalars and is reported, never skipped.  Because every lead is monic,
+Buchberger's product and chain criteria carry over from fields unchanged: a
+pair they drop has an S-polynomial that is a monomial combination of
+S-polynomials already reduced, so it has a standard representation at every
+level of the truncated scalars.
 
 ``complete`` and ``dp_reduce`` are the package's only Groebner engine.  The
 normal form of a variable ``y`` times a standard monomial ``m`` is ``y m``
 when that is standard, the rule's tail when it is a lead, and a reduction
 only for the rest of the border; ``_multiplication_columns`` reads these
 columns, which are Batyrev's module.  At cutoff 0 only the q^0 level occurs,
-and the rules and columns are the classical Groebner basis and
+and the rules and columns are the classical reduced Groebner basis and
 multiplication, from which ``cohomring`` builds the cohomology ring.
 """
 
@@ -59,32 +62,22 @@ class BasisNotPreserved(AssertionError):
 # --- level-indexed polynomials -----------------------------------------------
 
 
-def dp_clean(dp):
-    return {b: p for b, p in dp.items() if p}
-
-
-def dp_add(a, b):
+def dp_sub(a, b):
+    """``a - b`` level by level; the levels it empties are dropped."""
     out = dict(a)
     for beta, poly in b.items():
-        s = P.padd(out[beta], poly) if beta in out else poly
-        if s:
-            out[beta] = s
+        level = dict(out.get(beta, {}))
+        for m, c in poly.items():
+            s = level.get(m, 0) - c
+            if s:
+                level[m] = s
+            else:
+                level.pop(m, None)
+        if level:
+            out[beta] = level
         else:
             out.pop(beta, None)
     return out
-
-
-def dp_neg(a):
-    return {b: P.pscale(p, -1) for b, p in a.items()}
-
-
-def dp_sub(a, b):
-    return dp_add(a, dp_neg(b))
-
-
-def dp_mul_term(dp, mono, coeff):
-    """Multiply by a single x-monomial with a rational coefficient."""
-    return dp_clean({b: P.pmul_term(p, mono, coeff) for b, p in dp.items()})
 
 
 def dp_mul_scalar(dp, scalar, ctx):
@@ -104,29 +97,19 @@ def dp_mul_scalar(dp, scalar, ctx):
     return out
 
 
-def dp_coefficient_scalar(dp, mono, ctx):
-    """The full NovikovScalar coefficient of an x-monomial across levels."""
-    terms = {}
-    for beta, poly in dp.items():
-        c = poly.get(mono)
-        if c:
-            terms[beta] = c
-    return NovikovScalar(ctx, terms)
-
-
 def dp_reduce(dp, rules, ctx):
-    """Full normal form modulo monic rules, by increasing ell-level.
+    """Full normal form modulo ``(lead, tail)`` rules, by increasing ell-level.
 
     Levels wait in a heap keyed by ``(ell, class)``.  Within a level the
     largest monomial left is taken next: the first rule whose lead divides it
-    cancels it against strictly smaller classical terms, otherwise it is
-    final.  Deformation tails move to levels of strictly larger ell; ``ell``
-    is additive, so a tail whose ``ell(beta) + ell(level)`` exceeds the
-    cutoff is dropped before its class is formed, and the others are
-    subtracted into their target level in place.  The loop therefore
-    terminates with every surviving monomial standard.  Each monomial's
-    reducer (an index into ``rules``, -1 for none) and each rule's tails with
-    their ells are found once per call.
+    replaces it by the rule's tail times the quotient, whose classical terms
+    are strictly smaller, otherwise it is final.  Deformation tails move to
+    levels of strictly larger ell; ``ell`` is additive, so a tail whose
+    ``ell(beta) + ell(level)`` exceeds the cutoff is dropped before its class
+    is formed, and the others are added into their target level in place.
+    The loop therefore terminates with every surviving monomial standard.
+    Each monomial's reducer (an index into ``rules``, -1 for none) and each
+    rule's tail levels with their ells are found once per call.
     """
     zero, cutoff, ell_of = ctx.zero_class, ctx.cutoff, ctx.ell_of
     reducer, tails = {}, {}
@@ -152,29 +135,25 @@ def dp_reduce(dp, rules, ctx):
             if i < 0:
                 poly[m] = c
                 continue
-            lead, element = rules[i]
+            lead, tail = rules[i]
             if i not in tails:
-                tails[i] = [(b, p, None if b == zero else ell_of(b))
-                            for b, p in element.items()]
+                tails[i] = [(b, p, ell_of(b)) for b, p in tail.items()]
             quot = P.mono_div(m, lead)
-            for ebeta, epoly, t_ell in tails[i]:
-                if ebeta == zero:
-                    # the lead term cancels m exactly; the rest is smaller
-                    target, level = None, work
+            for tbeta, tpoly, t_ell in tails[i]:
+                if tbeta == zero:
+                    level = work
                 else:
                     t_ell += e
                     if t_ell > cutoff:
                         continue
-                    target = tuple(x + y for x, y in zip(beta, ebeta))
+                    target = tuple(x + y for x, y in zip(beta, tbeta))
                     level = levels.get(target)
                     if level is None:
                         level = levels[target] = {}
                         heapq.heappush(heap, (t_ell, target))
-                for em, ec in epoly.items():
-                    if target is None and em == lead:
-                        continue
-                    key = P.mono_mul(em, quot)
-                    s = level.get(key, 0) - c * ec
+                for tm, tc in tpoly.items():
+                    key = P.mono_mul(tm, quot)
+                    s = level.get(key, 0) + c * tc
                     if s:
                         level[key] = s
                     else:
@@ -198,30 +177,33 @@ def _support(mono):
 
 
 def _monicize(dp, ctx):
+    """The rule ``(lead, tail)`` that ``dp`` gives: ``lead`` is its unit
+    lead and ``tail`` is ``x^lead - dp / lam``, for ``lam`` the lead's
+    coefficient across levels, so the tail holds the lead at no level."""
     lead = _unit_lead(dp, ctx)
     if lead is None:
         raise NonUnitLeadingCoefficient(
             "element has no monomial with invertible coefficient")
-    lam = dp_coefficient_scalar(dp, lead, ctx)
-    out = dp_mul_scalar(dp, lam.inverse(), ctx)
-    assert dp_coefficient_scalar(out, lead, ctx) == NovikovScalar.unit(ctx)
-    return lead, out
+    lam = NovikovScalar(ctx, {b: p[lead] for b, p in dp.items() if lead in p})
+    tail = dp_sub({ctx.zero_class: {lead: 1}},
+                  dp_mul_scalar(dp, lam.inverse(), ctx))
+    assert all(lead not in p for p in tail.values())
+    return lead, tail
 
 
 class DeformedIdeal(namedtuple("DeformedIdeal", (
         "ring",
         "ctx",                # NovikovContext
-        "rules",              # (lead monomial, monic element) pairs
+        "rules",              # (lead, normal form of lead) pairs
         "completion_added"))):
     __slots__ = ()
 
 
-def _binomial(ring, ctx, head, tail, beta):
-    """``x^head - q^beta x^tail``, level-indexed, for ``(rho, e)`` pairs."""
+def _binomial(ring, ctx, pos, neg, beta):
+    """``x^pos - q^beta x^neg``, level-indexed, for ``(rho, e)`` pairs."""
     zero = ctx.zero_class
-    return dp_clean(dp_add({zero: ring.ray_product(head)}, dp_mul_scalar(
-        {zero: ring.ray_product(tail)}, NovikovScalar.monomial(ctx, beta, -1),
-        ctx)))
+    return dp_sub({zero: ring.ray_product(pos)}, dp_mul_scalar(
+        {zero: ring.ray_product(neg)}, NovikovScalar.monomial(ctx, beta), ctx))
 
 
 def _deformed_generators(fan, md, ring, ctx):
@@ -233,23 +215,24 @@ def _deformed_generators(fan, md, ring, ctx):
 def complete(gens, ctx):
     """Complete level-indexed generators to a canonical rewriting system.
 
-    Returns ``(rules, added)``: the rules are ``(lead monomial, monic
-    element)`` pairs sorted by lead, each element equal to its lead minus the
-    lead's full normal form (hence supported on standard monomials at every
-    level), and ``added`` counts the S-pair residues the completion inserted.
-    S-pairs are processed smallest leading-lcm first, the oldest pair first
-    among equal lcms; residues are reduced fully before insertion.  Two
-    criteria of Buchberger (1979) drop pairs without reducing them, and
-    both hold at every level of the truncated scalars as classically
-    because the leads are monic.  A pair whose leads share no variable is
-    never formed (the product criterion).  A pair (i, j) is skipped when a
-    third rule k has a lead dividing lcm(lead_i, lead_j) and neither (i, k)
-    nor (j, k) still waits (the chain criterion): S(i, j) is then a
-    monomial combination of S(i, k) and S(j, k), which already have
-    standard representations, so it has one through k.  A variable-support
-    bitmask of each lead rejects most candidates k before the divisibility
-    test.  At cutoff 0 only the q^0 level occurs and this is the classical
-    reduced Groebner basis.
+    Returns ``(rules, added)``: the rules are ``(lead, tail)`` pairs sorted
+    by lead, each rewriting the lead monomial to its tail, the lead's full
+    normal form (hence supported on standard monomials at every level), and
+    ``added`` counts the S-pair residues the completion inserted.  The
+    S-pair of two rules is ``m_j tail_j - m_i tail_i`` for ``m_k`` the lcm
+    of their leads over ``lead_k``; the leads cancel.  S-pairs are processed
+    smallest leading-lcm first, the oldest pair first among equal lcms;
+    residues are reduced fully before insertion.  Two criteria of Buchberger
+    (1979) drop pairs without reducing them, and both hold at every level of
+    the truncated scalars as classically because the leads are monic.  A
+    pair whose leads share no variable is never formed (the product
+    criterion).  A pair (i, j) is skipped when a third rule k has a lead
+    dividing lcm(lead_i, lead_j) and neither (i, k) nor (j, k) still waits
+    (the chain criterion): S(i, j) is then a monomial combination of
+    S(i, k) and S(j, k), which already have standard representations, so it
+    has one through k.  A variable-support bitmask of each lead rejects most
+    candidates k before the divisibility test.  At cutoff 0 only the q^0
+    level occurs and this is the classical reduced Groebner basis.
     """
     rules = [_monicize(g, ctx) for g in gens if g]
     masks = [_support(lead) for lead, _ in rules]
@@ -277,13 +260,13 @@ def complete(gens, ctx):
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         waiting.discard((i, j))
-        lead_i, gi = rules[i]
-        lead_j, gj = rules[j]
+        (lead_i, tail_i), (lead_j, tail_j) = rules[i], rules[j]
         lcm = P.mono_lcm(lead_i, lead_j)
         if chain(i, j, lcm):
             continue
-        spair = dp_sub(dp_mul_term(gi, P.mono_div(lcm, lead_i), 1),
-                       dp_mul_term(gj, P.mono_div(lcm, lead_j), 1))
+        m_i, m_j = P.mono_div(lcm, lead_i), P.mono_div(lcm, lead_j)
+        spair = dp_sub({b: P.pmul_term(p, m_j, 1) for b, p in tail_j.items()},
+                       {b: P.pmul_term(p, m_i, 1) for b, p in tail_i.items()})
         residue = dp_reduce(spair, rules, ctx)
         if residue:
             if _unit_lead(residue, ctx) is None:
@@ -295,20 +278,17 @@ def complete(gens, ctx):
             added += 1
             for k in range(len(rules) - 1):
                 push(len(rules) - 1, k)
-    # minimalize leads, then canonicalize right-hand sides to normal forms
+    # minimalize leads, then canonicalize tails to normal forms
     keep = []
-    for i, (lead, g) in enumerate(rules):
+    for i, (lead, tail) in enumerate(rules):
         redundant = any(
             k != i and P.mono_divides(rules[k][0], lead)
             and (rules[k][0] != lead or k < i)
             for k in range(len(rules)))
         if not redundant:
-            keep.append((lead, g))
-    canonical = []
-    for lead, _ in keep:
-        nf = dp_reduce({ctx.zero_class: {lead: 1}}, keep, ctx)
-        element = dp_sub({ctx.zero_class: {lead: 1}}, nf)
-        canonical.append((lead, dp_clean(element)))
+            keep.append((lead, tail))
+    canonical = [(lead, dp_reduce({ctx.zero_class: {lead: 1}}, keep, ctx))
+                 for lead, _ in keep]
     canonical.sort(key=lambda r: P.term_key(r[0]))
     return tuple(canonical), added
 
@@ -323,15 +303,14 @@ def build_deformed_ideal(fan, md, ring, cutoff):
 
 def _multiplication_columns(rules, basis, ctx):
     """``columns[v][a]``, the level-indexed normal form of ``y_v basis[a]``:
-    the product itself when it is standard, the lead minus the rule's
-    element when it is a lead (every lead of a reduced system is on the
-    border), and ``dp_reduce``'s, once per monomial, for the rest of the
-    border (Kehrein and Kreuzer, J. Pure Appl. Algebra 196, 2005).  Equal
-    monomials share one dict, which callers must not change."""
+    the product itself when it is standard, the rule's tail when it is a
+    lead (every lead of a reduced system is on the border), and
+    ``dp_reduce``'s, once per monomial, for the rest of the border (Kehrein
+    and Kreuzer, J. Pure Appl. Algebra 196, 2005).  Equal monomials share one
+    dict, and a lead shares its rule's tail; callers must not change them."""
     zero = ctx.zero_class
     forms = {m: {zero: {m: 1}} for m in basis}
-    forms.update((lead, dp_sub({zero: {lead: 1}}, element))
-                 for lead, element in rules)
+    forms.update(rules)
 
     def form(ym):
         if ym not in forms:

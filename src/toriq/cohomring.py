@@ -14,7 +14,7 @@ There is no separate classical Groebner code.  The completion is
 ``batyrev.complete`` at cutoff 0, where the deformed ring is the classical
 one, and a variable ``y`` times a standard monomial ``m`` is read off its
 rules by ``batyrev``'s column reader: ``y m`` itself when it is standard, the
-rule when it is a lead, a reduction for the rest of the border.  Standard
+rule's tail when it is a lead, a reduction for the rest of the border.  Standard
 monomials are closed under division, so ``m_i m_j = y (m_i' m_j)`` for
 ``m_i = y m_i'`` gives every basis product from those columns.
 
@@ -63,7 +63,7 @@ class CohomRing(namedtuple("CohomRing", (
         "sigma0",                 # eliminated ray indices
         "surviving",              # remaining ray indices, ascending
         "eliminations",           # eliminated ray -> integer coeffs over surviving
-        "rules",                  # (lead, {(): monic polynomial}) from complete
+        "rules",                  # (lead, normal form of lead) from complete
         "basis",                  # standard monomials (exponent tuples)
         "basis_degrees",
         "structure",              # [i][j] -> nonzero (k, integer c) pairs

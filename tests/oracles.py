@@ -51,10 +51,7 @@ from toriq.batyrev import (
     NonUnitLeadingCoefficient,
     _monicize,
     _unit_lead,
-    dp_add,
-    dp_clean,
     dp_mul_scalar,
-    dp_mul_term,
     dp_sub,
 )
 from toriq.catalog import CATALOG, builtin_fan
@@ -88,8 +85,10 @@ def psub(p, q):
 
 
 def groebner(ring):
-    """Reduced Groebner basis, polynomials in the surviving variables."""
-    return tuple(element[()] for _, element in ring.rules)
+    """Reduced Groebner basis, polynomials in the surviving variables: the
+    lead minus the tail of each rule."""
+    return tuple(psub({lead: 1}, tail.get((), {}))
+                 for lead, tail in ring.rules)
 
 
 def poincare_dual_basis(ring):
@@ -397,8 +396,8 @@ def fm_feasible_point(constraints, nvars):
 
 
 def dp_reduce(dp, rules, ctx):
-    """Normal form modulo monic rules, taking the least pending level by a
-    scan and forming every tail's class before testing its ell."""
+    """Normal form modulo ``(lead, tail)`` rules, taking the least pending
+    level by a scan and forming every tail's class before testing its ell."""
     zero = ctx.zero_class
     levels = {b: dict(p) for b, p in dp.items()
               if p and ctx.ell_of(b) <= ctx.cutoff}
@@ -410,30 +409,22 @@ def dp_reduce(dp, rules, ctx):
         while work:
             m = max(work, key=P.term_key)
             c = work.pop(m)
-            for lead, element in rules:
+            for lead, tail in rules:
                 if P.mono_divides(lead, m):
                     break
             else:
                 poly[m] = c
                 continue
             quot = P.mono_div(m, lead)
-            for ebeta, epoly in element.items():
-                if ebeta == zero:
-                    for em, ec in epoly.items():
-                        if em == lead:
-                            continue
-                        key = P.mono_mul(em, quot)
-                        s = work.get(key, 0) - c * ec
-                        if s:
-                            work[key] = s
-                        else:
-                            work.pop(key, None)
+            for tbeta, tpoly in tail.items():
+                if tbeta == zero:
+                    work = P.padd(work, P.pmul_term(tpoly, quot, c))
                     continue
-                target = tuple(x + y for x, y in zip(beta, ebeta))
+                target = tuple(x + y for x, y in zip(beta, tbeta))
                 if ctx.ell_of(target) > ctx.cutoff:
                     continue
-                levels[target] = psub(levels.get(target, {}),
-                                      P.pmul_term(epoly, quot, c))
+                levels[target] = P.padd(levels.get(target, {}),
+                                        P.pmul_term(tpoly, quot, c))
                 if not levels[target]:
                     del levels[target]
         if poly:
@@ -466,11 +457,10 @@ def complete(gens, ctx):
     added = 0
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
-        lead_i, gi = rules[i]
-        lead_j, gj = rules[j]
+        (lead_i, tail_i), (lead_j, tail_j) = rules[i], rules[j]
         lcm = P.mono_lcm(lead_i, lead_j)
-        spair = dp_sub(dp_mul_term(gi, P.mono_div(lcm, lead_i), 1),
-                       dp_mul_term(gj, P.mono_div(lcm, lead_j), 1))
+        spair = dp_sub(_times(tail_j, P.mono_div(lcm, lead_j)),
+                       _times(tail_i, P.mono_div(lcm, lead_i)))
         residue = nf(spair, rules)
         if residue:
             if _unit_lead(residue, ctx) is None:
@@ -481,20 +471,22 @@ def complete(gens, ctx):
             for k in range(len(rules) - 1):
                 push(len(rules) - 1, k)
     keep = []
-    for i, (lead, g) in enumerate(rules):
+    for i, (lead, tail) in enumerate(rules):
         redundant = any(
             k != i and P.mono_divides(rules[k][0], lead)
             and (rules[k][0] != lead or k < i)
             for k in range(len(rules)))
         if not redundant:
-            keep.append((lead, g))
-    canonical = []
-    for lead, _ in keep:
-        normal = nf({ctx.zero_class: {lead: Fraction(1)}}, keep)
-        element = dp_sub({ctx.zero_class: {lead: Fraction(1)}}, normal)
-        canonical.append((lead, dp_clean(element)))
+            keep.append((lead, tail))
+    canonical = [(lead, nf({ctx.zero_class: {lead: Fraction(1)}}, keep))
+                 for lead, _ in keep]
     canonical.sort(key=lambda r: P.term_key(r[0]))
     return tuple(canonical), added, calls[0]
+
+
+def _times(dp, mono):
+    """A level-indexed polynomial times the monomial ``x^mono``."""
+    return {b: P.pmul_term(p, mono, 1) for b, p in dp.items()}
 
 
 def module_matrices(ideal):
@@ -527,7 +519,8 @@ def normal_form(ideal, ray_terms):
             contrib = dp_mul_scalar({ctx.zero_class: expanded}, coeff, ctx)
         else:
             contrib = {ctx.zero_class: P.pscale(expanded, coeff)}
-        dp = dp_add(dp, contrib)
+        for beta, poly in contrib.items():
+            dp[beta] = P.padd(dp.get(beta, {}), poly)
     return _expansion(ring, ctx, dp_reduce(dp, ideal.rules, ctx))
 
 

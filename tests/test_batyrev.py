@@ -22,6 +22,7 @@ from toriq.cohomring import build_cohomology_ring, divisor_class
 from toriq.gkz import gkz_operator
 from toriq.moricone import mori_data
 from toriq.novikov import NovikovContext, NovikovScalar
+from toriq.polynomials import mono_divides
 
 import oracles
 from oracles import normal_form
@@ -49,24 +50,24 @@ def test_f2_rewriting_system():
     rules = dict(ideal.rules)
     assert set(rules) == {(2, 0), (0, 2)}
     # x1^2 -> q1 q2 - 2 q1 x1 x2 (canonical normal-form right-hand side)
-    elem = rules[(2, 0)]
-    assert elem[ideal.ctx.zero_class] == {(2, 0): Fraction(1)}
-    assert elem[B1] == {(1, 1): Fraction(2)}
-    assert elem[B12] == {(0, 0): Fraction(-1)}
+    tail = rules[(2, 0)]
+    assert ideal.ctx.zero_class not in tail
+    assert tail[B1] == {(1, 1): Fraction(-2)}
+    assert tail[B12] == {(0, 0): Fraction(1)}
     # x2^2 -> q2 - 2 x1 x2
-    elem2 = rules[(0, 2)]
-    assert elem2[ideal.ctx.zero_class] == {(0, 2): Fraction(1), (1, 1): Fraction(2)}
-    assert elem2[B2] == {(0, 0): Fraction(-1)}
+    tail2 = rules[(0, 2)]
+    assert tail2[ideal.ctx.zero_class] == {(1, 1): Fraction(-2)}
+    assert tail2[B2] == {(0, 0): Fraction(1)}
 
 
 def test_p2_p1_rewriting_systems():
     _, _, _, ideal = setup("P2")
     rules = dict(ideal.rules)
     assert set(rules) == {(3,)}
-    assert rules[(3,)][(1, 1, 1)] == {(0,): Fraction(-1)}
+    assert rules[(3,)][(1, 1, 1)] == {(0,): Fraction(1)}
     _, _, _, ideal = setup("P1")
     rules = dict(ideal.rules)
-    assert rules[(2,)][(1, 1)] == {(0,): Fraction(-1)}
+    assert rules[(2,)][(1, 1)] == {(0,): Fraction(1)}
 
 
 def test_q0_recovers_classical_groebner():
@@ -77,8 +78,9 @@ def test_q0_recovers_classical_groebner():
             from toriq.polynomials import leading
             classical[leading(g)[0]] = g
         deformed_q0 = {}
-        for lead, elem in ideal.rules:
-            deformed_q0[lead] = elem.get(ideal.ctx.zero_class, {})
+        for lead, tail in ideal.rules:
+            deformed_q0[lead] = oracles.psub(
+                {lead: 1}, tail.get(ideal.ctx.zero_class, {}))
         assert deformed_q0 == classical, name
 
 
@@ -219,9 +221,9 @@ def test_grading_homogeneous():
     # deg(x-part) + anticanonical degree of the level is constant per rule
     for name in CATALOG:
         _, _, _, ideal = setup(name)
-        for lead, elem in ideal.rules:
+        for lead, tail in ideal.rules:
             target = sum(lead)
-            for beta, poly in elem.items():
+            for beta, poly in tail.items():
                 k = sum(beta)
                 for mono in poly:
                     assert sum(mono) + k == target, (name, lead, beta, mono)
@@ -302,14 +304,13 @@ def test_module_oracle_rejects_doubled_rule_tail(name):
     md = mori_data(fan)
     ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), 4)
     zero = ideal.ctx.zero_class
-    i = next(i for i, (_, element) in enumerate(ideal.rules)
-             if set(element) - {zero})
-    lead, element = ideal.rules[i]
-    beta = min(set(element) - {zero})
-    mono = min(element[beta])
-    element = dict(element)
-    element[beta] = {**element[beta], mono: 2 * element[beta][mono]}
-    rules = ideal.rules[:i] + ((lead, element),) + ideal.rules[i + 1:]
+    i = next(i for i, (_, tail) in enumerate(ideal.rules)
+             if set(tail) - {zero})
+    lead, tail = ideal.rules[i]
+    beta = min(set(tail) - {zero})
+    mono = min(tail[beta])
+    tail = {**tail, beta: {**tail[beta], mono: 2 * tail[beta][mono]}}
+    rules = ideal.rules[:i] + ((lead, tail),) + ideal.rules[i + 1:]
     broken = module_matrices(ideal._replace(rules=rules))
     with pytest.raises(AssertionError,
                        match="do not commute|primitive relation"):
@@ -361,10 +362,10 @@ def test_relation_check_rejects_doubled_rule_coefficients(name, rejected,
     ctx, zero = ideal.ctx, ideal.ctx.zero_class
     operators = [gkz_operator(beta) for beta in md.generators]
     tried = caught = 0
-    for i, (lead, element) in enumerate(ideal.rules):
-        for beta in sorted(set(element) - {zero}):
-            for mono, c in sorted(element[beta].items()):
-                changed = {**element, beta: {**element[beta], mono: 2 * c}}
+    for i, (lead, tail) in enumerate(ideal.rules):
+        for beta in sorted(set(tail) - {zero}):
+            for mono, c in sorted(tail[beta].items()):
+                changed = {**tail, beta: {**tail[beta], mono: 2 * c}}
                 broken = ideal._replace(rules=ideal.rules[:i] + (
                     (lead, changed),) + ideal.rules[i + 1:])
                 failing = [op.beta for op in operators if any(normal_form(
@@ -428,10 +429,7 @@ def test_projective_three_space_module():
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
     ideal = build_deformed_ideal(fan, md, ring, 3)
-    assert dict(ideal.rules)[(4,)] == {
-        ideal.ctx.zero_class: {(4,): Fraction(1)},
-        (1, 1, 1, 1): {(0,): Fraction(-1)},
-    }
+    assert dict(ideal.rules)[(4,)] == {(1, 1, 1, 1): {(0,): Fraction(1)}}
     module = module_matrices(ideal)
     # h * h^3 = q
     col = module.star_column(0, ring.basis.index((3,)))
@@ -489,6 +487,24 @@ def test_complete_and_module_match_oracles(name, cutoff):
                           completion_added=added)
     assert module_matrices(ideal).matrices == \
         oracles.module_matrices(ideal).matrices
+
+
+@pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))
+def test_rules_are_in_normal_form(name):
+    # a rule is (lead, normal form of lead), for the deformed ideal at
+    # cutoff 4 and the classical ring at cutoff 0: no monomial of a tail, at
+    # any level, is divisible by a lead, and the reference reduction of the
+    # lead gives the stored tail
+    fan = oracles.KERNEL_FANS[name]()
+    ring = build_cohomology_ring(fan)
+    ideal = build_deformed_ideal(fan, mori_data(fan), ring, 4)
+    for rules, ctx in ((ideal.rules, ideal.ctx), (ring.rules, oracles.Q0)):
+        leads = [lead for lead, _ in rules]
+        for lead, tail in rules:
+            assert not any(mono_divides(other, m) for other in leads
+                           for poly in tail.values() for m in poly), lead
+            assert dict(rules)[lead] == oracles.dp_reduce(
+                {ctx.zero_class: {lead: 1}}, rules, ctx), lead
 
 
 def _counted_complete(monkeypatch, gens, ctx):
@@ -555,7 +571,7 @@ def test_complete_matches_oracle_random_cutoff0(monkeypatch):
 def test_integral_rules_have_int_coefficients(name, cutoff):
     _, ctx, gens = _deformed_setup(name, cutoff)
     rules, _ = batyrev.complete(gens, ctx)
-    coeffs = [c for _, element in rules for poly in element.values()
+    coeffs = [c for _, tail in rules for poly in tail.values()
               for c in poly.values()]
     assert coeffs and all(type(c) is int for c in coeffs)
 

@@ -31,14 +31,20 @@ def P(terms):
 
 
 def buchberger(gens):
-    """Reduced Groebner basis through ``complete`` at cutoff 0."""
+    """Reduced Groebner basis through ``complete`` at cutoff 0: each rule's
+    lead minus its tail."""
     rules, _ = complete([{(): g} for g in gens], Q0)
-    return [element[()] for _, element in rules]
+    return [psub({lead: 1}, tail.get((), {})) for lead, tail in rules]
 
 
 def normal_form(p, gb):
-    """Normal form modulo a monic basis through ``dp_reduce`` at cutoff 0."""
-    rules = [(leading(g)[0], {(): g}) for g in gb]
+    """Normal form modulo a monic basis through ``dp_reduce`` at cutoff 0,
+    each element ``g`` the rule ``lead(g) -> lead(g) - g``."""
+    rules = []
+    for g in gb:
+        lead, coeff = leading(g)
+        assert coeff == 1
+        rules.append((lead, {(): psub({lead: 1}, g)}))
     return dp_reduce({(): p}, rules, Q0).get((), {})
 
 
