@@ -16,13 +16,14 @@ monomial at the current level by strictly smaller classical terms while
 pushing deformation tails to strictly higher levels (every nonzero effective
 class has ell >= 1) -- which is what makes the procedure terminate.
 Buchberger completion over these rules only ever adds elements mirroring the
-classical completion of the level-0 layer; an S-pair residue with no unit
-coefficient at all would mean the quotient is not free over the truncated
-scalars and is reported, never skipped.  Because every lead is monic,
-Buchberger's product and chain criteria carry over from fields unchanged: a
-pair they drop has an S-polynomial that is a monomial combination of
-S-polynomials already reduced, so it has a standard representation at every
-level of the truncated scalars.
+classical completion of the level-0 layer.  An S-pair residue with no unit
+coefficient waits for the classical leads to be complete: only a residue
+that the final rules do not reduce to zero shows that the quotient is not
+free over the truncated scalars, and it is reported, never skipped.  Because
+every lead is monic, Buchberger's product and chain criteria carry over from
+fields unchanged: a pair they drop has an S-polynomial that is a monomial
+combination of S-polynomials already reduced, so it has a standard
+representation at every level of the truncated scalars.
 
 ``complete`` and ``dp_reduce`` are the package's only Groebner engine.  The
 normal form of a variable ``y`` times a standard monomial ``m`` is ``y m``
@@ -231,11 +232,15 @@ def complete(gens, ctx):
     (the chain criterion): S(i, j) is then a monomial combination of
     S(i, k) and S(j, k), which already have standard representations, so it
     has one through k.  A variable-support bitmask of each lead rejects most
-    candidates k before the divisibility test.  At cutoff 0 only the q^0
-    level occurs and this is the classical reduced Groebner basis.
+    candidates k before the divisibility test.  A residue with no unit
+    coefficient is held until the pairs run out, since a rule found later
+    may still reduce its q-level terms.  Reduction never creates a q^0 term, so
+    each held residue then reduces to zero, or the quotient is not free
+    over the truncated scalars and ``NonUnitLeadingCoefficient`` is raised.
+    At cutoff 0 only the q^0 level occurs and this is the classical reduced
+    Groebner basis.
     """
-    rules = [_monicize(g, ctx) for g in gens if g]
-    masks = [_support(lead) for lead, _ in rules]
+    rules, masks, held = [], [], []
     pairs, waiting, order = [], set(), count()
 
     def push(i, j):
@@ -243,6 +248,12 @@ def complete(gens, ctx):
             lcm = P.mono_lcm(rules[i][0], rules[j][0])
             heapq.heappush(pairs, (P.term_key(lcm), next(order), i, j))
             waiting.add((i, j))
+
+    def add(dp):
+        rules.append(_monicize(dp, ctx))
+        masks.append(_support(rules[-1][0]))
+        for k in range(len(rules) - 1):
+            push(len(rules) - 1, k)
 
     def chain(i, j, lcm):
         both = masks[i] | masks[j]
@@ -253,9 +264,9 @@ def complete(gens, ctx):
             and P.mono_divides(rules[k][0], lcm)
             for k in range(len(rules)))
 
-    for i in range(len(rules)):
-        for j in range(i):
-            push(i, j)
+    for g in gens:
+        if g:
+            add(g)
     added = 0
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
@@ -268,16 +279,16 @@ def complete(gens, ctx):
         spair = dp_sub({b: P.pmul_term(p, m_j, 1) for b, p in tail_j.items()},
                        {b: P.pmul_term(p, m_i, 1) for b, p in tail_i.items()})
         residue = dp_reduce(spair, rules, ctx)
-        if residue:
-            if _unit_lead(residue, ctx) is None:
-                raise NonUnitLeadingCoefficient(
-                    f"S-pair of {lead_i} and {lead_j} reduced to a pure-q "
-                    f"element: quotient is not free on the classical basis")
-            rules.append(_monicize(residue, ctx))
-            masks.append(_support(rules[-1][0]))
+        if residue and _unit_lead(residue, ctx) is None:
+            held.append((lead_i, lead_j, residue))
+        elif residue:
+            add(residue)
             added += 1
-            for k in range(len(rules) - 1):
-                push(len(rules) - 1, k)
+    for lead_i, lead_j, residue in held:
+        if dp_reduce(residue, rules, ctx):
+            raise NonUnitLeadingCoefficient(
+                f"S-pair of {lead_i} and {lead_j} reduced to a pure-q "
+                f"element: quotient is not free on the classical basis")
     # minimalize leads, then canonicalize tails to normal forms
     keep = []
     for i, (lead, tail) in enumerate(rules):

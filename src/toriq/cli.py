@@ -496,7 +496,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         fan = ingest(args.fan)
-    except (ParseError, ValidationError, NoPositiveFunctional) as exc:
+    except (ParseError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:

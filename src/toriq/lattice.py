@@ -1,112 +1,74 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here runs on Python ints and ``fractions.Fraction`` -- no floating
-point, no overflow.  Matrices are plain lists of row lists.  The integer side
-is what the fan machinery needs: determinants (smoothness, wall sides) and
-exact inverses, both fraction-free.  The rational side is reduced row
-echelon form.  Coordinates are never solved for one query at a time; each
-matrix that gives them is inverted once (a fan's maximal cones, the Mori
-generators) and a coordinate is a dot product with a row of its inverse.
+Matrices are plain lists of row lists of Python ints: no floating point, no
+overflow.  One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+22, 1968) gives determinants (smoothness, wall sides), exact inverses and
+pivot columns alike.  Each matrix that gives coordinates is inverted once (a
+fan's maximal cones, the Mori generators), and a coordinate is a dot product
+with a row of its inverse.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 
-def check_matrix(A):
-    """Validate a row-major integer matrix, returning (rows, cols)."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    for row in A:
-        if len(row) != cols:
-            raise ValueError("ragged matrix")
-        for x in row:
-            if not isinstance(x, int):
-                raise ValueError(f"non-integer entry {x!r}")
-    return rows, cols
+def _eliminate(M):
+    """Fraction-free Gauss-Jordan of the integer matrix ``M``, in place.
+
+    A column with no nonzero entry below the pivot rows is skipped; else that
+    entry's row is swapped up, and every other row becomes ``(pivot * row -
+    row[c] * top) // d`` for ``d`` the previous pivot.  Entries stay integer
+    minors of ``M``, so each division is exact.  Returns ``(pivots, d,
+    sign)``: the pivot columns, the last pivot (the pivot rows end as ``d``
+    times the reduced echelon form) and the sign of the row swaps.
+    """
+    pivots, d, sign = [], 1, 1
+    for c in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            M[r], M[p] = M[p], M[r]
+            sign = -sign
+        top, pivot = M[r], M[r][c]
+        for i, row in enumerate(M):
+            if i != r:
+                M[i] = [(pivot * a - row[c] * b) // d for a, b in zip(row, top)]
+        pivots.append(c)
+        d = pivot
+    return pivots, d, sign
 
 
 def det_int(A):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n, m = check_matrix(A)
-    if n != m:
+    """Determinant of a square integer matrix."""
+    if any(len(row) != len(A) for row in A):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
-# --- rational Gaussian elimination -----------------------------------------
-
-
-def rref(M):
-    """Reduced row echelon form over Fraction; returns (rows, pivot_cols)."""
-    rows = [[Fraction(x) for x in row] for row in M]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    pivots, d, sign = _eliminate([list(row) for row in A])
+    return sign * d if len(pivots) == len(A) else 0
 
 
 def invert_int(A):
     """Inverse of a square integer matrix as row tuples; None when singular.
 
-    Fraction-free (Bareiss) Gauss-Jordan on ``[A | I]``: every entry stays an
-    integer minor, so each division is exact, and the blocks end as ``d``
-    times the identity and ``d`` times the inverse.  Entries are ints where
-    integral, Fractions otherwise.
+    Eliminates ``[A | I]``: ``A`` is invertible exactly when its own columns
+    are the pivots, and then the blocks end as ``d`` times the identity and
+    ``d`` times the inverse.  Entries are ints where integral, Fractions
+    otherwise.
     """
     n = len(A)
     M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    d = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if M[i][k]), None)
-        if p is None:
-            return None
-        M[k], M[p] = M[p], M[k]
-        top, pivot = M[k], M[k][k]
-        M = [row if i == k else [(pivot * a - row[k] * b) // d
-                                 for a, b in zip(row, top)]
-             for i, row in enumerate(M)]
-        d = pivot
+    pivots, d, _ = _eliminate(M)
+    if pivots != list(range(n)):
+        return None
     return tuple(tuple(x // d if x % d == 0 else Fraction(x, d)
                        for x in row[n:]) for row in M)
+
+
+def independent(vectors):
+    """Indices of the vectors outside the span of those before them: the
+    first maximal linearly independent subfamily, whose size is the rank."""
+    return _eliminate([list(c) for c in zip(*vectors)])[0]
 
 
 def primitive_vector(v):

@@ -250,7 +250,7 @@ def _facet_normals(vectors, r):
     and no third ray's zero set contains the shared ones.  Rays are kept
     primitive and integral.
     """
-    start = lattice.rref([list(c) for c in zip(*vectors)])[1]
+    start = lattice.independent(vectors)
     inv = lattice.invert_int([list(vectors[i]) for i in start])
     rays = []
     for j in range(r):
@@ -359,7 +359,7 @@ def enumerate_effective(md, cutoff):
     if r == 0 or not md.generators:
         return [zero]
     ys = [tuple(g[j] for j in surviving) for g in md.generators]
-    assert len(lattice.rref([list(y) for y in ys])[1]) == r, \
+    assert len(lattice.independent(ys)) == r, \
         "Mori cone of a projective fan must span the curve-class lattice"
     ell_y = tuple(md.ell_of(b) for b in basis)
     rows = [(f, 0) for f in _facet_normals(ys, r)]

@@ -25,7 +25,10 @@ variables to one NovikovScalar per basis monomial.  These three, and
 for the scans that check effective-class enumeration.
 
 ``perturbed_series`` changes one coefficient of a series, for the tests
-that the annihilation check must fail.
+that the annihilation check must fail.  ``relabel`` lists a fan's rays in
+another order, for the tests that nothing depends on ray order, and
+``subdivided_p3`` gives the smooth complete threefolds, two of them not
+projective, on which the commands are checked beyond the catalog.
 
 ``check_module`` checks Batyrev's module from its matrices alone, by plain
 dict arithmetic: no ``dp_reduce`` and no ``complete``.  It finds the
@@ -35,17 +38,22 @@ primitive relations from the cones with its own linear algebra
 ``psub``, ``groebner`` and ``poincare_dual_basis`` (with ``SingularPairing``)
 have no caller in ``toriq``: the polynomial difference, the classical ring's
 reduced Groebner basis read from its rules, and the dual basis of the
-Poincare pairing.  ``invert_rational`` is the Fraction Gauss-Jordan inverse
-that the fraction-free ``lattice.invert_int`` replaced; the pairing's Gram
-matrix is rational, so the dual basis keeps it.
+Poincare pairing.
+
+``rref`` is a Fraction Gauss-Jordan elimination of its own, the reference
+for ``lattice``'s fraction-free one, and nothing here calls ``lattice``:
+``invert_rational`` (also the dual basis's inverse, since the pairing's Gram
+matrix is rational), ``nullspace_rational`` and ``_solve`` read it, and
+``det_leibniz`` expands a determinant over permutations with no elimination.
 """
 
 import heapq
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, count
+from itertools import combinations, count, permutations
+from math import gcd, lcm
 
-from toriq import lattice, polynomials as P
+from toriq import polynomials as P
 from toriq.batyrev import (
     BatyrevModule,
     NonUnitLeadingCoefficient,
@@ -292,6 +300,68 @@ def p2xp2():
                               for a in tri for b in tri], name="P2xP2")
 
 
+def rref(M):
+    """Reduced row echelon form over Fraction; returns (rows, pivot_cols).
+    The reference for ``lattice``'s fraction-free elimination."""
+    rows = [[Fraction(x) for x in row] for row in M]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def det_leibniz(A):
+    """Determinant of a square matrix by the Leibniz formula: a signed sum
+    over permutations, with no elimination at all."""
+    total = 0
+    for perm in permutations(range(len(A))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
+
+
+def subdivided_p3(diagonals):
+    """A smooth complete threefold as fan JSON data (1-based cones).
+
+    P^3's fan with its three edges at ``(1, 1, 1)`` subdivided by the rays
+    ``w_i = (1, 1, 1) - e_i`` (rays 5-7).  Each quadrilateral ``w_i, -e_i,
+    -e_j, w_j``, for ``(i, j)`` in ``(1, 2), (2, 3), (3, 1)``, is cut by one
+    diagonal: ``w_i -e_j`` where ``diagonals`` holds True, else ``-e_i w_j``.
+    The two cyclic choices, all True or all False, are pinwheels, which are
+    not projective (Oda, *Convex Bodies and Algebraic Geometry*, 1988); the
+    six others are projective and semipositive.
+    """
+    w = {1: 5, 2: 6, 3: 7}
+    cones = [[1, 2, 3], [4, 5, 6], [4, 6, 7], [4, 7, 5]]
+    for cut, (i, j) in zip(diagonals, ((1, 2), (2, 3), (3, 1))):
+        a, b, c, d = (w[i], j, i, w[j]) if cut else (i, w[j], w[i], j)
+        cones += [[a, b, c], [a, b, d]]
+    return {"dim": 3, "max_cones": cones,
+            "rays": [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 1, 1],
+                     [0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+
+
+def relabel(fan, perm):
+    """The same fan with its rays listed in another order: ray ``k`` of the
+    result is ray ``perm[k]`` of ``fan``."""
+    new = {old: k for k, old in enumerate(perm)}
+    return make_fan(fan.dim, [fan.rays[i] for i in perm],
+                    [[new[i] for i in cone] for cone in fan.max_cones],
+                    name=fan.name)
+
+
 def invert_rational(A):
     """Exact inverse of a square rational matrix by Fraction Gauss-Jordan;
     None when singular.  The reference for ``lattice.invert_int``."""
@@ -299,7 +369,7 @@ def invert_rational(A):
     aug = [[Fraction(A[i][j]) for j in range(n)]
            + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
            for i in range(n)]
-    red, pivots = lattice.rref(aug)
+    red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red[:n]]
@@ -312,7 +382,7 @@ def nullspace_rational(A):
     if nrows == 0:
         return [[Fraction(1) if i == j else Fraction(0) for i in range(ncols)]
                 for j in range(ncols)]
-    red, pivots = lattice.rref(A)
+    red, pivots = rref(A)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -322,6 +392,14 @@ def nullspace_rational(A):
             v[c] = -red[r][fc]
         basis.append(v)
     return basis
+
+
+def _primitive(v):
+    """The primitive integer vector on the ray of a rational vector."""
+    den = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g else ints
 
 
 def facet_normals(vectors, r):
@@ -337,7 +415,7 @@ def facet_normals(vectors, r):
             else [[Fraction(1) if i == j else Fraction(0) for i in range(r)]
                   for j in range(r)]
         for f in ns:
-            fi = lattice.primitive_vector(f)
+            fi = _primitive(f)
             if all(x == 0 for x in fi):
                 continue
             dots = [sum(a * b for a, b in zip(fi, w)) for w in vectors]
@@ -433,7 +511,8 @@ def dp_reduce(dp, rules, ctx):
 
 
 def complete(gens, ctx):
-    """Completion that reduces every S-pair, coprime leads included.
+    """Completion that reduces every S-pair, coprime leads included; a
+    residue with no unit coefficient waits to be reduced by the final rules.
 
     Returns ``(rules, added, reductions)``, where ``reductions`` counts the
     ``dp_reduce`` calls.
@@ -445,7 +524,7 @@ def complete(gens, ctx):
         return dp_reduce(dp, rules, ctx)
 
     rules = [_monicize(g, ctx) for g in gens if g]
-    pairs, order = [], count()
+    pairs, order, held = [], count(), []
 
     def push(i, j):
         lcm = P.mono_lcm(rules[i][0], rules[j][0])
@@ -462,14 +541,15 @@ def complete(gens, ctx):
         spair = dp_sub(_times(tail_j, P.mono_div(lcm, lead_j)),
                        _times(tail_i, P.mono_div(lcm, lead_i)))
         residue = nf(spair, rules)
-        if residue:
-            if _unit_lead(residue, ctx) is None:
-                raise NonUnitLeadingCoefficient(
-                    f"S-pair of {lead_i} and {lead_j} is a pure-q element")
+        if residue and _unit_lead(residue, ctx) is None:
+            held.append(residue)
+        elif residue:
             rules.append(_monicize(residue, ctx))
             added += 1
             for k in range(len(rules) - 1):
                 push(len(rules) - 1, k)
+    if any(nf(residue, rules) for residue in held):
+        raise NonUnitLeadingCoefficient("an S-pair is a pure-q element")
     keep = []
     for i, (lead, tail) in enumerate(rules):
         redundant = any(
@@ -586,18 +666,9 @@ def curve_lattice_basis(fan):
 
 def _solve(columns, target):
     """Exact ``x`` with ``sum_j x_j columns[j] == target`` for a basis."""
-    n = len(target)
-    rows = [[Fraction(col[i]) for col in columns] + [Fraction(target[i])]
-            for i in range(n)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if rows[r][c])
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for r in range(n):
-            f = rows[r][c]
-            if r != c and f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return [row[n] for row in rows]
+    red, _ = rref([[col[i] for col in columns] + [target[i]]
+                   for i in range(len(target))])
+    return [row[-1] for row in red]
 
 
 def check_module(fan, ell, cutoff, module):
@@ -625,25 +696,36 @@ def check_module(fan, ell, cutoff, module):
     ring = module.ring
     dim, zero = ring.dim, (0,) * fan.n_rays
 
-    def mul(a, b):
+    ells = {}
+
+    def ell_of(beta):
+        if beta not in ells:
+            ells[beta] = sum(e * x for e, x in zip(ell, beta))
+        return ells[beta]
+
+    def mul_into(acc, a, b):
         # ell is additive: a pair past the cutoff is skipped before its
         # class is formed
-        right = [(b2, c2, sum(e * x for e, x in zip(ell, b2)))
-                 for b2, c2 in b.items()]
-        out = {}
+        right = [(b2, c2, ell_of(b2)) for b2, c2 in b.items()]
         for b1, c1 in a.items():
-            room = cutoff - sum(e * x for e, x in zip(ell, b1))
+            room = cutoff - ell_of(b1)
             for b2, c2, e2 in right:
                 if e2 <= room:
                     beta = tuple(x + y for x, y in zip(b1, b2))
-                    out[beta] = out.get(beta, 0) + c1 * c2
-        return {beta: c for beta, c in out.items() if c}
+                    acc[beta] = acc.get(beta, 0) + c1 * c2
+        return acc
+
+    def nonzero(x):
+        return {beta: c for beta, c in x.items() if c}
+
+    def mul(a, b):
+        return nonzero(mul_into({}, a, b))
 
     def add(a, b, scale=1):
         out = dict(a)
         for beta, c in b.items():
             out[beta] = out.get(beta, 0) + scale * c
-        return {beta: c for beta, c in out.items() if c}
+        return nonzero(out)
 
     def matmul(A, B):
         out = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -652,8 +734,8 @@ def check_module(fan, ell, cutoff, module):
                 if A[i][k]:
                     for j in range(dim):
                         if B[k][j]:
-                            out[i][j] = add(out[i][j], mul(A[i][k], B[k][j]))
-        return out
+                            mul_into(out[i][j], A[i][k], B[k][j])
+        return [[nonzero(x) for x in row] for row in out]
 
     def scalar(s):
         return [[dict(s) if i == j else {} for j in range(dim)]

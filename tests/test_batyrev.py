@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -10,6 +12,7 @@ from toriq.batyrev import (
     BatyrevModule,
     DeformedIdeal,
     HypothesisUnmet,
+    NonUnitLeadingCoefficient,
     RelationNonzero,
     build_deformed_ideal,
     certify_isomorphism,
@@ -17,7 +20,7 @@ from toriq.batyrev import (
     relation_check,
 )
 from toriq.catalog import CATALOG, SEMIPOSITIVE, builtin_fan
-from toriq.cli import main
+from toriq.cli import fan_from_dict, main
 from toriq.cohomring import build_cohomology_ring, divisor_class
 from toriq.gkz import gkz_operator
 from toriq.moricone import mori_data
@@ -601,3 +604,71 @@ def test_complete_work_is_pinned(monkeypatch, name, cutoff, pinned,
     _, ctx, gens = _deformed_setup(name, cutoff)
     _, _, calls, _ = _counted_complete(monkeypatch, gens, ctx)
     assert calls == pinned < product_only
+
+
+# wdP5 with its rays listed in reverse.  From cutoff 1 on, an S-pair residue
+# has no unit coefficient while the classical leads are still incomplete; a
+# rule found later reduces it to zero.
+REVERSED_WDP5 = {
+    "dim": 2,
+    "rays": [[0, -1], [-1, -1], [-1, 0], [0, 1], [1, 1], [2, 1], [1, 0]],
+    "max_cones": [[7, 6], [6, 5], [5, 4], [4, 3], [3, 2], [2, 1], [1, 7]]}
+
+
+def test_reversed_wdp5_certifies(tmp_path, capsys):
+    path = tmp_path / "wdP5.json"
+    path.write_text(json.dumps(REVERSED_WDP5))
+    assert main(["certify", "--fan", str(path), "--cutoff", "4"]) == 0
+    assert capsys.readouterr().err == ""
+    fan = oracles.relabel(oracles.wdp5(), range(6, -1, -1))
+    assert fan == fan_from_dict(REVERSED_WDP5)._replace(name="wdP5")
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    oracles.check_module(fan, md.ell, 4, module_matrices(
+        build_deformed_ideal(fan, md, ring, 4)))
+    # the reference reduces every S-pair, which is slow at cutoff 4
+    for cutoff in (1, 2):
+        ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
+        gens = batyrev._deformed_generators(fan, md, ring, ctx)
+        assert batyrev.complete(gens, ctx) == oracles.complete(gens, ctx)[:2]
+
+
+def _orders(n):
+    """The ray orders of an n-cycle obtained by rotation and reflection."""
+    return [[(s * k + r) % n for k in range(n)] for r in range(n)
+            for s in (1, -1)]
+
+
+RAY_ORDERS = [("wdP5", p) for p in _orders(7)] + [
+    ("wdP4", [3, 4, 5, 6, 7, 0, 1, 2]), ("wdP4", [4, 3, 2, 1, 0, 7, 6, 5])]
+
+
+@pytest.mark.parametrize("name,perm", RAY_ORDERS, ids=[
+    f"{name}-{''.join(map(str, perm))}" for name, perm in RAY_ORDERS])
+def test_certificate_does_not_depend_on_ray_order(name, perm):
+    fan = oracles.relabel(oracles.KERNEL_FANS[name](), perm)
+    md = mori_data(fan)
+    ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), 4)
+    certify_isomorphism(ideal, md)
+
+
+def test_torsion_still_raises():
+    # x^2 and x^2 - q: their S-pair is the pure-q element q, which no rule
+    # reduces
+    ctx = NovikovContext(n_rays=1, ell=(1,), cutoff=2)
+    gens = [{(0,): {(2,): 1}}, {(0,): {(2,): 1}, (1,): {(0,): -1}}]
+    with pytest.raises(NonUnitLeadingCoefficient):
+        batyrev.complete(gens, ctx)
+    with pytest.raises(NonUnitLeadingCoefficient):
+        oracles.complete(gens, ctx)
+
+
+@pytest.mark.parametrize("cuts", [c for c in itertools.product(
+    (True, False), repeat=3) if len(set(c)) == 2],
+    ids=lambda cuts: "".join("TF"[not cut] for cut in cuts))
+def test_projective_subdivided_p3_certifies(cuts):
+    fan = fan_from_dict(oracles.subdivided_p3(cuts))
+    md = mori_data(fan)
+    assert md.semipositive and max(map(md.ell_of, md.generators)) == 4
+    ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), 4)
+    oracles.check_module(fan, md.ell, 4, certify_isomorphism(ideal, md))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from toriq.fan import ValidationError
 from toriq.gkz import i_function
 from toriq.moricone import mori_data
 
+import oracles
 from oracles import perturbed_series
 from test_golden import FAN_FILES
 
@@ -243,6 +245,21 @@ def test_disconnected_fan_is_input_error(tmp_path, capsys, command):
                    "maximal cones are not wall-connected\n")
     assert "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("cut", [True, False])
+@pytest.mark.parametrize("command", ["analyze", "ifunction", "certify"])
+def test_pinwheel_threefold_is_input_error(tmp_path, capsys, command, cut):
+    # smooth and complete, so ingest accepts it; mori_data finds no
+    # functional positive on its Mori cone
+    path = tmp_path / "pinwheel.json"
+    path.write_text(json.dumps(oracles.subdivided_p3((cut,) * 3)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--fan", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("input error: no functional is >= 1 on all Mori "
+                   "generators; fan is not projective\n")
 
 
 @pytest.mark.parametrize("dim", [1, 2])
