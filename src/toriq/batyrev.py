@@ -67,13 +67,7 @@ def dp_sub(a, b):
     """``a - b`` level by level; the levels it empties are dropped."""
     out = dict(a)
     for beta, poly in b.items():
-        level = dict(out.get(beta, {}))
-        for m, c in poly.items():
-            s = level.get(m, 0) - c
-            if s:
-                level[m] = s
-            else:
-                level.pop(m, None)
+        level = P.padd(out.get(beta, {}), P.pscale(poly, -1))
         if level:
             out[beta] = level
         else:
@@ -86,16 +80,11 @@ def dp_mul_scalar(dp, scalar, ctx):
     out = {}
     for b1, poly in dp.items():
         for b2, c in scalar.terms.items():
-            target = tuple(x + y for x, y in zip(b1, b2))
+            target = P.mono_mul(b1, b2)
             if ctx.ell_of(target) > ctx.cutoff:
                 continue
-            contrib = P.pscale(poly, c)
-            s = P.padd(out[target], contrib) if target in out else contrib
-            if s:
-                out[target] = s
-            else:
-                out.pop(target, None)
-    return out
+            out[target] = P.padd(out.get(target, {}), P.pscale(poly, c))
+    return {beta: poly for beta, poly in out.items() if poly}
 
 
 def dp_reduce(dp, rules, ctx):
@@ -147,7 +136,7 @@ def dp_reduce(dp, rules, ctx):
                     t_ell += e
                     if t_ell > cutoff:
                         continue
-                    target = tuple(x + y for x, y in zip(beta, tbeta))
+                    target = P.mono_mul(beta, tbeta)
                     level = levels.get(target)
                     if level is None:
                         level = levels[target] = {}

@@ -83,22 +83,18 @@ def gkz_operator(beta):
 
 
 def _ray_factor(D, mult, d, cache):
-    """Factor of a ray with divisor class ``D`` at pairing ``d != 0``.
+    """Factor of a ray with divisor class ``D`` at pairing ``d``.
 
     ``mult`` is the ray's entry of ``ring.divisor_columns`` and ``cache``
-    maps pairings of this one ray to their factors.  The factor at ``d`` is
-    the one at ``d - 1`` (``d + 1`` when negative) times one new term:
-    ``(D + d hbar)^(-1)`` for ``d >= 2``, ``(D + (d + 1) hbar)`` for
-    ``d <= -2``.
+    maps pairings of this one ray to their factors, starting from the factor
+    1 at ``d = 0``.  The factor at ``d`` is the one at ``d - 1`` times
+    ``(D + d hbar)^(-1)`` when ``d > 0``, and the one at ``d + 1`` times
+    ``(D + (d + 1) hbar)`` when ``d < 0``.
     """
     if d not in cache:
-        if d == 1:
-            cache[d] = nilpotent_geometric(D, 1)
-        elif d > 1:
+        if d > 0:
             cache[d] = _ray_factor(D, mult, d - 1, cache) * \
                 nilpotent_geometric(D, d)
-        elif d == -1:
-            cache[d] = HLaurent.of_class(D)
         else:
             cache[d] = _linear_factor_apply(
                 _ray_factor(D, mult, d + 1, cache), mult, d + 1)
@@ -117,7 +113,8 @@ def i_function(ring, md, cutoff):
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
     divisors, mults = ring.divisors, ring.divisor_columns
-    caches = [{} for _ in divisors]
+    one = HLaurent.one(ring)
+    caches = [{0: one} for _ in divisors]
     prefix = [None] * (ctx.n_rays + 1)
     previous = ()
     coefficients = {}
@@ -133,7 +130,7 @@ def i_function(ring, md, cutoff):
                 acc = factor if acc is None else acc * factor
             prefix[rho + 1] = acc
         last = prefix[-1]
-        coefficients[beta] = HLaurent.one(ring) if last is None else last
+        coefficients[beta] = one if last is None else last
         previous = beta
     # the series keeps its terms in enumeration order, (ell, lex)
     terms = {beta: coefficients[beta] for beta in classes}

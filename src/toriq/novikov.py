@@ -4,9 +4,11 @@ Three layers, each exact:
 
 * ``NovikovScalar`` -- a finite QQ-linear combination of semigroup symbols
   ``q^beta`` keyed by full curve-class vectors, truncated by the positive
-  functional ``ell`` at a fixed cutoff.  Units are the scalars with nonzero
-  ``q^0`` part; their inverses come from a finite Neumann series because every
-  nonzero effective class has ``ell >= 1``.
+  functional ``ell`` at a fixed cutoff: a sparse polynomial whose exponents
+  are curve classes, so ``polynomials`` does its arithmetic and only the
+  constructor truncates.  Units are the scalars with nonzero ``q^0`` part;
+  their inverses come from a finite Neumann series because every nonzero
+  effective class has ``ell >= 1``.
 * ``HLaurent`` -- a finitely supported Laurent polynomial in the formal
   variable hbar whose coefficients are cohomology classes.  Nilpotency of
   positive-degree classes keeps every expansion finite; nothing is ever
@@ -21,7 +23,7 @@ Three layers, each exact:
 from collections import namedtuple
 from fractions import Fraction
 
-from .polynomials import _rational
+from . import polynomials as P
 
 
 class CutoffMismatch(ValueError):
@@ -63,7 +65,7 @@ class NovikovScalar:
         self.ctx = ctx
         clean = {}
         for beta, c in (terms or {}).items():
-            c = _rational(c)
+            c = P._rational(c)
             if c and ctx.ell_of(beta) <= ctx.cutoff:
                 clean[tuple(beta)] = c
         self.terms = clean
@@ -87,39 +89,20 @@ class NovikovScalar:
 
     def __add__(self, other):
         _check_ctx(self, other)
-        out = dict(self.terms)
-        for b, c in other.terms.items():
-            s = out.get(b, 0) + c
-            if s:
-                out[b] = s
-            else:
-                out.pop(b, None)
-        return NovikovScalar(self.ctx, out)
+        return NovikovScalar(self.ctx, P.padd(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return NovikovScalar(self.ctx, {b: -c for b, c in self.terms.items()})
+        return NovikovScalar(self.ctx, P.pscale(self.terms, -1))
 
     def __mul__(self, other):
         _check_ctx(self, other)
-        ctx = self.ctx
-        out = {}
-        for b1, c1 in self.terms.items():
-            for b2, c2 in other.terms.items():
-                b = tuple(x + y for x, y in zip(b1, b2))
-                if ctx.ell_of(b) > ctx.cutoff:
-                    continue
-                s = out.get(b, 0) + c1 * c2
-                if s:
-                    out[b] = s
-                else:
-                    out.pop(b, None)
-        return NovikovScalar(ctx, out)
+        return NovikovScalar(self.ctx, P.pmul(self.terms, other.terms))
 
     def scale(self, c):
-        return NovikovScalar(self.ctx, {b: x * c for b, x in self.terms.items()})
+        return NovikovScalar(self.ctx, P.pscale(self.terms, c))
 
     def q0(self):
         """Coefficient of q^0."""

@@ -30,9 +30,17 @@ another order, for the tests that nothing depends on ray order, and
 ``subdivided_p3`` gives the smooth complete threefolds, two of them not
 projective, on which the commands are checked beyond the catalog.
 
-``check_module`` checks Batyrev's module from its matrices alone, by plain
-dict arithmetic: no ``dp_reduce`` and no ``complete``.  It finds the
-primitive relations from the cones with its own linear algebra
+``q_mul``, ``q_add`` and ``q_inverse`` are truncated Novikov scalars as
+plain ``{beta: c}`` dicts, with a Neumann inverse of their own, and
+``dp_sub``, ``dp_mul_scalar``, ``_unit_lead`` and ``_monicize`` are the level
+arithmetic of the completion on top of them.  ``complete`` and
+``normal_form`` monicize and scale through these alone, so the reference
+completion shares neither ``NovikovScalar``'s arithmetic nor ``batyrev``'s
+level helpers with the code it checks.
+
+``check_module`` checks Batyrev's module from its matrices alone, by the
+same ``q_mul`` and ``q_add``: no ``dp_reduce`` and no ``complete``.  It
+finds the primitive relations from the cones with its own linear algebra
 (``primitive_relations``) and takes only ``ell`` from ``mori_data``.
 
 ``psub``, ``groebner`` and ``poincare_dual_basis`` (with ``SingularPairing``)
@@ -49,19 +57,12 @@ matrix is rational), ``nullspace_rational`` and ``_solve`` read it, and
 
 import heapq
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, count, permutations
 from math import gcd, lcm
 
 from toriq import polynomials as P
-from toriq.batyrev import (
-    BatyrevModule,
-    NonUnitLeadingCoefficient,
-    _monicize,
-    _unit_lead,
-    dp_mul_scalar,
-    dp_sub,
-)
+from toriq.batyrev import BatyrevModule, NonUnitLeadingCoefficient
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cohomring import (
     CohClass,
@@ -473,6 +474,96 @@ def fm_feasible_point(constraints, nvars):
     return point
 
 
+# --- truncated scalars as plain ``{beta: c}`` dicts --------------------------
+
+
+@cache
+def ell_of(ell, beta):
+    """``ell . beta``, memoized: the matrix products of ``check_module`` meet
+    the same few classes again and again."""
+    return sum(e * x for e, x in zip(ell, beta))
+
+
+def q_mul_into(acc, a, b, ell, cutoff):
+    """Add the truncated product ``a * b`` into ``acc``; ``ell`` is
+    additive, so a pair past the cutoff is skipped before its class is
+    formed.  Sums that cancel stay in ``acc`` as zeros."""
+    right = [(b2, c2, ell_of(ell, b2)) for b2, c2 in b.items()]
+    for b1, c1 in a.items():
+        room = cutoff - ell_of(ell, b1)
+        for b2, c2, e2 in right:
+            if e2 <= room:
+                beta = tuple(x + y for x, y in zip(b1, b2))
+                acc[beta] = acc.get(beta, 0) + c1 * c2
+    return acc
+
+
+def nonzero(x):
+    return {beta: c for beta, c in x.items() if c}
+
+
+def q_mul(a, b, ell, cutoff):
+    return nonzero(q_mul_into({}, a, b, ell, cutoff))
+
+
+def q_add(a, b, scale=1):
+    out = dict(a)
+    for beta, c in b.items():
+        out[beta] = out.get(beta, 0) + scale * c
+    return nonzero(out)
+
+
+def q_inverse(a, ell, cutoff):
+    """Inverse of a unit by the Neumann series: ``a = c0 (1 - n)`` with
+    ``c0`` its q^0 coefficient, so ``1/a = (1 + n + ... + n^cutoff) / c0``,
+    since every nonzero class has ``ell >= 1``."""
+    zero = (0,) * len(ell)
+    c0 = Fraction(a.get(zero, 0))
+    if not c0:
+        raise ZeroDivisionError("no q^0 part")
+    n = {beta: -c / c0 for beta, c in a.items() if beta != zero}
+    total = power = {zero: 1}
+    for _ in range(cutoff):
+        power = q_mul(power, n, ell, cutoff)
+        total = q_add(total, power)
+    return {beta: c / c0 for beta, c in total.items()}
+
+
+def dp_sub(a, b):
+    """``a - b`` level by level; the levels it empties are dropped."""
+    out = {beta: psub(a.get(beta, {}), b.get(beta, {})) for beta in {**a, **b}}
+    return {beta: poly for beta, poly in out.items() if poly}
+
+
+def dp_mul_scalar(dp, scalar, ell, cutoff):
+    """A level-indexed polynomial times a ``{beta: c}`` scalar: the
+    coefficient of each monomial across levels is one truncated product."""
+    out = {}
+    for m in {m for poly in dp.values() for m in poly}:
+        coeff = {beta: poly[m] for beta, poly in dp.items() if m in poly}
+        for beta, c in q_mul(coeff, scalar, ell, cutoff).items():
+            out.setdefault(beta, {})[m] = c
+    return out
+
+
+def _unit_lead(dp, zero):
+    """The largest monomial of the q^0 level, or None if it is empty."""
+    return max(dp.get(zero, {}), key=P.term_key, default=None)
+
+
+def _monicize(dp, ctx):
+    """The rule ``(lead, x^lead - dp / lam)`` that ``dp`` gives, for
+    ``lead`` its unit lead and ``lam`` the lead's coefficient across
+    levels."""
+    lead = _unit_lead(dp, ctx.zero_class)
+    if lead is None:
+        raise NonUnitLeadingCoefficient("no monomial has a unit coefficient")
+    lam = {beta: poly[lead] for beta, poly in dp.items() if lead in poly}
+    monic = dp_mul_scalar(dp, q_inverse(lam, ctx.ell, ctx.cutoff),
+                          ctx.ell, ctx.cutoff)
+    return lead, dp_sub({ctx.zero_class: {lead: 1}}, monic)
+
+
 def dp_reduce(dp, rules, ctx):
     """Normal form modulo ``(lead, tail)`` rules, taking the least pending
     level by a scan and forming every tail's class before testing its ell."""
@@ -541,7 +632,7 @@ def complete(gens, ctx):
         spair = dp_sub(_times(tail_j, P.mono_div(lcm, lead_j)),
                        _times(tail_i, P.mono_div(lcm, lead_i)))
         residue = nf(spair, rules)
-        if residue and _unit_lead(residue, ctx) is None:
+        if residue and _unit_lead(residue, ctx.zero_class) is None:
             held.append(residue)
         elif residue:
             rules.append(_monicize(residue, ctx))
@@ -596,7 +687,8 @@ def normal_form(ideal, ray_terms):
     for mono, coeff in ray_terms.items():
         expanded = ring.ray_product(enumerate(mono))
         if isinstance(coeff, NovikovScalar):
-            contrib = dp_mul_scalar({ctx.zero_class: expanded}, coeff, ctx)
+            contrib = dp_mul_scalar({ctx.zero_class: expanded}, coeff.terms,
+                                    ctx.ell, ctx.cutoff)
         else:
             contrib = {ctx.zero_class: P.pscale(expanded, coeff)}
         for beta, poly in contrib.items():
@@ -694,38 +786,7 @@ def check_module(fan, ell, cutoff, module):
     Batyrev's module at this cutoff (Batyrev, Asterisque 218, 1993).
     """
     ring = module.ring
-    dim, zero = ring.dim, (0,) * fan.n_rays
-
-    ells = {}
-
-    def ell_of(beta):
-        if beta not in ells:
-            ells[beta] = sum(e * x for e, x in zip(ell, beta))
-        return ells[beta]
-
-    def mul_into(acc, a, b):
-        # ell is additive: a pair past the cutoff is skipped before its
-        # class is formed
-        right = [(b2, c2, ell_of(b2)) for b2, c2 in b.items()]
-        for b1, c1 in a.items():
-            room = cutoff - ell_of(b1)
-            for b2, c2, e2 in right:
-                if e2 <= room:
-                    beta = tuple(x + y for x, y in zip(b1, b2))
-                    acc[beta] = acc.get(beta, 0) + c1 * c2
-        return acc
-
-    def nonzero(x):
-        return {beta: c for beta, c in x.items() if c}
-
-    def mul(a, b):
-        return nonzero(mul_into({}, a, b))
-
-    def add(a, b, scale=1):
-        out = dict(a)
-        for beta, c in b.items():
-            out[beta] = out.get(beta, 0) + scale * c
-        return nonzero(out)
+    dim, zero, ell = ring.dim, (0,) * fan.n_rays, tuple(ell)
 
     def matmul(A, B):
         out = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -734,7 +795,8 @@ def check_module(fan, ell, cutoff, module):
                 if A[i][k]:
                     for j in range(dim):
                         if B[k][j]:
-                            mul_into(out[i][j], A[i][k], B[k][j])
+                            q_mul_into(out[i][j], A[i][k], B[k][j],
+                                       ell, cutoff)
         return [[nonzero(x) for x in row] for row in out]
 
     def scalar(s):
@@ -747,7 +809,7 @@ def check_module(fan, ell, cutoff, module):
     for k in range(fan.dim):
         total = scalar({})
         for rho, u in enumerate(fan.rays):
-            total = [[add(t, m, u[k]) for t, m in zip(trow, mrow)]
+            total = [[q_add(t, m, u[k]) for t, m in zip(trow, mrow)]
                      for trow, mrow in zip(total, M[rho])]
         assert total == scalar({}), f"linear relation of coordinate {k}"
     for rho, sigma in combinations(range(fan.n_rays), 2):
@@ -758,7 +820,7 @@ def check_module(fan, ell, cutoff, module):
         lhs = identity
         for rho in rays:
             lhs = matmul(lhs, M[rho])
-        rhs = scalar(mul({zero: 1}, {beta: 1}))
+        rhs = scalar(q_mul({zero: 1}, {beta: 1}, ell, cutoff))
         for rho, b in enumerate(beta):
             for _ in range(max(-b, 0)):
                 rhs = matmul(rhs, M[rho])
@@ -769,7 +831,8 @@ def check_module(fan, ell, cutoff, module):
         for j, e in enumerate(mono):
             for _ in range(e):
                 vec = [
-                    reduce(add, (mul(x, v) for x, v in zip(row, vec)), {})
+                    reduce(q_add, (q_mul(x, v, ell, cutoff)
+                                   for x, v in zip(row, vec)), {})
                     for row in M[ring.surviving[j]]]
         assert vec == identity[a], \
             f"x^{mono} does not carry the unit to its basis vector"

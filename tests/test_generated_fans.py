@@ -1,0 +1,126 @@
+"""Invariants on generated fans: random toric blowups of small fans, their
+rays listed in a random order.
+
+The star subdivision of a smooth fan at a cone ``tau`` adds the ray
+``u_tau``, the sum of ``tau``'s rays, and replaces each maximal cone
+``sigma`` containing ``tau`` by the cones ``sigma - {rho} + {u_tau}`` for
+``rho`` in ``tau``.  It is the blowup along the orbit closure of ``tau``,
+so the fan stays smooth, complete and projective (Cox, Little and Schenck,
+*Toric Varieties*, 2011, section 3.3).  The surfaces blow up P2 and the
+Hirzebruch surfaces F0-F3 at torus-fixed points; the threefolds blow up
+P3, P1xP2 and (P1)^3 along a torus-invariant curve or at a fixed point.
+"""
+
+import json
+import random
+from itertools import combinations, product
+
+import pytest
+
+from toriq.batyrev import build_deformed_ideal, certify_isomorphism
+from toriq.catalog import builtin_fan
+from toriq.cli import main
+from toriq.cohomring import build_cohomology_ring, divisor_class, integrate
+from toriq.fan import make_fan
+from toriq.moricone import mori_data
+
+from oracles import check_module, primitive_relations, relabel
+
+
+def p3():
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    return make_fan(3, rays, combinations(range(4), 3), name="P3")
+
+
+def p1_cubed():
+    rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+            (0, 0, -1)]
+    return make_fan(3, rays, product((0, 1), (2, 3), (4, 5)), name="P1^3")
+
+
+def star_subdivision(fan, tau):
+    new = fan.n_rays
+    ray = tuple(map(sum, zip(*(fan.rays[i] for i in tau))))
+    cones = []
+    for cone in fan.max_cones:
+        if set(tau) <= set(cone):
+            cones += [[new if i == rho else i for i in cone] for rho in tau]
+        else:
+            cones.append(cone)
+    return make_fan(fan.dim, fan.rays + (ray,), cones, name=f"{fan.name}+")
+
+
+def generated(rng, fan, blowups, sizes):
+    """``fan`` blown up ``blowups`` times, each time at a face of a random
+    maximal cone with one of ``sizes`` rays, its rays in a random order."""
+    for _ in range(blowups):
+        cone = rng.choice(fan.max_cones)
+        fan = star_subdivision(fan, rng.sample(cone, rng.choice(sizes)))
+    perm = list(range(fan.n_rays))
+    rng.shuffle(perm)
+    return relabel(fan, perm)
+
+
+def surface(i):
+    rng = random.Random(f"surface-{i}")
+    base = builtin_fan(rng.choice(("P2", "F0", "F1", "F2", "F3")))
+    return generated(rng, base, rng.randint(1, 2), (2,))
+
+
+def threefold(i):
+    rng = random.Random(f"threefold-{i}")
+    base = rng.choice((p3, lambda: builtin_fan("P1xP2"), p1_cubed))()
+    return generated(rng, base, rng.randint(1, 2), (2, 3))
+
+
+def run(capsys, path, command, cutoff, *flags):
+    code = main([command, "--fan", str(path), "--cutoff", str(cutoff), *flags])
+    return code, capsys.readouterr().out
+
+
+def semipositive(fan):
+    """Decided from the primitive relations alone: their classes generate
+    the Mori cone, and ``-K . beta`` is the sum of ``beta``'s entries."""
+    return all(sum(beta) >= 0 for _, beta in primitive_relations(fan))
+
+
+def check_invariants(fan, tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "dim": fan.dim, "rays": fan.rays, "name": fan.name,
+        "max_cones": [[i + 1 for i in cone] for cone in fan.max_cones]}))
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    cutoff = max(md.ell_of(beta) for beta in md.generators)
+    code, out = run(capsys, path, "analyze", cutoff, "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    dims = report["cohomology"]["graded_dimensions"]
+    assert report["euler_characteristic"] == len(fan.max_cones) == sum(dims)
+    assert dims == dims[::-1]
+    if fan.dim == 2:
+        K = sum((divisor_class(ring, rho) for rho in range(fan.n_rays)),
+                ring.zero())
+        assert integrate(ring, K * K) == 12 - fan.n_rays
+    assert run(capsys, path, "ifunction", cutoff)[0] == 0
+    code, _ = run(capsys, path, "certify", cutoff)
+    assert code == (0 if semipositive(fan) else 3)
+    if code == 0:
+        ideal = build_deformed_ideal(fan, md, ring, cutoff)
+        check_module(fan, md.ell, cutoff, certify_isomorphism(ideal, md))
+
+
+@pytest.mark.parametrize("i", range(20))
+def test_generated_surface(i, tmp_path, capsys):
+    check_invariants(surface(i), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("i", range(10))
+def test_generated_threefold(i, tmp_path, capsys):
+    check_invariants(threefold(i), tmp_path, capsys)
+
+
+def test_generated_fans_reach_both_certify_outcomes():
+    for fans in ([surface(i) for i in range(20)],
+                 [threefold(i) for i in range(10)]):
+        assert 0 < sum(map(semipositive, fans)) < len(fans)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -25,6 +26,9 @@ from oracles import (
     laurent_mul,
     laurent_of,
     mult_table,
+    q_add,
+    q_inverse,
+    q_mul,
     random_coeffs,
     random_laurent,
     to_hlaurent,
@@ -68,6 +72,127 @@ def test_scalar_cutoff_mismatch():
     _, _, _, ctx3 = f2_setup(cutoff=3)
     with pytest.raises(CutoffMismatch):
         NovikovScalar.unit(ctx2) + NovikovScalar.unit(ctx3)
+
+
+# --- NovikovScalar against the plain-dict scalars of the oracles -------------
+
+
+SCALAR_CASES = [(name, cutoff) for name in ("F2", "dP6", "wdP5")
+                for cutoff in range(5)]
+
+
+def scalar_setup(name, cutoff):
+    """The Mori generators of a kernel fan and its context at ``cutoff``."""
+    fan = KERNEL_FANS[name]()
+    md = mori_data(fan)
+    return md.generators, NovikovContext(n_rays=fan.n_rays, ell=md.ell,
+                                         cutoff=cutoff)
+
+
+def random_terms(rng, generators, ctx):
+    """Up to five terms on sums of up to three Mori generators, so class
+    entries are negative and some terms lie past the cutoff; coefficients
+    are ints and Fractions, a Fraction sometimes integral."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        beta = ctx.zero_class
+        for g in rng.choices(generators, k=rng.randint(0, 3)):
+            beta = tuple(x + y for x, y in zip(beta, g))
+        terms[beta] = rng.choice((rng.randint(-3, 3), Fraction(
+            rng.randint(-6, 6), rng.randint(1, 3))))
+    return terms
+
+
+def truncated(terms, ctx):
+    return {beta: c for beta, c in terms.items()
+            if c and ctx.ell_of(beta) <= ctx.cutoff}
+
+
+def assert_normalized(x):
+    # int where integral, a Fraction only where a division leaves one
+    for c in x.terms.values():
+        assert c and type(c) is (int if c.denominator == 1 else Fraction), c
+
+
+@pytest.mark.parametrize("name,cutoff", SCALAR_CASES)
+def test_scalar_arithmetic_matches_plain_dict_oracle(name, cutoff):
+    generators, ctx = scalar_setup(name, cutoff)
+    ell, zero = ctx.ell, ctx.zero_class
+    rng = random.Random(f"scalar-{name}-{cutoff}")
+    inverses = 0
+    for _ in range(40):
+        a, b = (random_terms(rng, generators, ctx) for _ in range(2))
+        A, B = NovikovScalar(ctx, a), NovikovScalar(ctx, b)
+        a, b = truncated(a, ctx), truncated(b, ctx)
+        c = rng.choice((0, -1, 2, Fraction(1, 2), Fraction(4, 2),
+                        Fraction(-3, 4)))
+        results = (
+            (A, a),
+            (A + B, q_add(a, b)),
+            (A - B, q_add(a, b, -1)),
+            (-A, q_add({}, a, -1)),
+            (A * B, q_mul(a, b, ell, cutoff)),
+            (A.scale(c), q_add({}, a, c)))
+        for got, want in results:
+            assert got.terms == want
+            assert_normalized(got)
+        u = q_add(a, {zero: rng.choice((1, -2, Fraction(3, 2)))})
+        if u.get(zero):
+            inv = NovikovScalar(ctx, u).inverse()
+            assert inv.terms == q_inverse(u, ell, cutoff)
+            assert_normalized(inv)
+            inverses += len(inv.terms) > 1
+    assert inverses or cutoff == 0
+
+
+@pytest.mark.parametrize("name,cutoff", SCALAR_CASES)
+def test_scalar_truncation_boundary(name, cutoff):
+    # a term whose ell equals the cutoff is kept, one past it is dropped,
+    # both when it is given and when a product forms it
+    generators, ctx = scalar_setup(name, cutoff)
+
+    def total(gs):
+        return tuple(map(sum, zip(ctx.zero_class, *gs)))
+
+    sums = {total(gs): gs for k in range(cutoff + 2)
+            for gs in combinations_with_replacement(generators, k)}
+    kept = [beta for beta in sums if ctx.ell_of(beta) == cutoff]
+    dropped = [beta for beta in sums if ctx.ell_of(beta) == cutoff + 1]
+    assert kept and dropped
+    for beta in kept + dropped:
+        x = NovikovScalar.monomial(ctx, beta, 3)
+        assert x.terms == ({beta: 3} if beta in kept else {})
+        if len(sums[beta]) > 1:
+            # both factors have ell >= 1, so each lies under the cutoff
+            first, *rest = sums[beta]
+            left, right = (NovikovScalar.monomial(ctx, b, 3)
+                           for b in (first, total(rest)))
+            assert left and right
+            assert (left * right).scale(Fraction(1, 3)) == x
+
+
+def test_scalar_normalization_and_errors():
+    generators, ctx = scalar_setup("F2", 2)
+    zero, b = ctx.zero_class, generators[0]
+    x = NovikovScalar(ctx, {zero: Fraction(4, 2), b: Fraction(1, 2),
+                            generators[1]: Fraction(0)})
+    assert x.terms == {zero: 2, b: Fraction(1, 2)}
+    assert_normalized(x)
+    assert type(x.scale(2).terms[b]) is int
+    assert type(x.scale(Fraction(1, 2)).terms[zero]) is int
+    assert not x.scale(0) and x.scale(0).terms == {}
+    assert not (x - x) and (x - x).terms == {}
+    assert x.inverse().terms == {zero: Fraction(1, 2), b: Fraction(-1, 8),
+                                 tuple(2 * v for v in b): Fraction(1, 32)}
+    for non_unit in (NovikovScalar(ctx), NovikovScalar.monomial(ctx, b)):
+        with pytest.raises(NotAUnit):
+            non_unit.inverse()
+    other_ell = NovikovContext(n_rays=4, ell=(1, 1, 1, 1), cutoff=2)
+    for other in (scalar_setup("F2", 3)[1], other_ell):
+        y = NovikovScalar.unit(other)
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(CutoffMismatch):
+                op()
 
 
 def test_nilpotent_geometric_square_zero():
