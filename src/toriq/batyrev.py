@@ -301,14 +301,22 @@ def build_deformed_ideal(fan, md, ring, cutoff):
                          completion_added=added)
 
 
-def _multiplication_columns(rules, basis, ctx):
-    """``columns[v][a]``, the level-indexed normal form of ``y_v basis[a]``:
-    the product itself when it is standard, the rule's tail when it is a
-    lead (every lead of a reduced system is on the border), and
-    ``dp_reduce``'s, once per monomial, for the rest of the border (Kehrein
-    and Kreuzer, J. Pure Appl. Algebra 196, 2005).  Equal monomials share one
-    dict, and a lead shares its rule's tail; callers must not change them."""
-    zero = ctx.zero_class
+def _multiplication_columns(ring, rules, ctx):
+    """``(columns, den)``: ``columns[rho][a]`` maps each basis index ``k``
+    to the levels ``{beta: integer numerator}`` of ``basis[k]`` in the
+    normal form of ``x_rho basis[a]``, all over the one denominator ``den``.
+
+    A surviving variable ``y``'s normal form of ``y m`` is the product
+    itself when it is standard, the rule's tail when it is a lead (every
+    lead of a reduced system is on the border), and ``dp_reduce``'s, once
+    per monomial, for the rest of the border (Kehrein and Kreuzer, J. Pure
+    Appl. Algebra 196, 2005).  Every ray's columns are the combination of
+    these that its Kirwan lift gives, since the normal form is linear; an
+    eliminated ray's lift is ``ring.eliminations[rho]``.  Zero entries are
+    dropped.
+    """
+    zero, basis = ctx.zero_class, ring.basis
+    index = {m: k for k, m in enumerate(basis)}
     forms = {m: {zero: {m: 1}} for m in basis}
     forms.update(rules)
 
@@ -317,8 +325,25 @@ def _multiplication_columns(rules, basis, ctx):
             forms[ym] = dp_reduce({zero: {ym: 1}}, rules, ctx)
         return forms[ym]
 
-    return [[form(m[:v] + (m[v] + 1,) + m[v + 1:]) for m in basis]
-            for v in range(len(basis[0]))]
+    normal = [[form(m[:v] + (m[v] + 1,) + m[v + 1:]) for m in basis]
+              for v in range(len(ring.surviving))]
+    den = lcm(*(c.denominator for column in normal for f in column
+                for poly in f.values() for c in poly.values()))
+    columns = []
+    for rho in range(ring.fan.n_rays):
+        lift = ring.eliminations.get(
+            rho, [int(s == rho) for s in ring.surviving])
+        cols = [{} for _ in basis]
+        for column, c in zip(normal, lift):
+            for col, f in zip(cols, column if c else ()):
+                for beta, poly in f.items():
+                    for m, x in poly.items():
+                        levels = col.setdefault(index[m], {})
+                        levels[beta] = levels.get(beta, 0) + c * x
+        columns.append([{k: {b: int(x * den) for b, x in levels.items() if x}
+                         for k, levels in col.items() if any(levels.values())}
+                        for col in cols])
+    return columns, den
 
 
 class BatyrevModule(namedtuple("BatyrevModule", (
@@ -337,40 +362,15 @@ class BatyrevModule(namedtuple("BatyrevModule", (
 
 
 def module_matrices(ideal):
-    """Multiplication matrix of every ray variable on the classical basis.
-
-    A surviving variable's columns come from ``_multiplication_columns``:
-    a unit vector where its product with the basis monomial is standard, a
-    rule where the product is a lead, a reduction for the rest of the
-    border.  An eliminated ray's matrix is the combination of theirs that
-    its Kirwan lift ``ring.eliminations[rho]`` gives, since the normal form
-    is linear.  Entries are integer numerators over one common denominator
-    until each is made into a NovikovScalar, once.
-    """
-    ring, ctx, dim = ideal.ring, ideal.ctx, ideal.ring.dim
-    index = {m: k for k, m in enumerate(ring.basis)}
-    columns = _multiplication_columns(ideal.rules, ring.basis, ctx)
-    den = lcm(*(c.denominator for column in columns for form in column
-                for poly in form.values() for c in poly.values()))
-    nums = {}
-    for rho, column in zip(ring.surviving, columns):
-        mat = nums[rho] = [[{} for _ in range(dim)] for _ in range(dim)]
-        for a, form in enumerate(column):
-            for beta, poly in form.items():
-                for m, c in poly.items():
-                    mat[index[m]][a][beta] = c.numerator * (den // c.denominator)
-    for rho, coeffs in ring.eliminations.items():
-        mat = nums[rho] = [[{} for _ in range(dim)] for _ in range(dim)]
-        for s, c in zip(ring.surviving, coeffs):
-            if c:
-                for row, lifted in zip(mat, nums[s]):
-                    for out, terms in zip(row, lifted):
-                        for beta, x in terms.items():
-                            out[beta] = out.get(beta, 0) + c * x
+    """Multiplication matrix of every ray variable on the classical basis:
+    the column reader's integer entries, each made a NovikovScalar once."""
+    ctx, dim = ideal.ctx, ideal.ring.dim
+    columns, den = _multiplication_columns(ideal.ring, ideal.rules, ctx)
     return BatyrevModule(ideal=ideal, matrices={
-        rho: [[NovikovScalar(ctx, {b: Fraction(x, den) for b, x in t.items()})
-               for t in row] for row in mat]
-        for rho, mat in sorted(nums.items())})
+        rho: [[NovikovScalar(ctx, {b: Fraction(x, den)
+                                   for b, x in col.get(k, {}).items()})
+               for col in cols] for k in range(dim)]
+        for rho, cols in enumerate(columns)})
 
 
 def relation_check(ideal, operators):

@@ -16,7 +16,9 @@ one, and a variable ``y`` times a standard monomial ``m`` is read off its
 rules by ``batyrev``'s column reader: ``y m`` itself when it is standard, the
 rule's tail when it is a lead, a reduction for the rest of the border.  Standard
 monomials are closed under division, so ``m_i m_j = y (m_i' m_j)`` for
-``m_i = y m_i'`` gives every basis product from those columns.
+``m_i = y m_i'`` gives every basis product from those columns.  At cutoff 0
+Batyrev's module is multiplication by the divisors, so the reader's columns
+for every ray, integers over one denominator, are the ring's divisor columns.
 
 A class is stored as integer numerators over the basis and one positive
 integer denominator, reduced by their gcd, so equal classes have equal
@@ -29,9 +31,10 @@ Fractions for rendering and integration.
 Integration is normalized by requiring every maximal-cone monomial
 ``prod_{rho in sigma} D_rho`` to integrate to 1: each product of divisor
 classes is the same class ``c m`` on the one top-degree basis monomial ``m``,
-whose integral is ``1/c``.  The Poincare pairing of the monomial basis
-classes is their Gram matrix under integration.  Each ray's divisor class
-and its multiplication columns are built once per ring.
+whose integral is ``1/c``.  The Poincare pairing of two monomial basis
+classes is the top monomial's coefficient in their structure constants times
+its integral.  Each ray's divisor class and its columns are built once per
+ring.
 """
 
 from collections import namedtuple
@@ -69,6 +72,9 @@ class CohomRing(namedtuple("CohomRing", (
         "structure",              # [i][j] -> nonzero (k, integer c) pairs
         "denominator",            # common denominator of every c
         "point_integrals",        # top-degree basis monomial -> Fraction
+        # per ray, (columns, den): D_rho * x has numerators sum_j x.num[j] *
+        # columns[j] (each column its nonzero (k, c) pairs) over x.den * den
+        "divisor_columns",
         "var_names"), defaults=((),))):
 
     @property
@@ -86,24 +92,6 @@ class CohomRing(namedtuple("CohomRing", (
         return tuple(CohClass(self, [self.ray_poly(rho).get(m, 0)
                                      for m in self.basis])
                      for rho in range(self.fan.n_rays))
-
-    @cached_property
-    def divisor_columns(self):
-        """Per ray, ``(columns, den)``: ``D_rho * x`` has numerators ``sum_j
-        x.num[j] * columns[j]`` (each column its nonzero ``(k, c)`` pairs)
-        over ``x.den * den``, where ``den = D_rho.den * denominator``."""
-        out = []
-        for D in self.divisors:
-            columns = []
-            for j in range(self.dim):
-                col = [0] * self.dim
-                for i, a in enumerate(D.num):
-                    if a:
-                        for k, c in self.structure[i][j]:
-                            col[k] += a * c
-                columns.append(tuple((k, c) for k, c in enumerate(col) if c))
-            out.append((tuple(columns), D.den * self.denominator))
-        return tuple(out)
 
     def zero(self):
         return CohClass(self, (0,) * self.dim)
@@ -232,12 +220,13 @@ def build_cohomology_ring(fan):
     eliminations = {rho: tuple(-c[pos] for c in coords)
                     for pos, rho in enumerate(sigma0)}
 
-    ring_stub = CohomRing(
+    ring = CohomRing(
         fan=fan, sigma0=sigma0, surviving=surviving,
         eliminations=eliminations, rules=(), basis=(), basis_degrees=(),
-        structure=(), denominator=1, point_integrals={})
+        structure=(), denominator=1, point_integrals={}, divisor_columns=(),
+        var_names=tuple(f"x{j + 1}" for j in surviving))
 
-    sr_gens = [{(): ring_stub.ray_product((rho, 1) for rho in coll)}
+    sr_gens = [{(): ring.ray_product((rho, 1) for rho in coll)}
                for coll in primitive_collections(fan)]
     rules, _ = complete(sr_gens, _Q0)
     basis = tuple(P.standard_monomials([lead for lead, _ in rules], nv))
@@ -245,14 +234,13 @@ def build_cohomology_ring(fan):
         raise DimensionMismatch(
             f"quotient has dimension {len(basis)}, expected "
             f"{len(fan.max_cones)} maximal cones")
-    degrees = tuple(P.mono_deg(m) for m in basis)
+    ring = ring._replace(rules=rules, basis=basis, basis_degrees=tuple(
+        P.mono_deg(m) for m in basis))
 
     # basis[0] is 1; basis[i] basis[j] = y_v (basis[i'] basis[j]) for the
     # last variable y_v of basis[i] = y_v basis[i']
+    columns, den = _multiplication_columns(ring, rules, _Q0)
     index = {m: k for k, m in enumerate(basis)}
-    columns = [[{index[m]: c for m, c in form.get((), {}).items()}
-                for form in column]
-               for column in _multiplication_columns(rules, basis, _Q0)]
     products = [[{j: 1} for j in range(len(basis))]]
     for i, mi in enumerate(basis[1:], 1):
         v = max(k for k, e in enumerate(mi) if e)
@@ -261,19 +249,20 @@ def build_cohomology_ring(fan):
         for p in below[i:]:
             out = {}
             for k, c in p.items():
-                for l, d in columns[v][k].items():
-                    out[l] = out.get(l, 0) + c * d
-            row.append({l: c for l, c in out.items() if c})
+                for l, d in columns[surviving[v]][k].items():
+                    out[l] = out.get(l, 0) + c * d[()]
+            row.append({l: Fraction(c, den) for l, c in out.items() if c})
         products.append(row)
     denominator = lcm(*(c.denominator for row in products for p in row
                         for c in p.values()))
-    ring = ring_stub._replace(
-        rules=rules, basis=basis, basis_degrees=degrees,
+    ring = ring._replace(
         structure=tuple(tuple(tuple((k, int(p[k] * denominator))
                                     for k in sorted(p)) for p in row)
                         for row in products),
         denominator=denominator,
-        var_names=tuple(f"x{j + 1}" for j in surviving))
+        divisor_columns=tuple(
+            (tuple(tuple((k, c[()]) for k, c in col.items()) for col in cols),
+             den) for cols in columns))
 
     # each maximal-cone monomial integrates to 1 and is c times the top one
     forms = {reduce(mul, (ring.divisors[rho] for rho in cone))
@@ -306,9 +295,13 @@ def monomial_basis_classes(ring):
 
 
 def gram_matrix(ring):
-    """Poincare pairings ``<T_a, T_b>`` of the monomial basis classes."""
-    T = monomial_basis_classes(ring)
-    return [[pairing(ring, a, b) for b in T] for a in T]
+    """Poincare pairings ``<T_a, T_b>`` of the monomial basis classes: the
+    top monomial's coefficient in ``structure[a][b]``, over ``denominator``,
+    times its point integral."""
+    (mono, integral), = ring.point_integrals.items()
+    top = ring.basis.index(mono)
+    return [[Fraction(dict(p).get(top, 0), ring.denominator) * integral
+             for p in row] for row in ring.structure]
 
 
 def divisor_class(ring, rho):

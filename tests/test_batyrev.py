@@ -21,7 +21,12 @@ from toriq.batyrev import (
 )
 from toriq.catalog import CATALOG, SEMIPOSITIVE, builtin_fan
 from toriq.cli import fan_from_dict, main
-from toriq.cohomring import build_cohomology_ring, divisor_class
+from toriq.cohomring import (
+    CohClass,
+    build_cohomology_ring,
+    divisor_class,
+    monomial_basis_classes,
+)
 from toriq.gkz import gkz_operator
 from toriq.moricone import mori_data
 from toriq.novikov import NovikovContext, NovikovScalar
@@ -465,10 +470,13 @@ def test_del_pezzo_seven_completion_path():
 
 
 # the cutoff-0 cases of the wide fans are their Stanley-Reisner generators,
-# where the chain criterion skips most S-pairs
+# where the chain criterion skips most S-pairs; wdP4 and wdP3 run at cutoff 2,
+# since at cutoff 4 the reference completion, which reduces every S-pair,
+# takes tens of seconds on them
 ENGINE_CASES = [(name, cutoff) for name in sorted(CATALOG)
                 for cutoff in range(6)] + [
-    ("dP6", 6), ("P2xP2", 8), ("P1xdP6", 3), ("wdP5", 4)] + [
+    ("dP6", 6), ("P2xP2", 8), ("P1xdP6", 3), ("wdP5", 4), ("wdP4", 2),
+    ("wdP3", 2)] + [
     (name, 0) for name in ("dP6", "P1xdP6", "wdP5", "wdP4", "wdP3")]
 
 
@@ -490,6 +498,28 @@ def test_complete_and_module_match_oracles(name, cutoff):
                           completion_added=added)
     assert module_matrices(ideal).matrices == \
         oracles.module_matrices(ideal).matrices
+
+
+@pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))
+def test_divisor_columns_are_the_module_at_cutoff_0(name):
+    # at q = 0 multiplying by D_rho is Batyrev's module matrix of x_rho, and
+    # both are the class product D_rho * T_a
+    fan = oracles.KERNEL_FANS[name]()
+    ring = build_cohomology_ring(fan)
+    ideal = build_deformed_ideal(fan, mori_data(fan), ring, 0)
+    module = module_matrices(ideal)
+    T = monomial_basis_classes(ring)
+    for rho, (columns, den) in enumerate(ring.divisor_columns):
+        for a, column in enumerate(columns):
+            coeffs = [0] * ring.dim
+            for k, c in column:
+                assert c and type(c) is int, (name, rho, a, k)
+                coeffs[k] = Fraction(c, den)
+            assert module.star_column(rho, a) == [
+                NovikovScalar(ideal.ctx, {ideal.ctx.zero_class: c})
+                for c in coeffs], (name, rho, a)
+            assert CohClass(ring, coeffs) == ring.divisors[rho] * T[a], \
+                (name, rho, a)
 
 
 @pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))

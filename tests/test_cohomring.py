@@ -11,6 +11,7 @@ from toriq.cohomring import (
     build_cohomology_ring,
     divisor_class,
     graded_dimensions,
+    gram_matrix,
     integrate,
     monomial_basis_classes,
     pairing,
@@ -159,6 +160,17 @@ def test_dual_basis_golden_f2():
     assert dual_x1 == x1.scale(2) + x2
     assert integrate(ring, x1 * dual_x1) == 1
     assert integrate(ring, x2 * dual_x1) == 0
+
+
+def test_gram_matrix_is_the_class_product_pairing():
+    # the Gram matrix, read off the structure constants' top coefficients,
+    # equals integrating each product of basis classes, Fraction types included
+    for name, make in KERNEL_FANS.items():
+        ring = build_cohomology_ring(make())
+        T = monomial_basis_classes(ring)
+        gram = gram_matrix(ring)
+        assert gram == [[pairing(ring, a, b) for b in T] for a in T], name
+        assert all(type(x) is Fraction for row in gram for x in row), name
 
 
 def test_multiplication_commutes():

@@ -85,8 +85,7 @@ def test_cached_properties_are_computed_once():
     fan, md, ring = _records()[:3]
     for record, name in ((fan, "cone_inverses"),
                          (md, "generator_inverse"),
-                         (ring, "divisors"),
-                         (ring, "divisor_columns")):
+                         (ring, "divisors")):
         first = getattr(record, name)
         assert getattr(record, name) is first
         assert vars(record)[name] is first
