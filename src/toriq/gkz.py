@@ -21,15 +21,18 @@ coefficient is homogeneous of total degree ``-sum_rho d_rho``, so it is one
 class (see ``novikov.HLaurent``), and such a factor maps that class ``x`` to
 ``(D_rho + d'_rho) x`` one degree up, through ``D_rho``'s integer
 multiplication columns, built once per ring from its structure constants
-(``CohomRing.divisor_columns``).  Applying the operator of any Mori
-generator must annihilate the series exactly on the certified range, and the
-hbar -> 0 limit of the operator is the binomial relation fed to the
-quantum-deformed ring.
+(``CohomRing.divisor_columns``); an operator's sides run on integer
+numerators and form a class only where they differ.  Applying the operator
+of any Mori generator must annihilate the series exactly on the certified
+range, and the hbar -> 0 limit of the operator is the binomial relation fed
+to the quantum-deformed ring.  Two-point invariants pair a class's nonzero
+numerators with sparse Gram rows.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .cohomring import gram_matrix
 from .moricone import enumerate_effective
@@ -125,7 +128,7 @@ def i_function(ring, md, cutoff):
         for rho in range(start, ctx.n_rays):
             acc = prefix[rho]
             d = beta[rho]
-            if d:
+            if d and (acc is None or acc):  # a zero prefix stays zero
                 factor = _ray_factor(divisors[rho], mults[rho], d, caches[rho])
                 acc = factor if acc is None else acc * factor
             prefix[rho + 1] = acc
@@ -133,8 +136,7 @@ def i_function(ring, md, cutoff):
         coefficients[beta] = one if last is None else last
         previous = beta
     # the series keeps its terms in enumeration order, (ell, lex)
-    terms = {beta: coefficients[beta] for beta in classes}
-    return NovikovSeries(ctx, ring, terms)
+    return NovikovSeries(ctx, ring, {b: coefficients[b] for b in classes})
 
 
 class LeadingTerms(namedtuple("LeadingTerms", (
@@ -169,11 +171,11 @@ def extract_two_point_invariants(ring, I):
     The coefficient of q^beta equals ``sum_a <T_a/(hbar - psi), 1> T^a``; its
     T_a-component (extracted by pairing against T_a) is ``sum_k hbar^(-k-1)
     <T_a psi^k, 1>``.  Every hbar power must be <= -1.  The pairing is read
-    from the Gram matrix: the class numerators dotted with the column of T_a.
+    from the Gram matrix: each nonzero numerator times its sparse Gram row.
     """
     gram = gram_matrix(ring)
     gden = lcm(*(x.denominator for row in gram for x in row))
-    columns = [[int(row[a] * gden) for row in gram] for a in range(ring.dim)]
+    rows = [[(a, int(g * gden)) for a, g in enumerate(r) if g] for r in gram]
     entries = {}
     for beta, h in sorted(I.terms.items()):
         if beta == I.ctx.zero_class:
@@ -183,28 +185,37 @@ def extract_two_point_invariants(ring, I):
                 raise PositiveHbarPower(
                     f"coefficient of q^{beta} has hbar^{power} term")
             k = -power - 1
-            for a, column in enumerate(columns):
-                val = sum(x * g for x, g in zip(cls.num, column))
+            pairs = {}
+            for b, x in enumerate(cls.num):
+                if x:
+                    for a, g in rows[b]:
+                        pairs[a] = pairs.get(a, 0) + x * g
+            for a, val in sorted(pairs.items()):
                 if val:
                     entries[(a, k, beta)] = Fraction(val, cls.den * gden)
     return TwoPointTable(entries=entries)
+
+
+def _linear_factors(num, den, steps):
+    """Unreduced ``num / den`` times ``prod (D + c)`` over the ``(mult, c)``
+    in ``steps``, ``mult`` being ``D``'s entry of ``ring.divisor_columns``."""
+    for (columns, d), c in steps:
+        out = [c * d * a for a in num]
+        for column, b in zip(columns, num):
+            if b:
+                for k, x in column:
+                    out[k] += b * x
+        num, den = out, den * d
+    return num, den
 
 
 def _linear_factor_apply(h, mult, c):
     """Multiply an HLaurent by ``(D + c*hbar)`` for a degree-1 class ``D``
     given by its entry of ``ring.divisor_columns``: bucket ``s`` becomes
     ``(D + c) h_s`` at ``s + 1``."""
-    columns, den = mult
     ring = h.ring
-    out = {}
-    for s, v in h.buckets.items():
-        num = [c * den * a for a in v.num]
-        for j, b in enumerate(v.num):
-            if b:
-                for k, x in columns[j]:
-                    num[k] += b * x
-        out[s + 1] = ring._from_parts(((num, v.den * den),))
-    return HLaurent._graded(ring, out)
+    return HLaurent._graded(ring, {s + 1: ring._from_parts((_linear_factors(
+        v.num, v.den, ((mult, c),)),)) for s, v in h.buckets.items()})
 
 
 def check_cutoff(ell_of, generators, cutoff):
@@ -222,35 +233,39 @@ def apply_gkz_operator(op, I):
 
     Valid (and returned) on classes with ``ell(beta') <= cutoff - ell(op.beta)``;
     raises InsufficientCutoff when the operator degree exceeds the cutoff.
+    Each side runs on integer numerators over a running denominator, and
+    the sides are cross-multiplied: only a nonzero difference makes a class.
     """
     ring, ctx = I.ring, I.ctx
     check_cutoff(ctx.ell_of, (op.beta,), ctx.cutoff)
-    reduced_cutoff = ctx.cutoff - ctx.ell_of(op.beta)
-    out_ctx = NovikovContext(n_rays=ctx.n_rays, ell=ctx.ell,
-                             cutoff=reduced_cutoff)
+    op_ell = ctx.ell_of(op.beta)
+    reduced_cutoff = ctx.cutoff - op_ell
+    out_ctx = ctx._replace(cutoff=reduced_cutoff)
     mults = ring.divisor_columns
+    zero = ((0,) * ring.dim, 1)
+    sides = {}      # (class, bucket) -> both sides' (numerators, denominator)
 
-    def product(h, beta, factors):
-        for rho, d in factors:
-            for m in range(d):
-                h = _linear_factor_apply(h, mults[rho], beta[rho] - m)
-        return h
+    def side(i, at, h, beta, factors):
+        steps = [(mults[rho], beta[rho] - m)
+                 for rho, d in factors for m in range(d)]
+        for s, v in h.buckets.items():
+            sides.setdefault((at, s + len(steps)), [zero, zero])[i] = \
+                _linear_factors(v.num, v.den, steps)
 
-    terms = {}
-    for beta_p, h in I.terms.items():
-        if out_ctx.ell_of(beta_p) > reduced_cutoff:
-            continue
-        terms[beta_p] = product(h, beta_p, op.positive)
-    for beta_pp, h in I.terms.items():
-        # second product, shifted by q^{op.beta}: built only where it lands
-        target = tuple(x + y for x, y in zip(beta_pp, op.beta))
-        if out_ctx.ell_of(target) > reduced_cutoff:
-            continue
-        acc = product(h, beta_pp, op.negative)
-        terms[target] = terms[target] - acc if target in terms \
-            else acc.scale(-1)
-    # the series keeps the nonzero differences only
-    return NovikovSeries(out_ctx, ring, terms)
+    for beta, h in I.terms.items():
+        ell = ctx.ell_of(beta)      # once per class: ell is additive
+        if ell <= reduced_cutoff:
+            side(0, beta, h, beta, op.positive)
+        if ell + op_ell <= reduced_cutoff:
+            # the second side lands shifted by q^{op.beta}: built only there
+            side(1, tuple(map(add, beta, op.beta)), h, beta, op.negative)
+    diff = {}
+    for (beta, s), ((na, da), (nb, db)) in sides.items():
+        if [x * db for x in na] != [y * da for y in nb]:
+            diff.setdefault(beta, {})[s] = ring._from_parts(
+                ((na, da), ([-y for y in nb], db)))
+    return NovikovSeries(out_ctx, ring, {
+        beta: HLaurent._graded(ring, b) for beta, b in diff.items()})
 
 
 def annihilation_certificate(I, md):

@@ -25,7 +25,7 @@ the smallest positive functional.
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd
 
 from . import lattice
@@ -195,13 +195,11 @@ def positive_functional(generators, nvars):
     # none has sup-norm below k, so every point found has norm k
     axes = [tuple(sign * int(i == j) for i in range(nvars))
             for j in range(nvars) for sign in (1, -1)]
-    k = 1
-    while True:
+    for k in count(1):
         box = [(e, -k) for e in axes]          # -k <= ell_i <= k
-        points = _lattice_points(constraints + box, nvars)
+        points = _lattice_points(constraints + box, nvars, axes[::2])
         if points:
             return min(points, key=lambda p: (sum(abs(x) for x in p), p))
-        k += 1
 
 
 def mori_data(fan):
@@ -281,8 +279,8 @@ def _facet_normals(vectors, r):
     return sorted(set(tuple(f) for f, _ in rays))
 
 
-def _lattice_points(rows, r):
-    """Integer points of the bounded system ``a . y >= c`` in ``ZZ^r``.
+def _lattice_points(rows, r, lift):
+    """Images under ``lift`` of the integer points of ``a . y >= c`` in ZZ^r.
 
     Eliminates ``y_{r-1}``, then ``y_{r-2}``, down to ``y_0`` by
     Fourier-Motzkin.  Level ``k`` holds the rows of the projection onto
@@ -298,14 +296,22 @@ def _lattice_points(rows, r):
     earlier ones are fixed.  Every given row bounds the coordinate of its
     last nonzero entry, so each point found satisfies the system, and every
     row of a level holds at every integer point, so every point is found.
-    Points come in lex order.
+    The walk carries the image ``sum_a y_a lift[a]`` and every level row's
+    residual ``c - sum_{j<k} a_j y_j``.  Images come in ``y``'s lex order.
     """
-    levels = [None] * r
+    # a level row is [c - sum_{j<k} a_j y_j, a_k]; moves[j] pairs the later
+    # levels' rows that involve y_j with their a_j
+    bounds, moves = [([], []) for _ in range(r)], [[] for _ in range(r)]
     system = [(a, c, 1 << i) for i, (a, c) in enumerate(rows)]
     for steps, k in enumerate(range(r - 1, -1, -1), 1):
         derived, lower, upper = _fm_eliminate(system, k, steps)
         assert lower and upper, "the system must be bounded"
-        levels[k] = (lower, upper)
+        for a, c, _ in lower + upper:
+            row = [c, a[k]]
+            bounds[k][a[k] < 0].append(row)
+            for j in range(k):
+                if a[j]:
+                    moves[j].append((row, a[j]))
         strongest = {}
         for a, c, h in derived:
             g = gcd(*a)
@@ -319,22 +325,21 @@ def _lattice_points(rows, r):
                 strongest[a] = (c, h)
         system = [(a, c, h) for a, (c, h) in sorted(strongest.items())]
     points = []
-    y = [0] * r
 
-    def walk(k):
-        lower, upper = levels[k]
-        lo = max(-((c - sum(a[j] * y[j] for j in range(k))) // -a[k])
-                 for a, c, _ in lower)
-        hi = min((c - sum(a[j] * y[j] for j in range(k))) // a[k]
-                 for a, c, _ in upper)
+    def walk(k, z):
+        if k == r:
+            points.append(tuple(z))
+            return
+        lo = max(-(c // -a) for c, a in bounds[k][0])
+        hi = min(c // a for c, a in bounds[k][1])
         for v in range(lo, hi + 1):
-            y[k] = v
-            if k + 1 < r:
-                walk(k + 1)
-            else:
-                points.append(tuple(y))
+            for row, a in moves[k]:
+                row[0] -= a * v
+            walk(k + 1, [x + v * e for x, e in zip(z, lift[k])])
+            for row, a in moves[k]:
+                row[0] += a * v
 
-    walk(0)
+    walk(0, [0] * len(lift[0]))
     return points
 
 
@@ -364,14 +369,11 @@ def enumerate_effective(md, cutoff):
     ell_y = tuple(md.ell_of(b) for b in basis)
     rows = [(f, 0) for f in _facet_normals(ys, r)]
     rows.append((tuple(-x for x in ell_y), -cutoff))
-    points = []
-    for y in _lattice_points(rows, r):
-        b = tuple(sum(y[a] * basis[a][i] for a in range(r))
-                  for i in range(fan.n_rays))
-        points.append((md.ell_of(b), b))
-    points.sort()
-    assert points and points[0][1] == zero
-    return [b for _, b in points]
+    # each point comes out as (ell, class), its own sort key
+    points = sorted(_lattice_points(
+        rows, r, [(x,) + tuple(b) for x, b in zip(ell_y, basis)]))
+    assert points and points[0] == (0,) + zero
+    return [p[1:] for p in points]
 
 
 def effectivity_witness(fan, pc):

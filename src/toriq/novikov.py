@@ -22,6 +22,7 @@ Three layers, each exact:
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from . import polynomials as P
 
@@ -44,7 +45,7 @@ class NovikovContext(namedtuple("NovikovContext", "n_rays ell cutoff")):
     __slots__ = ()
 
     def ell_of(self, beta):
-        return sum(a * b for a, b in zip(self.ell, beta))
+        return sum(map(mul, self.ell, beta))
 
     @property
     def zero_class(self):

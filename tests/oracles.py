@@ -22,8 +22,11 @@ variables to one NovikovScalar per basis monomial.  These three, and
 ``mult_table``, reduce through this ``dp_reduce``.
 
 ``curve_lattice_basis`` reads the curve-class lattice in a chart of its own,
-for the scans that check effective-class enumeration.
+for the scans that check effective-class enumeration; ``box_scan_effective``
+is such a scan, over a bounding box and against ``facet_normals``.
 
+``apply_gkz_operator`` is the HLaurent form of the box operator, one class
+product per linear factor, the reference for ``gkz``'s integer sides.
 ``perturbed_series`` changes one coefficient of a series, for the tests
 that the annihilation check must fail.  ``relabel`` lists a fan's rays in
 another order, for the tests that nothing depends on ray order, and
@@ -58,7 +61,7 @@ matrix is rational), ``nullspace_rational`` and ``_solve`` read it, and
 import heapq
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, count, permutations
+from itertools import combinations, count, permutations, product
 from math import gcd, lcm
 
 from toriq import polynomials as P
@@ -209,6 +212,39 @@ def gkz_coefficient(ring, beta):
             for m in range(d + 1, 0):
                 out = laurent_mul(table, out, {0: D, 1: frac_scale(one, m)})
     return to_hlaurent(ring, out)
+
+
+def apply_gkz_operator(op, I):
+    """Reference for ``gkz.apply_gkz_operator``: each side multiplies the
+    coefficients' HLaurents by one factor ``(D_rho + c hbar)`` at a time,
+    through class products, and the sides are subtracted as HLaurents."""
+    ring, ctx = I.ring, I.ctx
+    reduced_cutoff = ctx.cutoff - ctx.ell_of(op.beta)
+    out_ctx = NovikovContext(n_rays=ctx.n_rays, ell=ctx.ell,
+                             cutoff=reduced_cutoff)
+
+    @cache
+    def linear(rho, c):
+        return HLaurent(ring, {0: divisor_class(ring, rho),
+                               1: ring.one().scale(c)})
+
+    def side(h, beta, factors):
+        for rho, d in factors:
+            for m in range(d):
+                h = linear(rho, beta[rho] - m) * h
+        return h
+
+    terms = {}
+    for beta_p, h in I.terms.items():
+        if out_ctx.ell_of(beta_p) <= reduced_cutoff:
+            terms[beta_p] = side(h, beta_p, op.positive)
+    for beta_pp, h in I.terms.items():
+        target = tuple(x + y for x, y in zip(beta_pp, op.beta))
+        if out_ctx.ell_of(target) <= reduced_cutoff:
+            acc = side(h, beta_pp, op.negative)
+            terms[target] = terms[target] - acc if target in terms \
+                else acc.scale(-1)
+    return NovikovSeries(out_ctx, ring, terms)
 
 
 def perturbed_series(I, beta, shift):
@@ -732,18 +768,23 @@ def primitive_relations(fan):
             yield rays, tuple(beta)
 
 
+def _far_cone(fan):
+    """The maximal cone whose complement is lexicographically greatest."""
+    return max(fan.max_cones, key=lambda cone: [
+        i for i in range(fan.n_rays) if i not in cone])
+
+
 def curve_lattice_basis(fan):
     """A basis of the curve-class lattice, in another chart than toriq's.
 
     ``fan.chart`` reads classes at the maximal cone whose complement is
     lexicographically least; this reads them at the cone whose complement
-    is greatest, so a scan over these coordinates shares none with the code
-    it checks.  Each ray ``j`` outside that cone gives ``e_j`` minus
-    ``u_j``'s coordinates on the cone's rays, and a class's coordinates are
-    its entries on those rays.
+    is greatest (``_far_cone``), so a scan over these coordinates shares
+    none with the code it checks.  Each ray ``j`` outside that cone gives
+    ``e_j`` minus ``u_j``'s coordinates on the cone's rays, and a class's
+    coordinates are its entries on those rays.
     """
-    tau = max(fan.max_cones, key=lambda cone: [
-        i for i in range(fan.n_rays) if i not in cone])
+    tau = _far_cone(fan)
     basis = []
     for j in range(fan.n_rays):
         if j not in tau:
@@ -754,6 +795,46 @@ def curve_lattice_basis(fan):
                 b[i] = -int(x)
             basis.append(b)
     return basis
+
+
+def box_scan_effective(md, cutoff):
+    """Effective classes with ell at most ``cutoff``, sorted by (ell, lex):
+    the bounding-box scan that enumeration ran before its walk.
+
+    A class is ``sum lambda_P beta_P`` over the generators with every
+    ``lambda_P >= 0``, and ``ell(beta_P) >= 1`` gives ``sum lambda_P <=
+    cutoff``, so its entry on ray ``j`` lies in ``[-b_j, b_j]`` with ``b_j =
+    cutoff * max_P |beta_P[j]|``.  The scan keeps the points of that box in
+    the cone, tested against the normals of ``facet_normals``, in the chart
+    of ``curve_lattice_basis``: it shares no chart and no cone code with
+    ``moricone``.
+    """
+    fan = md.fan
+    zero = (0,) * fan.n_rays
+    if cutoff < 0:
+        return []
+    basis = curve_lattice_basis(fan)
+    r = len(basis)
+    if r == 0 or not md.generators:
+        return [zero]
+    tau = _far_cone(fan)
+    outside = [j for j in range(fan.n_rays) if j not in tau]
+    ys = [tuple(g[j] for j in outside) for g in md.generators]
+    assert len(rref([list(y) for y in ys])[1]) == r
+    normals = facet_normals(ys, r)
+    points = []
+    bounds = [cutoff * max(abs(g[j]) for g in md.generators) for j in outside]
+    for y in product(*[range(-b, b + 1) for b in bounds]):
+        if any(sum(f[a] * y[a] for a in range(r)) < 0 for f in normals):
+            continue
+        b = tuple(sum(y[a] * basis[a][i] for a in range(r))
+                  for i in range(fan.n_rays))
+        ell = md.ell_of(b)
+        if 0 <= ell <= cutoff:
+            points.append((ell, b))
+    points.sort()
+    assert points and points[0][1] == zero
+    return [b for _, b in points]
 
 
 def _solve(columns, target):

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from toriq import gkz
 from toriq.catalog import CATALOG, SEMIPOSITIVE, builtin_fan
 from toriq.cohomring import (
+    CohomRing,
     build_cohomology_ring,
     divisor_class,
     integrate,
@@ -431,3 +434,63 @@ def test_annihilation_fails_on_perturbed_coefficient(make, beta, shift):
     with pytest.raises(AnnihilationFailure,
                        match=re.escape(f"leaves q^{beta} hbar^")):
         annihilation_certificate(I, md)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FANS))
+def test_apply_operator_matches_hlaurent_reference(name):
+    # the integer sides give the reference's whole series: on the genuine
+    # series for the generators and every class with ell <= 2, and on a copy
+    # perturbed at each such class for the generators, whose first surviving
+    # term names the class and hbar power of AnnihilationFailure
+    fan = KERNEL_FANS[name]()
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    I = i_function(ring, md, 4)
+    low = enumerate_effective(md, 2)
+    for beta in dict.fromkeys([*md.generators, *low[1:]]):
+        op = gkz_operator(beta)
+        assert apply_gkz_operator(op, I) == oracles.apply_gkz_operator(op, I)
+    perturbed = 0
+    for beta in low:
+        if beta not in I.terms:
+            continue
+        (s,) = I.terms[beta].buckets
+        for shift in (0, 1):
+            # with shift 0 a coefficient -D_0/hbar^(1-s) would cancel
+            if not shift and I.terms[beta] == HLaurent.of_class(
+                    divisor_class(ring, 0).scale(-1), s - 1):
+                continue
+            P = perturbed_series(I, beta, shift)
+            messages = []
+            for g in md.generators:
+                op = gkz_operator(g)
+                expected = oracles.apply_gkz_operator(op, P)
+                assert apply_gkz_operator(op, P) == expected, (beta, g)
+                if expected:
+                    bad = sorted(expected.terms)[0]
+                    power = expected.terms[bad].powers()[0]
+                    messages.append(
+                        f"operator of {g} leaves q^{bad} hbar^{power}")
+            assert messages, (beta, shift)
+            with pytest.raises(AnnihilationFailure) as failure:
+                annihilation_certificate(P, md)
+            assert str(failure.value) == messages[0]
+            perturbed += 1
+    assert perturbed >= len(I.terms.keys() & set(low))
+
+
+def test_annihilation_dp6_forms_no_class(monkeypatch):
+    # on a genuine series both sides agree at every class, so the check
+    # runs on integer numerators alone
+    fan = dp6()
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    I = i_function(ring, md, 6)
+
+    def forbidden(*args):
+        raise AssertionError("the check formed a class")
+
+    monkeypatch.setattr(CohomRing, "_from_parts", forbidden)
+    monkeypatch.setattr(gkz, "_linear_factor_apply", forbidden)
+    assert annihilation_certificate(I, md) == [
+        (beta, 6 - md.ell_of(beta)) for beta in md.generators]

@@ -258,44 +258,13 @@ DIFFERENTIAL_FANS = {
 }
 
 
-def _box_scan_effective(md, cutoff):
-    """Reference: the bounding-box scan that enumeration used to run."""
-    fan = md.fan
-    zero = (0,) * fan.n_rays
-    if cutoff < 0:
-        return []
-    basis, surviving = _kernel_setup(fan)
-    r = len(basis)
-    if r == 0 or not md.generators:
-        return [zero]
-    ys = [tuple(g[j] for j in surviving) for g in md.generators]
-    assert len(oracles.rref([list(y) for y in ys])[1]) == r
-    normals = _facet_normals(ys, r)
-    # any point is sum lambda_P beta_P with sum lambda_P <= cutoff, and its
-    # coordinates are its entries on the surviving rays
-    ybound = [cutoff * max(abs(g[j]) for g in md.generators)
-              for j in surviving]
-    points = []
-    for y in product(*[range(-b, b + 1) for b in ybound]):
-        if any(sum(f[a] * y[a] for a in range(r)) < 0 for f in normals):
-            continue
-        b = tuple(sum(y[a] * basis[a][i] for a in range(r))
-                  for i in range(fan.n_rays))
-        ell = md.ell_of(b)
-        if 0 <= ell <= cutoff:
-            points.append((ell, b))
-    points.sort()
-    assert points and points[0][1] == zero
-    return [b for _, b in points]
-
-
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_FANS))
 def test_enumerate_effective_matches_box_scan(name):
     make, top = DIFFERENTIAL_FANS[name]
     md = mori_data(make())
     for cutoff in range(top + 1):
         assert enumerate_effective(md, cutoff) == \
-            _box_scan_effective(md, cutoff), (name, cutoff)
+            oracles.box_scan_effective(md, cutoff), (name, cutoff)
 
 
 def test_enumerate_effective_wdp5_count():
@@ -390,18 +359,23 @@ def test_positive_functional_wide_fans(name):
             for cand in product(range(-2, 3), repeat=fan.n_rays))
 
 
+def _identity(r):
+    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
+
+
 def test_lattice_points_integer_empty():
     # 2y >= 1 and 2y <= 1: y = 1/2 is the only rational point
-    assert _lattice_points([((2,), 1), ((-2,), -1)], 1) == []
+    assert _lattice_points([((2,), 1), ((-2,), -1)], 1, _identity(1)) == []
     # rationally non-empty at (1/2, 0); eliminating y1 leaves 2 y0 >= 1 and
     # 2 y0 <= 1, which tighten to y0 >= 1 and y0 <= 0
     rows = [((2, 1), 1), ((-2, 1), -1), ((0, 1), 0), ((0, -1), 0)]
     assert oracles.fm_feasible_point(rows, 2) is not None
-    assert _lattice_points(rows, 2) == []
+    assert _lattice_points(rows, 2, _identity(2)) == []
 
 
 def test_lattice_points_match_box_scan_random():
-    rng = random.Random(7)
+    # a random lift maps each point to its image, in the points' lex order
+    rng, lifts = random.Random(7), random.Random(11)
     for _ in range(200):
         r = rng.randint(1, 3)
         box = rng.randint(0, 3)
@@ -412,7 +386,12 @@ def test_lattice_points_match_box_scan_random():
         expected = [y for y in product(range(-box, box + 1), repeat=r)
                     if all(sum(a * x for a, x in zip(row, y)) >= c
                            for row, c in rows)]
-        assert _lattice_points(rows, r) == expected, rows
+        assert _lattice_points(rows, r, _identity(r)) == expected, rows
+        m = lifts.randint(1, r + 2)
+        lift = [[lifts.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+        assert _lattice_points(rows, r, lift) == [
+            tuple(sum(y[a] * lift[a][i] for a in range(r)) for i in range(m))
+            for y in expected], (rows, lift)
 
 
 def test_lattice_points_chernikov_random(monkeypatch):
@@ -438,7 +417,7 @@ def test_lattice_points_chernikov_random(monkeypatch):
         expected = [y for y in product(range(-box, box + 1), repeat=r)
                     if all(sum(a * x for a, x in zip(row, y)) >= c
                            for row, c in rows)]
-        assert _lattice_points(rows, r) == expected, rows
+        assert _lattice_points(rows, r, _identity(r)) == expected, rows
     assert drops[0] > 1000
 
 
@@ -567,6 +546,27 @@ def test_lattice_points_wdp3_work(monkeypatch):
     monkeypatch.setattr(moricone, "_fm_eliminate", sizing)
     assert len(enumerate_effective(md, 4)) == 726
     assert len(sizes) == 7
+
+
+def test_enumerate_effective_wdp3_ell_calls(monkeypatch):
+    """The walk carries each point's ell with its class, so enumeration
+    reads ell once per chart basis vector, not once per point."""
+    md = mori_data(WIDE_FANS["wdP3"]())
+    calls = [0]
+    real = moricone.MoriData.ell_of
+
+    def counting(self, beta):
+        calls[0] += 1
+        return real(self, beta)
+
+    monkeypatch.setattr(moricone.MoriData, "ell_of", counting)
+    classes = enumerate_effective(md, 6)
+    assert len(classes) == 5010
+    r = md.fan.n_rays - md.fan.dim
+    assert 0 < calls[0] <= r
+    monkeypatch.undo()
+    ells = [md.ell_of(b) for b in classes]
+    assert ells == sorted(ells) and max(ells) == 6
 
 
 def test_effectivity_witness_f2():
