@@ -363,13 +363,15 @@ class BatyrevModule(namedtuple("BatyrevModule", (
 
 def module_matrices(ideal):
     """Multiplication matrix of every ray variable on the classical basis:
-    the column reader's integer entries, each made a NovikovScalar once."""
+    the column reader's integer entries, each made a NovikovScalar once and
+    as it is, since normal forms are nonzero and under the cutoff."""
     ctx, dim = ideal.ctx, ideal.ring.dim
     columns, den = _multiplication_columns(ideal.ring, ideal.rules, ctx)
     return BatyrevModule(ideal=ideal, matrices={
-        rho: [[NovikovScalar(ctx, {b: Fraction(x, den)
-                                   for b, x in col.get(k, {}).items()})
-               for col in cols] for k in range(dim)]
+        rho: [[NovikovScalar._exact(ctx, {
+            b: Fraction(x, den) if x % den else x // den
+            for b, x in col.get(k, {}).items()}) for col in cols]
+            for k in range(dim)]
         for rho, cols in enumerate(columns)})
 
 

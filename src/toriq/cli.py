@@ -22,6 +22,7 @@ cached ``MoriData.generator_inverse``.
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from operator import mul
 
 from . import polynomials as P
@@ -456,6 +457,44 @@ def render_text(report):
     return "\n".join(out) + "\n"
 
 
+def _dumps(report):
+    """The bytes of ``json.dumps(report, indent=2)``.  An indent puts the
+    stdlib on its pure-Python encoder; this writer passes each string to the
+    C function that encoder uses."""
+    out = []
+    _dump(report, out, "\n")
+    return "".join(out)
+
+
+def _dump(obj, out, indent):
+    """Append the JSON of ``obj`` (dicts with str keys, lists, str, int, bool
+    and None) to ``out``; raise ``TypeError`` on any other type or key."""
+    t = type(obj)
+    if t is str:
+        out.append(encode_basestring_ascii(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif (t is dict or t is list) and obj:
+        inner = indent + "  "
+        sep = ("{" if t is dict else "[") + inner
+        for item in obj.items() if t is dict else obj:
+            if t is dict:
+                key, item = item
+                if type(key) is not str:
+                    raise TypeError(f"key {key!r} is not a str")
+                sep += encode_basestring_ascii(key) + ": "
+            out.append(sep)
+            _dump(item, out, inner)
+            sep = "," + inner
+        out.append(indent + ("}" if t is dict else "]"))
+    elif t is dict or t is list:
+        out.append("{}" if t is dict else "[]")
+    elif obj is None or t is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 # --- entry point -----------------------------------------------------------------
 
 
@@ -514,7 +553,7 @@ def main(argv=None):
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     else:
         print(render_text(report), end="")
     return exit_code_for(report)

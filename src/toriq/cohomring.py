@@ -126,6 +126,21 @@ class CohomRing(namedtuple("CohomRing", (
         out.ring, out.num, out.den = self, tuple(num), den
         return out
 
+    def _times(self, a, b):
+        """Numerators and denominator of the product of the ``(num, den)``
+        parts ``a`` and ``b``, not reduced."""
+        (na, da), (nb, db) = a, b
+        out = [0] * len(na)
+        right = [(j, y) for j, y in enumerate(nb) if y]
+        for i, x in enumerate(na):
+            if x:
+                row = self.structure[i]
+                for j, y in right:
+                    xy = x * y
+                    for k, c in row[j]:
+                        out[k] += xy * c
+        return out, da * db * self.denominator
+
     def ray_poly(self, rho):
         """Polynomial representative (the Kirwan lift) of D_rho."""
         nv = len(self.surviving)
@@ -187,26 +202,9 @@ class CohClass:
                                        self.den * d),))
 
     def __mul__(self, other):
-        return self.ring._from_parts((self._times(other),))
-
-    def _times(self, other):
-        """Numerators and denominator of ``self * other``, not reduced."""
         ring = self.ring
-        out = [0] * len(self.num)
-        right = [(j, b) for j, b in enumerate(other.num) if b]
-        for i, a in enumerate(self.num):
-            if a:
-                row = ring.structure[i]
-                for j, b in right:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] += ab * c
-        return out, self.den * other.den * ring.denominator
-
-    def degree_zero_coefficient(self):
-        """Coefficient of the unit basis monomial."""
-        idx = self.ring.basis.index((0,) * len(self.ring.surviving))
-        return Fraction(self.num[idx], self.den)
+        return ring._from_parts((ring._times((self.num, self.den),
+                                             (other.num, other.den)),))
 
     def __repr__(self):
         return f"CohClass({render_class(self)})"
@@ -314,6 +312,12 @@ def graded_dimensions(ring):
 
 
 def render_class(c):
-    ring = c.ring
-    poly = {m: Fraction(a, c.den) for m, a in zip(ring.basis, c.num) if a}
-    return P.render_poly(poly, ring.var_names)
+    """``render_poly`` of the class's polynomial, read off its numerators:
+    the basis is in increasing term order, so it is walked backwards."""
+    terms = []
+    for m, a in zip(reversed(c.ring.basis), reversed(c.num)):
+        if a:
+            g = gcd(a, c.den)
+            terms.append((f"{a // g}/{c.den // g}" if c.den != g else a // g,
+                          P.render_monomial(m, c.ring.var_names)))
+    return P._signed_sum(terms)

@@ -11,9 +11,11 @@ series coefficient is the exact product over rays of
 The reduced series (exponential prefactor stripped) is assembled over all
 effective classes up to the cutoff.  A ray's factor depends only on the ray
 and ``d``, so each ray keeps a cache of its factors, the factor at ``d``
-built from the one at ``d - 1`` (``d + 1`` when negative) with one new term.
-Classes are visited in lex order and share the product of the factors of
-their common prefix.
+built from the one at ``d - 1`` (``d + 1`` when negative) with one new term
+through ``D_rho``'s multiplication columns; ``(D_rho + d hbar)^(-1)`` is a
+finite Neumann sum, ``D_rho`` being nilpotent.  Classes are visited in lex
+order and share the product of the factors of their common prefix, carried
+on integer numerators: the series forms no HLaurent product.
 
 Box operators act coefficientwise through the rule "hbar-derivative along
 the divisor direction = multiplication by ``D_rho + hbar d'_rho``".  Every
@@ -36,12 +38,7 @@ from operator import add
 
 from .cohomring import gram_matrix
 from .moricone import enumerate_effective
-from .novikov import (
-    HLaurent,
-    NovikovContext,
-    NovikovSeries,
-    nilpotent_geometric,
-)
+from .novikov import HLaurent, NovikovContext, NovikovSeries
 
 
 class PositiveHbarPower(ValueError):
@@ -85,39 +82,47 @@ def gkz_operator(beta):
     return GKZOperator(beta=tuple(beta), positive=pos, negative=neg)
 
 
-def _ray_factor(D, mult, d, cache):
-    """Factor of a ray with divisor class ``D`` at pairing ``d``.
+def _ray_factor(mult, d, cache):
+    """Factor of a ray at pairing ``d``, as unreduced ``(numerators,
+    denominator, bucket)`` with hbar = 1 (see ``novikov.HLaurent``).
 
     ``mult`` is the ray's entry of ``ring.divisor_columns`` and ``cache``
     maps pairings of this one ray to their factors, starting from the factor
     1 at ``d = 0``.  The factor at ``d`` is the one at ``d - 1`` times
-    ``(D + d hbar)^(-1)`` when ``d > 0``, and the one at ``d + 1`` times
-    ``(D + (d + 1) hbar)`` when ``d < 0``.
+    ``(D + d)^(-1)`` when ``d > 0``, and the one at ``d + 1`` times
+    ``(D + d + 1)`` when ``d < 0``.
     """
     if d not in cache:
         if d > 0:
-            cache[d] = _ray_factor(D, mult, d - 1, cache) * \
-                nilpotent_geometric(D, d)
+            num, den, s = _ray_factor(mult, d - 1, cache)
+            c, acc, power, den = mult[1] * d, num, num, den * d
+            # the finite Neumann sum of (-D)^l / d^(l+1), D being nilpotent;
+            # Horner's rule keeps one denominator
+            while any(power := [-x for x in _linear_factors(
+                    power, 1, ((mult, 0),))[0]]):
+                acc, den = [a * c + b for a, b in zip(acc, power)], den * c
+            cache[d] = acc, den, s - 1
         else:
-            cache[d] = _linear_factor_apply(
-                _ray_factor(D, mult, d + 1, cache), mult, d + 1)
+            num, den, s = _ray_factor(mult, d + 1, cache)
+            cache[d] = (*_linear_factors(num, den, ((mult, d + 1),)), s + 1)
     return cache[d]
 
 
 def i_function(ring, md, cutoff):
     """Reduced series: sum over effective classes of q^beta times the coefficient.
 
-    The divisor classes and their columns are the ring's, and each ray
-    keeps a cache of its factors by pairing.  Classes are visited in lex
-    order with a stack of prefix products (``prefix[k]`` is the product over
-    rays ``< k``, ``None`` standing for 1), so a class only multiplies the
-    factors after its common prefix with the class before it.
+    Classes are visited in lex order with a stack of prefix products
+    (``prefix[k]`` is the product over rays ``< k``, ``None`` standing for
+    1), so a class only multiplies the factors after its common prefix with
+    the class before it.  Prefixes are unreduced ``(numerators, denominator,
+    bucket)`` triples multiplied through ``ring.structure``; each
+    coefficient is reduced once, when it is stored.
     """
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
-    divisors, mults = ring.divisors, ring.divisor_columns
-    one = HLaurent.one(ring)
-    caches = [{0: one} for _ in divisors]
+    mults = ring.divisor_columns
+    one = ring.one().num, 1, 0
+    caches = [{0: one} for _ in mults]
     prefix = [None] * (ctx.n_rays + 1)
     previous = ()
     coefficients = {}
@@ -128,12 +133,14 @@ def i_function(ring, md, cutoff):
         for rho in range(start, ctx.n_rays):
             acc = prefix[rho]
             d = beta[rho]
-            if d and (acc is None or acc):  # a zero prefix stays zero
-                factor = _ray_factor(divisors[rho], mults[rho], d, caches[rho])
-                acc = factor if acc is None else acc * factor
+            if d and (acc is None or any(acc[0])):  # a zero prefix stays zero
+                num, den, s = _ray_factor(mults[rho], d, caches[rho])
+                acc = (num, den, s) if acc is None else \
+                    (*ring._times(acc[:2], (num, den)), acc[2] + s)
             prefix[rho + 1] = acc
-        last = prefix[-1]
-        coefficients[beta] = one if last is None else last
+        num, den, s = prefix[-1] or one
+        coefficients[beta] = HLaurent._graded(
+            ring, {s: ring._from_parts(((num, den),))})
         previous = beta
     # the series keeps its terms in enumeration order, (ell, lex)
     return NovikovSeries(ctx, ring, {b: coefficients[b] for b in classes})
@@ -207,15 +214,6 @@ def _linear_factors(num, den, steps):
                     out[k] += b * x
         num, den = out, den * d
     return num, den
-
-
-def _linear_factor_apply(h, mult, c):
-    """Multiply an HLaurent by ``(D + c*hbar)`` for a degree-1 class ``D``
-    given by its entry of ``ring.divisor_columns``: bucket ``s`` becomes
-    ``(D + c) h_s`` at ``s + 1``."""
-    ring = h.ring
-    return HLaurent._graded(ring, {s + 1: ring._from_parts((_linear_factors(
-        v.num, v.den, ((mult, c),)),)) for s, v in h.buckets.items()})
 
 
 def check_cutoff(ell_of, generators, cutoff):

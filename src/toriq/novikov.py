@@ -6,16 +6,16 @@ Three layers, each exact:
   ``q^beta`` keyed by full curve-class vectors, truncated by the positive
   functional ``ell`` at a fixed cutoff: a sparse polynomial whose exponents
   are curve classes, so ``polynomials`` does its arithmetic and only the
-  constructor truncates.  Units are the scalars with nonzero ``q^0`` part;
-  their inverses come from a finite Neumann series because every nonzero
-  effective class has ``ell >= 1``.
+  public constructor truncates and normalizes (``_exact`` skips both).
+  Units are the scalars with nonzero ``q^0`` part; their inverses come
+  from a finite Neumann series because every nonzero effective class has
+  ``ell >= 1``.
 * ``HLaurent`` -- a finitely supported Laurent polynomial in the formal
-  variable hbar whose coefficients are cohomology classes.  Nilpotency of
-  positive-degree classes keeps every expansion finite; nothing is ever
+  variable hbar whose coefficients are cohomology classes; nothing is ever
   windowed or silently dropped.  It is stored as one class per total degree
   (``deg hbar = deg D_rho = 1``), so a product of homogeneous series, which
   every series coefficient and box-operator factor is, is one class product
-  on integer numerators, reduced once.
+  on integer numerators, reduced once; ``gkz`` works on such numerators.
 * ``NovikovSeries`` -- ``q^beta``-indexed families of HLaurent coefficients,
   truncated at the cutoff.
 """
@@ -33,10 +33,6 @@ class CutoffMismatch(ValueError):
 
 class NotAUnit(ValueError):
     """Inversion of an element of the maximal ideal."""
-
-
-class NotNilpotent(ValueError):
-    """Geometric expansion of a class with nonzero scalar part."""
 
 
 class NovikovContext(namedtuple("NovikovContext", "n_rays ell cutoff")):
@@ -70,6 +66,14 @@ class NovikovScalar:
             if c and ctx.ell_of(beta) <= ctx.cutoff:
                 clean[tuple(beta)] = c
         self.terms = clean
+
+    @classmethod
+    def _exact(cls, ctx, terms):
+        """A scalar of ``terms`` kept as given: each coefficient nonzero and
+        as ``polynomials._rational`` gives it, each class under the cutoff."""
+        out = cls.__new__(cls)
+        out.ctx, out.terms = ctx, terms
+        return out
 
     @classmethod
     def unit(cls, ctx, c=1):
@@ -196,11 +200,11 @@ class HLaurent:
             self.ring, {s: v.scale(c) for s, v in self.buckets.items()})
 
     def __mul__(self, other):
-        parts = {}
+        ring, parts = self.ring, {}
         for s1, v1 in self.buckets.items():
             for s2, v2 in other.buckets.items():
-                parts.setdefault(s1 + s2, []).append(v1._times(v2))
-        ring = self.ring
+                parts.setdefault(s1 + s2, []).append(ring._times(
+                    (v1.num, v1.den), (v2.num, v2.den)))
         return HLaurent._graded(ring, {s: ring._from_parts(p)
                                        for s, p in parts.items()})
 
@@ -226,29 +230,6 @@ def _regrade(ring, classes, sign):
             if any(num):
                 parts.setdefault(k + sign * p, []).append((num, v.den))
     return {k: ring._from_parts(ps) for k, ps in parts.items()}
-
-
-def nilpotent_geometric(D, m):
-    """Exact inverse (D + m*hbar)^(-1) for a nilpotent class D.
-
-    Equals ``sum_{l>=0} (-1)^l D^l / (m^(l+1) hbar^(l+1))``, a finite sum.
-    """
-    if m == 0:
-        raise ZeroDivisionError("m must be a nonzero integer")
-    if D.degree_zero_coefficient() != 0:
-        raise NotNilpotent("class has nonzero scalar part")
-    ring = D.ring
-    terms = {}
-    power = ring.one()
-    l = 0
-    while power:
-        # (-1)^l / m^(l+1) with a positive denominator
-        sign = (-1) ** l if m > 0 else -1
-        part = [sign * a for a in power.num], power.den * abs(m) ** (l + 1)
-        terms[-(l + 1)] = ring._from_parts((part,))
-        power = power * D
-        l += 1
-    return HLaurent(ring, terms)
 
 
 class NovikovSeries:

@@ -27,6 +27,11 @@ is such a scan, over a bounding box and against ``facet_normals``.
 
 ``apply_gkz_operator`` is the HLaurent form of the box operator, one class
 product per linear factor, the reference for ``gkz``'s integer sides.
+``i_function`` is the HLaurent form of the series, the reference for
+``gkz``'s integer prefixes: each ray's factor is an HLaurent, built with
+``nilpotent_geometric`` (the exact inverse of ``D + m hbar``) for a positive
+pairing and ``linear_factor_apply`` (one linear factor through the divisor
+columns) for a negative one, and prefixes multiply by ``HLaurent.__mul__``.
 ``perturbed_series`` changes one coefficient of a series, for the tests
 that the annihilation check must fail.  ``relabel`` lists a fan's rays in
 another order, for the tests that nothing depends on ray order, and
@@ -74,6 +79,8 @@ from toriq.cohomring import (
     monomial_basis_classes,
 )
 from toriq.fan import make_fan
+from toriq.gkz import _linear_factors
+from toriq.moricone import enumerate_effective
 from toriq.novikov import HLaurent, NovikovContext, NovikovScalar, NovikovSeries
 
 _TABLES = {}
@@ -247,14 +254,96 @@ def apply_gkz_operator(op, I):
     return NovikovSeries(out_ctx, ring, terms)
 
 
+class NotNilpotent(ValueError):
+    """Geometric expansion of a class with nonzero scalar part."""
+
+
+def nilpotent_geometric(D, m):
+    """Exact inverse (D + m*hbar)^(-1) for a nilpotent class D.
+
+    Equals ``sum_{l>=0} (-1)^l D^l / (m^(l+1) hbar^(l+1))``, a finite sum.
+    """
+    if m == 0:
+        raise ZeroDivisionError("m must be a nonzero integer")
+    if D.num[D.ring.basis.index((0,) * len(D.ring.surviving))]:
+        raise NotNilpotent("class has nonzero scalar part")
+    ring = D.ring
+    terms = {}
+    power = ring.one()
+    l = 0
+    while power:
+        # (-1)^l / m^(l+1) with a positive denominator
+        sign = (-1) ** l if m > 0 else -1
+        part = [sign * a for a in power.num], power.den * abs(m) ** (l + 1)
+        terms[-(l + 1)] = ring._from_parts((part,))
+        power = power * D
+        l += 1
+    return HLaurent(ring, terms)
+
+
+def linear_factor_apply(h, mult, c):
+    """Multiply an HLaurent by ``(D + c*hbar)`` for a degree-1 class ``D``
+    given by its entry of ``ring.divisor_columns``: bucket ``s`` becomes
+    ``(D + c) h_s`` at ``s + 1``."""
+    ring = h.ring
+    return HLaurent._graded(ring, {s + 1: ring._from_parts((_linear_factors(
+        v.num, v.den, ((mult, c),)),)) for s, v in h.buckets.items()})
+
+
+def _ray_factor(D, mult, d, cache):
+    """HLaurent factor of a ray with divisor class ``D`` at pairing ``d``:
+    the one at ``d - 1`` times ``nilpotent_geometric(D, d)`` when ``d > 0``,
+    the one at ``d + 1`` times ``(D + (d + 1) hbar)`` when ``d < 0``."""
+    if d not in cache:
+        if d > 0:
+            cache[d] = _ray_factor(D, mult, d - 1, cache) * \
+                nilpotent_geometric(D, d)
+        else:
+            cache[d] = linear_factor_apply(
+                _ray_factor(D, mult, d + 1, cache), mult, d + 1)
+    return cache[d]
+
+
+def i_function(ring, md, cutoff):
+    """Reference for ``gkz.i_function``: the same walk over the classes in
+    lex order with prefix products, each factor and prefix an HLaurent
+    multiplied by ``HLaurent.__mul__``."""
+    ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
+    classes = enumerate_effective(md, cutoff)
+    one = HLaurent.one(ring)
+    caches = [{0: one} for _ in ring.divisors]
+    prefix = [None] * (ctx.n_rays + 1)
+    previous = ()
+    coefficients = {}
+    for beta in sorted(classes):
+        start = 0
+        while start < len(previous) and beta[start] == previous[start]:
+            start += 1
+        for rho in range(start, ctx.n_rays):
+            acc = prefix[rho]
+            d = beta[rho]
+            if d and (acc is None or acc):
+                factor = _ray_factor(ring.divisors[rho],
+                                     ring.divisor_columns[rho], d, caches[rho])
+                acc = factor if acc is None else acc * factor
+            prefix[rho + 1] = acc
+        last = prefix[-1]
+        coefficients[beta] = one if last is None else last
+        previous = beta
+    return NovikovSeries(ctx, ring, {b: coefficients[b] for b in classes})
+
+
 def perturbed_series(I, beta, shift):
-    """``I`` with ``D_0 hbar^(s - 1 + shift)`` added to the coefficient of
+    """``I`` with ``2 D_0 hbar^(s - 1 + shift)`` added to the coefficient of
     ``q^beta``, which is homogeneous of total degree ``s``.  With ``shift``
     0 the change has that same total degree; with 1 it lands in bucket
-    ``s + 1``, so the coefficient is no longer homogeneous."""
+    ``s + 1``, so the coefficient is no longer homogeneous.  The factor 2
+    keeps the change from cancelling the series coefficient ``-D_0 hbar^(s
+    - 1)`` of wdP5 at ``(-2, 1, 0, 0, 0, 0, 1)``; the assertion below
+    catches a coefficient that it would cancel."""
     ring = I.ring
     (s,) = I.terms[beta].buckets
-    change = HLaurent.of_class(divisor_class(ring, 0), s - 1 + shift)
+    change = HLaurent.of_class(divisor_class(ring, 0).scale(2), s - 1 + shift)
     terms = dict(I.terms)
     terms[beta] = terms[beta] + change
     assert set(terms[beta].buckets) == {s, s + shift}

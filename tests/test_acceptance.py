@@ -33,12 +33,13 @@ from toriq.gkz import (
     leading_terms,
 )
 from toriq.moricone import enumerate_effective, mori_data
-from toriq.novikov import HLaurent, NovikovScalar, nilpotent_geometric
+from toriq.novikov import HLaurent, NovikovScalar
 
 from oracles import (
     check_module,
     curve_lattice_basis,
     fm_feasible_point,
+    nilpotent_geometric,
     normal_form,
     reconstruct_coefficient,
 )

@@ -357,6 +357,27 @@ def test_module_reduces_only_the_rest_of_the_border(monkeypatch, name):
     assert len(rest) == REDUCED_BORDER.get(name, len(rest))
 
 
+@pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))
+def test_module_scalars_equal_the_public_constructor(name):
+    # module_matrices takes its entries as they are; the constructor would
+    # truncate and normalize them, and leave the same terms, types included
+    fan = oracles.KERNEL_FANS[name]()
+    md = mori_data(fan)
+    ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), 4)
+    columns, den = batyrev._multiplication_columns(ideal.ring, ideal.rules,
+                                                   ideal.ctx)
+    module = module_matrices(ideal)
+    for rho, cols in enumerate(columns):
+        for k in range(ideal.ring.dim):
+            for a, col in enumerate(cols):
+                got = module.matrices[rho][k][a]
+                expected = NovikovScalar(ideal.ctx, {
+                    b: Fraction(x, den) for b, x in col.get(k, {}).items()})
+                assert got == expected, (rho, k, a)
+                assert [(b, type(c)) for b, c in got.terms.items()] == \
+                    [(b, type(c)) for b, c in expected.terms.items()]
+
+
 @pytest.mark.parametrize("name,rejected,total", [("dP6", 45, 58),
                                                  ("P1xdP6", 46, 59)])
 def test_relation_check_rejects_doubled_rule_coefficients(name, rejected,

@@ -15,6 +15,7 @@ import toriq.lattice
 from toriq.cli import (
     SCHEMA,
     ParseError,
+    _dumps,
     exit_code_for,
     fan_from_dict,
     ingest,
@@ -141,6 +142,30 @@ def test_json_roundtrip_all_commands(capsys):
         assert validate_report(report)
         assert json.loads(json.dumps(report)) == report
         assert report["schema"] == "toriq/1"
+
+
+JSON_EDGE_CASES = [
+    {}, [], "", 0, None, True, False, {"": []}, [[]], [{}], [[[], {}]],
+    {"a": {"b": {"c": []}}}, [None, True, False, -1, 0, 1],
+    2 ** 64 + 1, -(2 ** 100), [2 ** 63, -(2 ** 63) - 1],
+    'quote " backslash \\ slash / ',
+    "".join(map(chr, range(32))) + "\x7f",
+    "caf\u00e9 \u2028 \U0001f600 \ud800",
+    {'key "with" \\ \n and \u00e9': ["\t", {"\u0000": "\U0001f600"}]},
+]
+
+
+@pytest.mark.parametrize("obj", JSON_EDGE_CASES)
+def test_report_writer_matches_stdlib(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [1.5, (1, 2), {1: 2}, {None: "a"},
+                                 {True: 1}, {(1,): 2}, [{"a": 0.0}],
+                                 {"a": [(1,)]}, {"a"}])
+def test_report_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
 
 
 def test_json_rationals_are_strings(capsys):

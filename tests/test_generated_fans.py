@@ -12,7 +12,9 @@ P3, P1xP2 and (P1)^3 along a torus-invariant curve or at a fixed point.
 
 Effective-class enumeration is compared with ``oracles.box_scan_effective``
 at cutoffs 0-2 on every generated fan: at cutoff 2 the largest scan, on
-threefold 2, covers a box of 5,625 points.
+threefold 2, covers a box of 5,625 points.  On every generated fan the Mori
+cone's facets are compared with ``oracles.facet_normals``, and the series
+with ``oracles.i_function`` at cutoffs 0-2.
 """
 
 import json
@@ -26,8 +28,15 @@ from toriq.catalog import builtin_fan
 from toriq.cli import main
 from toriq.cohomring import build_cohomology_ring, divisor_class, integrate
 from toriq.fan import make_fan
-from toriq.moricone import enumerate_effective, mori_data
+from toriq.gkz import i_function
+from toriq.moricone import (
+    _facet_normals,
+    _kernel_setup,
+    enumerate_effective,
+    mori_data,
+)
 
+import oracles
 from oracles import (
     box_scan_effective,
     check_module,
@@ -140,6 +149,29 @@ def test_generated_enumeration_matches_box_scan(kind, i):
     for cutoff in range(3):
         assert enumerate_effective(md, cutoff) == \
             box_scan_effective(md, cutoff), cutoff
+
+
+@pytest.mark.parametrize("kind,i", GENERATED,
+                         ids=[f"{kind}-{i}" for kind, i in GENERATED])
+def test_generated_facets_match_nullspace_oracle(kind, i):
+    fan = {"surface": surface, "threefold": threefold}[kind](i)
+    _, surviving = _kernel_setup(fan)
+    ys = [tuple(g[j] for j in surviving) for g in mori_data(fan).generators]
+    assert _facet_normals(ys, len(surviving)) == \
+        oracles.facet_normals(ys, len(surviving))
+
+
+@pytest.mark.parametrize("kind,i", GENERATED,
+                         ids=[f"{kind}-{i}" for kind, i in GENERATED])
+def test_generated_series_matches_hlaurent_reference(kind, i):
+    fan = {"surface": surface, "threefold": threefold}[kind](i)
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    for cutoff in range(3):
+        I = i_function(ring, md, cutoff)
+        reference = oracles.i_function(ring, md, cutoff)
+        assert I == reference, cutoff
+        assert list(I.terms) == list(reference.terms), cutoff
 
 
 def test_generated_fans_reach_both_certify_outcomes():

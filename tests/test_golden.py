@@ -27,6 +27,9 @@ they were recorded, the ``analyze``, ``ifunction`` and ``certify`` reports
 at cutoff 4 passed ``check_report`` of ``perfbench/checks.py`` (imported
 read-only) against ``checks.FanRef(workloads.FANS["wdP3"])``.  A change
 meant to keep the reports unchanged must leave every entry intact.
+
+Every JSON report must also be the stdlib's ``json.dumps(report, indent=2)``
+of itself, the reference for the CLI's own JSON writer.
 """
 
 import hashlib
@@ -94,12 +97,17 @@ GOLDEN = {
 }
 
 
+def written_as_stdlib(out, fmt):
+    return fmt == "text" or out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("command,fan,fmt", sorted(GOLDEN))
 def test_catalog_stdout_unchanged(capsys, command, fan, fmt):
     code = main([command, "--fan", fan, "--cutoff", "3", "--format", fmt])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         GOLDEN[(command, fan, fmt)]
+    assert written_as_stdlib(out, fmt)
 
 
 def _cycle(name, rays):
@@ -183,6 +191,7 @@ def test_fan_file_stdout_unchanged(capsys, tmp_path, command, fan, cutoff,
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         GOLDEN_FILES[(command, fan, cutoff, fmt)]
+    assert written_as_stdlib(out, fmt)
 
 
 # (command, builtin fan, cutoff, format) -> (exit code, SHA-256 of stdout)
@@ -198,3 +207,4 @@ def test_catalog_deep_stdout_unchanged(capsys, command, fan, cutoff, fmt):
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
         GOLDEN_DEEP[(command, fan, cutoff, fmt)]
+    assert written_as_stdlib(out, fmt)

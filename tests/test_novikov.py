@@ -11,14 +11,13 @@ from toriq.novikov import (
     CutoffMismatch,
     HLaurent,
     NotAUnit,
-    NotNilpotent,
     NovikovContext,
     NovikovScalar,
-    nilpotent_geometric,
 )
 
 from oracles import (
     KERNEL_FANS,
+    NotNilpotent,
     frac_add,
     frac_scale,
     frac_sub,
@@ -26,6 +25,7 @@ from oracles import (
     laurent_mul,
     laurent_of,
     mult_table,
+    nilpotent_geometric,
     q_add,
     q_inverse,
     q_mul,

@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 import toriq.cli
-from toriq.cohomring import CohClass
+from toriq.catalog import builtin_fan
+from toriq.cohomring import CohClass, build_cohomology_ring
 from toriq.novikov import HLaurent
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -35,6 +36,9 @@ def test_tracer_counts_class_products_and_restores(capsys):
     try:
         assert CohClass.__mul__ is not class_mul
         code = toriq.cli.main(["ifunction", "--fan", "P2", "--cutoff", "3"])
+        # the series runs on integer numerators, so multiply two HLaurents
+        ring = build_cohomology_ring(builtin_fan("P2"))
+        HLaurent.one(ring) * HLaurent.of_class(ring.divisors[0], -1)
     finally:
         tracer.uninstall()
     assert code == 0
