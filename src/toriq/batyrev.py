@@ -190,10 +190,12 @@ class DeformedIdeal(namedtuple("DeformedIdeal", (
 
 
 def _binomial(ring, ctx, pos, neg, beta):
-    """``x^pos - q^beta x^neg``, level-indexed, for ``(rho, e)`` pairs."""
-    zero = ctx.zero_class
-    return dp_sub({zero: ring.ray_product(pos)}, dp_mul_scalar(
-        {zero: ring.ray_product(neg)}, NovikovScalar.monomial(ctx, beta), ctx))
+    """``x^pos - q^beta x^neg``, level-indexed, for ``(rho, e)`` pairs: the
+    level ``beta`` is dropped when its ell exceeds the cutoff."""
+    out = {ctx.zero_class: ring.ray_product(pos)}
+    if ctx.ell_of(beta) <= ctx.cutoff:
+        out[tuple(beta)] = P.pscale(ring.ray_product(neg), -1)
+    return out
 
 
 def _deformed_generators(fan, md, ring, ctx):

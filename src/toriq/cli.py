@@ -105,14 +105,8 @@ def fan_from_dict(data, origin="<fan>"):
             if not 1 <= i <= len(rays):
                 raise ParseError(
                     f"{origin}: cone index {i} out of range (1-based)")
-    try:
-        return make_fan(dim, [tuple(u) for u in rays],
-                        [tuple(i - 1 for i in c) for c in cones],
-                        name=name)
-    except ValidationError:
-        raise
-    except Exception as exc:  # defensive: surface anything else as ingestion
-        raise ParseError(f"{origin}: {exc}") from exc
+    return make_fan(dim, [tuple(u) for u in rays],
+                    [tuple(i - 1 for i in c) for c in cones], name=name)
 
 
 # --- rendering helpers ----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The ring is the polynomial ring on one variable per ray, modulo the linear
 relations ``sum <m, u_rho> x_rho`` and the square-free Stanley-Reisner ideal.
-The variables of the maximal cone ``sigma0`` of ``fan.chart`` are eliminated
+The variables of the maximal cone ``sigma0`` of ``Fan.chart`` are eliminated
 through the linear relations; their coefficients are the surviving rays'
 integer coordinates in ``sigma0``'s basis, so the surviving variables are the
 chart's basis of the Picard group.  The image of the Stanley-Reisner ideal
@@ -19,6 +19,10 @@ monomials are closed under division, so ``m_i m_j = y (m_i' m_j)`` for
 ``m_i = y m_i'`` gives every basis product from those columns.  At cutoff 0
 Batyrev's module is multiplication by the divisors, so the reader's columns
 for every ray, integers over one denominator, are the ring's divisor columns.
+They are the ring's one divisor kernel: ``D_rho + c`` and, ``D_rho`` being
+nilpotent, ``(D_rho + d)^(-1)`` act on integer numerators through them, for
+the series factors, both sides of every box operator, each divisor class
+(``D_rho`` times 1) and the maximal-cone products below.
 
 A class is stored as integer numerators over the basis and one positive
 integer denominator, reduced by their gcd, so equal classes have equal
@@ -29,23 +33,21 @@ therefore run on ints alone; ``CohClass.coeffs`` gives the coefficients as
 Fractions for rendering and integration.
 
 Integration is normalized by requiring every maximal-cone monomial
-``prod_{rho in sigma} D_rho`` to integrate to 1: each product of divisor
-classes is the same class ``c m`` on the one top-degree basis monomial ``m``,
-whose integral is ``1/c``.  The Poincare pairing of two monomial basis
-classes is the top monomial's coefficient in their structure constants times
-its integral.  Each ray's divisor class and its columns are built once per
-ring.
+``prod_{rho in sigma} D_rho`` to integrate to 1: each such product, applied
+to 1 through the divisor columns, is the same class ``c m`` on the one
+top-degree basis monomial ``m``, whose integral is ``1/c``; the build forms
+no class product.  The Poincare pairing of two monomial basis classes is the
+top monomial's coefficient in their structure constants times its integral.
+Each ray's divisor class and its columns are built once per ring.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd, lcm
-from operator import mul
 
 from . import polynomials as P
 from .batyrev import _multiplication_columns, complete
-from .fan import chart
 from .moricone import primitive_collections
 from .novikov import NovikovContext
 
@@ -88,18 +90,16 @@ class CohomRing(namedtuple("CohomRing", (
     @cached_property
     def divisors(self):
         """Degree-2 class of each ray's toric divisor, built once per ring:
-        its Kirwan lift, whose variables are basis monomials."""
-        return tuple(CohClass(self, [self.ray_poly(rho).get(m, 0)
-                                     for m in self.basis])
-                     for rho in range(self.fan.n_rays))
+        ``D_rho`` times 1, through its divisor columns."""
+        one = self.one().num
+        return tuple(self._from_parts((self._times_linear(
+            one, 1, ((rho, 0),)),)) for rho in range(self.fan.n_rays))
 
     def zero(self):
         return CohClass(self, (0,) * self.dim)
 
     def one(self):
-        coeffs = [0] * self.dim
-        coeffs[self.basis.index((0,) * len(self.surviving))] = 1
-        return CohClass(self, coeffs)
+        return CohClass(self, (1,) + (0,) * (self.dim - 1))  # basis[0] is 1
 
     def _from_parts(self, parts):
         """Class of the sum of ``num / den`` over the ``(num, den)`` parts.
@@ -140,6 +140,32 @@ class CohomRing(namedtuple("CohomRing", (
                     for k, c in row[j]:
                         out[k] += xy * c
         return out, da * db * self.denominator
+
+    def _times_linear(self, num, den, steps):
+        """Numerators and denominator of ``num / den`` times ``prod (D_rho +
+        c)`` over the ``(rho, c)`` in ``steps``, through ``D_rho``'s divisor
+        columns, not reduced."""
+        for rho, c in steps:
+            columns, d = self.divisor_columns[rho]
+            out = [c * d * a for a in num]
+            for column, b in zip(columns, num):
+                if b:
+                    for k, x in column:
+                        out[k] += b * x
+            num, den = out, den * d
+        return num, den
+
+    def _times_inverse(self, num, den, rho, d):
+        """Numerators and denominator of ``num / den`` times ``(D_rho +
+        d)^(-1)`` for ``d > 0``, not reduced: the finite Neumann sum of
+        ``(-D_rho)^l / d^(l+1)``, ``D_rho`` being nilpotent, summed by
+        Horner's rule over one denominator."""
+        c = self.divisor_columns[rho][1] * d
+        acc, power, den = num, num, den * d
+        while any(power := [-x for x in self._times_linear(
+                power, 1, ((rho, 0),))[0]]):
+            acc, den = [a * c + b for a, b in zip(acc, power)], den * c
+        return acc, den
 
     def ray_poly(self, rho):
         """Polynomial representative (the Kirwan lift) of D_rho."""
@@ -211,7 +237,7 @@ class CohClass:
 
 
 def build_cohomology_ring(fan):
-    sigma0, surviving, coords = chart(fan)
+    sigma0, surviving, coords = fan.chart
     nv = len(surviving)
     # x_rho = -sum_j <m_rho, u_j> x_j over surviving rays j, where m_rho is
     # the dual basis of sigma0's rays: <m_rho, u_j> is u_j's rho-coordinate
@@ -263,8 +289,9 @@ def build_cohomology_ring(fan):
              den) for cols in columns))
 
     # each maximal-cone monomial integrates to 1 and is c times the top one
-    forms = {reduce(mul, (ring.divisors[rho] for rho in cone))
-             for cone in fan.max_cones}
+    one = (1,) + (0,) * (len(basis) - 1)
+    forms = {ring._from_parts((ring._times_linear(
+        one, 1, ((rho, 0) for rho in cone)),)) for cone in fan.max_cones}
     support = [k for k, a in enumerate(next(iter(forms)).num) if a]
     if len(forms) != 1 or len(support) != 1:
         raise InconsistentNormalization(

@@ -9,10 +9,10 @@ completeness (the closed-wall criterion: every wall lies in exactly two
 maximal cones, on opposite sides of it, and the wall-adjacency graph is
 connected; then the covering degree: one generic point lies in exactly one
 maximal cone).  Each check raises ``ValidationError`` on the first
-violation.  ``chart`` fixes the cone that the cohomology ring and the
-curve-class lattice are read in.  Each maximal cone's ray matrix is
-inverted once (``Fan.cone_inverses``), and every coordinate on a cone's
-rays is a dot product with a row of its inverse.
+violation.  ``Fan.chart``, computed once per fan, fixes the cone that the
+cohomology ring and the curve-class lattice are read in.  Each maximal
+cone's ray matrix is inverted once (``Fan.cone_inverses``), and every
+coordinate on a cone's rays is a dot product with a row of its inverse.
 """
 
 from collections import namedtuple
@@ -76,6 +76,28 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
         when singular; integral entries are ints.  Computed once per Fan."""
         return {cone: lattice.invert_int(list(zip(*self.cone_rays(cone))))
                 for cone in self.max_cones}
+
+    @cached_property
+    def chart(self):
+        """The maximal cone ``sigma0``, the surviving rays, and their
+        coordinates, computed once per Fan.
+
+        ``sigma0`` is the cone whose complement, the ascending ``surviving``,
+        is lexicographically least.  The divisors of the surviving rays are a
+        basis of the Picard group, and a curve class is fixed by its entries
+        on the same rays (Cox, Little and Schenck, *Toric Varieties*, 2011,
+        4.1).  The value is ``(sigma0, surviving, coords)``: ``coords[j]``
+        holds the integer coordinates of ray ``surviving[j]`` in the basis
+        of ``sigma0``'s rays.  Raises ``ValidationError`` unless ``sigma0``
+        is smooth.
+        """
+        surviving, sigma0 = min(
+            (tuple(i for i in range(self.n_rays) if i not in cone), cone)
+            for cone in self.max_cones)
+        _check_smooth(self, sigma0)
+        coords = tuple(tuple(self.coordinates(sigma0, self.rays[j]))
+                       for j in surviving)
+        return sigma0, surviving, coords
 
     def coordinates(self, cone, v):
         """Coordinates of ``v`` on the rays of a nonsingular maximal cone."""
@@ -165,26 +187,6 @@ def validate_complete(fan):
         raise ValidationError(
             f"fan is not complete: its cones cover space {degree} times, "
             f"expected once")
-
-
-def chart(fan):
-    """The maximal cone ``sigma0``, the surviving rays, and their coordinates.
-
-    ``sigma0`` is the cone whose complement, the ascending ``surviving``,
-    is lexicographically least.  The divisors of the surviving rays are a
-    basis of the Picard group, and a curve class is fixed by its entries on
-    the same rays (Cox, Little and Schenck, *Toric Varieties*, 2011, 4.1).
-    Returns ``(sigma0, surviving, coords)``: ``coords[j]`` holds the integer
-    coordinates of ray ``surviving[j]`` in the basis of ``sigma0``'s rays.
-    Raises ``ValidationError`` unless ``sigma0`` is smooth.
-    """
-    surviving, sigma0 = min(
-        (tuple(i for i in range(fan.n_rays) if i not in cone), cone)
-        for cone in fan.max_cones)
-    _check_smooth(fan, sigma0)
-    coords = tuple(tuple(fan.coordinates(sigma0, fan.rays[j]))
-                   for j in surviving)
-    return sigma0, surviving, coords
 
 
 def minimal_cone_containing(fan, v):

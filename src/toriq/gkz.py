@@ -9,22 +9,22 @@ series coefficient is the exact product over rays of
 * ``D_rho * prod_{m=d+1..-1} (D_rho + m hbar)``  when ``d <= -2``.
 
 The reduced series (exponential prefactor stripped) is assembled over all
-effective classes up to the cutoff.  A ray's factor depends only on the ray
-and ``d``, so each ray keeps a cache of its factors, the factor at ``d``
-built from the one at ``d - 1`` (``d + 1`` when negative) with one new term
-through ``D_rho``'s multiplication columns; ``(D_rho + d hbar)^(-1)`` is a
-finite Neumann sum, ``D_rho`` being nilpotent.  Classes are visited in lex
-order and share the product of the factors of their common prefix, carried
-on integer numerators: the series forms no HLaurent product.
+effective classes up to the cutoff.  Every coefficient is homogeneous of
+total degree ``-sum_rho d_rho``, so it is one class in that hbar bucket (see
+``novikov.HLaurent``), read off ``beta``.  A ray's factor depends only on
+the ray and ``d``, so each ray keeps a cache of its factors, the factor at
+``d`` built from the one at ``d - 1`` (``d + 1`` when negative) with one new
+term ``(D_rho + d)^(-1)`` (``D_rho + d + 1``) through the ring's divisor
+kernel, which acts on integer numerators through each divisor's
+multiplication columns.  Classes are visited in lex order and share the
+product of the factors of their common prefix, carried on integer
+numerators: the series forms no HLaurent product.
 
 Box operators act coefficientwise through the rule "hbar-derivative along
-the divisor direction = multiplication by ``D_rho + hbar d'_rho``".  Every
-coefficient is homogeneous of total degree ``-sum_rho d_rho``, so it is one
-class (see ``novikov.HLaurent``), and such a factor maps that class ``x`` to
-``(D_rho + d'_rho) x`` one degree up, through ``D_rho``'s integer
-multiplication columns, built once per ring from its structure constants
-(``CohomRing.divisor_columns``); an operator's sides run on integer
-numerators and form a class only where they differ.  Applying the operator
+the divisor direction = multiplication by ``D_rho + hbar d'_rho``", which
+maps a bucket's class ``x`` to ``(D_rho + d'_rho) x`` one bucket up, through
+the same kernel; an operator's sides run on integer numerators and form a
+class only where they differ.  Applying the operator
 of any Mori generator must annihilate the series exactly on the certified
 range, and the hbar -> 0 limit of the operator is the binomial relation fed
 to the quantum-deformed ring.  Two-point invariants pair a class's nonzero
@@ -82,29 +82,22 @@ def gkz_operator(beta):
     return GKZOperator(beta=tuple(beta), positive=pos, negative=neg)
 
 
-def _ray_factor(mult, d, cache):
-    """Factor of a ray at pairing ``d``, as unreduced ``(numerators,
-    denominator, bucket)`` with hbar = 1 (see ``novikov.HLaurent``).
+def _ray_factor(ring, rho, d, cache):
+    """Factor of ray ``rho`` at pairing ``d``, as unreduced ``(numerators,
+    denominator)`` with hbar = 1 (see ``novikov.HLaurent``), in bucket -d.
 
-    ``mult`` is the ray's entry of ``ring.divisor_columns`` and ``cache``
-    maps pairings of this one ray to their factors, starting from the factor
-    1 at ``d = 0``.  The factor at ``d`` is the one at ``d - 1`` times
-    ``(D + d)^(-1)`` when ``d > 0``, and the one at ``d + 1`` times
+    ``cache`` maps pairings of this one ray to their factors, starting from
+    the factor 1 at ``d = 0``.  The factor at ``d`` is the one at ``d - 1``
+    times ``(D + d)^(-1)`` when ``d > 0``, and the one at ``d + 1`` times
     ``(D + d + 1)`` when ``d < 0``.
     """
     if d not in cache:
         if d > 0:
-            num, den, s = _ray_factor(mult, d - 1, cache)
-            c, acc, power, den = mult[1] * d, num, num, den * d
-            # the finite Neumann sum of (-D)^l / d^(l+1), D being nilpotent;
-            # Horner's rule keeps one denominator
-            while any(power := [-x for x in _linear_factors(
-                    power, 1, ((mult, 0),))[0]]):
-                acc, den = [a * c + b for a, b in zip(acc, power)], den * c
-            cache[d] = acc, den, s - 1
+            cache[d] = ring._times_inverse(
+                *_ray_factor(ring, rho, d - 1, cache), rho, d)
         else:
-            num, den, s = _ray_factor(mult, d + 1, cache)
-            cache[d] = (*_linear_factors(num, den, ((mult, d + 1),)), s + 1)
+            cache[d] = ring._times_linear(
+                *_ray_factor(ring, rho, d + 1, cache), ((rho, d + 1),))
     return cache[d]
 
 
@@ -114,15 +107,15 @@ def i_function(ring, md, cutoff):
     Classes are visited in lex order with a stack of prefix products
     (``prefix[k]`` is the product over rays ``< k``, ``None`` standing for
     1), so a class only multiplies the factors after its common prefix with
-    the class before it.  Prefixes are unreduced ``(numerators, denominator,
-    bucket)`` triples multiplied through ``ring.structure``; each
-    coefficient is reduced once, when it is stored.
+    the class before it.  Prefixes are unreduced ``(numerators,
+    denominator)`` pairs multiplied through ``ring.structure``; each
+    coefficient is reduced once, when it is stored, in bucket
+    ``-sum(beta)``.
     """
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
-    mults = ring.divisor_columns
-    one = ring.one().num, 1, 0
-    caches = [{0: one} for _ in mults]
+    one = ring.one().num, 1
+    caches = [{0: one} for _ in range(ctx.n_rays)]
     prefix = [None] * (ctx.n_rays + 1)
     previous = ()
     coefficients = {}
@@ -134,13 +127,11 @@ def i_function(ring, md, cutoff):
             acc = prefix[rho]
             d = beta[rho]
             if d and (acc is None or any(acc[0])):  # a zero prefix stays zero
-                num, den, s = _ray_factor(mults[rho], d, caches[rho])
-                acc = (num, den, s) if acc is None else \
-                    (*ring._times(acc[:2], (num, den)), acc[2] + s)
+                factor = _ray_factor(ring, rho, d, caches[rho])
+                acc = factor if acc is None else ring._times(acc, factor)
             prefix[rho + 1] = acc
-        num, den, s = prefix[-1] or one
-        coefficients[beta] = HLaurent._graded(
-            ring, {s: ring._from_parts(((num, den),))})
+        coefficients[beta] = HLaurent._graded(ring, {
+            -sum(beta): ring._from_parts((prefix[-1] or one,))})
         previous = beta
     # the series keeps its terms in enumeration order, (ell, lex)
     return NovikovSeries(ctx, ring, {b: coefficients[b] for b in classes})
@@ -203,19 +194,6 @@ def extract_two_point_invariants(ring, I):
     return TwoPointTable(entries=entries)
 
 
-def _linear_factors(num, den, steps):
-    """Unreduced ``num / den`` times ``prod (D + c)`` over the ``(mult, c)``
-    in ``steps``, ``mult`` being ``D``'s entry of ``ring.divisor_columns``."""
-    for (columns, d), c in steps:
-        out = [c * d * a for a in num]
-        for column, b in zip(columns, num):
-            if b:
-                for k, x in column:
-                    out[k] += b * x
-        num, den = out, den * d
-    return num, den
-
-
 def check_cutoff(ell_of, generators, cutoff):
     """Raise ``InsufficientCutoff`` at the first of ``generators`` whose
     ell, the degree of its box operator, exceeds ``cutoff``."""
@@ -239,16 +217,14 @@ def apply_gkz_operator(op, I):
     op_ell = ctx.ell_of(op.beta)
     reduced_cutoff = ctx.cutoff - op_ell
     out_ctx = ctx._replace(cutoff=reduced_cutoff)
-    mults = ring.divisor_columns
     zero = ((0,) * ring.dim, 1)
     sides = {}      # (class, bucket) -> both sides' (numerators, denominator)
 
     def side(i, at, h, beta, factors):
-        steps = [(mults[rho], beta[rho] - m)
-                 for rho, d in factors for m in range(d)]
+        steps = [(rho, beta[rho] - m) for rho, d in factors for m in range(d)]
         for s, v in h.buckets.items():
             sides.setdefault((at, s + len(steps)), [zero, zero])[i] = \
-                _linear_factors(v.num, v.den, steps)
+                ring._times_linear(v.num, v.den, steps)
 
     for beta, h in I.terms.items():
         ell = ctx.ell_of(beta)      # once per class: ell is additive

@@ -12,7 +12,7 @@ each of them.  When the cone is simplicial, ``MoriData.generator_inverse``
 reads a class's coordinates over the generators from its chart coordinates.
 
 Effective classes up to an ell-cutoff are the lattice points of a bounded
-polytope in the chart coordinates of ``fan.chart``: a class is fixed by its
+polytope in the chart coordinates of ``Fan.chart``: a class is fixed by its
 entries on the rays outside ``sigma0``.  They are enumerated by a depth-first
 walk whose per-coordinate ranges come from exact Fourier-Motzkin projections
 of that polytope, so the work follows the number of classes, not the volume
@@ -29,7 +29,7 @@ from itertools import combinations, count
 from math import gcd
 
 from . import lattice
-from .fan import chart, minimal_cone_containing
+from .fan import minimal_cone_containing
 
 
 class NonIntegralCoefficient(ValueError):
@@ -81,7 +81,7 @@ class MoriData(namedtuple("MoriData", (
         the class's coordinate on generator i.  None unless the Mori cone is
         simplicial.  Computed once per MoriData.
         """
-        surviving = chart(self.fan)[1]
+        surviving = self.fan.chart[1]
         gens = self.generators
         inv = len(gens) == len(surviving) and lattice.invert_int(
             [[g[j] for g in gens] for j in surviving])
@@ -182,8 +182,6 @@ def positive_functional(generators, nvars):
     ``[-k, k]^nvars`` are searched for ``k = 1, 2, ...``.  Raises
     NoPositiveFunctional when the cone is not strictly convex.
     """
-    if not generators:
-        return (0,) * nvars
     constraints = [(g, 1) for g in generators]
     system = [(g, 1, 1 << i) for i, g in enumerate(generators)]
     for steps, k in enumerate(range(nvars - 1, -1, -1), 1):
@@ -218,11 +216,11 @@ def mori_data(fan):
 def _kernel_setup(fan):
     """Basis of the curve-class lattice, one vector per surviving ray.
 
-    The vector of surviving ray ``j`` of ``fan.chart`` is ``e_j`` minus
+    The vector of surviving ray ``j`` of ``Fan.chart`` is ``e_j`` minus
     ``u_j``'s coordinates placed on ``sigma0``'s rays, so a class's
     coordinates in this basis are its entries on the surviving rays.
     """
-    sigma0, surviving, coords = chart(fan)
+    sigma0, surviving, coords = fan.chart
     basis = []
     for j, c in zip(surviving, coords):
         b = [0] * fan.n_rays
@@ -361,8 +359,6 @@ def enumerate_effective(md, cutoff):
         return []
     basis, surviving = _kernel_setup(fan)
     r = len(basis)
-    if r == 0 or not md.generators:
-        return [zero]
     ys = [tuple(g[j] for j in surviving) for g in md.generators]
     assert len(lattice.independent(ys)) == r, \
         "Mori cone of a projective fan must span the curve-class lattice"

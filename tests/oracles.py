@@ -30,13 +30,19 @@ product per linear factor, the reference for ``gkz``'s integer sides.
 ``i_function`` is the HLaurent form of the series, the reference for
 ``gkz``'s integer prefixes: each ray's factor is an HLaurent, built with
 ``nilpotent_geometric`` (the exact inverse of ``D + m hbar``) for a positive
-pairing and ``linear_factor_apply`` (one linear factor through the divisor
-columns) for a negative one, and prefixes multiply by ``HLaurent.__mul__``.
+pairing and ``linear_factor_apply`` (one linear factor, reading the divisor
+columns with a loop of its own, in Fractions) for a negative one, and
+prefixes multiply by ``HLaurent.__mul__``.  ``kirwan_divisors`` builds each
+divisor class from its Kirwan lift, as the ring did before its divisor
+kernel.
 ``perturbed_series`` changes one coefficient of a series, for the tests
 that the annihilation check must fail.  ``relabel`` lists a fan's rays in
-another order, for the tests that nothing depends on ray order, and
+another order, for the tests that nothing depends on ray order,
 ``subdivided_p3`` gives the smooth complete threefolds, two of them not
-projective, on which the commands are checked beyond the catalog.
+projective, on which the commands are checked beyond the catalog, and
+``product_fan`` gives the product of two fans.  ``least_functional`` finds
+the smallest positive functional by a pruned scan of boxes, with no
+Fourier-Motzkin elimination.
 
 ``q_mul``, ``q_add`` and ``q_inverse`` are truncated Novikov scalars as
 plain ``{beta: c}`` dicts, with a Neumann inverse of their own, and
@@ -79,7 +85,6 @@ from toriq.cohomring import (
     monomial_basis_classes,
 )
 from toriq.fan import make_fan
-from toriq.gkz import _linear_factors
 from toriq.moricone import enumerate_effective
 from toriq.novikov import HLaurent, NovikovContext, NovikovScalar, NovikovSeries
 
@@ -284,10 +289,17 @@ def nilpotent_geometric(D, m):
 def linear_factor_apply(h, mult, c):
     """Multiply an HLaurent by ``(D + c*hbar)`` for a degree-1 class ``D``
     given by its entry of ``ring.divisor_columns``: bucket ``s`` becomes
-    ``(D + c) h_s`` at ``s + 1``."""
+    ``(D + c) h_s`` at ``s + 1``, each column read here as Fractions."""
     ring = h.ring
-    return HLaurent._graded(ring, {s + 1: ring._from_parts((_linear_factors(
-        v.num, v.den, ((mult, c),)),)) for s, v in h.buckets.items()})
+    columns, den = mult
+    buckets = {}
+    for s, v in h.buckets.items():
+        out = [c * x for x in v.coeffs]
+        for column, x in zip(columns, v.coeffs):
+            for k, y in column:
+                out[k] += x * Fraction(y, den)
+        buckets[s + 1] = CohClass(ring, out)
+    return HLaurent._graded(ring, buckets)
 
 
 def _ray_factor(D, mult, d, cache):
@@ -307,11 +319,13 @@ def _ray_factor(D, mult, d, cache):
 def i_function(ring, md, cutoff):
     """Reference for ``gkz.i_function``: the same walk over the classes in
     lex order with prefix products, each factor and prefix an HLaurent
-    multiplied by ``HLaurent.__mul__``."""
+    multiplied by ``HLaurent.__mul__``; the divisor classes are the Kirwan
+    lifts of ``kirwan_divisors``."""
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
     one = HLaurent.one(ring)
-    caches = [{0: one} for _ in ring.divisors]
+    divisors = kirwan_divisors(ring)
+    caches = [{0: one} for _ in divisors]
     prefix = [None] * (ctx.n_rays + 1)
     previous = ()
     coefficients = {}
@@ -323,7 +337,7 @@ def i_function(ring, md, cutoff):
             acc = prefix[rho]
             d = beta[rho]
             if d and (acc is None or acc):
-                factor = _ray_factor(ring.divisors[rho],
+                factor = _ray_factor(divisors[rho],
                                      ring.divisor_columns[rho], d, caches[rho])
                 acc = factor if acc is None else acc * factor
             prefix[rho + 1] = acc
@@ -411,19 +425,24 @@ def wdp3():
                               (-1, -1), (0, -1), (1, -1), (2, -1)])
 
 
+def product_fan(a, b, name=None):
+    """The product of two fans, ``a``'s rays first: its rays are ``(u, 0)``
+    and ``(0, v)``, and its maximal cones are the products of a maximal cone
+    of each."""
+    rays = [u + (0,) * b.dim for u in a.rays] + \
+        [(0,) * a.dim + v for v in b.rays]
+    return make_fan(a.dim + b.dim, rays,
+                    [ca + tuple(a.n_rays + i for i in cb)
+                     for ca in a.max_cones for cb in b.max_cones],
+                    name=name or f"{a.name}x{b.name}")
+
+
 def p1xdp6():
-    rays = [(a, b, 0) for a, b in HEXAGON] + [(0, 0, 1), (0, 0, -1)]
-    return make_fan(3, rays, [(i, (i + 1) % 6, pole)
-                              for i in range(6) for pole in (6, 7)],
-                    name="P1xdP6")
+    return product_fan(dp6(), builtin_fan("P1"), "P1xdP6")
 
 
 def p2xp2():
-    rays = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0),
-            (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -1, -1)]
-    tri = [(0, 1), (1, 2), (0, 2)]
-    return make_fan(4, rays, [a + tuple(3 + j for j in b)
-                              for a in tri for b in tri], name="P2xP2")
+    return product_fan(builtin_fan("P2"), builtin_fan("P2"), "P2xP2")
 
 
 def rref(M):
@@ -884,6 +903,49 @@ def curve_lattice_basis(fan):
                 b[i] = -int(x)
             basis.append(b)
     return basis
+
+
+def least_functional(generators, nvars):
+    """The integral ``ell`` with ``ell . g >= 1`` for every generator of
+    least sup-norm, then least 1-norm, then lexicographically least, by a
+    scan of the boxes ``[-k, k]^nvars`` for ``k = 1, 2, ...``.
+
+    The scan fixes one coordinate at a time in increasing order, so points
+    come in lex order, and drops a partial point once a generator's sum can
+    no longer reach 1 (each open coordinate adds at most ``k |g_j|``) or its
+    1-norm reaches the best one found.  The first box with a point holds no
+    point of smaller sup-norm, so its best point is the answer.  Loops
+    forever when no ``ell`` exists.
+    """
+    for k in count(1):
+        reach = [[k * sum(abs(x) for x in g[j:]) for g in generators]
+                 for j in range(nvars + 1)]
+        best = [None, None]         # 1-norm, point
+
+        def walk(point, sums, norm):
+            j = len(point)
+            if any(s + r < 1 for s, r in zip(sums, reach[j])) or \
+                    best[0] is not None and norm >= best[0]:
+                return
+            if j == nvars:
+                best[:] = norm, tuple(point)
+                return
+            for v in range(-k, k + 1):
+                walk(point + [v], [s + v * g[j] for s, g in
+                                   zip(sums, generators)], norm + abs(v))
+
+        walk([], [0] * len(generators), 0)
+        if best[1] is not None:
+            return best[1]
+
+
+def kirwan_divisors(ring):
+    """Each ray's divisor class as the ring built it before it had divisor
+    columns: its Kirwan lift, whose variables are basis monomials, made a
+    class through Fractions."""
+    return tuple(CohClass(ring, [ring.ray_poly(rho).get(m, 0)
+                                 for m in ring.basis])
+                 for rho in range(ring.fan.n_rays))
 
 
 def box_scan_effective(md, cutoff):

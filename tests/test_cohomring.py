@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd
 
 import pytest
 
+import toriq.cli
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cohomring import (
     CohClass,
@@ -17,6 +20,7 @@ from toriq.cohomring import (
     pairing,
 )
 from toriq import polynomials as P
+from toriq.fan import Fan
 from toriq.moricone import primitive_collections
 
 from oracles import (
@@ -27,6 +31,7 @@ from oracles import (
     frac_scale,
     frac_sub,
     groebner,
+    kirwan_divisors,
     laurent_mul,
     laurent_of,
     mult_table,
@@ -318,3 +323,53 @@ def test_class_canonical_form():
     halves = {CohClass(ring, [Fraction(1, 2)] * ring.dim),
               CohClass(ring, [Fraction(2, 4)] * ring.dim)}
     assert len(halves) == 1
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FANS))
+def test_divisors_equal_kirwan_lift(name):
+    # D_rho times 1 through the divisor columns is the Kirwan lift
+    ring = build_cohomology_ring(KERNEL_FANS[name]())
+    assert ring.divisors == kirwan_divisors(ring)
+
+
+@pytest.mark.parametrize("command", ["ifunction", "certify"])
+def test_dp6_one_chart_and_no_class_product_in_ring_build(
+        command, tmp_path, monkeypatch, capsys):
+    # the ring, the curve-class lattice and the generator inverse read one
+    # chart, and the ring build goes through the divisor kernel alone
+    fan = dp6()
+    path = tmp_path / "dP6.json"
+    path.write_text(json.dumps({
+        "dim": fan.dim, "rays": fan.rays, "name": fan.name,
+        "max_cones": [[i + 1 for i in cone] for cone in fan.max_cones]}))
+    charts, products, building = [], [], []
+    chart = Fan.__dict__["chart"].func
+
+    def counted_chart(self):
+        charts.append(self)
+        return chart(self)
+
+    counted = cached_property(counted_chart)
+    counted.__set_name__(Fan, "chart")
+    monkeypatch.setattr(Fan, "chart", counted)
+    mul = CohClass.__mul__
+
+    def counted_mul(self, other):
+        products.append(bool(building))
+        return mul(self, other)
+
+    monkeypatch.setattr(CohClass, "__mul__", counted_mul)
+    build = toriq.cli.build_cohomology_ring
+
+    def traced_build(fan):
+        building.append(fan)
+        try:
+            return build(fan)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(toriq.cli, "build_cohomology_ring", traced_build)
+    assert toriq.cli.main([command, "--fan", str(path), "--cutoff", "6"]) == 0
+    capsys.readouterr()
+    assert len(charts) == 1
+    assert True not in products

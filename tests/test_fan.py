@@ -6,7 +6,6 @@ from toriq.catalog import CATALOG, builtin_fan
 from toriq.fan import (
     Fan,
     ValidationError,
-    chart,
     make_fan,
     minimal_cone_containing,
     validate_complete,
@@ -164,7 +163,7 @@ def test_chart_rejects_non_unimodular_sigma0():
     with pytest.raises(ValidationError,
                        match=r"^fan is not smooth: cone \(2, 3\) has "
                              r"determinant 2$"):
-        chart(fan)
+        fan.chart
 
 
 def test_coordinates_recombine_roundtrip():

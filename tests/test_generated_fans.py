@@ -13,8 +13,13 @@ P3, P1xP2 and (P1)^3 along a torus-invariant curve or at a fixed point.
 Effective-class enumeration is compared with ``oracles.box_scan_effective``
 at cutoffs 0-2 on every generated fan: at cutoff 2 the largest scan, on
 threefold 2, covers a box of 5,625 points.  On every generated fan the Mori
-cone's facets are compared with ``oracles.facet_normals``, and the series
-with ``oracles.i_function`` at cutoffs 0-2.
+cone's facets are compared with ``oracles.facet_normals``, the series with
+``oracles.i_function`` at cutoffs 0-2, and the divisor classes with
+``oracles.kirwan_divisors``.  On these and the catalog the positive
+functional is compared with ``oracles.least_functional``'s scan.
+
+Products of semipositive fans (``oracles.product_fan``) are certified, and
+the module that ``certify`` returns is checked by ``oracles.check_module``.
 """
 
 import json
@@ -24,7 +29,7 @@ from itertools import combinations, product
 import pytest
 
 from toriq.batyrev import build_deformed_ideal, certify_isomorphism
-from toriq.catalog import builtin_fan
+from toriq.catalog import CATALOG, builtin_fan
 from toriq.cli import main
 from toriq.cohomring import build_cohomology_ring, divisor_class, integrate
 from toriq.fan import make_fan
@@ -40,8 +45,11 @@ import oracles
 from oracles import (
     box_scan_effective,
     check_module,
+    dp6,
     primitive_relations,
+    product_fan,
     relabel,
+    wdp5,
 )
 
 
@@ -178,3 +186,41 @@ def test_generated_fans_reach_both_certify_outcomes():
     for fans in ([surface(i) for i in range(20)],
                  [threefold(i) for i in range(10)]):
         assert 0 < sum(map(semipositive, fans)) < len(fans)
+
+
+FANS = {"surface": surface, "threefold": threefold, "dP6": dp6, "wdP5": wdp5}
+
+
+@pytest.mark.parametrize("kind,i", GENERATED,
+                         ids=[f"{kind}-{i}" for kind, i in GENERATED])
+def test_generated_divisors_equal_kirwan_lift(kind, i):
+    ring = build_cohomology_ring(FANS[kind](i))
+    assert ring.divisors == oracles.kirwan_divisors(ring)
+
+
+NAMED = [(name, None) for name in sorted(CATALOG)] + GENERATED
+
+
+@pytest.mark.parametrize("kind,i", NAMED, ids=[
+    kind if i is None else f"{kind}-{i}" for kind, i in NAMED])
+def test_positive_functional_matches_least_scan(kind, i):
+    fan = builtin_fan(kind) if i is None else FANS[kind](i)
+    md = mori_data(fan)
+    assert md.ell == oracles.least_functional(md.generators, fan.n_rays)
+
+
+PRODUCTS = [("dP6", "dP6", 3), ("F1", "P2", 4), ("wdP5", "P1", 4),
+            ("BlP2", "F2", 4)]
+
+
+@pytest.mark.parametrize("a,b,cutoff", PRODUCTS,
+                         ids=[f"{a}x{b}@{k}" for a, b, k in PRODUCTS])
+def test_semipositive_product_certifies(a, b, cutoff):
+    fan = product_fan(*(FANS[n]() if n in FANS else builtin_fan(n)
+                        for n in (a, b)))
+    md = mori_data(fan)
+    assert md.semipositive
+    ring = build_cohomology_ring(fan)
+    module = certify_isomorphism(build_deformed_ideal(fan, md, ring, cutoff),
+                                 md)
+    check_module(fan, md.ell, cutoff, module)

@@ -23,7 +23,7 @@ from toriq.moricone import (
     primitive_relation,
 )
 from toriq.cohomring import build_cohomology_ring
-from toriq.fan import chart, make_fan
+from toriq.fan import make_fan
 from toriq import polynomials as P
 
 GOLDEN_COLLECTIONS = {
@@ -452,7 +452,7 @@ def test_chart_basis_and_kirwan_lift(name):
         [[int(a == c) for c in range(len(surviving))]
          for a in range(len(surviving))]
     ring = build_cohomology_ring(fan)
-    assert (ring.sigma0, ring.surviving) == chart(fan)[:2]
+    assert (ring.sigma0, ring.surviving) == fan.chart[:2]
     for k in range(fan.dim):
         total = {}
         for rho, u in enumerate(fan.rays):

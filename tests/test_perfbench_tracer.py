@@ -36,8 +36,10 @@ def test_tracer_counts_class_products_and_restores(capsys):
     try:
         assert CohClass.__mul__ is not class_mul
         code = toriq.cli.main(["ifunction", "--fan", "P2", "--cutoff", "3"])
-        # the series runs on integer numerators, so multiply two HLaurents
+        # the series and the ring build run on integer numerators, so
+        # multiply two classes and two HLaurents
         ring = build_cohomology_ring(builtin_fan("P2"))
+        ring.divisors[0] * ring.divisors[1]
         HLaurent.one(ring) * HLaurent.of_class(ring.divisors[0], -1)
     finally:
         tracer.uninstall()
