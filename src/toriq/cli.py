@@ -65,11 +65,12 @@ def ingest(source):
         fan = builtin_fan(source)
     else:
         try:
-            with open(source) as fh:
+            with open(source, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise ParseError(f"cannot read {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise ParseError(f"{source} is not valid JSON: {exc}") from exc
         fan = fan_from_dict(data, origin=source)
     validate_smooth(fan)

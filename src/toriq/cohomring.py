@@ -12,33 +12,24 @@ maximal cone.
 
 There is no separate classical Groebner code.  The completion is
 ``batyrev.complete`` at cutoff 0, where the deformed ring is the classical
-one, and a variable ``y`` times a standard monomial ``m`` is read off its
-rules by ``batyrev``'s column reader: ``y m`` itself when it is standard, the
-rule's tail when it is a lead, a reduction for the rest of the border.  Standard
-monomials are closed under division, so ``m_i m_j = y (m_i' m_j)`` for
-``m_i = y m_i'`` gives every basis product from those columns.  At cutoff 0
-Batyrev's module is multiplication by the divisors, so the reader's columns
-for every ray, integers over one denominator, are the ring's divisor columns.
-They are the ring's one divisor kernel: ``D_rho + c`` and, ``D_rho`` being
-nilpotent, ``(D_rho + d)^(-1)`` act on integer numerators through them, for
-the series factors, both sides of every box operator, each divisor class
-(``D_rho`` times 1) and the maximal-cone products below.
+one, and Batyrev's module is multiplication by the divisors.  So the column
+reader of ``batyrev`` gives, for every ray, the ring's divisor columns:
+integers over one denominator, and the ring's only multiplication data.
+``D_rho + c`` acts on integer numerators through them, for the series
+factors, both sides of every box operator, each divisor class (``D_rho``
+times 1) and the maximal-cone products below.  Standard monomials are closed
+under division, so each basis monomial is 1 times a chain of surviving
+divisors: a class product applies each basis monomial's chain of one factor
+to the other, and the pairing pulls the top coefficient back through it.
 
 A class is stored as integer numerators over the basis and one positive
 integer denominator, reduced by their gcd, so equal classes have equal
-representations.  The products of basis elements are kept sparsely: for each
-pair of basis indices only the nonzero ``(k, c)`` terms, each ``c`` an integer
-over one ring-wide common denominator.  Products, sums and scalings of classes
-therefore run on ints alone; ``CohClass.coeffs`` gives the coefficients as
-Fractions for rendering and integration.
+representations; ``CohClass.coeffs`` gives the Fractions for rendering.
 
 Integration is normalized by requiring every maximal-cone monomial
 ``prod_{rho in sigma} D_rho`` to integrate to 1: each such product, applied
 to 1 through the divisor columns, is the same class ``c m`` on the one
-top-degree basis monomial ``m``, whose integral is ``1/c``; the build forms
-no class product.  The Poincare pairing of two monomial basis classes is the
-top monomial's coefficient in their structure constants times its integral.
-Each ray's divisor class and its columns are built once per ring.
+top-degree basis monomial ``m``, whose integral is ``1/c``.
 """
 
 from collections import namedtuple
@@ -71,8 +62,6 @@ class CohomRing(namedtuple("CohomRing", (
         "rules",                  # (lead, normal form of lead) from complete
         "basis",                  # standard monomials (exponent tuples)
         "basis_degrees",
-        "structure",              # [i][j] -> nonzero (k, integer c) pairs
-        "denominator",            # common denominator of every c
         "point_integrals",        # top-degree basis monomial -> Fraction
         # per ray, (columns, den): D_rho * x has numerators sum_j x.num[j] *
         # columns[j] (each column its nonzero (k, c) pairs) over x.den * den
@@ -101,12 +90,18 @@ class CohomRing(namedtuple("CohomRing", (
     def one(self):
         return CohClass(self, (1,) + (0,) * (self.dim - 1))  # basis[0] is 1
 
-    def _from_parts(self, parts):
-        """Class of the sum of ``num / den`` over the ``(num, den)`` parts.
+    @cached_property
+    def _chains(self):
+        """Per basis monomial, the surviving rays whose divisors carry 1 to
+        it, ascending."""
+        return tuple(tuple(rho for rho, e in zip(self.surviving, m)
+                           for _ in range(e)) for m in self.basis)
 
-        Parts that share a denominator add their numerators directly; the
-        sum is reduced by the gcd once, at the end.
-        """
+    @staticmethod
+    def _sum(parts):
+        """Numerators and denominator of the sum of ``num / den`` over the
+        ``(num, den)`` parts, not reduced.  Parts that share a denominator
+        add their numerators directly."""
         parts = iter(parts)
         num, den = next(parts)
         for other, d in parts:
@@ -117,6 +112,12 @@ class CohomRing(namedtuple("CohomRing", (
                 s, t = d // g, den // g
                 num = [a * s + b * t for a, b in zip(num, other)]
                 den *= s
+        return num, den
+
+    def _from_parts(self, parts):
+        """Class of the sum of ``num / den`` over the ``(num, den)`` parts,
+        reduced by the gcd once, at the end."""
+        num, den = self._sum(parts)
         if den != 1:
             g = gcd(den, *num)
             if g != 1:
@@ -128,18 +129,16 @@ class CohomRing(namedtuple("CohomRing", (
 
     def _times(self, a, b):
         """Numerators and denominator of the product of the ``(num, den)``
-        parts ``a`` and ``b``, not reduced."""
+        parts ``a`` and ``b``, not reduced: for each basis monomial of
+        ``a``, its chain of divisors applied to ``b``."""
         (na, da), (nb, db) = a, b
-        out = [0] * len(na)
-        right = [(j, y) for j, y in enumerate(nb) if y]
-        for i, x in enumerate(na):
+        parts = [([0] * len(na), 1)]
+        for x, chain in zip(na, self._chains):
             if x:
-                row = self.structure[i]
-                for j, y in right:
-                    xy = x * y
-                    for k, c in row[j]:
-                        out[k] += xy * c
-        return out, da * db * self.denominator
+                num, den = self._times_linear(nb, da * db,
+                                              ((rho, 0) for rho in chain))
+                parts.append(([x * y for y in num], den))
+        return self._sum(parts)
 
     def _times_linear(self, num, den, steps):
         """Numerators and denominator of ``num / den`` times ``prod (D_rho +
@@ -155,17 +154,19 @@ class CohomRing(namedtuple("CohomRing", (
             num, den = out, den * d
         return num, den
 
-    def _times_inverse(self, num, den, rho, d):
-        """Numerators and denominator of ``num / den`` times ``(D_rho +
-        d)^(-1)`` for ``d > 0``, not reduced: the finite Neumann sum of
-        ``(-D_rho)^l / d^(l+1)``, ``D_rho`` being nilpotent, summed by
-        Horner's rule over one denominator."""
-        c = self.divisor_columns[rho][1] * d
-        acc, power, den = num, num, den * d
-        while any(power := [-x for x in self._times_linear(
-                power, 1, ((rho, 0),))[0]]):
-            acc, den = [a * c + b for a, b in zip(acc, power)], den * c
-        return acc, den
+    def _times_polynomial(self, num, den, rho, poly):
+        """Numerators and denominator of ``num / den`` times ``sum_l c_l
+        D_rho^l / cden`` for ``poly = ([c_0, c_1, ...], cden)``, not
+        reduced; the powers ``D_rho^l num`` stop at the first that vanishes."""
+        (c0, *coeffs), cden = poly
+        d = self.divisor_columns[rho][1]
+        out, power = [c0 * a for a in num], num
+        for c in coeffs:
+            power = self._times_linear(power, 1, ((rho, 0),))[0]
+            if not any(power):
+                break
+            out, den = [a * d + c * b for a, b in zip(out, power)], den * d
+        return out, den * cden
 
     def ray_poly(self, rho):
         """Polynomial representative (the Kirwan lift) of D_rho."""
@@ -247,7 +248,7 @@ def build_cohomology_ring(fan):
     ring = CohomRing(
         fan=fan, sigma0=sigma0, surviving=surviving,
         eliminations=eliminations, rules=(), basis=(), basis_degrees=(),
-        structure=(), denominator=1, point_integrals={}, divisor_columns=(),
+        point_integrals={}, divisor_columns=(),
         var_names=tuple(f"x{j + 1}" for j in surviving))
 
     sr_gens = [{(): ring.ray_product((rho, 1) for rho in coll)}
@@ -261,32 +262,10 @@ def build_cohomology_ring(fan):
     ring = ring._replace(rules=rules, basis=basis, basis_degrees=tuple(
         P.mono_deg(m) for m in basis))
 
-    # basis[0] is 1; basis[i] basis[j] = y_v (basis[i'] basis[j]) for the
-    # last variable y_v of basis[i] = y_v basis[i']
     columns, den = _multiplication_columns(ring, rules, _Q0)
-    index = {m: k for k, m in enumerate(basis)}
-    products = [[{j: 1} for j in range(len(basis))]]
-    for i, mi in enumerate(basis[1:], 1):
-        v = max(k for k, e in enumerate(mi) if e)
-        below = products[index[mi[:v] + (mi[v] - 1,) + mi[v + 1:]]]
-        row = [products[j][i] for j in range(i)]
-        for p in below[i:]:
-            out = {}
-            for k, c in p.items():
-                for l, d in columns[surviving[v]][k].items():
-                    out[l] = out.get(l, 0) + c * d[()]
-            row.append({l: Fraction(c, den) for l, c in out.items() if c})
-        products.append(row)
-    denominator = lcm(*(c.denominator for row in products for p in row
-                        for c in p.values()))
-    ring = ring._replace(
-        structure=tuple(tuple(tuple((k, int(p[k] * denominator))
-                                    for k in sorted(p)) for p in row)
-                        for row in products),
-        denominator=denominator,
-        divisor_columns=tuple(
-            (tuple(tuple((k, c[()]) for k, c in col.items()) for col in cols),
-             den) for cols in columns))
+    ring = ring._replace(divisor_columns=tuple(
+        (tuple(tuple((k, c[()]) for k, c in col.items()) for col in cols), den)
+        for cols in columns))
 
     # each maximal-cone monomial integrates to 1 and is c times the top one
     one = (1,) + (0,) * (len(basis) - 1)
@@ -320,13 +299,20 @@ def monomial_basis_classes(ring):
 
 
 def gram_matrix(ring):
-    """Poincare pairings ``<T_a, T_b>`` of the monomial basis classes: the
-    top monomial's coefficient in ``structure[a][b]``, over ``denominator``,
-    times its point integral."""
+    """Poincare pairings ``<T_a, T_b>`` of the monomial basis classes, with
+    no class product: row ``a`` is the top coefficient pulled back through
+    ``T_a``'s chain, as ``T_a = D_rho T_a'`` pairs ``x`` like ``T_a'`` pairs
+    ``D_rho x``, times the point integral."""
     (mono, integral), = ring.point_integrals.items()
     top = ring.basis.index(mono)
-    return [[Fraction(dict(p).get(top, 0), ring.denominator) * integral
-             for p in row] for row in ring.structure]
+    rows = {(): ([int(k == top) for k in range(ring.dim)], 1)}
+    for chain in ring._chains[1:]:
+        row, den = rows[chain[:-1]]     # the basis is closed under division
+        columns, d = ring.divisor_columns[chain[-1]]
+        rows[chain] = [sum(row[k] * x for k, x in col)
+                       for col in columns], den * d
+    return [[Fraction(x, den) * integral for x in row]
+            for row, den in rows.values()]
 
 
 def divisor_class(ring, rho):

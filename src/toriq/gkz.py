@@ -11,14 +11,12 @@ series coefficient is the exact product over rays of
 The reduced series (exponential prefactor stripped) is assembled over all
 effective classes up to the cutoff.  Every coefficient is homogeneous of
 total degree ``-sum_rho d_rho``, so it is one class in that hbar bucket (see
-``novikov.HLaurent``), read off ``beta``.  A ray's factor depends only on
-the ray and ``d``, so each ray keeps a cache of its factors, the factor at
-``d`` built from the one at ``d - 1`` (``d + 1`` when negative) with one new
-term ``(D_rho + d)^(-1)`` (``D_rho + d + 1``) through the ring's divisor
-kernel, which acts on integer numerators through each divisor's
-multiplication columns.  Classes are visited in lex order and share the
-product of the factors of their common prefix, carried on integer
-numerators: the series forms no HLaurent product.
+``novikov.HLaurent``), read off ``beta``.  With hbar = 1 a ray's factor is a
+polynomial in the nilpotent ``D_rho`` whose coefficients depend only on ``d``
+and the top degree, so all rays share one factor polynomial per pairing,
+applied through the ring's divisor columns.  Classes are visited in lex
+order and share the product of the factors of their common prefix, carried
+on integer numerators: the series forms no HLaurent product.
 
 Box operators act coefficientwise through the rule "hbar-derivative along
 the divisor direction = multiplication by ``D_rho + hbar d'_rho``", which
@@ -33,7 +31,7 @@ numerators with sparse Gram rows.
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .cohomring import gram_matrix
@@ -82,41 +80,39 @@ def gkz_operator(beta):
     return GKZOperator(beta=tuple(beta), positive=pos, negative=neg)
 
 
-def _ray_factor(ring, rho, d, cache):
-    """Factor of ray ``rho`` at pairing ``d``, as unreduced ``(numerators,
-    denominator)`` with hbar = 1 (see ``novikov.HLaurent``), in bucket -d.
-
-    ``cache`` maps pairings of this one ray to their factors, starting from
-    the factor 1 at ``d = 0``.  The factor at ``d`` is the one at ``d - 1``
-    times ``(D + d)^(-1)`` when ``d > 0``, and the one at ``d + 1`` times
-    ``(D + d + 1)`` when ``d < 0``.
-    """
-    if d not in cache:
-        if d > 0:
-            cache[d] = ring._times_inverse(
-                *_ray_factor(ring, rho, d - 1, cache), rho, d)
-        else:
-            cache[d] = ring._times_linear(
-                *_ray_factor(ring, rho, d + 1, cache), ((rho, d + 1),))
-    return cache[d]
+def _factor(d, t):
+    """Ray factor at pairing ``d`` as a polynomial in ``D``, truncated above
+    ``D^t``: its integer coefficients of ``D^0 .. D^t`` and one positive
+    denominator, reduced.  ``(D + m)^(-1)`` is ``sum_l (-1)^l m^(t-l) D^l``
+    over ``m^(t+1)``."""
+    if d >= 0:
+        num, den = [1] + [0] * t, 1
+        for m in range(1, d + 1):
+            inverse = [(-1) ** l * m ** (t - l) for l in range(t + 1)]
+            num = [sum(num[j] * inverse[l - j] for j in range(l + 1))
+                   for l in range(t + 1)]
+            den *= m ** (t + 1)
+    else:
+        num, den = [0, 1] + [0] * (t - 1), 1
+        for m in range(d + 1, 0):
+            num = [m * a + b for a, b in zip(num, [0] + num)]
+    g = gcd(den, *num)
+    return [a // g for a in num], den // g
 
 
 def i_function(ring, md, cutoff):
     """Reduced series: sum over effective classes of q^beta times the coefficient.
 
     Classes are visited in lex order with a stack of prefix products
-    (``prefix[k]`` is the product over rays ``< k``, ``None`` standing for
-    1), so a class only multiplies the factors after its common prefix with
-    the class before it.  Prefixes are unreduced ``(numerators,
-    denominator)`` pairs multiplied through ``ring.structure``; each
-    coefficient is reduced once, when it is stored, in bucket
-    ``-sum(beta)``.
+    (``prefix[k]`` is the product over rays ``< k``), so a class only
+    multiplies the factors after its common prefix with the class before
+    it.  Prefixes are unreduced ``(numerators, denominator)`` pairs; each
+    coefficient is reduced once, when it is stored, in bucket ``-sum(beta)``.
     """
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
-    one = ring.one().num, 1
-    caches = [{0: one} for _ in range(ctx.n_rays)]
-    prefix = [None] * (ctx.n_rays + 1)
+    factors = {}
+    prefix = [(ring.one().num, 1)] + [None] * ctx.n_rays
     previous = ()
     coefficients = {}
     for beta in sorted(classes):
@@ -124,14 +120,14 @@ def i_function(ring, md, cutoff):
         while start < len(previous) and beta[start] == previous[start]:
             start += 1
         for rho in range(start, ctx.n_rays):
-            acc = prefix[rho]
-            d = beta[rho]
-            if d and (acc is None or any(acc[0])):  # a zero prefix stays zero
-                factor = _ray_factor(ring, rho, d, caches[rho])
-                acc = factor if acc is None else ring._times(acc, factor)
+            acc, d = prefix[rho], beta[rho]
+            if d and any(acc[0]):   # a zero prefix stays zero
+                if d not in factors:
+                    factors[d] = _factor(d, ring.top_degree)
+                acc = ring._times_polynomial(*acc, rho, factors[d])
             prefix[rho + 1] = acc
         coefficients[beta] = HLaurent._graded(ring, {
-            -sum(beta): ring._from_parts((prefix[-1] or one,))})
+            -sum(beta): ring._from_parts((prefix[-1],))})
         previous = beta
     # the series keeps its terms in enumeration order, (ell, lex)
     return NovikovSeries(ctx, ring, {b: coefficients[b] for b in classes})

@@ -1,10 +1,11 @@
 """Test-local oracles: the Fraction arithmetic that the integer kernel replaced,
 and the helpers that have no caller in ``toriq`` itself.
 
-``mult_table`` rebuilds the dense table of structure constants the ring used
-to store: for every basis pair ``i <= j``, the Fraction coefficients of the
-normal form of ``basis[i] * basis[j]``, zeros included.  Classes are tuples of
-Fractions; ``frac_mul`` multiplies two of them through the table as the old
+``mult_table`` is the dense table of structure constants, which the ring
+does not store (it multiplies through its divisor columns): for every basis
+pair ``i <= j``, the Fraction coefficients of the normal form of
+``basis[i] * basis[j]`` under the test-local ``dp_reduce``, zeros included.
+Classes are tuples of Fractions; ``frac_mul`` multiplies two of them through the table as the old
 ``CohClass.__mul__`` did, and ``frac_add``, ``frac_sub`` and ``frac_scale``
 are the old elementwise operations.  A Laurent polynomial is a dict from hbar
 powers to such tuples.  ``gkz_coefficient`` is the naive series coefficient,
@@ -32,7 +33,9 @@ product per linear factor, the reference for ``gkz``'s integer sides.
 ``nilpotent_geometric`` (the exact inverse of ``D + m hbar``) for a positive
 pairing and ``linear_factor_apply`` (one linear factor, reading the divisor
 columns with a loop of its own, in Fractions) for a negative one, and
-prefixes multiply by ``HLaurent.__mul__``.  ``kirwan_divisors`` builds each
+prefixes multiply by ``HLaurent.__mul__``.  That product runs through the
+same divisor columns as ``gkz``, so ``test_cohomring`` checks class and
+HLaurent products against ``mult_table`` on its own.  ``kirwan_divisors`` builds each
 divisor class from its Kirwan lift, as the ring did before its divisor
 kernel.
 ``perturbed_series`` changes one coefficient of a series, for the tests
@@ -131,7 +134,9 @@ def poincare_dual_basis(ring):
 
 
 def mult_table(ring):
-    """Dense ``(i, j) -> coefficient tuple`` table of basis products."""
+    """Dense ``(i, j) -> coefficient tuple`` table of basis products, each
+    monomial product reduced by the rules through the test-local
+    ``dp_reduce``, independently of the ring's divisor columns."""
     if id(ring) not in _TABLES:
         table = {}
         for i, mi in enumerate(ring.basis):
@@ -1071,7 +1076,7 @@ def check_module(fan, ell, cutoff, module):
 
 
 # the fans the kernel is checked on: the catalog, the hexagon, two
-# products, wdP5, whose structure constants have denominator 2, and wdP4
+# products, wdP5, whose divisor columns have denominator 2, and wdP4
 # and wdP3, whose completions skip most S-pairs by the chain criterion
 KERNEL_FANS = dict(
     [(name, lambda name=name: builtin_fan(name)) for name in sorted(CATALOG)]

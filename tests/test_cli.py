@@ -325,6 +325,21 @@ def test_ingest_rejects_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{\x00}\x00",                    # UTF-16, not UTF-8
+    b"[" * 100_000,                           # past the decoder's recursion
+    b'{"dim": ' + b"9" * 5000 + b"}",         # past the int digit limit
+], ids=["utf16", "deep", "digits"])
+def test_ingest_rejects_undecodable_file(tmp_path, capsys, data):
+    # each is an input error, not a traceback that exits 1
+    path = tmp_path / "fan.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "analyze", "--fan", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {path} is not valid JSON: ")
+    assert "Traceback" not in err
+
+
 def test_ingest_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "--fan", "NoSuchFan")
     assert code == 2

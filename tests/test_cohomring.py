@@ -37,10 +37,12 @@ from oracles import (
     mult_table,
     p1xdp6,
     poincare_dual_basis,
+    product_fan,
     random_coeffs,
     random_laurent,
     to_hlaurent,
     variable_class,
+    wdp4,
     wdp5,
 )
 
@@ -167,13 +169,17 @@ def test_dual_basis_golden_f2():
     assert integrate(ring, x2 * dual_x1) == 0
 
 
-def test_gram_matrix_is_the_class_product_pairing():
-    # the Gram matrix, read off the structure constants' top coefficients,
-    # equals integrating each product of basis classes, Fraction types included
-    for name, make in KERNEL_FANS.items():
+def test_gram_matrix_is_the_class_product_pairing(monkeypatch):
+    # the Gram matrix, the top coefficient pulled back through each basis
+    # monomial's divisor chain, forms no class product and equals integrating
+    # each product of basis classes, Fraction types included
+    fans = dict(KERNEL_FANS, dP6xdP6=lambda: product_fan(dp6(), dp6()))
+    for name, make in fans.items():
         ring = build_cohomology_ring(make())
+        with monkeypatch.context() as m:
+            m.setattr(CohClass, "__mul__", None)
+            gram = gram_matrix(ring)
         T = monomial_basis_classes(ring)
-        gram = gram_matrix(ring)
         assert gram == [[pairing(ring, a, b) for b in T] for a in T], name
         assert all(type(x) is Fraction for row in gram for x in row), name
 
@@ -246,21 +252,20 @@ def test_groebner_matches_sympy(fan):
 # --- the integer kernel against the test-local Fraction oracle ---------------
 
 def test_structure_constants_match_dense_table():
-    # the sparse integer constants over the common denominator are exactly
-    # the nonzero entries of the old dense Fraction table
+    # every basis product T_i * T_j, each basis monomial's chain of divisor
+    # columns applied to the other, is the dense Fraction table's column,
+    # which reduces the monomial product by the test-local dp_reduce
     for name, make in KERNEL_FANS.items():
         ring = build_cohomology_ring(make())
         table = mult_table(ring)
+        T = monomial_basis_classes(ring)
         for i in range(ring.dim):
             for j in range(ring.dim):
-                dense = [Fraction(0)] * ring.dim
-                for k, c in ring.structure[i][j]:
-                    assert c and type(c) is int, (name, i, j, k)
-                    dense[k] = Fraction(c, ring.denominator)
-                assert tuple(dense) == table[min(i, j), max(i, j)], \
+                assert (T[i] * T[j]).coeffs == table[min(i, j), max(i, j)], \
                     (name, i, j)
-    # the weak del Pezzo wdP5 has half-integral structure constants
-    assert build_cohomology_ring(wdp5()).denominator == 2
+    # the weak del Pezzo wdP5 has half-integral divisor columns
+    ring = build_cohomology_ring(wdp5())
+    assert {den for _, den in ring.divisor_columns} == {2}
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_FANS))
@@ -281,22 +286,23 @@ def test_class_arithmetic_matches_fraction_oracle(name):
 
 
 def test_common_denominator_path():
-    # a stub whose structure constants are the P1xP2 numerators over 2 (and
-    # over 4) multiplies like the dense table halved (quartered)
-    ring = build_cohomology_ring(builtin_fan("P1xP2"))
+    # rings whose divisor columns are integers over 2 multiply classes and
+    # HLaurents like the dense Fraction table, in canonical form
     rng = random.Random(2)
-    for den in (2, 4):
-        stub = ring._replace(denominator=den)
-        table = {key: frac_scale(col, Fraction(1, den))
-                 for key, col in mult_table(ring).items()}
+    for make in (wdp5, wdp4):
+        ring = build_cohomology_ring(make())
+        assert {den for _, den in ring.divisor_columns} == {2}
+        table = mult_table(ring)
         for _ in range(60):
             a, b = random_coeffs(rng, ring.dim), random_coeffs(rng, ring.dim)
-            product = CohClass(stub, a) * CohClass(stub, b)
+            product = CohClass(ring, a) * CohClass(ring, b)
             assert product.coeffs == frac_mul(table, a, b)
             assert product.den > 0 and gcd(product.den, *product.num) == 1
             f, g = random_laurent(rng, ring.dim), random_laurent(rng, ring.dim)
-            assert laurent_of(to_hlaurent(stub, f) * to_hlaurent(stub, g)) \
-                == laurent_mul(table, f, g)
+            h = to_hlaurent(ring, f) * to_hlaurent(ring, g)
+            assert laurent_of(h) == laurent_mul(table, f, g)
+            assert all(c.den > 0 and gcd(c.den, *c.num) == 1
+                       for c in h.buckets.values())
 
 
 def test_class_canonical_form():

@@ -1,10 +1,12 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import oracles
+import toriq.gkz
 from toriq.catalog import CATALOG, SEMIPOSITIVE, builtin_fan
 from toriq.cohomring import (
     CohomRing,
@@ -23,6 +25,7 @@ from toriq.gkz import (
     gkz_operator,
     i_function,
     leading_terms,
+    _factor,
 )
 from toriq.moricone import enumerate_effective, mori_data
 from toriq.novikov import HLaurent
@@ -373,25 +376,58 @@ def test_i_function_matches_hlaurent_reference(make, cutoff):
 
 
 def test_i_function_dp6_work(monkeypatch):
-    # no HLaurent product, and each coefficient reduced once, when stored
+    # no HLaurent product, each coefficient reduced once, when stored, and
+    # one factor polynomial per distinct pairing (12), not one per ray and
+    # pairing (72), shared by every ray
     fan = dp6()
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
     from_parts = CohomRing._from_parts
-    calls = []
+    calls, built = [], []
 
     def counted(self, parts):
         calls.append(1)
         return from_parts(self, parts)
+
+    def counted_factor(d, t):
+        built.append(d)
+        return _factor(d, t)
 
     def forbidden(*args):
         raise AssertionError("the series formed an HLaurent product")
 
     monkeypatch.setattr(CohomRing, "_from_parts", counted)
     monkeypatch.setattr(HLaurent, "__mul__", forbidden)
+    monkeypatch.setattr(toriq.gkz, "_factor", counted_factor)
     I = i_function(ring, md, 6)
-    assert 0 < len(calls) <= len(enumerate_effective(md, 6))
+    classes = enumerate_effective(md, 6)
+    assert 0 < len(calls) <= len(classes)
     assert len(I.terms) > 100
+    pairings = {d for beta in classes for d in beta if d}
+    assert sorted(built) == sorted(pairings) and len(built) == 12
+    assert len({(rho, d) for beta in classes
+                for rho, d in enumerate(beta) if d}) == 72
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_factor_polynomials_match_taylor_expansion(t):
+    # prod_{m=1..d} (x + m)^(-1) inverted modulo x^(t+1) by sympy, and
+    # x prod_{m=d+1..-1} (x + m) expanded by sympy, truncated above x^t
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for d in range(-8, 9):
+        if d >= 0:
+            expected = sympy.invert(
+                sympy.prod([x + m for m in range(1, d + 1)]), x ** (t + 1), x)
+        else:
+            expected = x * sympy.prod([x + m for m in range(d + 1, 0)])
+        poly = sympy.Poly(expected, x, domain="QQ")
+        num, den = _factor(d, t)
+        assert len(num) == t + 1 and den > 0 and gcd(den, *num) == 1, (t, d)
+        assert [Fraction(a, den) for a in num] == [
+            Fraction(int(c.p), int(c.q))
+            for c in (poly.coeff_monomial(x ** l) for l in range(t + 1))], \
+            (t, d)
 
 
 @pytest.mark.parametrize("name", ["F2", "BlP2"])
