@@ -10,11 +10,15 @@ truncated semigroup algebra; polynomials are stored level by level as
 for the monic element ``x^lead - tail`` of the ideal; in the rules that
 ``complete`` returns, each tail is its lead's normal form.
 
-Reduction runs in increasing ell-degree: the level-0 layer of every tail holds
-only monomials smaller than its lead, so each reduction step replaces a
-monomial at the current level by strictly smaller classical terms while
-pushing deformation tails to strictly higher levels (every nonzero effective
-class has ell >= 1) -- which is what makes the procedure terminate.
+Terms ``q^beta x^m`` are ordered by ``ell(beta)`` first, lower ell ranking
+higher, then by the graded order on ``m``, and reduction runs in this order:
+the level-0 layer of every tail holds only monomials smaller than its lead,
+so each reduction step replaces a monomial at the current level by strictly
+smaller classical terms while pushing deformation tails to strictly higher
+levels (every nonzero effective class has ell >= 1) -- which is what makes
+the procedure terminate.  Dividing an element by the rational q^0
+coefficient of its unit lead makes it monic in this order, whatever its
+q-levels hold, so no Novikov scalar is ever inverted.
 Buchberger completion over these rules only ever adds elements mirroring the
 classical completion of the level-0 layer.  An S-pair residue with no unit
 coefficient waits for the classical leads to be complete: only a residue
@@ -73,18 +77,6 @@ def dp_sub(a, b):
         else:
             out.pop(beta, None)
     return out
-
-
-def dp_mul_scalar(dp, scalar, ctx):
-    """Multiply by a NovikovScalar: convolution over levels with truncation."""
-    out = {}
-    for b1, poly in dp.items():
-        for b2, c in scalar.terms.items():
-            target = P.mono_mul(b1, b2)
-            if ctx.ell_of(target) > ctx.cutoff:
-                continue
-            out[target] = P.padd(out.get(target, {}), P.pscale(poly, c))
-    return {beta: poly for beta, poly in out.items() if poly}
 
 
 def dp_reduce(dp, rules, ctx):
@@ -168,16 +160,16 @@ def _support(mono):
 
 def _monicize(dp, ctx):
     """The rule ``(lead, tail)`` that ``dp`` gives: ``lead`` is its unit
-    lead and ``tail`` is ``x^lead - dp / lam``, for ``lam`` the lead's
-    coefficient across levels, so the tail holds the lead at no level."""
+    lead and ``tail`` is ``x^lead - dp / c``, for ``c`` the lead's rational
+    coefficient at q^0, so the tail's q^0 layer lacks the lead; its q-levels
+    may hold it, below ``x^lead`` in the order that ranks lower ell first."""
     lead = _unit_lead(dp, ctx)
     if lead is None:
         raise NonUnitLeadingCoefficient(
             "element has no monomial with invertible coefficient")
-    lam = NovikovScalar(ctx, {b: p[lead] for b, p in dp.items() if lead in p})
+    inv = Fraction(1) / dp[ctx.zero_class][lead]
     tail = dp_sub({ctx.zero_class: {lead: 1}},
-                  dp_mul_scalar(dp, lam.inverse(), ctx))
-    assert all(lead not in p for p in tail.values())
+                  {b: P.pscale(p, inv) for b, p in dp.items()})
     return lead, tail
 
 
@@ -214,7 +206,10 @@ def complete(gens, ctx):
     S-pair of two rules is ``m_j tail_j - m_i tail_i`` for ``m_k`` the lcm
     of their leads over ``lead_k``; the leads cancel.  S-pairs are processed
     smallest leading-lcm first, the oldest pair first among equal lcms;
-    residues are reduced fully before insertion.  Two criteria of Buchberger
+    residues are reduced fully before insertion.  ``_monicize`` makes each
+    monic by its lead's rational q^0 coefficient alone (see the module
+    docstring), so the S-pair is the S-polynomial; the final step clears
+    the leads out of the tails' q-levels.  Two criteria of Buchberger
     (1979) drop pairs without reducing them, and both hold at every level of
     the truncated scalars as classically because the leads are monic.  A
     pair whose leads share no variable is never formed (the product

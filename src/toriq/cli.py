@@ -357,9 +357,14 @@ def _relation_str(md, op, fan):
 # --- text emission --------------------------------------------------------------
 
 
+def _label(fan):
+    """The fan's name as one printable ASCII line, ``<file>`` if empty."""
+    return fan["name"].encode("unicode_escape").decode("ascii") or "<file>"
+
+
 def _text_analyze(report, out):
     fan = report["fan"]
-    out.append(f"fan {fan['name'] or '<file>'}: dim {fan['dim']}, "
+    out.append(f"fan {_label(fan)}: dim {fan['dim']}, "
                f"{len(fan['rays'])} rays, {len(fan['max_cones'])} maximal cones")
     out.append("validation: smooth=ok complete=ok")
     out.append(f"euler characteristic: {report['euler_characteristic']}")
@@ -387,7 +392,7 @@ def _text_analyze(report, out):
 
 def _text_ifunction(report, out):
     out.append(f"reduced series up to ell <= {report['cutoff']} "
-               f"({report['fan']['name'] or '<file>'})")
+               f"({_label(report['fan'])})")
     for row in report["i_function"]:
         terms = "; ".join(
             f"hbar^{t['hbar_power']}: {t['class']}" for t in row["terms"])
@@ -417,7 +422,7 @@ def _text_ifunction(report, out):
 
 def _text_certify(report, out):
     out.append(f"certification at cutoff {report['cutoff']} "
-               f"({report['fan']['name'] or '<file>'})")
+               f"({_label(report['fan'])})")
     cert = report["certificate"]
     if cert["verdict"] == "hypothesis_unmet":
         out.append(cert["reason"])

@@ -7,9 +7,6 @@ Three layers, each exact:
   functional ``ell`` at a fixed cutoff: a sparse polynomial whose exponents
   are curve classes, so ``polynomials`` does its arithmetic and only the
   public constructor truncates and normalizes (``_exact`` skips both).
-  Units are the scalars with nonzero ``q^0`` part; their inverses come
-  from a finite Neumann series because every nonzero effective class has
-  ``ell >= 1``.
 * ``HLaurent`` -- a finitely supported Laurent polynomial in the formal
   variable hbar whose coefficients are cohomology classes; nothing is ever
   windowed or silently dropped.  It is stored as one class per total degree
@@ -29,10 +26,6 @@ from . import polynomials as P
 
 class CutoffMismatch(ValueError):
     """Binary operation between series with different truncation data."""
-
-
-class NotAUnit(ValueError):
-    """Inversion of an element of the maximal ideal."""
 
 
 class NovikovContext(namedtuple("NovikovContext", "n_rays ell cutoff")):
@@ -112,28 +105,6 @@ class NovikovScalar:
     def q0(self):
         """Coefficient of q^0."""
         return self.terms.get(self.ctx.zero_class, Fraction(0))
-
-    def inverse(self):
-        """Exact inverse of a unit, by finite Neumann iteration over ell."""
-        c0 = self.q0()
-        if c0 == 0:
-            raise NotAUnit("scalar has no q^0 part")
-        ctx = self.ctx
-        rest = NovikovScalar(
-            ctx, {b: c for b, c in self.terms.items() if b != ctx.zero_class})
-        n = rest.scale(Fraction(1) / c0)
-        acc = NovikovScalar.unit(ctx)
-        power = NovikovScalar.unit(ctx)
-        sign = 1
-        for _ in range(ctx.cutoff):
-            power = power * n
-            if not power:
-                break
-            sign = -sign
-            acc = acc + power.scale(sign)
-        inv = acc.scale(Fraction(1) / c0)
-        assert (inv * self) == NovikovScalar.unit(ctx)
-        return inv
 
     def __repr__(self):
         return f"NovikovScalar({self.terms})"

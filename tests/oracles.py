@@ -53,7 +53,11 @@ plain ``{beta: c}`` dicts, with a Neumann inverse of their own, and
 arithmetic of the completion on top of them.  ``complete`` and
 ``normal_form`` monicize and scale through these alone, so the reference
 completion shares neither ``NovikovScalar``'s arithmetic nor ``batyrev``'s
-level helpers with the code it checks.
+level helpers with the code it checks.  The reference ``_monicize`` keeps
+the inverted-scalar form, dividing by the lead's coefficient across all
+levels so that no tail holds its lead at any level, while ``batyrev``
+divides by the rational q^0 coefficient alone; both give the same reduced
+rules, which is the independent check of the rational division.
 
 ``check_module`` checks Batyrev's module from its matrices alone, by the
 same ``q_mul`` and ``q_add``: no ``dp_reduce`` and no ``complete``.  It

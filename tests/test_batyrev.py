@@ -449,6 +449,32 @@ def test_monicize_rejects_pure_q_element():
         _monicize({B1: {(1, 0): Fraction(1)}}, ctx)
 
 
+def test_monicize_divides_by_the_q0_coefficient_alone():
+    # the lead x2 has coefficient 2 + q^B1: the rule divides by 2 and keeps
+    # the lead at level B1, below x2 at q^0 since ell(B1) = 1
+    from toriq.batyrev import _monicize
+    _, _, _, ideal = setup("F2")
+    ctx = ideal.ctx
+    zero = ctx.zero_class
+    dp = {zero: {(0, 1): 2, (1, 0): 1}, B1: {(0, 1): 1, (0, 0): 3}}
+    assert _monicize(dp, ctx) == ((0, 1), {
+        zero: {(1, 0): Fraction(-1, 2)},
+        B1: {(0, 1): Fraction(-1, 2), (0, 0): Fraction(-3, 2)}})
+    # the reference completion inverts 2 + q^B1 and gets the same rules,
+    # also through an S-pair with x1*x2
+    gens = [dp, {zero: {(1, 1): 1}}]
+    rules, added = batyrev.complete(gens, ctx)
+    assert (rules, added) == oracles.complete(gens, ctx)[:2]
+    assert added == 1
+    assert rules[0] == ((0, 1), {
+        zero: {(1, 0): Fraction(-1, 2)},
+        B1: {(1, 0): Fraction(1, 4), (0, 0): Fraction(-3, 2)},
+        tuple(2 * x for x in B1): {(1, 0): Fraction(-1, 8),
+                                   (0, 0): Fraction(3, 4)},
+        tuple(3 * x for x in B1): {(1, 0): Fraction(1, 16),
+                                   (0, 0): Fraction(-3, 8)}})
+
+
 def test_projective_three_space_module():
     from toriq.fan import make_fan
     fan = make_fan(
@@ -491,13 +517,15 @@ def test_del_pezzo_seven_completion_path():
 
 
 # the cutoff-0 cases of the wide fans are their Stanley-Reisner generators,
-# where the chain criterion skips most S-pairs; wdP4 and wdP3 run at cutoff 2,
-# since at cutoff 4 the reference completion, which reduces every S-pair,
-# takes tens of seconds on them
+# where the chain criterion skips most S-pairs; wdP4 runs at cutoffs 2 and 3
+# and wdP3 at cutoff 2, since at cutoff 4 the reference completion, which
+# reduces every S-pair, takes tens of seconds on them.  wdP5 at cutoffs 4
+# and 6, wdP4 at 2 and 3 and wdP3 at 2 have residues whose lead coefficient
+# has a q-term, which the rules divide by its q^0 part alone.
 ENGINE_CASES = [(name, cutoff) for name in sorted(CATALOG)
                 for cutoff in range(6)] + [
-    ("dP6", 6), ("P2xP2", 8), ("P1xdP6", 3), ("wdP5", 4), ("wdP4", 2),
-    ("wdP3", 2)] + [
+    ("dP6", 6), ("P2xP2", 8), ("P1xdP6", 3), ("wdP5", 4), ("wdP5", 6),
+    ("wdP4", 2), ("wdP4", 3), ("wdP3", 2)] + [
     (name, 0) for name in ("dP6", "P1xdP6", "wdP5", "wdP4", "wdP3")]
 
 

@@ -431,6 +431,31 @@ def test_cutoff_below_generator_ell_is_input_error():
         assert proc.stdout == ""
 
 
+def test_text_header_escapes_fan_name(tmp_path):
+    # a name with a newline and a non-ASCII letter is written on one line
+    # in ASCII, so an ASCII stdout neither raises nor splits the header
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({**FAN_FILES["dP6"], "name": "a\nbé"}))
+    src = str(Path(toriq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}
+    for command, header in (("analyze", "fan a\\nb\\xe9: dim 2"),
+                            ("ifunction", "reduced series up to ell <= 2 "
+                                          "(a\\nb\\xe9)"),
+                            ("certify", "certification at cutoff 2 "
+                                        "(a\\nb\\xe9)")):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from toriq.cli import main; sys.exit(main())",
+             command, "--fan", str(path), "--cutoff", "2"],
+            capture_output=True, text=True, encoding="utf-8", env=env)
+        assert proc.returncode == 0, (command, proc.stderr)
+        assert proc.stdout.isascii() and proc.stderr == "", command
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith(header), (command, lines[0])
+        assert sum("a\\nb" in line for line in lines) == 1, command
+        assert not any(line.startswith("b") for line in lines), command
+
+
 @pytest.mark.parametrize("shift", [0, 1], ids=["same-degree", "other-degree"])
 def test_corrupted_series_fails_ifunction_and_certify(monkeypatch, capsys,
                                                       shift):
