@@ -506,9 +506,13 @@ def exit_code_for(report):
 
 
 def _nonneg_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError("cutoff must be >= 0")
+        raise argparse.ArgumentTypeError(
+            f"cutoff must be a non-negative integer, got {text!r}")
     return value
 
 

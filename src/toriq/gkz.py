@@ -10,8 +10,8 @@ series coefficient is the exact product over rays of
 
 The reduced series (exponential prefactor stripped) is assembled over all
 effective classes up to the cutoff.  Every coefficient is homogeneous of
-total degree ``-sum_rho d_rho``, so it is one class in that hbar bucket (see
-``novikov.HLaurent``), read off ``beta``.  With hbar = 1 a ray's factor is a
+total degree ``-sum_rho d_rho``, so it is a ``novikov.HLaurent`` of the one
+bucket read off ``beta``.  With hbar = 1 a ray's factor is a
 polynomial in the nilpotent ``D_rho`` whose coefficients depend only on ``d``
 and the top degree, so all rays share one factor polynomial per pairing,
 applied through the ring's divisor columns.  Classes are visited in lex
@@ -126,7 +126,7 @@ def i_function(ring, md, cutoff):
                     factors[d] = _factor(d, ring.top_degree)
                 acc = ring._times_polynomial(*acc, rho, factors[d])
             prefix[rho + 1] = acc
-        coefficients[beta] = HLaurent._graded(ring, {
+        coefficients[beta] = HLaurent(ring, {
             -sum(beta): ring._from_parts((prefix[-1],))})
         previous = beta
     # the series keeps its terms in enumeration order, (ell, lex)
@@ -235,7 +235,7 @@ def apply_gkz_operator(op, I):
             diff.setdefault(beta, {})[s] = ring._from_parts(
                 ((na, da), ([-y for y in nb], db)))
     return NovikovSeries(out_ctx, ring, {
-        beta: HLaurent._graded(ring, b) for beta, b in diff.items()})
+        beta: HLaurent(ring, b) for beta, b in diff.items()})
 
 
 def annihilation_certificate(I, md):

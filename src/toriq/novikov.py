@@ -9,10 +9,10 @@ Three layers, each exact:
   public constructor truncates and normalizes (``_exact`` skips both).
 * ``HLaurent`` -- a finitely supported Laurent polynomial in the formal
   variable hbar whose coefficients are cohomology classes; nothing is ever
-  windowed or silently dropped.  It is stored as one class per total degree
-  (``deg hbar = deg D_rho = 1``), so a product of homogeneous series, which
-  every series coefficient and box-operator factor is, is one class product
-  on integer numerators, reduced once; ``gkz`` works on such numerators.
+  windowed or silently dropped.  It is a record of one class per total
+  degree (``deg hbar = deg D_rho = 1``), built by ``gkz`` from integer
+  numerators, with one constructor and a read-only ``{power: class}`` view;
+  its sums and scalings live with the tests' oracles.
 * ``NovikovSeries`` -- ``q^beta``-indexed families of HLaurent coefficients,
   truncated at the cutoff.
 """
@@ -113,42 +113,28 @@ class NovikovScalar:
 class HLaurent:
     """hbar-Laurent polynomial with cohomology-class coefficients.
 
-    Stored by total degree, with ``deg hbar = deg D_rho = 1``: ``buckets[s]``
+    A record of its buckets, with ``deg hbar = deg D_rho = 1``: ``buckets[s]``
     is one class whose degree-p part is the coefficient of ``hbar^(s-p)``.
-    Every HLaurent has exactly one such form, so ``==`` compares buckets and
-    zero means every bucket is zero.  A product of two series is one class
-    product per pair of buckets, and a homogeneous series (every series
+    ``HLaurent(ring, buckets)`` is the only constructor; it drops zero
+    buckets, so every HLaurent has exactly one form, ``==`` compares buckets
+    and zero means no bucket.  A homogeneous series (every series
     coefficient and every box-operator factor) is a single bucket.  The
-    ``{power: class}`` form is ``terms``, built from the buckets at most once.
+    read-only ``{power: class}`` view is ``terms``, built at most once.
+    ``__mul__`` stays only because ``perfbench``'s tracer counts it, until
+    the tracer reads work counters; the pipeline forms no HLaurent product.
     """
 
     __slots__ = ("ring", "buckets", "_terms")
 
-    def __init__(self, ring, terms=None):
-        self.ring = ring
-        self._terms = {k: v for k, v in (terms or {}).items() if v}
-        self.buckets = _regrade(ring, self._terms, 1)
-
-    @classmethod
-    def _graded(cls, ring, buckets):
-        out = cls.__new__(cls)
-        out.ring, out._terms = ring, None
-        out.buckets = {s: v for s, v in buckets.items() if v}
-        return out
-
-    @classmethod
-    def one(cls, ring):
-        return cls(ring, {0: ring.one()})
-
-    @classmethod
-    def of_class(cls, c, power=0):
-        return cls(c.ring, {power: c})
+    def __init__(self, ring, buckets):
+        self.ring, self._terms = ring, None
+        self.buckets = {s: v for s, v in buckets.items() if v}
 
     @property
     def terms(self):
         """``{hbar power: class}``, the nonzero coefficients."""
         if self._terms is None:
-            self._terms = _regrade(self.ring, self.buckets, -1)
+            self._terms = _regrade(self.ring, self.buckets)
         return self._terms
 
     def __bool__(self):
@@ -157,30 +143,14 @@ class HLaurent:
     def __eq__(self, other):
         return isinstance(other, HLaurent) and self.buckets == other.buckets
 
-    def __add__(self, other):
-        out = dict(self.buckets)
-        for s, v in other.buckets.items():
-            out[s] = out[s] + v if s in out else v
-        return HLaurent._graded(self.ring, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return HLaurent._graded(
-            self.ring, {s: v.scale(c) for s, v in self.buckets.items()})
-
     def __mul__(self, other):
         ring, parts = self.ring, {}
         for s1, v1 in self.buckets.items():
             for s2, v2 in other.buckets.items():
                 parts.setdefault(s1 + s2, []).append(ring._times(
                     (v1.num, v1.den), (v2.num, v2.den)))
-        return HLaurent._graded(ring, {s: ring._from_parts(p)
-                                       for s, p in parts.items()})
-
-    def coefficient(self, power):
-        return self.terms.get(power, self.ring.zero())
+        return HLaurent(ring, {s: ring._from_parts(p)
+                               for s, p in parts.items()})
 
     def powers(self):
         return sorted(self.terms)
@@ -189,17 +159,15 @@ class HLaurent:
         return f"HLaurent({self.terms})"
 
 
-def _regrade(ring, classes, sign):
-    """Move the degree-p part of the class at each key ``k`` to ``k + sign*p``.
-
-    Sign 1 takes ``{hbar power: class}`` to buckets, sign -1 takes it back.
-    """
+def _regrade(ring, buckets):
+    """``{hbar power: class}`` of ``buckets``: the degree-p part of bucket
+    ``s`` is the coefficient of ``hbar^(s-p)``."""
     parts = {}
-    for k, v in classes.items():
+    for s, v in buckets.items():
         for p in range(ring.top_degree + 1):
             num = [a if d == p else 0 for a, d in zip(v.num, ring.basis_degrees)]
             if any(num):
-                parts.setdefault(k + sign * p, []).append((num, v.den))
+                parts.setdefault(s - p, []).append((num, v.den))
     return {k: ring._from_parts(ps) for k, ps in parts.items()}
 
 
@@ -223,6 +191,3 @@ class NovikovSeries:
     def __eq__(self, other):
         return isinstance(other, NovikovSeries) and self.terms == other.terms \
             and self.ctx == other.ctx
-
-    def coefficient(self, beta):
-        return self.terms.get(tuple(beta), HLaurent(self.ring))

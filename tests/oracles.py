@@ -26,6 +26,10 @@ variables to one NovikovScalar per basis monomial.  These three, and
 for the scans that check effective-class enumeration; ``box_scan_effective``
 is such a scan, over a bounding box and against ``facet_normals``.
 
+``toriq`` keeps an HLaurent as a record of its buckets, with no sum or
+scaling.  ``hlaurent`` builds one from ``{hbar power: class}``, the inverse
+of ``HLaurent.terms``, and ``hlaurent_one``, ``hlaurent_add`` and
+``hlaurent_scale`` are its unit, sum and scaling.
 ``apply_gkz_operator`` is the HLaurent form of the box operator, one class
 product per linear factor, the reference for ``gkz``'s integer sides.
 ``i_function`` is the HLaurent form of the series, the reference for
@@ -43,9 +47,9 @@ that the annihilation check must fail.  ``relabel`` lists a fan's rays in
 another order, for the tests that nothing depends on ray order,
 ``subdivided_p3`` gives the smooth complete threefolds, two of them not
 projective, on which the commands are checked beyond the catalog, and
-``product_fan`` gives the product of two fans.  ``least_functional`` finds
-the smallest positive functional by a pruned scan of boxes, with no
-Fourier-Motzkin elimination.
+``product_fan`` gives the product of two fans and ``p1_bundle`` a toric
+P1-bundle over a fan.  ``least_functional`` finds the smallest positive
+functional by a pruned scan of boxes, with no Fourier-Motzkin elimination.
 
 ``q_mul``, ``q_add`` and ``q_inverse`` are truncated Novikov scalars as
 plain ``{beta: c}`` dicts, with a Neumann inverse of their own, and
@@ -63,6 +67,8 @@ rules, which is the independent check of the rational division.
 same ``q_mul`` and ``q_add``: no ``dp_reduce`` and no ``complete``.  It
 finds the primitive relations from the cones with its own linear algebra
 (``primitive_relations``) and takes only ``ell`` from ``mori_data``.
+``wall_semipositive`` decides semipositivity from the wall relations, with
+no primitive collection.
 
 ``psub``, ``groebner`` and ``poincare_dual_basis`` (with ``SingularPairing``)
 have no caller in ``toriq``: the polynomial difference, the classical ring's
@@ -199,7 +205,34 @@ def laurent_of(h):
 
 
 def to_hlaurent(ring, f):
-    return HLaurent(ring, {k: CohClass(ring, v) for k, v in f.items()})
+    return hlaurent(ring, {k: CohClass(ring, v) for k, v in f.items()})
+
+
+def hlaurent(ring, terms):
+    """The HLaurent of ``{hbar power: class}``: the degree-p part of the
+    class at power ``k`` goes to bucket ``k + p``."""
+    parts = {}
+    for k, v in terms.items():
+        for p in range(ring.top_degree + 1):
+            num = [a if d == p else 0 for a, d in zip(v.num, ring.basis_degrees)]
+            if any(num):
+                parts.setdefault(k + p, []).append((num, v.den))
+    return HLaurent(ring, {s: ring._from_parts(ps) for s, ps in parts.items()})
+
+
+def hlaurent_one(ring):
+    return HLaurent(ring, {0: ring.one()})
+
+
+def hlaurent_add(f, g):
+    out = dict(f.buckets)
+    for s, v in g.buckets.items():
+        out[s] = out[s] + v if s in out else v
+    return HLaurent(f.ring, out)
+
+
+def hlaurent_scale(h, c):
+    return HLaurent(h.ring, {s: v.scale(c) for s, v in h.buckets.items()})
 
 
 def geometric(table, one, D, m):
@@ -246,7 +279,7 @@ def apply_gkz_operator(op, I):
 
     @cache
     def linear(rho, c):
-        return HLaurent(ring, {0: divisor_class(ring, rho),
+        return hlaurent(ring, {0: divisor_class(ring, rho),
                                1: ring.one().scale(c)})
 
     def side(h, beta, factors):
@@ -262,9 +295,9 @@ def apply_gkz_operator(op, I):
     for beta_pp, h in I.terms.items():
         target = tuple(x + y for x, y in zip(beta_pp, op.beta))
         if out_ctx.ell_of(target) <= reduced_cutoff:
-            acc = side(h, beta_pp, op.negative)
-            terms[target] = terms[target] - acc if target in terms \
-                else acc.scale(-1)
+            acc = hlaurent_scale(side(h, beta_pp, op.negative), -1)
+            terms[target] = hlaurent_add(terms[target], acc) \
+                if target in terms else acc
     return NovikovSeries(out_ctx, ring, terms)
 
 
@@ -292,7 +325,7 @@ def nilpotent_geometric(D, m):
         terms[-(l + 1)] = ring._from_parts((part,))
         power = power * D
         l += 1
-    return HLaurent(ring, terms)
+    return hlaurent(ring, terms)
 
 
 def linear_factor_apply(h, mult, c):
@@ -308,7 +341,7 @@ def linear_factor_apply(h, mult, c):
             for k, y in column:
                 out[k] += x * Fraction(y, den)
         buckets[s + 1] = CohClass(ring, out)
-    return HLaurent._graded(ring, buckets)
+    return HLaurent(ring, buckets)
 
 
 def _ray_factor(D, mult, d, cache):
@@ -332,7 +365,7 @@ def i_function(ring, md, cutoff):
     lifts of ``kirwan_divisors``."""
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
-    one = HLaurent.one(ring)
+    one = hlaurent_one(ring)
     divisors = kirwan_divisors(ring)
     caches = [{0: one} for _ in divisors]
     prefix = [None] * (ctx.n_rays + 1)
@@ -366,9 +399,9 @@ def perturbed_series(I, beta, shift):
     catches a coefficient that it would cancel."""
     ring = I.ring
     (s,) = I.terms[beta].buckets
-    change = HLaurent.of_class(divisor_class(ring, 0).scale(2), s - 1 + shift)
+    change = HLaurent(ring, {s + shift: divisor_class(ring, 0).scale(2)})
     terms = dict(I.terms)
-    terms[beta] = terms[beta] + change
+    terms[beta] = hlaurent_add(terms[beta], change)
     assert set(terms[beta].buckets) == {s, s + shift}
     return NovikovSeries(I.ctx, ring, terms)
 
@@ -376,11 +409,11 @@ def perturbed_series(I, beta, shift):
 def reconstruct_coefficient(ring, table, beta):
     """Round-trip check: rebuild the q^beta coefficient from the table."""
     _, duals = poincare_dual_basis(ring)
-    out = HLaurent(ring)
+    out = {}
     for (a, k, b), val in table.entries.items():
         if b == tuple(beta):
-            out = out + HLaurent.of_class(duals[a].scale(val), -k - 1)
-    return out
+            out[-k - 1] = out.get(-k - 1, ring.zero()) + duals[a].scale(val)
+    return hlaurent(ring, out)
 
 
 def variable_class(ring, j):
@@ -444,6 +477,19 @@ def product_fan(a, b, name=None):
                     [ca + tuple(a.n_rays + i for i in cb)
                      for ca in a.max_cones for cb in b.max_cones],
                     name=name or f"{a.name}x{b.name}")
+
+
+def p1_bundle(base, twists):
+    """The toric P1-bundle P(O + L) over ``base``, L twisted by ``a`` =
+    ``twists``: its rays are ``(u_i, a_i)`` for the base's rays ``u_i``, then
+    ``(0, 1)`` and ``(0, -1)``, and its maximal cones are ``sigma + (0, 1)``
+    and ``sigma + (0, -1)`` for each maximal cone ``sigma`` of the base."""
+    n, zero = base.n_rays, (0,) * base.dim
+    rays = [u + (a,) for u, a in zip(base.rays, twists)]
+    return make_fan(base.dim + 1, rays + [zero + (1,), zero + (-1,)],
+                    [cone + (end,) for cone in base.max_cones
+                     for end in (n, n + 1)],
+                    name=f"P({base.name},{','.join(map(str, twists))})")
 
 
 def p1xdp6():
@@ -883,6 +929,24 @@ def primitive_relations(fan):
                 assert x.denominator == 1, (rays, cone)
                 beta[i] -= int(x)
             yield rays, tuple(beta)
+
+
+def wall_semipositive(fan):
+    """Whether ``-K`` is nef, read off the walls alone (Cox, Little and
+    Schenck, *Toric Varieties*, 2011, chapter 6): maximal cones ``tau + u``
+    and ``tau + u'`` that share the wall ``tau`` give ``u + u' + sum_{j in
+    tau} b_j u_j = 0``, and the wall's curve has ``-K . C = 2 + sum b_j``."""
+    cones = [set(cone) for cone in fan.max_cones]
+    for a, b in combinations(cones, 2):
+        tau = sorted(a & b)
+        if len(tau) == fan.dim - 1:
+            (u,), (v,) = a - b, b - a
+            target = [-x - y for x, y in zip(fan.rays[u], fan.rays[v])]
+            *coeffs, residual = _solve([fan.rays[j] for j in tau], target)
+            assert residual == 0, (tau, u, v)
+            if 2 + sum(coeffs) < 0:
+                return False
+    return True
 
 
 def _far_cone(fan):

@@ -431,6 +431,19 @@ def test_cutoff_below_generator_ell_is_input_error():
         assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("text", ["x", "1.5", "", "-1"])
+def test_bad_cutoff_is_usage_error(capsys, text):
+    # one message for a non-integer and a negative cutoff, naming no
+    # function of the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--fan", "P2", "--cutoff", text])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "_nonneg_int" not in err
+    assert err.endswith("argument --cutoff: cutoff must be a non-negative "
+                        f"integer, got {text!r}\n")
+
+
 def test_text_header_escapes_fan_name(tmp_path):
     # a name with a newline and a non-ASCII letter is written on one line
     # in ASCII, so an ASCII stdout neither raises nor splits the header

@@ -20,6 +20,11 @@ functional is compared with ``oracles.least_functional``'s scan.
 
 Products of semipositive fans (``oracles.product_fan``) are certified, and
 the module that ``certify`` returns is checked by ``oracles.check_module``.
+
+Semipositivity, which ``mori_data`` decides from the primitive classes, is
+compared with ``oracles.wall_semipositive``, which reads the wall relations,
+on the catalog, the 16 weak del Pezzo fans, the generated fans and 86 toric
+P1-bundles (``oracles.p1_bundle``).
 """
 
 import json
@@ -45,12 +50,16 @@ import oracles
 from oracles import (
     box_scan_effective,
     check_module,
+    cycle_fan,
     dp6,
+    p1_bundle,
     primitive_relations,
     product_fan,
     relabel,
+    wall_semipositive,
     wdp5,
 )
+from test_weak_del_pezzo import SEQUENCES, rays_of
 
 
 def p3():
@@ -207,6 +216,30 @@ def test_positive_functional_matches_least_scan(kind, i):
     fan = builtin_fan(kind) if i is None else FANS[kind](i)
     md = mori_data(fan)
     assert md.ell == oracles.least_functional(md.generators, fan.n_rays)
+
+
+def p1_bundles():
+    """P(B, a) over P2 with a in {0,1,2}^3, over F1 with a_0 = 0 and a_i in
+    {0,1,2}, and over dP6 with a_0 = 0 and a_i in {0,1}.  Twists that
+    differ by a linear function give the same fan up to coordinates, so
+    a_0 = 0 only picks a representative."""
+    return [p1_bundle(base, (0,) * (base.n_rays - k) + a)
+            for base, k, top in ((builtin_fan("P2"), 3, 3),
+                                 (builtin_fan("F1"), 3, 3), (dp6(), 5, 2))
+            for a in product(range(top), repeat=k)]
+
+
+def test_semipositive_matches_wall_relations():
+    # mori_data decides from the primitive classes, the oracle from the walls
+    bundles = p1_bundles()
+    fans = [builtin_fan(name) for name in sorted(CATALOG)] + \
+        [cycle_fan(str(a), rays_of(a)) for a in SEQUENCES] + \
+        [FANS[kind](i) for kind, i in GENERATED] + bundles
+    verdicts = [wall_semipositive(fan) for fan in fans]
+    for fan, verdict in zip(fans, verdicts):
+        assert mori_data(fan).semipositive == verdict, fan.name
+    assert len(bundles) == 86 and sum(verdicts[-86:]) == 48
+    assert not verdicts[sorted(CATALOG).index("F3")]
 
 
 PRODUCTS = [("dP6", "dP6", 3), ("F1", "P2", 4), ("wdP5", "P1", 4),

@@ -35,6 +35,8 @@ from oracles import (
     dp6,
     frac_scale,
     gkz_coefficient,
+    hlaurent,
+    hlaurent_one,
     laurent_mul,
     laurent_of,
     linear_factor_apply,
@@ -61,7 +63,7 @@ def test_coefficient_zero_class_is_one():
     for name in ("P1", "P2", "F2"):
         _, _, ring = setup(name)
         beta0 = (0,) * ring.fan.n_rays
-        assert gkz_coefficient(ring, beta0) == HLaurent.one(ring)
+        assert gkz_coefficient(ring, beta0) == hlaurent_one(ring)
 
 
 def test_coefficient_p2_generator():
@@ -86,13 +88,13 @@ def test_coefficient_f2_first_generator():
     _, _, ring = setup("F2")
     d2 = divisor_class(ring, 1)
     c = gkz_coefficient(ring, (1, -2, 1, 0))
-    assert c.coefficient(-1) == d2.scale(-1)
-    assert not c.coefficient(0)
+    assert c.terms[-1] == d2.scale(-1)
+    assert 0 not in c.terms
     # full value: D2(D2 - hbar) (D1 + hbar)^-1 (D3 + hbar)^-1 with D1 = D3 = x1
     x1 = variable_class(ring, 0)
-    lead = HLaurent(ring, {0: d2, 1: ring.one().scale(-1)}) * \
-        HLaurent.of_class(d2)
-    inv = HLaurent(ring, {0: x1, 1: ring.one()})
+    lead = hlaurent(ring, {0: d2, 1: ring.one().scale(-1)}) * \
+        hlaurent(ring, {0: d2})
+    inv = hlaurent(ring, {0: x1, 1: ring.one()})
     assert inv * inv * c == lead
 
 
@@ -110,15 +112,15 @@ def test_hbar_power_counting():
             if c:
                 assert max_power(c) <= -N, (name, beta)
                 if N > 0:
-                    assert not c.coefficient(0), (name, beta)
+                    assert 0 not in c.terms, (name, beta)
 
 
 def test_i_function_p1_cutoff1():
     _, md, ring = setup("P1")
     h = variable_class(ring, 0)
     I = i_function(ring, md, 1)
-    assert I.coefficient((0, 0)) == HLaurent.one(ring)
-    assert I.coefficient((1, 1)).terms == {-2: ring.one(), -3: h.scale(-2)}
+    assert I.terms[(0, 0)] == hlaurent_one(ring)
+    assert I.terms[(1, 1)].terms == {-2: ring.one(), -3: h.scale(-2)}
     assert set(I.terms) == {(0, 0), (1, 1)}
 
 
@@ -127,7 +129,7 @@ def test_i_function_cutoff0_is_one():
         fan, md, ring = setup(name)
         I = i_function(ring, md, 0)
         assert set(I.terms) == {(0,) * fan.n_rays}
-        assert I.coefficient((0,) * fan.n_rays) == HLaurent.one(ring)
+        assert I.terms[(0,) * fan.n_rays] == hlaurent_one(ring)
 
 
 def test_leading_terms_semipositive():
@@ -198,7 +200,7 @@ def test_two_point_roundtrip():
             if all(x == 0 for x in beta):
                 continue
             assert reconstruct_coefficient(ring, table, beta) == \
-                I.coefficient(beta), (name, beta)
+                I.terms[beta], (name, beta)
 
 
 def test_two_point_degree_matching():
@@ -321,7 +323,7 @@ def test_extract_relation_examples():
 
 def _naive_coefficient(ring, beta):
     """Reference: every factor of every ray rebuilt from scratch."""
-    out = HLaurent.one(ring)
+    out = hlaurent_one(ring)
     for rho, d in enumerate(beta):
         if d == 0:
             continue
@@ -330,9 +332,9 @@ def _naive_coefficient(ring, beta):
             for m in range(1, d + 1):
                 out = out * nilpotent_geometric(D, m)
         else:
-            factor = HLaurent.of_class(D)
+            factor = hlaurent(ring, {0: D})
             for m in range(d + 1, 0):
-                factor = factor * HLaurent(ring, {0: D, 1: ring.one().scale(m)})
+                factor *= hlaurent(ring, {0: D, 1: ring.one().scale(m)})
             out = out * factor
     return out
 
@@ -351,9 +353,10 @@ def test_series_matches_naive_coefficients(name, make, cutoff):
     I = i_function(ring, md, cutoff)
     classes = enumerate_effective(md, cutoff)
     assert set(I.terms) <= set(classes)
+    zero = HLaurent(ring, {})
     for beta in classes:
         naive = _naive_coefficient(ring, beta)
-        assert I.coefficient(beta) == naive, (name, beta)
+        assert I.terms.get(beta, zero) == naive, (name, beta)
         assert gkz_coefficient(ring, beta) == naive, (name, beta)
 
 
@@ -433,17 +436,17 @@ def test_factor_polynomials_match_taylor_expansion(t):
 @pytest.mark.parametrize("name", ["F2", "BlP2"])
 def test_linear_factor_apply_matches_product(name):
     _, md, ring = setup(name)
-    samples = [HLaurent.one(ring), HLaurent(ring)]
+    samples = [hlaurent_one(ring), HLaurent(ring, {})]
     for rho in range(ring.fan.n_rays):
         D = divisor_class(ring, rho)
         samples.append(nilpotent_geometric(D, 2))
-        samples.append(HLaurent(ring, {-1: D, 2: ring.one().scale(3)}))
+        samples.append(hlaurent(ring, {-1: D, 2: ring.one().scale(3)}))
     samples += [gkz_coefficient(ring, b) for b in enumerate_effective(md, 2)]
     for rho in range(ring.fan.n_rays):
         D = divisor_class(ring, rho)
         mult = ring.divisor_columns[rho]
         for c in (0, 1, -1, 2, -3):
-            factor = HLaurent(ring, {0: D, 1: ring.one().scale(c)})
+            factor = hlaurent(ring, {0: D, 1: ring.one().scale(c)})
             for h in samples:
                 assert linear_factor_apply(h, mult, c) == factor * h, \
                     (name, rho, c)

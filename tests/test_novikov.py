@@ -21,6 +21,10 @@ from oracles import (
     frac_scale,
     frac_sub,
     geometric,
+    hlaurent,
+    hlaurent_add,
+    hlaurent_one,
+    hlaurent_scale,
     laurent_mul,
     laurent_of,
     mult_table,
@@ -175,8 +179,8 @@ def test_nilpotent_geometric_square_zero():
     h = variable_class(ring, 0)  # h^2 = 0
     g = nilpotent_geometric(h, 1)
     assert g.terms == {-1: ring.one(), -2: h.scale(-1)}
-    lin = HLaurent(ring, {0: h, 1: ring.one()})  # D + hbar
-    assert lin * g == HLaurent.one(ring)
+    lin = hlaurent(ring, {0: h, 1: ring.one()})  # D + hbar
+    assert lin * g == hlaurent_one(ring)
 
 
 def test_nilpotent_geometric_zero_class():
@@ -190,8 +194,8 @@ def test_nilpotent_geometric_p2():
     h = variable_class(ring, 0)  # h^3 = 0
     g = nilpotent_geometric(h, 1)
     assert g.terms == {-1: ring.one(), -2: h.scale(-1), -3: h * h}
-    lin = HLaurent(ring, {0: h, 1: ring.one()})
-    assert lin * g == HLaurent.one(ring)
+    lin = hlaurent(ring, {0: h, 1: ring.one()})
+    assert lin * g == hlaurent_one(ring)
 
 
 def test_nilpotent_geometric_exact_inverse_all_m():
@@ -200,8 +204,8 @@ def test_nilpotent_geometric_exact_inverse_all_m():
         d = divisor_class(ring, rho)
         for m in (-3, -1, 1, 2, 5):
             g = nilpotent_geometric(d, m)
-            lin = HLaurent(ring, {0: d, 1: ring.one().scale(m)})
-            assert lin * g == HLaurent.one(ring), (rho, m)
+            lin = hlaurent(ring, {0: d, 1: ring.one().scale(m)})
+            assert lin * g == hlaurent_one(ring), (rho, m)
 
 
 def test_nilpotent_geometric_rejects_units():
@@ -222,7 +226,8 @@ def test_hlaurent_mul_matches_fraction_oracle(name):
         assert laurent_of(F * G) == laurent_mul(table, f, g)
         zero = (Fraction(0),) * ring.dim
         diff = {k: frac_sub(f.get(k, zero), g.get(k, zero)) for k in {*f, *g}}
-        assert laurent_of(F - G) == {k: v for k, v in diff.items() if any(v)}
+        assert laurent_of(hlaurent_add(F, hlaurent_scale(G, -1))) == \
+            {k: v for k, v in diff.items() if any(v)}
     for rho in range(ring.fan.n_rays):
         D = divisor_class(ring, rho)
         for m in (-2, 1, 3):
@@ -241,7 +246,7 @@ def test_graded_hlaurent_matches_fraction_oracle(name):
     rng = random.Random(f"graded-{name}")
 
     def rebuilt(h):
-        return laurent_of(HLaurent._graded(ring, h.buckets))
+        return laurent_of(HLaurent(ring, h.buckets))
 
     def combine(op, f, g):
         out = {k: op(f.get(k, zero), g.get(k, zero)) for k in {*f, *g}}
@@ -260,16 +265,18 @@ def test_graded_hlaurent_matches_fraction_oracle(name):
                 f.get(s - d, zero)[i] for i, d in enumerate(ring.basis_degrees))
         assert rebuilt(F) == f and F.powers() == sorted(f)
         for k in range(-7, 4):
-            assert F.coefficient(k).coeffs == f.get(k, zero)
-        assert rebuilt(F + G) == combine(frac_add, f, g)
-        assert rebuilt(F - G) == combine(frac_sub, f, g)
+            assert F.terms.get(k, ring.zero()).coeffs == f.get(k, zero)
+        minus_g, minus_f = hlaurent_scale(G, -1), hlaurent_scale(F, -1)
+        assert rebuilt(hlaurent_add(F, G)) == combine(frac_add, f, g)
+        assert rebuilt(hlaurent_add(F, minus_g)) == combine(frac_sub, f, g)
         assert rebuilt(F * G) == laurent_mul(table, f, g)
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        assert rebuilt(F.scale(c)) == combine(
+        assert rebuilt(hlaurent_scale(F, c)) == combine(
             frac_add, {k: frac_scale(v, c) for k, v in f.items()}, {})
-        assert F == HLaurent._graded(ring, F.buckets) == to_hlaurent(ring, f)
+        assert F == HLaurent(ring, F.buckets) == to_hlaurent(ring, f)
         assert (F == G) == (f == g)
-        assert not (F - F) and (F - F) == HLaurent(ring)
+        assert not hlaurent_add(F, minus_f)
+        assert hlaurent_add(F, minus_f) == HLaurent(ring, {})
         assert bool(F) == bool(f)
     assert mixed
     # a nilpotent class of mixed degrees, and divisor classes, whose inverse

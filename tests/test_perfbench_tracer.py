@@ -7,6 +7,10 @@ renames those methods breaks the traced pass; this test catches it.  So does
 a new public helper in ``polynomials`` or ``batyrev``: it would be wrapped,
 and a helper called in the completion's inner loops would slow the traced
 pass.
+
+No code in ``toriq`` calls ``HLaurent.__mul__``, which stays for that lookup
+alone, so the test multiplies two HLaurents, each built by the one
+constructor from its buckets, to keep its count above zero.
 """
 
 import importlib.util
@@ -40,7 +44,7 @@ def test_tracer_counts_class_products_and_restores(capsys):
         # multiply two classes and two HLaurents
         ring = build_cohomology_ring(builtin_fan("P2"))
         ring.divisors[0] * ring.divisors[1]
-        HLaurent.one(ring) * HLaurent.of_class(ring.divisors[0], -1)
+        HLaurent(ring, {0: ring.one()}) * HLaurent(ring, {0: ring.divisors[0]})
     finally:
         tracer.uninstall()
     assert code == 0
