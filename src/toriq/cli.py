@@ -9,18 +9,23 @@ Three subcommands over a fan (builtin catalog name or JSON file):
 * ``certify``   -- deformed presentation, module matrices, relation checks,
                    isomorphism certificate.
 
-Exit codes: 0 all certificates passed, 1 certificate failure, 2 input error
-(including a cutoff below the ell of a Mori generator, checked before any
-series is built), 3 theorem hypothesis unmet.  Reports are deterministic; the JSON form carries
-``"schema": "toriq/1"`` and renders every rational exactly as a string.
+Exit codes: 0 all certificates passed, 1 certificate failure, 2 input or
+usage error (including a cutoff below the ell of a Mori generator, checked
+before any series is built), 3 theorem hypothesis unmet, 141 stdout closed
+early.  ``main()`` called with no argv owns the process: it freezes the
+import-time heap so that the collections at interpreter exit skip it.
+Reports are deterministic; the JSON form carries ``"schema": "toriq/1"``
+and renders every rational exactly as a string.
 
 Every signed sum is rendered by ``polynomials._signed_sum``; a Novikov
 coefficient's exponents over the Mori generators are dot products with the
 cached ``MoriData.generator_inverse``.
 """
 
-import argparse
+import gc
 import json
+import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import mul
@@ -505,50 +510,123 @@ def exit_code_for(report):
     return 1 if report.get("failures") else 0
 
 
-def _nonneg_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"cutoff must be a non-negative integer, got {text!r}")
-    return value
+# argparse's help and usage text at 80 columns: importing argparse and
+# building its parsers cost each process about 8 ms
+USAGE = "usage: toriq [-h] {analyze,ifunction,certify} ...\n"
+HELP = USAGE + """
+exact quantum-deformation certificates for toric fans
+
+positional arguments:
+  {analyze,ifunction,certify}
+    analyze             combinatorial and cohomological analysis
+    ifunction           series coefficients and annihilation certificate
+    certify             deformed module and isomorphism certificate
+
+options:
+  -h, --help            show this help message and exit
+"""
+COMMAND_USAGE = ("usage: toriq %s [-h] --fan FAN [--cutoff CUTOFF] "
+                 "[--format {text,json}]\n")
+COMMAND_HELP = COMMAND_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --fan FAN             builtin name (BlP2, F0, F1, F2, F3, P1, P1xP1, P1xP2,
+                        P2) or path to a fan JSON file
+  --cutoff CUTOFF       truncation degree for the series (default 3)
+  --format {text,json}
+"""
+OPTIONS = ("-h", "--help", "--fan", "--cutoff", "--format")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="toriq",
-        description="exact quantum-deformation certificates for toric fans")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("analyze", "combinatorial and cohomological analysis"),
-            ("ifunction", "series coefficients and annihilation certificate"),
-            ("certify", "deformed module and isomorphism certificate")):
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--fan", required=True,
-                         help="builtin name (%s) or path to a fan JSON file"
-                         % ", ".join(sorted(CATALOG)))
-        cmd.add_argument("--cutoff", type=_nonneg_int, default=3,
-                         help="truncation degree for the series (default 3)")
-        cmd.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+def _fail(command, message):
+    """Write a usage error as argparse did and exit 2."""
+    usage, prog = ((COMMAND_USAGE % command, f"toriq {command}") if command
+                   else (USAGE, "toriq"))
+    sys.stderr.write(f"{usage}{prog}: error: {message}\n")
+    sys.exit(2)
+
+
+def _option(word, command):
+    """``(option, its "=value" or None)`` for a word naming an option or a
+    unique prefix of one (only -h/--help before the command), ``(word, None)``
+    for another option word and ``(None, None)`` for a value such as ``-1``."""
+    if word[:1] != "-" or word == "-" or re.fullmatch(r"-\d+|-\d*\.\d+", word):
+        return None, None
+    name, eq, value = word.partition("=")
+    found = [o for o in (OPTIONS if command else OPTIONS[:2])
+             if name != "--" and o.startswith(name)]
+    if len(found) > 1:
+        _fail(command,
+              f"ambiguous option: {word} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return (None if " " in word else word), None
+
+
+def parse_args(argv):
+    """``(command, fan, cutoff, format)`` from the words after ``toriq``,
+    parsed as argparse did."""
+    command, extras = None, []
+    args = {"--cutoff": 3, "--format": "text"}
+    words = [(word, *_option(word, None)) for word in argv]
+    while words:
+        word, option, value = words.pop(0)
+        if option in ("-h", "--help"):
+            if value is not None:
+                _fail(command, "argument -h/--help: ignored explicit "
+                      f"argument {value!r}")
+            sys.stdout.write(COMMAND_HELP % command if command else HELP)
+            sys.exit(0)
+        elif command is None and option is None:
+            if word not in ("analyze", "ifunction", "certify"):
+                _fail(None, f"argument command: invalid choice: {word!r} "
+                      "(choose from 'analyze', 'ifunction', 'certify')")
+            command = word
+            words = [(w, *_option(w, command)) for w, _, _ in words]
+        elif command and option in OPTIONS:
+            if value is None:
+                if not words or words[0][1] is not None:
+                    _fail(command, f"argument {option}: expected one argument")
+                value = words.pop(0)[0]
+            try:
+                args[option] = int(value) if option == "--cutoff" else value
+            except ValueError:
+                args[option] = -1
+            if option == "--cutoff" and args[option] < 0:
+                _fail(command, "argument --cutoff: cutoff must be a "
+                      f"non-negative integer, got {value!r}")
+            if option == "--format" and value not in ("text", "json"):
+                _fail(command, f"argument --format: invalid choice: "
+                      f"{value!r} (choose from 'text', 'json')")
+        else:
+            extras.append(word)
+    if command is None or "--fan" not in args:
+        _fail(command, "the following arguments are required: "
+              + ("--fan" if command else "command"))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return command, args["--fan"], args["--cutoff"], args["--format"]
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        # main owns the process: the full collections at interpreter exit
+        # then skip the import-time heap (about 10 ms a process)
+        gc.freeze()
+        argv = sys.argv[1:]
+    command, source, cutoff, fmt = parse_args(argv)
     try:
-        fan = ingest(args.fan)
+        fan = ingest(source)
     except (ParseError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "analyze":
+        if command == "analyze":
             report = run_analyze(fan)
-        elif args.command == "ifunction":
-            report = run_ifunction(fan, args.cutoff)
+        elif command == "ifunction":
+            report = run_ifunction(fan, cutoff)
         else:
-            report = run_certify(fan, args.cutoff)
+            report = run_certify(fan, cutoff)
     except (NoPositiveFunctional, InsufficientCutoff) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -556,10 +634,14 @@ def main(argv=None):
             NonUnitLeadingCoefficient) as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(_dumps(report))
-    else:
-        print(render_text(report), end="")
+    try:
+        print(_dumps(report) if fmt == "json" else render_text(report),
+              end="\n" if fmt == "json" else "", flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early: point fd 1 at devnull so that the
+        # interpreter's last flush does not raise again; 141 = 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return exit_code_for(report)
 
 

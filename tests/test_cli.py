@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -57,7 +58,11 @@ def validate_report(report):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of main(argv), help and usage included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -542,3 +547,149 @@ def test_insufficient_cutoff_fails_before_the_expensive_work(
     assert (code, out) == (2, "")
     assert err == ("input error: box operator of (1, 0, 0, 0, 1, 0, 0, 0, 0) "
                    "needs cutoff >= 4, got 3\n")
+
+
+# --- command-line parsing ------------------------------------------------------
+
+# what argparse printed at 80 columns, before the parser was replaced
+TOP_USAGE = "usage: toriq [-h] {analyze,ifunction,certify} ...\n"
+TOP_HELP = TOP_USAGE + """
+exact quantum-deformation certificates for toric fans
+
+positional arguments:
+  {analyze,ifunction,certify}
+    analyze             combinatorial and cohomological analysis
+    ifunction           series coefficients and annihilation certificate
+    certify             deformed module and isomorphism certificate
+
+options:
+  -h, --help            show this help message and exit
+"""
+ANALYZE_USAGE = ("usage: toriq analyze [-h] --fan FAN [--cutoff CUTOFF] "
+                 "[--format {text,json}]\n")
+ANALYZE_HELP = ANALYZE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --fan FAN             builtin name (BlP2, F0, F1, F2, F3, P1, P1xP1, P1xP2,
+                        P2) or path to a fan JSON file
+  --cutoff CUTOFF       truncation degree for the series (default 3)
+  --format {text,json}
+"""
+TOP_ERROR = TOP_USAGE + "toriq: error: "
+ANALYZE_ERROR = ANALYZE_USAGE + "toriq analyze: error: "
+
+USAGE_CASES = {
+    "no-arguments": ([], 2, "", TOP_ERROR
+                     + "the following arguments are required: command\n"),
+    "-h": (["-h"], 0, TOP_HELP, ""),
+    "--help": (["--help"], 0, TOP_HELP, ""),
+    "unknown-command": (["frob", "--fan", "P2"], 2, "", TOP_ERROR
+                        + "argument command: invalid choice: 'frob' (choose "
+                        "from 'analyze', 'ifunction', 'certify')\n"),
+    "no-fan": (["analyze"], 2, "", ANALYZE_ERROR
+               + "the following arguments are required: --fan\n"),
+    "command-h": (["analyze", "-h"], 0, ANALYZE_HELP, ""),
+    "help-after-options": (["analyze", "--fan", "P2", "--help"], 0,
+                           ANALYZE_HELP, ""),
+    "fan-without-value": (["analyze", "--fan"], 2, "", ANALYZE_ERROR
+                          + "argument --fan: expected one argument\n"),
+    "option-as-value": (["analyze", "--fan", "--cutoff", "2"], 2, "",
+                        ANALYZE_ERROR
+                        + "argument --fan: expected one argument\n"),
+    "bad-format": (["analyze", "--fan", "P2", "--format", "xml"], 2, "",
+                   ANALYZE_ERROR + "argument --format: invalid choice: "
+                   "'xml' (choose from 'text', 'json')\n"),
+    "unknown-option": (["analyze", "--fan", "P2", "--bogus", "1"], 2, "",
+                       TOP_ERROR + "unrecognized arguments: --bogus 1\n"),
+    "extra-positional": (["analyze", "--fan", "P2", "extra"], 2, "",
+                         TOP_ERROR + "unrecognized arguments: extra\n"),
+    "ambiguous-prefix": (["analyze", "--f", "P2"], 2, "", ANALYZE_ERROR
+                         + "ambiguous option: --f could match --fan, "
+                         "--format\n"),
+    "help-with-value": (["analyze", "--help=1"], 2, "", ANALYZE_ERROR
+                        + "argument -h/--help: ignored explicit argument "
+                        "'1'\n"),
+}
+
+
+@pytest.mark.parametrize("argv,code,out,err", USAGE_CASES.values(),
+                         ids=USAGE_CASES.keys())
+def test_usage_matches_argparse(monkeypatch, capsys, argv, code, out, err):
+    # argparse wrapped its help to $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,canonical", [
+    (["analyze", "--fan=P2", "--cut", "0"], ["analyze", "--fan", "P2"]),
+    (["analyze", "--fan", "F2", "--fan", "P2"], ["analyze", "--fan", "P2"]),
+    (["ifunction", "--fo=json", "--cutoff", "2", "--cut=1", "--fa", "P2"],
+     ["ifunction", "--fan", "P2", "--cutoff", "1", "--format", "json"]),
+], ids=["equals-and-prefix", "repeated-fan", "prefixes-any-order"])
+def test_option_forms_are_accepted(capsys, argv, canonical):
+    expected = run(capsys, *canonical)
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, *argv) == expected
+
+
+def test_help_lists_the_catalog():
+    text = " ".join(toriq.cli.COMMAND_HELP.split())
+    assert f"builtin name ({', '.join(sorted(CATALOG))}) or path" in text
+
+
+def console(*argv, **kwargs):
+    """Run ``sys.exit(main())`` in a fresh interpreter, as the console
+    script does: main() is called with no argv."""
+    src = str(Path(toriq.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from toriq.cli import main; sys.exit(main())", *argv],
+        env={**os.environ, "PYTHONPATH": src}, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--fan", "P2"],
+    ["certify", "--fan", "F3", "--format", "json"],
+    ["ifunction", "--fan", "F2", "--cutoff", "4", "--format", "json"],
+], ids=["analyze", "certify-exit3", "ifunction"])
+def test_program_entry_matches_in_process(capsys, argv):
+    # main() with no argv freezes the import-time heap; its output and exit
+    # code are those of main(argv)
+    with console(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                 text=True) as proc:
+        out, err = proc.communicate()
+    assert (proc.returncode, out, err) == run(capsys, *argv)
+
+
+def test_only_the_program_entry_freezes(monkeypatch, capsys):
+    before = gc.get_freeze_count()
+    assert main(["analyze", "--fan", "P2"]) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["toriq", "analyze", "--fan", "P2"])
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_import_loads_no_argument_parser():
+    src = str(Path(toriq.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, toriq.cli; print(sorted("
+         "{'argparse', 'gettext', 'locale'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the 91.6 KB report is larger than a pipe's 64 KiB buffer, so the
+    # writer is still writing when the reader closes after one byte
+    with console("ifunction", "--fan", "F1", "--cutoff", "12", "--format",
+                 "json", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                 bufsize=0) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
