@@ -3,7 +3,8 @@
 Three subcommands over a fan (builtin catalog name or JSON file):
 
 * ``analyze``   -- validation, primitive collections/relations/classes, Mori
-                   generators, semipositivity, effectivity witnesses.
+                   generators, semipositivity, effectivity witnesses, and
+                   the fan's h-vector as graded dimensions: no ring is built.
 * ``ifunction`` -- series coefficients, leading terms, two-point invariant
                    table, annihilation certificate.
 * ``certify``   -- deformed presentation, module matrices, relation checks,
@@ -39,8 +40,9 @@ from .batyrev import (
     certify_isomorphism,
 )
 from .catalog import CATALOG, builtin_fan
-from .cohomring import build_cohomology_ring, graded_dimensions, render_class
-from .fan import ValidationError, make_fan, validate_complete, validate_smooth
+from .cohomring import build_cohomology_ring, render_class
+from .fan import (ValidationError, h_vector, make_fan, validate_complete,
+                  validate_smooth)
 from .gkz import (
     AnnihilationFailure,
     InsufficientCutoff,
@@ -176,7 +178,6 @@ def fan_block(fan):
 
 def run_analyze(fan):
     md = mori_data(fan)
-    ring = build_cohomology_ring(fan)
     collections = []
     for pc, beta in zip(md.collections, md.generators):
         w = effectivity_witness(fan, pc)
@@ -199,8 +200,8 @@ def run_analyze(fan):
         "validation": {"smooth": True, "complete": True},
         "euler_characteristic": len(fan.max_cones),
         "cohomology": {
-            "dimension": ring.dim,
-            "graded_dimensions": graded_dimensions(ring),
+            "dimension": len(fan.max_cones),
+            "graded_dimensions": h_vector(fan),
         },
         "primitive_collections": collections,
         "mori": {

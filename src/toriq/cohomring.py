@@ -320,10 +320,6 @@ def divisor_class(ring, rho):
     return ring.divisors[rho]
 
 
-def graded_dimensions(ring):
-    return [ring.basis_degrees.count(d) for d in range(ring.top_degree + 1)]
-
-
 def render_class(c):
     """``render_poly`` of the class's polynomial, read off its numerators:
     the basis is in increasing term order, so it is walked backwards."""

@@ -13,12 +13,13 @@ violation.  ``Fan.chart``, computed once per fan, fixes the cone that the
 cohomology ring and the curve-class lattice are read in.  Each maximal
 cone's ray matrix is inverted once (``Fan.cone_inverses``), and every
 coordinate on a cone's rays is a dot product with a row of its inverse.
+``h_vector`` gives the even Betti numbers from the face counts alone.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from . import lattice
 
@@ -98,6 +99,12 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
         coords = tuple(tuple(self.coordinates(sigma0, self.rays[j]))
                        for j in surviving)
         return sigma0, surviving, coords
+
+    @cached_property
+    def faces(self):
+        """The cones of the fan as ray-index tuples, computed once per Fan."""
+        return {face for cone in self.max_cones
+                for k in range(len(cone) + 1) for face in combinations(cone, k)}
 
     def coordinates(self, cone, v):
         """Coordinates of ``v`` on the rays of a nonsingular maximal cone."""
@@ -187,6 +194,15 @@ def validate_complete(fan):
         raise ValidationError(
             f"fan is not complete: its cones cover space {degree} times, "
             f"expected once")
+
+
+def h_vector(fan):
+    """``h_k = sum_{i<=k} (-1)^(k-i) C(n-i, k-i) f_i``, ``f_i`` the number of
+    cones with ``i`` rays: the dimension of ``H^{2k}`` for a smooth complete
+    fan (Danilov, "The geometry of toric varieties", 1978)."""
+    n, f = fan.dim, Counter(map(len, fan.faces))
+    return [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i]
+                for i in range(k + 1)) for k in range(n + 1)]
 
 
 def minimal_cone_containing(fan, v):

@@ -16,11 +16,11 @@ polytope in the chart coordinates of ``Fan.chart``: a class is fixed by its
 entries on the rays outside ``sigma0``.  They are enumerated by a depth-first
 walk whose per-coordinate ranges come from exact Fourier-Motzkin projections
 of that polytope, so the work follows the number of classes, not the volume
-of a bounding box.  Chernikov's rule (Chernikov 1965; Kohler 1967; Imbert,
-"Fourier's elimination: which to choose?", 1993) keeps the projections
-small: after ``s`` eliminations a row combining more than ``s + 1`` of the
-given rows is redundant, so it is never formed.  The same walk searches for
-the smallest positive functional.
+of a bounding box.  Imbert's rule (Imbert, "Fourier's elimination: which to
+choose?", 1993), a sharper Chernikov's rule (Chernikov 1965; Kohler 1967),
+keeps the projections small: a row combining more given rows than one plus
+the eliminated variables they involve is redundant, so it is never formed.
+The same walk searches for the smallest positive functional.
 """
 
 from collections import namedtuple
@@ -99,10 +99,7 @@ def primitive_collections(fan):
     proper subset is.  Candidates beyond dim+1 elements cannot qualify (their
     big proper subsets are already too large to be faces).
     """
-    faces = set()
-    for cone in fan.max_cones:
-        for k in range(len(cone) + 1):
-            faces.update(combinations(cone, k))
+    faces = fan.faces
     found = []
     for size in range(2, fan.dim + 2):
         for cand in combinations(range(fan.n_rays), size):
@@ -142,16 +139,26 @@ def primitive_class(fan, pc):
 # --- exact linear programming (Fourier-Motzkin) ------------------------------
 
 
-def _fm_eliminate(system, k, steps):
-    """One Fourier-Motzkin step on rows ``(a, c, history)``: drop ``x_k``.
+def _given(rows):
+    """Rows ``(a, c)`` as ``_fm_eliminate``'s rows: row i's history is bit i."""
+    return [(a, c, 1 << i, sum(1 << j for j, x in enumerate(a) if x))
+            for i, (a, c) in enumerate(rows)]
+
+
+def _fm_eliminate(system, k, eliminated):
+    """One Fourier-Motzkin step on rows ``(a, c, history, support)``: drop
+    ``x_k``.
 
     A row stands for ``a . x >= c``; its history is the bit mask of the
-    original rows it combines.  Returns the rows without ``x_k`` (those with
-    ``a[k] == 0`` followed by one positive combination per lower/upper pair)
-    and the rows bounding ``x_k`` from below (``a[k] > 0``) and from above
-    (``a[k] < 0``).  ``steps`` counts the eliminations so far, this one
-    included.  By Chernikov's rule a combination of more than ``steps + 1``
-    original rows is redundant in the projection, so it is not formed.
+    given rows it combines, its support that of the variables they involve.
+    Returns the rows without ``x_k`` (those with ``a[k] == 0`` followed by
+    one positive combination per lower/upper pair) and the rows bounding
+    ``x_k`` from below (``a[k] > 0``) and from above (``a[k] < 0``).
+    ``eliminated`` masks the variables eliminated so far, ``x_k`` included
+    (``-1 << k`` when they go from the last down).  By Imbert's first
+    acceleration theorem a combination of more given rows than one plus the
+    eliminated variables of its support is redundant in the projection, so
+    it is not formed; this drops every pair that Chernikov's rule drops.
     """
     keep, lower, upper = [], [], []
     for row in system:
@@ -162,13 +169,13 @@ def _fm_eliminate(system, k, steps):
             lower.append(row)   # x_k >= (c - rest)/a_k
         else:
             upper.append(row)
-    for al, cl, hl in lower:
-        for au, cu, hu in upper:
-            h = hl | hu
-            if h.bit_count() > steps + 1:
+    for al, cl, hl, sl in lower:
+        for au, cu, hu, su in upper:
+            h, s = hl | hu, sl | su
+            if h.bit_count() > (s & eliminated).bit_count() + 1:
                 continue
             coeff = [al[j] * (-au[k]) + au[j] * al[k] for j in range(len(al))]
-            keep.append((coeff, cl * (-au[k]) + cu * al[k], h))
+            keep.append((coeff, cl * (-au[k]) + cu * al[k], h, s))
     return keep, lower, upper
 
 
@@ -177,16 +184,16 @@ def positive_functional(generators, nvars):
 
     Smallest means minimal sup-norm, then minimal 1-norm, then
     lexicographically least -- a deterministic tie-break.  A rational
-    Fourier-Motzkin projection of ``{g . ell >= 1}`` decides whether ell
-    exists; if it does, the lattice points of that system in the boxes
-    ``[-k, k]^nvars`` are searched for ``k = 1, 2, ...``.  Raises
+    Fourier-Motzkin projection of ``{g . ell >= 1}`` (Imbert's rule) decides
+    whether ell exists; if it does, the lattice points of that system in the
+    boxes ``[-k, k]^nvars`` are searched for ``k = 1, 2, ...``.  Raises
     NoPositiveFunctional when the cone is not strictly convex.
     """
     constraints = [(g, 1) for g in generators]
-    system = [(g, 1, 1 << i) for i, g in enumerate(generators)]
-    for steps, k in enumerate(range(nvars - 1, -1, -1), 1):
-        system = _fm_eliminate(system, k, steps)[0]
-    if any(c > 0 for _, c, _ in system):
+    system = _given(constraints)
+    for k in range(nvars - 1, -1, -1):
+        system = _fm_eliminate(system, k, -1 << k)[0]
+    if any(row[1] > 0 for row in system):
         raise NoPositiveFunctional(
             "no functional is >= 1 on all Mori generators; fan is not projective")
     # a rational ell scales to an integral one, so some box holds a point;
@@ -283,15 +290,15 @@ def _lattice_points(rows, r, lift):
     Eliminates ``y_{r-1}``, then ``y_{r-2}``, down to ``y_0`` by
     Fourier-Motzkin.  Level ``k`` holds the rows of the projection onto
     ``y_0..y_k`` that involve ``y_k``, split into lower and upper bounds.
-    Chernikov's rule (Chernikov 1965; Imbert, "Fourier's elimination: which
-    to choose?", 1993) leaves out every combination of more than ``s + 1``
-    given rows after ``s`` eliminations, which keeps the levels small.
-    Every derived row is divided by the gcd of its coefficients with the
-    constant rounded up (valid for integer points), and only the strongest
-    row per coefficient vector is kept.  A derived row ``0 >= c`` with
-    ``c > 0`` proves there is no integer point.  Otherwise a depth-first
-    walk takes each coordinate's integer range from its level once the
-    earlier ones are fixed.  Every given row bounds the coordinate of its
+    Rows are ``(a, c, history, support)``, and ``_fm_eliminate``'s Imbert
+    rule leaves out every combination of more given rows than one plus the
+    eliminated variables they involve, which keeps the levels small.  Every
+    derived row is divided by the gcd of its coefficients with the constant
+    rounded up (valid for integer points), and only the strongest row per
+    coefficient vector is kept.  A derived row ``0 >= c`` with ``c > 0``
+    proves there is no integer point.  Otherwise a depth-first walk takes
+    each coordinate's integer range from its level once the earlier ones
+    are fixed.  Every given row bounds the coordinate of its
     last nonzero entry, so each point found satisfies the system, and every
     row of a level holds at every integer point, so every point is found.
     The walk carries the image ``sum_a y_a lift[a]`` and every level row's
@@ -300,18 +307,18 @@ def _lattice_points(rows, r, lift):
     # a level row is [c - sum_{j<k} a_j y_j, a_k]; moves[j] pairs the later
     # levels' rows that involve y_j with their a_j
     bounds, moves = [([], []) for _ in range(r)], [[] for _ in range(r)]
-    system = [(a, c, 1 << i) for i, (a, c) in enumerate(rows)]
-    for steps, k in enumerate(range(r - 1, -1, -1), 1):
-        derived, lower, upper = _fm_eliminate(system, k, steps)
+    system = _given(rows)
+    for k in range(r - 1, -1, -1):
+        derived, lower, upper = _fm_eliminate(system, k, -1 << k)
         assert lower and upper, "the system must be bounded"
-        for a, c, _ in lower + upper:
+        for a, c, _, _ in lower + upper:
             row = [c, a[k]]
             bounds[k][a[k] < 0].append(row)
             for j in range(k):
                 if a[j]:
                     moves[j].append((row, a[j]))
         strongest = {}
-        for a, c, h in derived:
+        for a, c, h, s in derived:
             g = gcd(*a)
             if g == 0:
                 if c > 0:
@@ -320,8 +327,8 @@ def _lattice_points(rows, r, lift):
             a = tuple(x // g for x in a)
             c = -(-c // g)
             if a not in strongest or c > strongest[a][0]:
-                strongest[a] = (c, h)
-        system = [(a, c, h) for a, (c, h) in sorted(strongest.items())]
+                strongest[a] = (c, h, s)
+        system = [(a, c, h, s) for a, (c, h, s) in sorted(strongest.items())]
     points = []
 
     def walk(k, z):

@@ -15,8 +15,10 @@ The Groebner and cone oracles are the routines the engine used before its
 work was pruned: ``nullspace_rational`` with ``facet_normals``, which solves
 one nullspace per ``(r-1)``-subset of the generators; ``fm_feasible_point``,
 plain Fourier-Motzkin elimination with back-substitution, which keeps every
-combination of rows; ``dp_reduce``, which scans every pending level for the
-least ell and forms every tail's class; ``complete``, which reduces every
+combination of rows; ``chernikov_eliminate``, the walker's elimination step
+under Chernikov's rule instead of Imbert's, which swapped into
+``moricone._fm_eliminate`` gives the reference walker; ``dp_reduce``, which
+scans every pending level for the least ell and forms every tail's class; ``complete``, which reduces every
 S-pair; ``module_matrices``, which reduces every ray variable on every basis
 monomial; and ``normal_form``, which reduces a polynomial in the full ray
 variables to one NovikovScalar per basis monomial.  These three, and
@@ -641,6 +643,26 @@ def _fm_eliminate(system, k):
         for au, cu in upper:
             coeff = [al[j] * (-au[k]) + au[j] * al[k] for j in range(len(al))]
             keep.append((coeff, cl * (-au[k]) + cu * al[k]))
+    return keep, lower, upper
+
+
+def chernikov_eliminate(system, k, eliminated):
+    """``moricone._fm_eliminate`` under Chernikov's rule alone (Chernikov
+    1965), the reference for its Imbert rule.  After ``s`` eliminations,
+    ``s`` the number of a row's variables in ``eliminated``, a combination
+    of more than ``s + 1`` given rows is not formed, whatever variables it
+    involves.  Rows are ``(a, c, history, support)``."""
+    keep, lower, upper = [], [], []
+    for row in system:
+        a = row[0]
+        (keep if a[k] == 0 else lower if a[k] > 0 else upper).append(row)
+    for al, cl, hl, sl in lower:
+        steps = (eliminated & ((1 << len(al)) - 1)).bit_count()
+        for au, cu, hu, su in upper:
+            if (hl | hu).bit_count() > steps + 1:
+                continue
+            coeff = [al[j] * (-au[k]) + au[j] * al[k] for j in range(len(al))]
+            keep.append((coeff, cl * (-au[k]) + cu * al[k], hl | hu, sl | su))
     return keep, lower, upper
 
 

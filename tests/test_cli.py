@@ -529,6 +529,20 @@ def test_command_work_is_pinned(monkeypatch, capsys, tmp_path, command, fan,
     assert calls["dp_reduce"] <= dp_reduce_max, calls
 
 
+def test_analyze_builds_no_ring(monkeypatch):
+    # the dimension is the number of maximal cones and the graded
+    # dimensions the fan's h-vector, so no cohomology ring is built
+    def forbidden(*args):
+        raise AssertionError("analyze built a cohomology ring")
+
+    for module in (toriq.cli, toriq.cohomring):
+        monkeypatch.setattr(module, "build_cohomology_ring", forbidden)
+    report = run_analyze(oracles.wdp3())
+    assert exit_code_for(report) == 0
+    assert report["cohomology"] == {"dimension": 9,
+                                    "graded_dimensions": [1, 7, 1]}
+
+
 @pytest.mark.parametrize("command", ["ifunction", "certify"])
 def test_insufficient_cutoff_fails_before_the_expensive_work(
         monkeypatch, capsys, tmp_path, command):

@@ -23,8 +23,12 @@ the module that ``certify`` returns is checked by ``oracles.check_module``.
 
 Semipositivity, which ``mori_data`` decides from the primitive classes, is
 compared with ``oracles.wall_semipositive``, which reads the wall relations,
-on the catalog, the 16 weak del Pezzo fans, the generated fans and 86 toric
+on the catalog, the 16 weak del Pezzo fans, the generated fans and 278 toric
 P1-bundles (``oracles.p1_bundle``).
+
+On those fans and the products, the graded dimensions that ``analyze``
+reports, ``fan.h_vector`` from the face counts, are compared with the
+degrees of the cohomology ring's basis monomials.
 """
 
 import json
@@ -37,7 +41,7 @@ from toriq.batyrev import build_deformed_ideal, certify_isomorphism
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cli import main
 from toriq.cohomring import build_cohomology_ring, divisor_class, integrate
-from toriq.fan import make_fan
+from toriq.fan import h_vector, make_fan
 from toriq.gkz import i_function
 from toriq.moricone import (
     _facet_normals,
@@ -57,6 +61,7 @@ from oracles import (
     product_fan,
     relabel,
     wall_semipositive,
+    wdp4,
     wdp5,
 )
 from test_weak_del_pezzo import SEQUENCES, rays_of
@@ -220,12 +225,14 @@ def test_positive_functional_matches_least_scan(kind, i):
 
 def p1_bundles():
     """P(B, a) over P2 with a in {0,1,2}^3, over F1 with a_0 = 0 and a_i in
-    {0,1,2}, and over dP6 with a_0 = 0 and a_i in {0,1}.  Twists that
-    differ by a linear function give the same fan up to coordinates, so
-    a_0 = 0 only picks a representative."""
+    {0,1,2}, and over dP6, wdP5 and wdP4 with a_0 = 0 and a_i in {0,1}.
+    Twists that differ by a linear function give the same fan up to
+    coordinates, so a_0 = 0 only picks a representative.  wdP3, whose 256
+    bundles take about 5 s in ``mori_data``, is left out."""
     return [p1_bundle(base, (0,) * (base.n_rays - k) + a)
             for base, k, top in ((builtin_fan("P2"), 3, 3),
-                                 (builtin_fan("F1"), 3, 3), (dp6(), 5, 2))
+                                 (builtin_fan("F1"), 3, 3), (dp6(), 5, 2),
+                                 (wdp5(), 6, 2), (wdp4(), 7, 2))
             for a in product(range(top), repeat=k)]
 
 
@@ -238,12 +245,29 @@ def test_semipositive_matches_wall_relations():
     verdicts = [wall_semipositive(fan) for fan in fans]
     for fan, verdict in zip(fans, verdicts):
         assert mori_data(fan).semipositive == verdict, fan.name
-    assert len(bundles) == 86 and sum(verdicts[-86:]) == 48
+    assert len(bundles) == 278 and sum(verdicts[-278:]) == 53
+    # over wdP5 4 of 64 are semipositive, over wdP4 1 of 128
+    assert [sum(verdicts[-192:-128]), sum(verdicts[-128:])] == [4, 1]
     assert not verdicts[sorted(CATALOG).index("F3")]
 
 
 PRODUCTS = [("dP6", "dP6", 3), ("F1", "P2", 4), ("wdP5", "P1", 4),
             ("BlP2", "F2", 4)]
+
+
+def test_h_vector_matches_ring_basis_degrees():
+    # Danilov-Jurkiewicz: the even Betti numbers are the h-vector
+    fans = [builtin_fan(name) for name in sorted(CATALOG)] + \
+        [cycle_fan(str(a), rays_of(a)) for a in SEQUENCES] + \
+        [FANS[kind](i) for kind, i in GENERATED] + p1_bundles() + \
+        [product_fan(*(FANS[n]() if n in FANS else builtin_fan(n)
+                       for n in (a, b))) for a, b, _ in PRODUCTS]
+    for fan in fans:
+        ring = build_cohomology_ring(fan)
+        dims = [ring.basis_degrees.count(d) for d in range(fan.dim + 1)]
+        assert h_vector(fan) == dims, fan.name
+        assert sum(dims) == len(fan.max_cones) == ring.dim, fan.name
+    assert len(fans) == 9 + 16 + 30 + 278 + 4
 
 
 @pytest.mark.parametrize("a,b,cutoff", PRODUCTS,

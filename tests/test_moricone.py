@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import oracles
+from test_weak_del_pezzo import SEQUENCES, rays_of
 from toriq import moricone
 from toriq.catalog import CATALOG, NOT_SEMIPOSITIVE, SEMIPOSITIVE, builtin_fan
 from toriq import lattice
@@ -394,17 +395,9 @@ def test_lattice_points_match_box_scan_random():
             for y in expected], (rows, lift)
 
 
-def test_lattice_points_chernikov_random(monkeypatch):
-    drops = [0]     # lower/upper pairs that Chernikov's rule left uncombined
-    real = moricone._fm_eliminate
-
-    def counting(system, k, steps):
-        keep, lower, upper = real(system, k, steps)
-        flat = sum(1 for a, _, _ in system if a[k] == 0)
-        drops[0] += len(lower) * len(upper) - (len(keep) - flat)
-        return keep, lower, upper
-
-    monkeypatch.setattr(moricone, "_fm_eliminate", counting)
+def _random_systems():
+    """120 random bounded systems ``(rows, r, box)``, each a box ``[-box,
+    box]^r`` cut by 3 to 8 random rows, the rows shuffled."""
     rng = random.Random(1965)
     for _ in range(120):
         r = rng.randint(2, 5)
@@ -414,11 +407,70 @@ def test_lattice_points_chernikov_random(monkeypatch):
         rows += [(tuple(rng.randint(-3, 3) for _ in range(r)),
                   rng.randint(-6, 2)) for _ in range(rng.randint(3, 8))]
         rng.shuffle(rows)
+        yield rows, r, box
+
+
+def test_lattice_points_chernikov_random(monkeypatch):
+    drops = [0]     # lower/upper pairs that Imbert's rule left uncombined
+    real = moricone._fm_eliminate
+
+    def counting(system, k, eliminated):
+        keep, lower, upper = real(system, k, eliminated)
+        flat = sum(1 for row in system if row[0][k] == 0)
+        drops[0] += len(lower) * len(upper) - (len(keep) - flat)
+        return keep, lower, upper
+
+    monkeypatch.setattr(moricone, "_fm_eliminate", counting)
+    for rows, r, box in _random_systems():
         expected = [y for y in product(range(-box, box + 1), repeat=r)
                     if all(sum(a * x for a, x in zip(row, y)) >= c
                            for row, c in rows)]
         assert _lattice_points(rows, r, _identity(r)) == expected, rows
     assert drops[0] > 1000
+
+
+def test_imbert_walker_matches_chernikov_walker(monkeypatch):
+    """Imbert's rule drops pairs that Chernikov's keeps, never the points:
+    the walker finds the same ones with ``oracles.chernikov_eliminate`` on
+    every system that ``mori_data`` and ``enumerate_effective`` walk on the
+    catalog, the wide and the 16 weak del Pezzo fans at cutoff 3, and on
+    the random systems."""
+    calls = [(rows, r, _identity(r)) for rows, r, _ in _random_systems()]
+
+    def recording(*args):
+        calls.append(args)
+        return _lattice_points(*args)
+
+    monkeypatch.setattr(moricone, "_lattice_points", recording)
+    fans = list(CATALOG.values()) + [make() for make in WIDE_FANS.values()]
+    for fan in fans + [_cycle_fan(rays_of(a)) for a in SEQUENCES]:
+        enumerate_effective(mori_data(fan), 3)
+    points = [_lattice_points(*args) for args in calls]
+    monkeypatch.setattr(moricone, "_fm_eliminate", oracles.chernikov_eliminate)
+    assert [_lattice_points(*args) for args in calls] == points
+    assert len(calls) == 195
+
+
+def test_positive_functional_verdict_matches_fm_oracle():
+    # the rational projection under Imbert's rule decides as plain
+    # Fourier-Motzkin, which keeps every combination of rows
+    rng = random.Random(1993)
+    verdicts = []
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(nvars))
+                for _ in range(rng.randint(1, 7))]
+        feasible = oracles.fm_feasible_point(
+            [(g, 1) for g in gens], nvars) is not None
+        try:
+            ell = positive_functional(gens, nvars)
+        except NoPositiveFunctional:
+            ell = None
+        assert (ell is not None) == feasible, gens
+        assert ell is None or all(
+            sum(a * b for a, b in zip(ell, g)) >= 1 for g in gens)
+        verdicts.append(feasible)
+    assert 50 < sum(verdicts) < 250
 
 
 def _kernel_generators(fan):
@@ -531,21 +583,56 @@ def test_facet_normals_wdp4_work(monkeypatch):
 
 
 def test_lattice_points_wdp3_work(monkeypatch):
-    """Chernikov's rule keeps the projection small: without it the fifth
+    """Imbert's rule keeps the projection small: with no rule the fifth
     and sixth systems eliminated on wdP3 at cutoff 4 have 1,561 and 36,122
     rows, where no system here exceeds 204."""
     md = mori_data(WIDE_FANS["wdP3"]())
     sizes = []
     real = moricone._fm_eliminate
 
-    def sizing(system, k, steps):
+    def sizing(system, k, eliminated):
         sizes.append(len(system))
         assert len(system) <= 204, sizes    # fail before memory runs out
-        return real(system, k, steps)
+        return real(system, k, eliminated)
 
     monkeypatch.setattr(moricone, "_fm_eliminate", sizing)
     assert len(enumerate_effective(md, 4)) == 726
     assert len(sizes) == 7
+
+
+def test_lattice_points_wdp3xwdp3_work(monkeypatch):
+    """On wdP3xwdP3 (18 rays, Picard rank 14) at cutoff 4, no system of
+    ``mori_data`` or ``enumerate_effective`` exceeds 704 rows and the walks
+    enter 33,420 nodes.  Under Chernikov's rule the eliminations of one
+    factor's variables loosen the bound for the other factor's rows:
+    ``positive_functional``'s box systems grow until ``analyze`` peaks at
+    777 MiB.  The size check fails long before that."""
+    fan = oracles.product_fan(oracles.wdp3(), oracles.wdp3())
+    sizes, nodes = [], [0]
+    real_eliminate = moricone._fm_eliminate
+    real_points = moricone._lattice_points
+
+    def sizing(system, k, eliminated):
+        sizes.append(len(system))
+        assert len(system) <= 704, sizes    # fail before memory runs out
+        return real_eliminate(system, k, eliminated)
+
+    class Counted(tuple):
+        # the walk reads lift[k] once per node it enters at depth k + 1
+        def __iter__(self):
+            nodes[0] += 1
+            assert nodes[0] <= 33420, "walker nodes"
+            return super().__iter__()
+
+    def counted(rows, r, lift):
+        return real_points(rows, r, [Counted(v) for v in lift])
+
+    monkeypatch.setattr(moricone, "_fm_eliminate", sizing)
+    monkeypatch.setattr(moricone, "_lattice_points", counted)
+    md = mori_data(fan)
+    assert md.ell == (2, 2, 3) * 6
+    assert len(enumerate_effective(md, 4)) == 7373
+    assert nodes == [33420] and len(sizes) == 61
 
 
 def test_enumerate_effective_wdp3_ell_calls(monkeypatch):
