@@ -14,7 +14,10 @@ Exit codes: 0 all certificates passed, 1 certificate failure, 2 input or
 usage error (including a cutoff below the ell of a Mori generator, checked
 before any series is built), 3 theorem hypothesis unmet, 141 stdout closed
 early.  ``main()`` called with no argv owns the process: it freezes the
-import-time heap so that the collections at interpreter exit skip it.
+import-time heap so that the collections at interpreter exit skip it.  That
+heap holds the eager layers only: ``batyrev``, ``cohomring``, ``gkz`` and
+``polynomials`` are held here as lazy modules (see the package docstring)
+and load on a command's first call through them, after the freeze.
 Reports are deterministic; the JSON form carries ``"schema": "toriq/1"``
 and renders every rational exactly as a string.
 
@@ -31,29 +34,11 @@ import sys
 from json.encoder import encode_basestring_ascii
 from operator import mul
 
+from . import batyrev, cohomring, gkz
 from . import polynomials as P
-from .batyrev import (
-    BasisNotPreserved,
-    NonUnitLeadingCoefficient,
-    RelationNonzero,
-    build_deformed_ideal,
-    certify_isomorphism,
-)
 from .catalog import CATALOG, builtin_fan
-from .cohomring import build_cohomology_ring, render_class
 from .fan import (ValidationError, h_vector, make_fan, validate_complete,
                   validate_smooth)
-from .gkz import (
-    AnnihilationFailure,
-    InsufficientCutoff,
-    PositiveHbarPower,
-    annihilation_certificate,
-    check_cutoff,
-    extract_two_point_invariants,
-    gkz_operator,
-    i_function,
-    leading_terms,
-)
 from .moricone import NoPositiveFunctional, effectivity_witness, mori_data
 
 SCHEMA = "toriq/1"
@@ -160,7 +145,7 @@ def expansion_str(ring, md, expansion):
 
 def hlaurent_entries(h):
     return [{"hbar_power": power,
-             "class": render_class(h.terms[power])}
+             "class": cohomring.render_class(h.terms[power])}
             for power in sorted(h.terms, reverse=True)]
 
 
@@ -215,10 +200,10 @@ def run_analyze(fan):
 
 def run_ifunction(fan, cutoff):
     md = mori_data(fan)
-    check_cutoff(md.ell_of, md.generators, cutoff)
-    ring = build_cohomology_ring(fan)
-    I = i_function(ring, md, cutoff)
-    lt = leading_terms(I)
+    gkz.check_cutoff(md.ell_of, md.generators, cutoff)
+    ring = cohomring.build_cohomology_ring(fan)
+    I = gkz.i_function(ring, md, cutoff)
+    lt = gkz.leading_terms(I)
     coeff_rows = []
     for beta in sorted(I.terms, key=lambda b: (md.ell_of(b), b)):
         coeff_rows.append({
@@ -236,17 +221,17 @@ def run_ifunction(fan, cutoff):
         "leading_terms": {
             "i0_is_one": lt.i0_is_one,
             "i0_deviations": [
-                {"class": list(b), "value": render_class(c)}
+                {"class": list(b), "value": cohomring.render_class(c)}
                 for b, c in sorted(lt.i0.items())
                 if any(b) or c != ring.one()],
             "i1": [
-                {"class": list(b), "value": render_class(c)}
+                {"class": list(b), "value": cohomring.render_class(c)}
                 for b, c in sorted(lt.i1.items())],
         },
     }
     failures = []
     try:
-        table = extract_two_point_invariants(ring, I)
+        table = gkz.extract_two_point_invariants(ring, I)
         entries = []
         for (a, k, beta), val in sorted(table.entries.items(),
                                         key=lambda kv: (kv[0][2], kv[0][1],
@@ -258,13 +243,13 @@ def run_ifunction(fan, cutoff):
                 "value": str(val),
             })
         report["two_point_invariants"] = {"status": "ok", "entries": entries}
-    except PositiveHbarPower as exc:
+    except gkz.PositiveHbarPower as exc:
         status = "skipped" if not md.semipositive else "failed"
         report["two_point_invariants"] = {"status": status, "reason": str(exc)}
         if md.semipositive:
             failures.append(f"two-point extraction failed: {exc}")
     try:
-        ann = annihilation_certificate(I, md)
+        ann = gkz.annihilation_certificate(I, md)
         # the check raises on a failing generator, so each "ok" is true
         report["annihilation"] = {
             "status": "ok",
@@ -272,7 +257,7 @@ def run_ifunction(fan, cutoff):
                 {"class": list(beta), "certified_ell": certified, "ok": True}
                 for beta, certified in ann],
         }
-    except AnnihilationFailure as exc:
+    except gkz.AnnihilationFailure as exc:
         report["annihilation"] = {"status": "failed", "reason": str(exc)}
         failures.append(f"annihilation failed: {exc}")
     if md.semipositive and not lt.i0_is_one:
@@ -296,10 +281,10 @@ def run_certify(fan, cutoff):
             "reason": "theorem not applicable: fan is not semipositive",
         }
         return report
-    check_cutoff(md.ell_of, md.generators, cutoff)
-    ring = build_cohomology_ring(fan)
-    ideal = build_deformed_ideal(fan, md, ring, cutoff)
-    module = certify_isomorphism(ideal, md)
+    gkz.check_cutoff(md.ell_of, md.generators, cutoff)
+    ring = cohomring.build_cohomology_ring(fan)
+    ideal = batyrev.build_deformed_ideal(fan, md, ring, cutoff)
+    module = batyrev.certify_isomorphism(ideal, md)
     var_all = [f"x{r + 1}" for r in range(fan.n_rays)]
     report["presentation"] = {
         "eliminated": {
@@ -326,7 +311,7 @@ def run_certify(fan, cutoff):
     }
     # certify_isomorphism raises on any failed check, so these are constant
     report["relations"] = [
-        {"relation": _relation_str(md, gkz_operator(beta), fan),
+        {"relation": _relation_str(md, gkz.gkz_operator(beta), fan),
          "vanishes": True}
         for beta in md.generators]
     report["certificate"] = {
@@ -612,7 +597,8 @@ def parse_args(argv):
 def main(argv=None):
     if argv is None:
         # main owns the process: the full collections at interpreter exit
-        # then skip the import-time heap (about 10 ms a process)
+        # then skip the import-time heap (about 10 ms a process), which
+        # holds the eager layers; the lazy ones load after this
         gc.freeze()
         argv = sys.argv[1:]
     command, source, cutoff, fmt = parse_args(argv)
@@ -628,11 +614,12 @@ def main(argv=None):
             report = run_ifunction(fan, cutoff)
         else:
             report = run_certify(fan, cutoff)
-    except (NoPositiveFunctional, InsufficientCutoff) as exc:
+    except (NoPositiveFunctional, gkz.InsufficientCutoff) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (AnnihilationFailure, RelationNonzero, BasisNotPreserved,
-            NonUnitLeadingCoefficient) as exc:
+    except (gkz.AnnihilationFailure, batyrev.RelationNonzero,
+            batyrev.BasisNotPreserved,
+            batyrev.NonUnitLeadingCoefficient) as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
     try:

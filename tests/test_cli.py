@@ -482,9 +482,6 @@ def test_corrupted_series_fails_ifunction_and_certify(monkeypatch, capsys,
     def corrupted(ring, md, cutoff):
         return perturbed_series(i_function(ring, md, cutoff), beta, shift)
 
-    # run_ifunction calls the name it imported, certify_isomorphism the
-    # gkz module's
-    monkeypatch.setattr(toriq.cli, "i_function", corrupted)
     monkeypatch.setattr(toriq.gkz, "i_function", corrupted)
     code, out, _ = run(capsys, "ifunction", "--fan", "F1")
     assert code == 1
@@ -535,8 +532,7 @@ def test_analyze_builds_no_ring(monkeypatch):
     def forbidden(*args):
         raise AssertionError("analyze built a cohomology ring")
 
-    for module in (toriq.cli, toriq.cohomring):
-        monkeypatch.setattr(module, "build_cohomology_ring", forbidden)
+    monkeypatch.setattr(toriq.cohomring, "build_cohomology_ring", forbidden)
     report = run_analyze(oracles.wdp3())
     assert exit_code_for(report) == 0
     assert report["cohomology"] == {"dimension": 9,
@@ -549,12 +545,8 @@ def test_insufficient_cutoff_fails_before_the_expensive_work(
     def forbidden(*args):
         raise AssertionError("ran before the cutoff check")
 
-    # the commands call the names they imported, certify_isomorphism the
-    # gkz module's
-    for module in (toriq.cli, toriq.batyrev):
-        monkeypatch.setattr(module, "build_deformed_ideal", forbidden)
-    for module in (toriq.cli, toriq.gkz):
-        monkeypatch.setattr(module, "i_function", forbidden)
+    monkeypatch.setattr(toriq.batyrev, "build_deformed_ideal", forbidden)
+    monkeypatch.setattr(toriq.gkz, "i_function", forbidden)
     path = tmp_path / "wdP3.json"
     path.write_text(json.dumps(FAN_FILES["wdP3"]))
     code, out, err = run(capsys, command, "--fan", str(path), "--cutoff", "3")
@@ -695,6 +687,78 @@ def test_import_loads_no_argument_parser():
          "{'argparse', 'gettext', 'locale'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# the layers that toriq/__init__.py loads on first use
+LAZY = ("polynomials", "novikov", "cohomring", "gkz", "batyrev")
+
+# a lazy module is in sys.modules from import, a _LazyModule until it runs
+LOADED_AFTER = """
+import contextlib, io, json, sys, types
+from toriq.cli import ingest, main
+with contextlib.redirect_stdout(io.StringIO()):
+    result = {call}
+json.dump([result if type(result) is int else None,
+           [name for name in {lazy!r}
+            if type(sys.modules["toriq." + name]) is types.ModuleType]],
+          sys.stderr)
+"""
+
+# reads the package's names first, while the lazy modules are unloaded
+PACKAGE_NAMES = """
+import importlib, json, sys, toriq
+exports = json.loads(sys.argv[1])
+got = {name: getattr(toriq, name) for names in exports.values()
+       for name in names}
+star = {}
+exec("from toriq import *", star)
+json.dump([[name for module, names in exports.items() for name in names
+            if got[name] is getattr(importlib.import_module("toriq." + module),
+                                    name)],
+           sorted(set(star) - {"__builtins__"}), toriq.__all__], sys.stderr)
+"""
+
+
+def _fresh(code, *argv):
+    """Run ``code`` in a fresh interpreter on the package under test; return
+    what it writes to stderr, read as JSON."""
+    src = str(Path(toriq.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr)
+
+
+@pytest.mark.parametrize("call,code,loaded", [
+    ("ingest(sys.argv[1])", None, []),
+    ("main(['analyze', '--fan', sys.argv[1]])", 0, []),
+    ("main(['certify', '--fan', 'F3'])", 3, []),
+    ("main(['ifunction', '--fan', sys.argv[1]])", 0, list(LAZY)),
+], ids=["ingest", "analyze", "certify-not-semipositive", "ifunction"])
+def test_series_and_groebner_layers_load_on_first_use(tmp_path, call, code,
+                                                      loaded):
+    path = tmp_path / "dP6.json"
+    path.write_text(json.dumps(FAN_FILES["dP6"]))
+    assert _fresh(LOADED_AFTER.format(call=call, lazy=LAZY),
+                  str(path)) == [code, loaded]
+
+
+def test_package_names_are_the_defining_modules_objects():
+    exports = {
+        "fan": ["Fan", "make_fan", "validate_smooth", "validate_complete"],
+        "catalog": ["CATALOG", "builtin_fan"],
+        "moricone": ["mori_data", "enumerate_effective"],
+        "cohomring": ["build_cohomology_ring", "divisor_class", "integrate"],
+        "gkz": ["i_function", "leading_terms", "annihilation_certificate"],
+        "batyrev": ["build_deformed_ideal", "module_matrices",
+                    "certify_isomorphism"],
+    }
+    same, star, all_ = _fresh(PACKAGE_NAMES, json.dumps(exports))
+    names = [name for names in exports.values() for name in names]
+    assert sorted(all_) == sorted(names)
+    assert same == names
+    assert star == sorted(names)
 
 
 def test_closed_stdout_exits_141_without_traceback():

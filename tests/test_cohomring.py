@@ -341,7 +341,7 @@ def test_dp6_one_chart_and_no_class_product_in_ring_build(
         return mul(self, other)
 
     monkeypatch.setattr(CohClass, "__mul__", counted_mul)
-    build = toriq.cli.build_cohomology_ring
+    build = toriq.cohomring.build_cohomology_ring
 
     def traced_build(fan):
         building.append(fan)
@@ -350,7 +350,8 @@ def test_dp6_one_chart_and_no_class_product_in_ring_build(
         finally:
             building.pop()
 
-    monkeypatch.setattr(toriq.cli, "build_cohomology_ring", traced_build)
+    monkeypatch.setattr(toriq.cohomring, "build_cohomology_ring",
+                        traced_build)
     assert toriq.cli.main([command, "--fan", str(path), "--cutoff", "6"]) == 0
     capsys.readouterr()
     assert len(charts) == 1

@@ -24,7 +24,9 @@ the module that ``certify`` returns is checked by ``oracles.check_module``.
 Semipositivity, which ``mori_data`` decides from the primitive classes, is
 compared with ``oracles.wall_semipositive``, which reads the wall relations,
 on the catalog, the 16 weak del Pezzo fans, the generated fans and 278 toric
-P1-bundles (``oracles.p1_bundle``).
+P1-bundles (``oracles.p1_bundle``).  Each semipositive bundle is certified
+and its module checked by ``oracles.check_module``; each other bundle is
+refused with exit 3.
 
 On those fans and the products, the graded dimensions that ``analyze``
 reports, ``fan.h_vector`` from the face counts, are compared with the
@@ -39,7 +41,7 @@ import pytest
 
 from toriq.batyrev import build_deformed_ideal, certify_isomorphism
 from toriq.catalog import CATALOG, builtin_fan
-from toriq.cli import main
+from toriq.cli import exit_code_for, main, run_certify
 from toriq.cohomring import build_cohomology_ring, divisor_class, integrate
 from toriq.fan import h_vector, make_fan
 from toriq.gkz import i_function
@@ -249,6 +251,27 @@ def test_semipositive_matches_wall_relations():
     # over wdP5 4 of 64 are semipositive, over wdP4 1 of 128
     assert [sum(verdicts[-192:-128]), sum(verdicts[-128:])] == [4, 1]
     assert not verdicts[sorted(CATALOG).index("F3")]
+
+
+def test_p1_bundles_certify_or_exit_3():
+    # 53 semipositive bundles, certified at the ell of their largest Mori
+    # generator (at least 3); the other 225 are refused as hypothesis_unmet.
+    # The wall relations sort them, so each runs mori_data once
+    cutoffs = []
+    for fan in p1_bundles():
+        if not wall_semipositive(fan):
+            report = run_certify(fan, 3)
+            assert report["certificate"]["verdict"] == "hypothesis_unmet"
+            assert exit_code_for(report) == 3, fan.name
+            continue
+        md = mori_data(fan)
+        assert md.semipositive, fan.name
+        cutoff = max(3, *map(md.ell_of, md.generators))
+        ring = build_cohomology_ring(fan)
+        ideal = build_deformed_ideal(fan, md, ring, cutoff)
+        check_module(fan, md.ell, cutoff, certify_isomorphism(ideal, md))
+        cutoffs.append(cutoff)
+    assert (len(cutoffs), cutoffs.count(4)) == (53, 5)
 
 
 PRODUCTS = [("dP6", "dP6", 3), ("F1", "P2", 4), ("wdP5", "P1", 4),

@@ -11,9 +11,19 @@ pass.
 No code in ``toriq`` calls ``HLaurent.__mul__``, which stays for that lookup
 alone, so the test multiplies two HLaurents, each built by the one
 constructor from its buckets, to keep its count above zero.
+
+``Tracer.install`` reads every layer from ``sys.modules``, and the benchmark
+installs it after a pass's first case, an ``analyze``, which does not run
+the series and Groebner layers.  Those layers are registered through
+``importlib.util.LazyLoader`` rather than imported inside functions so that
+they are in ``sys.modules`` all the same; a fresh interpreter that runs
+``analyze``, installs the tracer and then runs ``certify`` guards that.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -83,3 +93,46 @@ def test_tracer_counts_certify_reductions(capsys):
     wrapped = {name for name, *_ in tracer_module._wrap_targets(modules)
                if name.split(".")[0] in ("polynomials", "batyrev")}
     assert wrapped == WRAPPED_ENGINE
+
+
+# Installs the tracer after analyze, as the benchmark does, then certifies.
+AFTER_ANALYZE = """
+import contextlib, importlib.util, io, json, sys
+from toriq.cli import main
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["analyze", "--fan", "P2"])]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    wrapped = [(owner, attr) for owner, attr, _ in tracer._restore]
+    try:
+        codes.append(main(["certify", "--fan", "P2", "--cutoff", "3"]))
+    finally:
+        tracer.uninstall()
+metrics = tracer.metrics()
+json.dump({"codes": codes,
+           "i_function_calls": metrics["gkz.i_function_calls"],
+           "module_matrices_calls": metrics["batyrev.module_matrices_calls"],
+           "wrapped": sorted({f"{getattr(owner, '__name__', owner)}.{attr}"
+                              for owner, attr in wrapped}),
+           "left_wrapped": [f"{owner}.{attr}" for owner, attr in wrapped
+                            if hasattr(getattr(owner, attr), "__wrapped__")]},
+          sys.stderr)
+"""
+
+
+def test_tracer_installs_after_analyze_and_restores():
+    src = str(Path(toriq.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", AFTER_ANALYZE, str(TRACER)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stderr)
+    assert result["codes"] == [0, 0]
+    assert result["i_function_calls"] == 1
+    assert result["module_matrices_calls"] == 1
+    assert {"toriq.gkz.i_function", "toriq.batyrev.module_matrices",
+            "toriq.batyrev.dp_reduce"} <= set(result["wrapped"])
+    assert result["left_wrapped"] == []
