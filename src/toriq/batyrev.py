@@ -45,7 +45,7 @@ from itertools import count
 from math import lcm
 
 from . import polynomials as P
-from .novikov import NovikovContext, NovikovScalar
+from .novikov import NovikovContext
 
 
 class NonUnitLeadingCoefficient(ValueError):
@@ -345,31 +345,21 @@ def _multiplication_columns(ring, rules, ctx):
 
 class BatyrevModule(namedtuple("BatyrevModule", (
         "ideal",              # DeformedIdeal
-        "matrices"))):        # ray index -> rows x cols of NovikovScalar
+        "columns",            # ray -> basis index a -> {k: {beta: numerator}}
+        "den"))):             # the one denominator of every numerator
     __slots__ = ()
 
     @property
     def ring(self):
         return self.ideal.ring
 
-    def star_column(self, rho, basis_index):
-        """Expansion of x_rho * basis[a] over the basis."""
-        mat = self.matrices[rho]
-        return [mat[b][basis_index] for b in range(len(mat))]
-
 
 def module_matrices(ideal):
-    """Multiplication matrix of every ray variable on the classical basis:
-    the column reader's integer entries, each made a NovikovScalar once and
-    as it is, since normal forms are nonzero and under the cutoff."""
-    ctx, dim = ideal.ctx, ideal.ring.dim
-    columns, den = _multiplication_columns(ideal.ring, ideal.rules, ctx)
-    return BatyrevModule(ideal=ideal, matrices={
-        rho: [[NovikovScalar._exact(ctx, {
-            b: Fraction(x, den) if x % den else x // den
-            for b, x in col.get(k, {}).items()}) for col in cols]
-            for k in range(dim)]
-        for rho, cols in enumerate(columns)})
+    """Batyrev's module: the column reader's table of every ray variable on
+    the classical basis, ``columns[rho][a]`` the nonzero entries of
+    ``x_rho basis[a]`` as integer numerators over ``den``."""
+    columns, den = _multiplication_columns(ideal.ring, ideal.rules, ideal.ctx)
+    return BatyrevModule(ideal=ideal, columns=columns, den=den)
 
 
 def relation_check(ideal, operators):
@@ -399,7 +389,8 @@ def certify_isomorphism(ideal, md):
     the identity, so its determinant is 1: for each basis monomial ``m != 1``
     with last nonzero exponent ``j``, the module column of ``x_j`` on the
     basis monomial ``m / x_j`` (standard monomials are closed under
-    division) must be the unit vector of ``m`` (``BasisNotPreserved``).
+    division) must be the unit vector of ``m``, the column ``{m: {0: den}}``
+    since the column reader drops zero entries (``BasisNotPreserved``).
     Returns the checked ``BatyrevModule``, so a report renders from it
     without recomputing it.
     """
@@ -414,14 +405,13 @@ def certify_isomorphism(ideal, md):
     relation_check(ideal, [gkz_operator(beta) for beta in md.generators])
     module = module_matrices(ideal)
     index = {m: i for i, m in enumerate(ring.basis)}
-    unit, zero = NovikovScalar.unit(ctx), NovikovScalar(ctx)
     for a, mono in enumerate(ring.basis):
         if any(mono):
             j = max(k for k, e in enumerate(mono) if e)
             below = mono[:j] + (mono[j] - 1,) + mono[j + 1:]
             rho = ring.surviving[j]
-            col = [unit if b == a else zero for b in range(ring.dim)]
-            if module.star_column(rho, index[below]) != col:
+            if module.columns[rho][index[below]] != \
+                    {a: {ctx.zero_class: module.den}}:
                 raise BasisNotPreserved(
                     f"x{rho + 1} * {below} is not the basis monomial {mono}")
     return module

@@ -31,6 +31,7 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import mul
 
@@ -124,23 +125,24 @@ def novikov_monomial_str(md, beta):
                     for i, a in enumerate(coords) if a)
 
 
-def scalar_str(scalar, md):
-    """Render a NovikovScalar with generator-coordinate monomials."""
-    ctx = scalar.ctx
+def scalar_str(levels, den, md):
+    """Render a module entry, ``{beta: numerator}`` over ``den``, with
+    generator-coordinate monomials, lowest ell first."""
     return P._signed_sum(
-        (scalar.terms[b], novikov_monomial_str(md, b) if any(b) else "")
-        for b in sorted(scalar.terms, key=lambda b: (ctx.ell_of(b), b)))
+        (Fraction(levels[b], den), novikov_monomial_str(md, b) if any(b)
+         else "") for b in sorted(levels, key=lambda b: (md.ell_of(b), b)))
 
 
 def basis_monomial_str(ring, mono):
     return P.render_monomial(mono, ring.var_names) or "1"
 
 
-def expansion_str(ring, md, expansion):
-    """Render a basis expansion with NovikovScalar coefficients."""
+def expansion_str(ring, md, column, den):
+    """Render a module column, ``{basis index: levels}`` over ``den``."""
     return P._signed_sum(
-        (scalar_str(scalar, md), P.render_monomial(mono, ring.var_names))
-        for mono, scalar in zip(ring.basis, expansion) if scalar)
+        (scalar_str(column[k], den, md),
+         P.render_monomial(ring.basis[k], ring.var_names))
+        for k in sorted(column))
 
 
 def hlaurent_entries(h):
@@ -299,11 +301,11 @@ def run_certify(fan, cutoff):
     stars = []
     for rho in range(fan.n_rays):
         for a, mono in enumerate(ring.basis):
-            col = module.star_column(rho, a)
             stars.append({
                 "variable": var_all[rho],
                 "basis_monomial": basis_monomial_str(ring, mono),
-                "value": expansion_str(ring, md, col),
+                "value": expansion_str(ring, md, module.columns[rho][a],
+                                       module.den),
             })
     report["module"] = {
         "basis": [basis_monomial_str(ring, m) for m in ring.basis],
@@ -614,7 +616,11 @@ def main(argv=None):
             report = run_ifunction(fan, cutoff)
         else:
             report = run_certify(fan, cutoff)
-    except (NoPositiveFunctional, gkz.InsufficientCutoff) as exc:
+    except NoPositiveFunctional as exc:
+        # its own clause: evaluating the next one loads the series layers
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except gkz.InsufficientCutoff as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (gkz.AnnihilationFailure, batyrev.RelationNonzero,

@@ -5,8 +5,8 @@ Three layers, each exact:
 * ``NovikovScalar`` -- a finite QQ-linear combination of semigroup symbols
   ``q^beta`` keyed by full curve-class vectors, truncated by the positive
   functional ``ell`` at a fixed cutoff: a sparse polynomial whose exponents
-  are curve classes, so ``polynomials`` does its arithmetic and only the
-  public constructor truncates and normalizes (``_exact`` skips both).
+  are curve classes, so ``polynomials`` does its arithmetic and the
+  constructor truncates and normalizes.  The pipeline builds none.
 * ``HLaurent`` -- a finitely supported Laurent polynomial in the formal
   variable hbar whose coefficients are cohomology classes; nothing is ever
   windowed or silently dropped.  It is a record of one class per total
@@ -59,14 +59,6 @@ class NovikovScalar:
             if c and ctx.ell_of(beta) <= ctx.cutoff:
                 clean[tuple(beta)] = c
         self.terms = clean
-
-    @classmethod
-    def _exact(cls, ctx, terms):
-        """A scalar of ``terms`` kept as given: each coefficient nonzero and
-        as ``polynomials._rational`` gives it, each class under the cutoff."""
-        out = cls.__new__(cls)
-        out.ctx, out.terms = ctx, terms
-        return out
 
     @classmethod
     def unit(cls, ctx, c=1):

@@ -20,9 +20,13 @@ under Chernikov's rule instead of Imbert's, which swapped into
 ``moricone._fm_eliminate`` gives the reference walker; ``dp_reduce``, which
 scans every pending level for the least ell and forms every tail's class; ``complete``, which reduces every
 S-pair; ``module_matrices``, which reduces every ray variable on every basis
-monomial; and ``normal_form``, which reduces a polynomial in the full ray
-variables to one NovikovScalar per basis monomial.  These three, and
-``mult_table``, reduce through this ``dp_reduce``.
+monomial into a dense grid, ``{rho: rows x cols of NovikovScalar}``; and
+``normal_form``, which reduces a polynomial in the full ray variables to one
+NovikovScalar per basis monomial.  These three, and ``mult_table``, reduce
+through this ``dp_reduce``.  ``module_scalars`` reads ``toriq``'s module, the
+column reader's integer table, into the same grid through the public
+constructor, and ``star_column`` reads one column of that grid, so the tests
+compare the two and read entries as scalars.
 
 ``curve_lattice_basis`` reads the curve-class lattice in a chart of its own,
 for the scans that check effective-class enumeration; ``box_scan_effective``
@@ -65,7 +69,7 @@ levels so that no tail holds its lead at any level, while ``batyrev``
 divides by the rational q^0 coefficient alone; both give the same reduced
 rules, which is the independent check of the rational division.
 
-``check_module`` checks Batyrev's module from its matrices alone, by the
+``check_module`` checks Batyrev's module from its table alone, by the
 same ``q_mul`` and ``q_add``: no ``dp_reduce`` and no ``complete``.  It
 finds the primitive relations from the cones with its own linear algebra
 (``primitive_relations``) and takes only ``ell`` from ``mori_data``.
@@ -91,7 +95,7 @@ from itertools import combinations, count, permutations, product
 from math import gcd, lcm
 
 from toriq import polynomials as P
-from toriq.batyrev import BatyrevModule, NonUnitLeadingCoefficient
+from toriq.batyrev import NonUnitLeadingCoefficient
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cohomring import (
     CohClass,
@@ -882,7 +886,8 @@ def _times(dp, mono):
 
 
 def module_matrices(ideal):
-    """Multiplication matrix of every ray variable, each column reduced."""
+    """Multiplication matrix of every ray variable, each column reduced:
+    ``{rho: rows x cols of NovikovScalar}``, zeros included."""
     ring, ctx = ideal.ring, ideal.ctx
     dim = ring.dim
     matrices = {}
@@ -893,7 +898,24 @@ def module_matrices(ideal):
                     ideal.rules, ctx))
                 for mono in ring.basis]
         matrices[rho] = [[cols[a][b] for a in range(dim)] for b in range(dim)]
-    return BatyrevModule(ideal=ideal, matrices=matrices)
+    return matrices
+
+
+def module_scalars(module):
+    """``{rho: rows x cols of NovikovScalar}`` of a ``BatyrevModule``'s
+    table, each entry built by the public constructor from
+    ``Fraction(numerator, den)``; an absent entry is the zero scalar."""
+    ctx, dim, den = module.ideal.ctx, module.ring.dim, module.den
+    return {rho: [[NovikovScalar(ctx, {
+        b: Fraction(x, den) for b, x in col.get(k, {}).items()})
+        for col in cols] for k in range(dim)]
+        for rho, cols in enumerate(module.columns)}
+
+
+def star_column(module, rho, a):
+    """The scalars of ``x_rho basis[a]``, one per basis monomial, read
+    through ``module_scalars``."""
+    return [row[a] for row in module_scalars(module)[rho]]
 
 
 def normal_form(ideal, ray_terms):
@@ -1093,10 +1115,12 @@ def _solve(columns, target):
 def check_module(fan, ell, cutoff, module):
     """Check, with no Groebner basis, that ``module`` is Batyrev's module.
 
-    Each ``module.matrices[rho]`` is taken as the action of ``x_rho`` on the
+    Each ``module.columns[rho]`` is taken as the action of ``x_rho`` on the
     standard monomials ``module.ring.basis``, over the Novikov ring truncated
-    at ``ell . beta <= cutoff``; entries are read as plain ``{beta: coeff}``
-    dicts.  Requires, raising AssertionError otherwise:
+    at ``ell . beta <= cutoff``: its column ``a`` holds the entries of
+    ``x_rho basis[a]`` as ``{k: {beta: numerator}}`` over ``module.den``,
+    read as plain ``{beta: Fraction}`` dicts, zero where absent.  Requires,
+    raising AssertionError otherwise:
 
     (a) ``sum_rho <e_k, u_rho> M_rho = 0`` for each lattice coordinate k;
     (b) every pair of matrices commutes;
@@ -1130,9 +1154,13 @@ def check_module(fan, ell, cutoff, module):
         return [[dict(s) if i == j else {} for j in range(dim)]
                 for i in range(dim)]
 
-    assert sorted(module.matrices) == list(range(fan.n_rays))
-    M = {rho: [[dict(x.terms) for x in row] for row in mat]
-         for rho, mat in module.matrices.items()}
+    assert len(module.columns) == fan.n_rays
+    assert all(len(cols) == dim and set().union(*cols) <= set(range(dim))
+               for cols in module.columns)
+    M = {rho: [[{b: Fraction(x, module.den)
+                 for b, x in col.get(k, {}).items()} for col in cols]
+               for k in range(dim)]
+         for rho, cols in enumerate(module.columns)}
     for k in range(fan.dim):
         total = scalar({})
         for rho, u in enumerate(fan.rays):

@@ -145,12 +145,12 @@ def test_module_matrix_f2_star_products():
     x2_idx = ring.basis.index((0, 1))
     x1x2_idx = ring.basis.index((1, 1))
     # x1 * x1 = q1 q2 - 2 q1 x1x2
-    col = module.star_column(0, x1_idx)
+    col = oracles.star_column(module, 0, x1_idx)
     assert col[unit_idx] == scal(ideal, {B12: 1})
     assert col[x1x2_idx] == scal(ideal, {B1: -2})
     assert not col[x1_idx] and not col[x2_idx]
     # x2 * x2 = q2 - 2 x1x2
-    col = module.star_column(1, x2_idx)
+    col = oracles.star_column(module, 1, x2_idx)
     assert col[unit_idx] == scal(ideal, {B2: 1})
     assert col[x1x2_idx] == scal(ideal, {ideal.ctx.zero_class: -2})
 
@@ -160,7 +160,7 @@ def test_module_matrix_p2_star():
     module = module_matrices(ideal)
     h2_idx = ring.basis.index((2,))
     unit_idx = ring.basis.index((0,))
-    col = module.star_column(0, h2_idx)
+    col = oracles.star_column(module, 0, h2_idx)
     assert col[unit_idx] == scal(ideal, {(1, 1, 1): 1})
     assert sum(1 for s in col if s) == 1
 
@@ -169,7 +169,7 @@ def test_module_matrix_p1_star():
     _, _, ring, ideal = setup("P1")
     module = module_matrices(ideal)
     h_idx = ring.basis.index((1,))
-    col = module.star_column(0, h_idx)
+    col = oracles.star_column(module, 0, h_idx)
     assert col[ring.basis.index((0,))] == scal(ideal, {(1, 1): 1})
 
 
@@ -179,7 +179,7 @@ def test_column_of_unit_is_divisor_class():
         module = module_matrices(ideal)
         unit_idx = ring.basis.index((0,) * len(ring.surviving))
         for rho in range(fan.n_rays):
-            col = module.star_column(rho, unit_idx)
+            col = oracles.star_column(module, rho, unit_idx)
             expected = divisor_class(ring, rho)
             for b in range(ring.dim):
                 q0 = col[b].q0()
@@ -196,7 +196,7 @@ def test_matrices_commute():
         module = module_matrices(ideal)
         ctx = ideal.ctx
         dim = ring.dim
-        mats = module.matrices
+        mats = oracles.module_scalars(module)
         for r1 in range(fan.n_rays):
             for r2 in range(r1 + 1, fan.n_rays):
                 A, B = mats[r1], mats[r2]
@@ -213,7 +213,7 @@ def test_q0_limit_is_classical_cup():
     from toriq.cohomring import CohClass
     for name in CATALOG:
         fan, _, ring, ideal = setup(name)
-        module = module_matrices(ideal)
+        mats = oracles.module_scalars(module_matrices(ideal))
         for rho in range(fan.n_rays):
             D = divisor_class(ring, rho)
             for a in range(ring.dim):
@@ -221,7 +221,7 @@ def test_q0_limit_is_classical_cup():
                 coeffs[a] = Fraction(1)
                 classical = D * CohClass(ring, coeffs)
                 for b in range(ring.dim):
-                    assert module.matrices[rho][b][a].q0() == \
+                    assert mats[rho][b][a].q0() == \
                         classical.coeffs[b], (name, rho, a, b)
 
 
@@ -359,23 +359,35 @@ def test_module_reduces_only_the_rest_of_the_border(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))
 def test_module_scalars_equal_the_public_constructor(name):
-    # module_matrices takes its entries as they are; the constructor would
-    # truncate and normalize them, and leave the same terms, types included
+    # the module is the column reader's table: every numerator a nonzero
+    # int, every class under the cutoff, no empty entry or level; and its
+    # scalars are those the public constructor builds from the table
     fan = oracles.KERNEL_FANS[name]()
     md = mori_data(fan)
     ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), 4)
-    columns, den = batyrev._multiplication_columns(ideal.ring, ideal.rules,
-                                                   ideal.ctx)
     module = module_matrices(ideal)
-    for rho, cols in enumerate(columns):
-        for k in range(ideal.ring.dim):
+    assert (module.columns, module.den) == batyrev._multiplication_columns(
+        ideal.ring, ideal.rules, ideal.ctx)
+    assert type(module.den) is int and module.den > 0
+    dim = ideal.ring.dim
+    assert len(module.columns) == fan.n_rays
+    for rho, cols in enumerate(module.columns):
+        assert len(cols) == dim
+        for a, col in enumerate(cols):
+            for k, levels in col.items():
+                assert 0 <= k < dim and levels, (rho, a, k)
+                for b, x in levels.items():
+                    assert type(x) is int and x, (rho, a, k, b)
+                    assert ideal.ctx.ell_of(b) <= 4, (rho, a, k, b)
+    scalars = oracles.module_scalars(module)
+    for rho, cols in enumerate(module.columns):
+        for k in range(dim):
             for a, col in enumerate(cols):
-                got = module.matrices[rho][k][a]
                 expected = NovikovScalar(ideal.ctx, {
-                    b: Fraction(x, den) for b, x in col.get(k, {}).items()})
-                assert got == expected, (rho, k, a)
-                assert [(b, type(c)) for b, c in got.terms.items()] == \
-                    [(b, type(c)) for b, c in expected.terms.items()]
+                    b: Fraction(x, module.den)
+                    for b, x in col.get(k, {}).items()})
+                assert scalars[rho][k][a] == expected, (rho, k, a)
+                assert bool(expected) == (k in col), (rho, k, a)
 
 
 @pytest.mark.parametrize("name,rejected,total", [("dP6", 45, 58),
@@ -420,8 +432,9 @@ def test_certify_rejects_module_not_preserving_basis(monkeypatch, capsys):
     def broken(ideal):
         module = real(ideal)
         one = module.ring.basis.index((0, 0))
-        mat = module.matrices[0]
-        mat[one][one] = mat[one][one] + NovikovScalar.unit(ideal.ctx)
+        levels = module.columns[0][one].setdefault(one, {})
+        zero = ideal.ctx.zero_class
+        levels[zero] = levels.get(zero, 0) + module.den
         return module
 
     _, md, _, ideal = setup("F1")
@@ -487,10 +500,11 @@ def test_projective_three_space_module():
     assert dict(ideal.rules)[(4,)] == {(1, 1, 1, 1): {(0,): Fraction(1)}}
     module = module_matrices(ideal)
     # h * h^3 = q
-    col = module.star_column(0, ring.basis.index((3,)))
+    col = oracles.star_column(module, 0, ring.basis.index((3,)))
     assert col[ring.basis.index((0,))] == \
         NovikovScalar(ideal.ctx, {(1, 1, 1, 1): 1})
-    assert certify_isomorphism(ideal, md).matrices == module.matrices
+    certified = certify_isomorphism(ideal, md)
+    assert (certified.columns, certified.den) == (module.columns, module.den)
 
 
 def test_del_pezzo_seven_completion_path():
@@ -545,8 +559,8 @@ def test_complete_and_module_match_oracles(name, cutoff):
     assert (rules, added) == (oracle_rules, oracle_added)
     ideal = DeformedIdeal(ring=ring, ctx=ctx, rules=rules,
                           completion_added=added)
-    assert module_matrices(ideal).matrices == \
-        oracles.module_matrices(ideal).matrices
+    assert oracles.module_scalars(module_matrices(ideal)) == \
+        oracles.module_matrices(ideal)
 
 
 @pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))
@@ -564,7 +578,7 @@ def test_divisor_columns_are_the_module_at_cutoff_0(name):
             for k, c in column:
                 assert c and type(c) is int, (name, rho, a, k)
                 coeffs[k] = Fraction(c, den)
-            assert module.star_column(rho, a) == [
+            assert oracles.star_column(module, rho, a) == [
                 NovikovScalar(ideal.ctx, {ideal.ctx.zero_class: c})
                 for c in coeffs], (name, rho, a)
             assert CohClass(ring, coeffs) == ring.divisors[rho] * T[a], \

@@ -13,6 +13,7 @@ import toriq.batyrev
 import toriq.cohomring
 import toriq.gkz
 import toriq.lattice
+import toriq.novikov
 from toriq.cli import (
     SCHEMA,
     ParseError,
@@ -696,7 +697,8 @@ LAZY = ("polynomials", "novikov", "cohomring", "gkz", "batyrev")
 LOADED_AFTER = """
 import contextlib, io, json, sys, types
 from toriq.cli import ingest, main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
     result = {call}
 json.dump([result if type(result) is int else None,
            [name for name in {lazy!r}
@@ -735,13 +737,39 @@ def _fresh(code, *argv):
     ("main(['analyze', '--fan', sys.argv[1]])", 0, []),
     ("main(['certify', '--fan', 'F3'])", 3, []),
     ("main(['ifunction', '--fan', sys.argv[1]])", 0, list(LAZY)),
-], ids=["ingest", "analyze", "certify-not-semipositive", "ifunction"])
+    ("main(['analyze', '--fan', sys.argv[2]])", 2, []),
+], ids=["ingest", "analyze", "certify-not-semipositive", "ifunction",
+        "analyze-not-projective"])
 def test_series_and_groebner_layers_load_on_first_use(tmp_path, call, code,
                                                       loaded):
+    # the pinwheel has no positive functional: analyze exits 2 before
+    # anything reaches the series layers
     path = tmp_path / "dP6.json"
     path.write_text(json.dumps(FAN_FILES["dP6"]))
+    pinwheel = tmp_path / "pinwheel.json"
+    pinwheel.write_text(json.dumps(oracles.subdivided_p3((True,) * 3)))
     assert _fresh(LOADED_AFTER.format(call=call, lazy=LAZY),
-                  str(path)) == [code, loaded]
+                  str(path), str(pinwheel)) == [code, loaded]
+
+
+@pytest.mark.parametrize("fan,cutoff", [("F2", "3"), ("dP6", "6")])
+def test_certify_builds_no_novikov_scalar(monkeypatch, capsys, tmp_path,
+                                          fan, cutoff):
+    # Batyrev's module is an integer table: certify renders it with no
+    # NovikovScalar, so forbidding the constructor changes nothing
+    if fan in FAN_FILES:
+        path = tmp_path / f"{fan}.json"
+        path.write_text(json.dumps(FAN_FILES[fan]))
+        fan = str(path)
+    argv = ["certify", "--fan", fan, "--cutoff", cutoff]
+    expected = run(capsys, *argv)
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a NovikovScalar was built")
+
+    monkeypatch.setattr(toriq.novikov.NovikovScalar, "__init__", forbidden)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[2] == ""
 
 
 def test_package_names_are_the_defining_modules_objects():
