@@ -13,11 +13,10 @@ Three subcommands over a fan (builtin catalog name or JSON file):
 Exit codes: 0 all certificates passed, 1 certificate failure, 2 input or
 usage error (including a cutoff below the ell of a Mori generator, checked
 before any series is built), 3 theorem hypothesis unmet, 141 stdout closed
-early.  ``main()`` called with no argv owns the process: it freezes the
-import-time heap so that the collections at interpreter exit skip it.  That
-heap holds the eager layers only: ``batyrev``, ``cohomring``, ``gkz`` and
+early.  ``main()`` called with no argv owns the process and ends it with
+no interpreter teardown.  ``batyrev``, ``cohomring``, ``gkz`` and
 ``polynomials`` are held here as lazy modules (see the package docstring)
-and load on a command's first call through them, after the freeze.
+and load on a command's first call through them.
 Reports are deterministic; the JSON form carries ``"schema": "toriq/1"``
 and renders every rational exactly as a string.
 
@@ -26,12 +25,11 @@ coefficient's exponents over the Mori generators are dot products with the
 cached ``MoriData.generator_inverse``.
 """
 
-import gc
+import atexit
 import json
 import os
 import re
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import mul
 
@@ -110,26 +108,27 @@ def novikov_monomial_str(md, beta):
     """``q^beta`` as a monomial over the Mori generators; "1" for beta = 0.
 
     Its exponents are the rows of ``md.generator_inverse`` dotted with beta,
-    exact because beta lies in the curve lattice: the effective classes, the
-    generators and the q-levels of rules and module entries all do.  A
-    non-simplicial Mori cone, or an exponent that is negative or not an
-    integer, gives the vector form ``q^(b_1,...,b_n)`` instead.
+    over its ``d``, exact because beta lies in the curve lattice: the
+    effective classes, the generators and the q-levels of rules and module
+    entries all do.  A non-simplicial Mori cone, or an exponent that is
+    negative or not an integer, gives the vector form ``q^(b_1,...,b_n)``
+    instead.
     """
     if not any(beta):
         return "1"
-    inv = md.generator_inverse
-    coords = [sum(map(mul, row, beta)) for row in inv] if inv else ()
-    if not coords or any(x.denominator != 1 or x < 0 for x in coords):
+    rows, d = md.generator_inverse or ((), 1)
+    dots = [sum(map(mul, row, beta)) for row in rows]
+    if not dots or any(x % d or x < 0 for x in dots):
         return "q^(" + ",".join(map(str, beta)) + ")"
-    return "*".join(f"q{i + 1}^{a}" if a > 1 else f"q{i + 1}"
-                    for i, a in enumerate(coords) if a)
+    return "*".join(f"q{i + 1}^{x // d}" if x > d else f"q{i + 1}"
+                    for i, x in enumerate(dots) if x)
 
 
 def scalar_str(levels, den, md):
     """Render a module entry, ``{beta: numerator}`` over ``den``, with
     generator-coordinate monomials, lowest ell first."""
     return P._signed_sum(
-        (Fraction(levels[b], den), novikov_monomial_str(md, b) if any(b)
+        (P._ratio(levels[b], den), novikov_monomial_str(md, b) if any(b)
          else "") for b in sorted(levels, key=lambda b: (md.ell_of(b), b)))
 
 
@@ -597,12 +596,29 @@ def parse_args(argv):
 
 
 def main(argv=None):
-    if argv is None:
-        # main owns the process: the full collections at interpreter exit
-        # then skip the import-time heap (about 10 ms a process), which
-        # holds the eager layers; the lazy ones load after this
-        gc.freeze()
-        argv = sys.argv[1:]
+    """Run the command in ``argv``, by default the words after ``toriq`` in
+    ``sys.argv``, and return its exit code.
+
+    Called with no argv, main owns the process.  Once the command returns,
+    it flushes stdout and stderr, runs the ``atexit`` handlers and ends the
+    process by ``os._exit``, skipping the interpreter's teardown of every
+    module that it and ``site`` loaded.  Under a profiler or a tracer,
+    which write at exit, it returns the code instead.
+    """
+    if argv is not None:
+        return _run(argv)
+    code = _run(sys.argv[1:])
+    monitoring = getattr(sys, "monitoring", None)   # cProfile's, from 3.12
+    if sys.getprofile() or sys.gettrace() or monitoring and any(
+            map(monitoring.get_tool, range(6))):
+        return code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    atexit._run_exitfuncs()
+    os._exit(code)
+
+
+def _run(argv):
     command, source, cutoff, fmt = parse_args(argv)
     try:
         fan = ingest(source)

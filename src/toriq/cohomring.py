@@ -293,11 +293,6 @@ def pairing(ring, a, b):
     return integrate(ring, a * b)
 
 
-def monomial_basis_classes(ring):
-    return [CohClass(ring, [int(i == j) for j in range(ring.dim)])
-            for i in range(ring.dim)]
-
-
 def gram_matrix(ring):
     """Poincare pairings ``<T_a, T_b>`` of the monomial basis classes, with
     no class product: row ``a`` is the top coefficient pulled back through
@@ -323,10 +318,6 @@ def divisor_class(ring, rho):
 def render_class(c):
     """``render_poly`` of the class's polynomial, read off its numerators:
     the basis is in increasing term order, so it is walked backwards."""
-    terms = []
-    for m, a in zip(reversed(c.ring.basis), reversed(c.num)):
-        if a:
-            g = gcd(a, c.den)
-            terms.append((f"{a // g}/{c.den // g}" if c.den != g else a // g,
-                          P.render_monomial(m, c.ring.var_names)))
-    return P._signed_sum(terms)
+    return P._signed_sum(
+        (P._ratio(a, c.den), P.render_monomial(m, c.ring.var_names))
+        for m, a in zip(reversed(c.ring.basis), reversed(c.num)) if a)

@@ -20,6 +20,7 @@ from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations
 from math import comb, factorial, gcd
+from operator import mul
 
 from . import lattice
 
@@ -73,8 +74,9 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
 
     @cached_property
     def cone_inverses(self):
-        """Maximal cone -> inverse of its ray matrix (rays as columns), None
-        when singular; integral entries are ints.  Computed once per Fan."""
+        """Maximal cone -> ``lattice.invert_int`` of its ray matrix (rays as
+        columns): ``(rows, d)`` with ``d == 1`` on a smooth cone, None when
+        singular.  Computed once per Fan."""
         return {cone: lattice.invert_int(list(zip(*self.cone_rays(cone))))
                 for cone in self.max_cones}
 
@@ -107,9 +109,9 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
                 for k in range(len(cone) + 1) for face in combinations(cone, k)}
 
     def coordinates(self, cone, v):
-        """Coordinates of ``v`` on the rays of a nonsingular maximal cone."""
-        return [sum(a * b for a, b in zip(row, v))
-                for row in self.cone_inverses[cone]]
+        """Coordinates of ``v`` on the rays of a nonsingular maximal cone,
+        times its ``d > 0``: exact on a smooth cone, with their signs on any."""
+        return [sum(map(mul, row, v)) for row in self.cone_inverses[cone][0]]
 
 
 def make_fan(dim, rays, max_cones, name=""):

@@ -3,13 +3,13 @@
 Matrices are plain lists of row lists of Python ints: no floating point, no
 overflow.  One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
 22, 1968) gives determinants (smoothness, wall sides), exact inverses and
-pivot columns alike.  Each matrix that gives coordinates is inverted once (a
-fan's maximal cones, the Mori generators), and a coordinate is a dot product
-with a row of its inverse.
+pivot columns alike.  An inverse is an integer matrix over one positive
+denominator.  Each matrix that gives coordinates is inverted once (a fan's
+maximal cones, the Mori generators), and a coordinate is a dot product with
+a row of its inverse, over that denominator.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def _eliminate(M):
@@ -49,20 +49,21 @@ def det_int(A):
 
 
 def invert_int(A):
-    """Inverse of a square integer matrix as row tuples; None when singular.
+    """Inverse of a square integer matrix as ``(rows, d)``, the inverse being
+    ``rows / d``; None when singular.
 
     Eliminates ``[A | I]``: ``A`` is invertible exactly when its own columns
     are the pivots, and then the blocks end as ``d`` times the identity and
-    ``d`` times the inverse.  Entries are ints where integral, Fractions
-    otherwise.
+    ``d`` times the inverse.  ``rows`` are tuples of ints, ``d > 0`` and
+    ``gcd(d, *entries) == 1``, so ``d`` is 1 exactly when ``A`` is unimodular.
     """
     n = len(A)
     M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
     pivots, d, _ = _eliminate(M)
     if pivots != list(range(n)):
         return None
-    return tuple(tuple(x // d if x % d == 0 else Fraction(x, d)
-                       for x in row[n:]) for row in M)
+    g = gcd(d, *(x for row in M for x in row[n:])) * (1 if d > 0 else -1)
+    return tuple(tuple(x // g for x in row[n:]) for row in M), d // g
 
 
 def independent(vectors):
@@ -72,9 +73,6 @@ def independent(vectors):
 
 
 def primitive_vector(v):
-    """Divide a rational vector by content to a primitive integer vector."""
-    v = [Fraction(x) for x in v]
-    den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g else ints
+    """Divide an integer vector by its content to a primitive one."""
+    g = gcd(*v)
+    return [x // g for x in v] if g else list(v)

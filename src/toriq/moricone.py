@@ -33,7 +33,7 @@ from .fan import minimal_cone_containing
 
 
 class NonIntegralCoefficient(ValueError):
-    """Primitive relation with fractional coefficients (not a smooth fan)."""
+    """Collection meeting its own minimal cone: the fan is not smooth."""
 
 
 class KernelCheckFailed(AssertionError):
@@ -74,12 +74,13 @@ class MoriData(namedtuple("MoriData", (
 
     @cached_property
     def generator_inverse(self):
-        """Inverse of the generators' chart coordinates, or None.
+        """Inverse of the generators' chart coordinates as ``(rows, d)``, or
+        None.
 
         Row i, spread over all rays with zeros on ``sigma0``'s, dotted with a
         class of the curve lattice (which its chart coordinates fix) gives
-        the class's coordinate on generator i.  None unless the Mori cone is
-        simplicial.  Computed once per MoriData.
+        ``d`` times the class's coordinate on generator i.  None unless the
+        Mori cone is simplicial.  Computed once per MoriData.
         """
         surviving = self.fan.chart[1]
         gens = self.generators
@@ -89,7 +90,8 @@ class MoriData(namedtuple("MoriData", (
             return None
         pos = {j: k for k, j in enumerate(surviving)}
         return tuple(tuple(row[pos[j]] if j in pos else 0
-                           for j in range(self.fan.n_rays)) for row in inv)
+                           for j in range(self.fan.n_rays))
+                     for row in inv[0]), inv[1]
 
 
 def primitive_collections(fan):
@@ -114,9 +116,6 @@ def primitive_relation(fan, P):
     """Fill in the minimal cone and coefficients for a primitive collection."""
     total = [sum(fan.rays[i][k] for i in P) for k in range(fan.dim)]
     gamma, coeffs = minimal_cone_containing(fan, total)
-    for c in coeffs:
-        if not isinstance(c, int):
-            raise NonIntegralCoefficient(f"relation of {P} has coefficient {c}")
     if set(P) & set(gamma):
         raise NonIntegralCoefficient(
             f"collection {P} meets its minimal cone {gamma}; fan is not smooth")
@@ -254,7 +253,7 @@ def _facet_normals(vectors, r):
     primitive and integral.
     """
     start = lattice.independent(vectors)
-    inv = lattice.invert_int([list(vectors[i]) for i in start])
+    inv = lattice.invert_int([list(vectors[i]) for i in start])[0]
     rays = []
     for j in range(r):
         f = lattice.primitive_vector([inv[i][j] for i in range(r)])

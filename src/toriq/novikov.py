@@ -18,7 +18,6 @@ Three layers, each exact:
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from operator import mul
 
 from . import polynomials as P
@@ -93,10 +92,6 @@ class NovikovScalar:
 
     def scale(self, c):
         return NovikovScalar(self.ctx, P.pscale(self.terms, c))
-
-    def q0(self):
-        """Coefficient of q^0."""
-        return self.terms.get(self.ctx.zero_class, Fraction(0))
 
     def __repr__(self):
         return f"NovikovScalar({self.terms})"

@@ -19,6 +19,7 @@ basis expansions and rewriting rules -- is rendered by ``_signed_sum``, which
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import add, le, sub
 
 
@@ -128,6 +129,13 @@ def render_monomial(mono, names):
     """``x1*x2^3``-style product of the named variables; "" for the unit."""
     return "*".join(f"{names[j]}^{e}" if e > 1 else names[j]
                     for j, e in enumerate(mono) if e)
+
+
+def _ratio(a, den):
+    """``a / den`` for ``den > 0`` as a ``Fraction`` prints it: an int, or
+    ``"a/b"`` in lowest terms."""
+    g = gcd(a, den)
+    return a // g if den == g else f"{a // g}/{den // g}"
 
 
 def _signed_sum(terms):

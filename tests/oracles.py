@@ -76,10 +76,11 @@ finds the primitive relations from the cones with its own linear algebra
 ``wall_semipositive`` decides semipositivity from the wall relations, with
 no primitive collection.
 
-``psub``, ``groebner`` and ``poincare_dual_basis`` (with ``SingularPairing``)
-have no caller in ``toriq``: the polynomial difference, the classical ring's
-reduced Groebner basis read from its rules, and the dual basis of the
-Poincare pairing.
+``psub``, ``groebner``, ``monomial_basis_classes``, ``q0`` and
+``poincare_dual_basis`` (with ``SingularPairing``) have no caller in
+``toriq``: the polynomial difference, the classical ring's reduced Groebner
+basis read from its rules, the basis monomials as classes, a Novikov
+scalar's q^0 coefficient and the dual basis of the Poincare pairing.
 
 ``rref`` is a Fraction Gauss-Jordan elimination of its own, the reference
 for ``lattice``'s fraction-free one, and nothing here calls ``lattice``:
@@ -97,12 +98,7 @@ from math import gcd, lcm
 from toriq import polynomials as P
 from toriq.batyrev import NonUnitLeadingCoefficient
 from toriq.catalog import CATALOG, builtin_fan
-from toriq.cohomring import (
-    CohClass,
-    divisor_class,
-    gram_matrix,
-    monomial_basis_classes,
-)
+from toriq.cohomring import CohClass, divisor_class, gram_matrix
 from toriq.fan import make_fan
 from toriq.moricone import enumerate_effective
 from toriq.novikov import HLaurent, NovikovContext, NovikovScalar, NovikovSeries
@@ -132,6 +128,17 @@ def groebner(ring):
     lead minus the tail of each rule."""
     return tuple(psub({lead: 1}, tail.get((), {}))
                  for lead, tail in ring.rules)
+
+
+def monomial_basis_classes(ring):
+    """The basis monomials as classes, in the ring's basis order."""
+    return [CohClass(ring, [int(i == j) for j in range(ring.dim)])
+            for i in range(ring.dim)]
+
+
+def q0(scalar):
+    """A NovikovScalar's coefficient of q^0."""
+    return scalar.terms.get(scalar.ctx.zero_class, Fraction(0))
 
 
 def poincare_dual_basis(ring):

@@ -43,6 +43,7 @@ from oracles import (
     module_scalars,
     nilpotent_geometric,
     normal_form,
+    q0,
     reconstruct_coefficient,
     star_column,
 )
@@ -246,7 +247,7 @@ def test_criterion_08_classical_limit():
                 coeffs[a] = Fraction(1)
                 cup = D * CohClass(ring, coeffs)
                 for b in range(ring.dim):
-                    assert mats[rho][b][a].q0() == cup.coeffs[b], \
+                    assert q0(mats[rho][b][a]) == cup.coeffs[b], \
                         (name, rho, a, b)
     report(8, "q=0 limit of every module matrix equals the independently "
               "computed cup-product matrix, exactly")

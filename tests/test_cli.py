@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import subprocess
@@ -644,41 +643,67 @@ def test_help_lists_the_catalog():
     assert f"builtin name ({', '.join(sorted(CATALOG))}) or path" in text
 
 
-def console(*argv, **kwargs):
-    """Run ``sys.exit(main())`` in a fresh interpreter, as the console
-    script does: main() is called with no argv."""
+ENTRY = "import sys; from toriq.cli import main; sys.exit(main())"
+
+
+def console(*argv, entry=ENTRY, **kwargs):
+    """Run ``entry``, by default ``sys.exit(main())`` as the console script
+    does it, in a fresh interpreter: main() is called with no argv."""
     src = str(Path(toriq.__file__).resolve().parents[1])
     return subprocess.Popen(
-        [sys.executable, "-c",
-         "import sys; from toriq.cli import main; sys.exit(main())", *argv],
+        [sys.executable, "-c", entry, *argv],
         env={**os.environ, "PYTHONPATH": src}, **kwargs)
+
+
+def console_run(*argv, entry=ENTRY):
+    """``(exit code, stdout, stderr)`` of ``console``, as text."""
+    with console(*argv, entry=entry, stdout=subprocess.PIPE,
+                 stderr=subprocess.PIPE, text=True) as proc:
+        out, err = proc.communicate()
+    return proc.returncode, out, err
 
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--fan", "P2"],
     ["certify", "--fan", "F3", "--format", "json"],
     ["ifunction", "--fan", "F2", "--cutoff", "4", "--format", "json"],
-], ids=["analyze", "certify-exit3", "ifunction"])
+    ["analyze", "--fan", "no-such-fan.json"],
+], ids=["analyze", "certify-exit3", "ifunction", "input-error-exit2"])
 def test_program_entry_matches_in_process(capsys, argv):
-    # main() with no argv freezes the import-time heap; its output and exit
-    # code are those of main(argv)
-    with console(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                 text=True) as proc:
-        out, err = proc.communicate()
-    assert (proc.returncode, out, err) == run(capsys, *argv)
+    # main() with no argv ends the process itself; its output and exit code
+    # are those of main(argv)
+    assert console_run(*argv) == run(capsys, *argv)
 
 
-def test_only_the_program_entry_freezes(monkeypatch, capsys):
-    before = gc.get_freeze_count()
-    assert main(["analyze", "--fan", "P2"]) == 0
-    assert gc.get_freeze_count() == before
-    monkeypatch.setattr(sys, "argv", ["toriq", "analyze", "--fan", "P2"])
-    try:
-        assert main() == 0
-        assert gc.get_freeze_count() > before
-    finally:
-        gc.unfreeze()
-    capsys.readouterr()
+def test_program_entry_runs_atexit_handlers(capsys):
+    # main() with no argv skips the interpreter's teardown, but not the
+    # handlers registered before it
+    entry = ("import atexit, sys; from toriq.cli import main; "
+             "atexit.register(print, 'handler ran'); sys.exit(main())")
+    code, out, err = run(capsys, "analyze", "--fan", "P2")
+    assert console_run("analyze", "--fan", "P2", entry=entry) == \
+        (code, out + "handler ran\n", err)
+
+
+def test_program_entry_returns_under_a_tracer():
+    entry = ("import sys; from toriq.cli import main; "
+             "sys.settrace(lambda *args: None); code = main(); "
+             "sys.settrace(None); print('returned', code); sys.exit(code)")
+    code, out, err = console_run("certify", "--fan", "F3", entry=entry)
+    assert (code, out.splitlines()[-1], err) == (3, "returned 3", "")
+
+
+def test_profiler_writes_its_output(capsys, tmp_path):
+    # under cProfile main() returns, so the profile is written at exit
+    path = tmp_path / "analyze.prof"
+    src = str(Path(toriq.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(path), "-m", "toriq.cli",
+         "analyze", "--fan", "P2"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        run(capsys, "analyze", "--fan", "P2")
+    assert path.stat().st_size > 0
 
 
 def test_import_loads_no_argument_parser():
@@ -693,6 +718,9 @@ def test_import_loads_no_argument_parser():
 # the layers that toriq/__init__.py loads on first use
 LAZY = ("polynomials", "novikov", "cohomring", "gkz", "batyrev")
 
+# the stdlib's rational arithmetic, which only the series layers use
+NUMERIC = ["decimal", "fractions", "numbers"]
+
 # a lazy module is in sys.modules from import, a _LazyModule until it runs
 LOADED_AFTER = """
 import contextlib, io, json, sys, types
@@ -702,7 +730,8 @@ with contextlib.redirect_stdout(io.StringIO()), \\
     result = {call}
 json.dump([result if type(result) is int else None,
            [name for name in {lazy!r}
-            if type(sys.modules["toriq." + name]) is types.ModuleType]],
+            if type(sys.modules["toriq." + name]) is types.ModuleType],
+           [name for name in {numeric!r} if name in sys.modules]],
           sys.stderr)
 """
 
@@ -743,13 +772,15 @@ def _fresh(code, *argv):
 def test_series_and_groebner_layers_load_on_first_use(tmp_path, call, code,
                                                       loaded):
     # the pinwheel has no positive functional: analyze exits 2 before
-    # anything reaches the series layers
+    # anything reaches the series layers; the eager layers are integer-only,
+    # so fractions, decimal and numbers load with the series layers alone
     path = tmp_path / "dP6.json"
     path.write_text(json.dumps(FAN_FILES["dP6"]))
     pinwheel = tmp_path / "pinwheel.json"
     pinwheel.write_text(json.dumps(oracles.subdivided_p3((True,) * 3)))
-    assert _fresh(LOADED_AFTER.format(call=call, lazy=LAZY),
-                  str(path), str(pinwheel)) == [code, loaded]
+    assert _fresh(LOADED_AFTER.format(call=call, lazy=LAZY, numeric=NUMERIC),
+                  str(path), str(pinwheel)) == \
+        [code, loaded, NUMERIC if loaded else []]
 
 
 @pytest.mark.parametrize("fan,cutoff", [("F2", "3"), ("dP6", "6")])

@@ -14,7 +14,6 @@ from toriq.cohomring import (
     divisor_class,
     gram_matrix,
     integrate,
-    monomial_basis_classes,
     pairing,
 )
 from toriq import polynomials as P
@@ -32,6 +31,7 @@ from oracles import (
     kirwan_divisors,
     laurent_mul,
     laurent_of,
+    monomial_basis_classes,
     mult_table,
     p1xdp6,
     poincare_dual_basis,

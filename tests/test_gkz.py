@@ -13,7 +13,6 @@ from toriq.cohomring import (
     build_cohomology_ring,
     divisor_class,
     integrate,
-    monomial_basis_classes,
 )
 from toriq.gkz import (
     AnnihilationFailure,
@@ -41,6 +40,7 @@ from oracles import (
     laurent_of,
     linear_factor_apply,
     max_power,
+    monomial_basis_classes,
     mult_table,
     nilpotent_geometric,
     p1xdp6,

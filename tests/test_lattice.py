@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -53,26 +54,47 @@ def test_elimination_matches_fraction_gauss_jordan():
         assert det_int(A) == oracles.det_leibniz(A), A
         inv = invert_int(A)
         expected = oracles.invert_rational(A)
-        assert inv == (expected and tuple(map(tuple, expected))), A
+        assert (inv and [[Fraction(x, inv[1]) for x in row]
+                         for row in inv[0]]) == expected, A
         seen["singular" if inv is None else "invertible"] += 1
         assert (inv is None) == (det_int(A) == 0) == (len(pivots) < len(A))
-        # ints exactly where the entry is integral
-        assert all(type(x) is (int if x.denominator == 1 else Fraction)
-                   for row in inv or () for x in row)
     assert min(seen.values()) > 100, seen
 
 
+def test_inverse_pairs_match_fraction_inverse():
+    # (rows, d): integer rows over a positive d, reduced by their common gcd
+    rng = random.Random(34)
+    seen = 0
+    while seen < 1500:
+        n = rng.randint(0, 5)
+        A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        expected = oracles.invert_rational(A)
+        if expected is None:
+            assert invert_int(A) is None, A
+            continue
+        seen += 1
+        rows, d = invert_int(A)
+        assert type(d) is int and d > 0, A
+        assert all(type(x) is int for row in rows for x in row), A
+        assert gcd(d, *(x for row in rows for x in row)) == 1, A
+        assert [[Fraction(x, d) for x in row] for row in rows] == expected, A
+        assert (d == 1) == (abs(det_int(A)) == 1), A
+
+
 def test_invert_int_examples():
-    # the first needs a row swap; rows come back as tuples
-    assert invert_int([[0, 1], [1, -2]]) == ((2, 1), (1, 0))
-    assert invert_int([[2, 1], [1, 1]]) == ((1, -1), (-1, 2))
-    assert invert_int([[2, 0], [0, 4]]) == ((Fraction(1, 2), 0),
-                                            (0, Fraction(1, 4)))
+    # the first needs a row swap; rows come back as tuples over d
+    assert invert_int([[0, 1], [1, -2]]) == (((2, 1), (1, 0)), 1)
+    assert invert_int([[2, 1], [1, 1]]) == (((1, -1), (-1, 2)), 1)
+    assert invert_int([[2, 0], [0, 4]]) == (((2, 0), (0, 1)), 4)
+    # a negative determinant still gives d > 0
+    assert invert_int([[1, 1], [1, -1]]) == (((1, 1), (1, -1)), 2)
+    assert invert_int([[-2]]) == (((-1,),), 2)
     assert invert_int([[0, 0], [0, 1]]) is None
-    assert invert_int([]) == ()
+    assert invert_int([]) == ((), 1)
 
 
 def test_primitive_vector():
-    assert primitive_vector([Fraction(1, 2), Fraction(3, 2)]) == [1, 3]
-    assert primitive_vector([4, 6]) == [2, 3]
+    assert primitive_vector([1, 3]) == [1, 3]
+    assert primitive_vector([4, -6]) == [2, -3]
+    assert primitive_vector([-4, 0, 8]) == [-1, 0, 2]
     assert primitive_vector([0, 0]) == [0, 0]

@@ -1,12 +1,12 @@
 """The examples in README.md run as documented."""
 
-import gc
 import re
 import shlex
-import sys
 from pathlib import Path
 
 from toriq.cli import main
+
+from test_cli import console_run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -27,20 +27,14 @@ def test_fan_file_example_analyzes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("fan my-F2:")
 
 
-def test_shell_examples_exit_zero(monkeypatch, capsys):
-    # as the console script runs them: main() reads the words after "toriq"
-    # from sys.argv
+def test_shell_examples_exit_zero():
+    # as the console script runs them, each in a process of its own: main()
+    # reads the words after "toriq" from sys.argv
     lines = [line.split("#")[0].strip()
              for block in re.findall(r"```sh\n(.*?)```", README, re.S)
              for line in block.splitlines()]
     commands = [shlex.split(line) for line in lines
                 if line.startswith("toriq ")]
     assert commands
-    try:
-        for argv in commands:
-            monkeypatch.setattr(sys, "argv", argv)
-            assert main() == 0, argv
-    finally:
-        # main() with no argv freezes the heap it finds, pytest's here
-        gc.unfreeze()
-    capsys.readouterr()
+    for argv in commands:
+        assert console_run(*argv[1:])[0] == 0, argv
