@@ -600,10 +600,11 @@ def main(argv=None):
     ``sys.argv``, and return its exit code.
 
     Called with no argv, main owns the process.  Once the command returns,
-    it flushes stdout and stderr, runs the ``atexit`` handlers and ends the
-    process by ``os._exit``, skipping the interpreter's teardown of every
-    module that it and ``site`` loaded.  Under a profiler or a tracer,
-    which write at exit, it returns the code instead.
+    it runs the ``atexit`` handlers, flushes what they and the command wrote
+    to stdout and stderr, and ends the process by ``os._exit``, skipping the
+    interpreter's teardown of every module that it and ``site`` loaded.
+    Under a profiler or a tracer, which write at exit, it returns the code
+    instead.
     """
     if argv is not None:
         return _run(argv)
@@ -612,9 +613,9 @@ def main(argv=None):
     if sys.getprofile() or sys.gettrace() or monitoring and any(
             map(monitoring.get_tool, range(6))):
         return code
+    atexit._run_exitfuncs()
     sys.stdout.flush()
     sys.stderr.flush()
-    atexit._run_exitfuncs()
     os._exit(code)
 
 

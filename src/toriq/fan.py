@@ -33,6 +33,10 @@ class NotInSupport(ValueError):
     """Vector outside the fan's support (impossible for complete fans)."""
 
 
+class NonIntegralCoefficient(ValueError):
+    """Relation that a smooth fan would not have: the fan is not smooth."""
+
+
 class Fan(namedtuple("Fan", "dim rays max_cones name")):
     """Immutable fan: primitive rays plus maximal-cone ray-index sets (0-based)."""
 
@@ -211,14 +215,18 @@ def minimal_cone_containing(fan, v):
     """The unique cone with v in its relative interior, plus coefficients.
 
     Returns ``(ray_indices, coeffs)`` with all coefficients positive integers
-    (smoothness makes the coordinates integral) and
-    ``v == sum(c * u_rho)``.  The zero vector yields ``((), ())``.
+    and ``v == sum(c * u_rho)``.  The zero vector yields ``((), ())``.
+    Raises ``NonIntegralCoefficient`` when the maximal cone holding ``v``
+    is not smooth, so that its coordinates need not be integers.
     """
     if all(x == 0 for x in v):
         return (), ()
     for cone in fan.max_cones:
         coords = fan.coordinates(cone, v)
         if all(c >= 0 for c in coords):
+            if fan.cone_inverses[cone][1] != 1:
+                raise NonIntegralCoefficient(
+                    f"{v} lies in the cone {cone}, which is not smooth")
             support = tuple(i for i, c in zip(cone, coords) if c > 0)
             coeffs = tuple(c for c in coords if c > 0)
             return support, coeffs

@@ -29,11 +29,7 @@ from itertools import combinations, count
 from math import gcd
 
 from . import lattice
-from .fan import minimal_cone_containing
-
-
-class NonIntegralCoefficient(ValueError):
-    """Collection meeting its own minimal cone: the fan is not smooth."""
+from .fan import NonIntegralCoefficient, minimal_cone_containing
 
 
 class KernelCheckFailed(AssertionError):

@@ -648,11 +648,14 @@ ENTRY = "import sys; from toriq.cli import main; sys.exit(main())"
 
 def console(*argv, entry=ENTRY, **kwargs):
     """Run ``entry``, by default ``sys.exit(main())`` as the console script
-    does it, in a fresh interpreter: main() is called with no argv."""
+    does it, in a fresh interpreter: main() is called with no argv.  Its
+    stdout is block-buffered, as for a user's pipe, whatever this process
+    was started with."""
     src = str(Path(toriq.__file__).resolve().parents[1])
-    return subprocess.Popen(
-        [sys.executable, "-c", entry, *argv],
-        env={**os.environ, "PYTHONPATH": src}, **kwargs)
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-c", entry, *argv], env=env,
+                            **kwargs)
 
 
 def console_run(*argv, entry=ENTRY):

@@ -144,6 +144,20 @@ def test_minimal_cone_outside_support():
         minimal_cone_containing(fan, (0, -1))
 
 
+def test_minimal_cone_rejects_cone_that_is_not_smooth():
+    from toriq.fan import NonIntegralCoefficient
+    # complete and simplicial, but cone (0, 1) has determinant 2: the
+    # coordinates of (-2, -2) on its rays, (0, 2), come out times d = 2
+    fan = make_fan(2, [(-3, -1), (-1, -1), (1, -1), (1, 1)],
+                   [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert fan.cone_inverses[(0, 1)] == (((-1, 1), (1, -3)), 2)
+    with pytest.raises(NonIntegralCoefficient,
+                       match=r"^\(-2, -2\) lies in the cone \(0, 1\), which "
+                             r"is not smooth$"):
+        minimal_cone_containing(fan, (-2, -2))
+    assert minimal_cone_containing(fan, (0, 0)) == ((), ())
+
+
 def test_coordinates_identity_basis():
     fan = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
     assert fan.coordinates((0, 1), (0, 2)) == [0, 2]

@@ -11,6 +11,7 @@ from toriq import moricone
 from toriq.catalog import CATALOG, NOT_SEMIPOSITIVE, SEMIPOSITIVE, builtin_fan
 from toriq import lattice
 from toriq.moricone import (
+    NonIntegralCoefficient,
     NoPositiveFunctional,
     _facet_normals,
     _kernel_setup,
@@ -674,3 +675,13 @@ def test_effectivity_witness_p2():
     w = effectivity_witness(p2, primitive_relation(p2, (0, 1, 2)))
     assert w.degrees == (1, 1, 1)
     assert w.pattern == ("linear", "linear", "linear")
+
+
+def test_mori_data_rejects_simplicial_fan_that_is_not_smooth():
+    # every cone has determinant 2; the relation of collection (0, 2) is
+    # u0 + u2 = 2 u1, read on cone (0, 1), which is not smooth.  An input
+    # error, not a failed kernel check.
+    fan = make_fan(2, [(-3, -1), (-1, -1), (1, -1), (1, 1)],
+                   [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(NonIntegralCoefficient, match="is not smooth$"):
+        mori_data(fan)
