@@ -5,8 +5,8 @@ and Mori cone, the rational cohomology ring with Poincare pairing, the
 GKZ-type hypergeometric series over the truncated Novikov ring, and the
 quantum-deformed Stanley-Reisner module -- and emits a machine-checkable
 certificate replaying the comparison between the deformed module and the
-quantum module at a chosen truncation order.  Everything runs on Python ints
-and Fractions; there is no floating point anywhere.
+quantum module at a chosen truncation order.  Everything runs on Python ints,
+with a Fraction only on request or for a non-unit Groebner lead; no floats.
 
 The combinatorial layers, ``fan``, ``lattice``, ``catalog`` and
 ``moricone``, load with the package.  The series and Groebner layers,

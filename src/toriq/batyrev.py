@@ -40,7 +40,6 @@ multiplication, from which ``cohomring`` builds the cohomology ring.
 
 import heapq
 from collections import namedtuple
-from fractions import Fraction
 from itertools import count
 from math import lcm
 
@@ -167,7 +166,10 @@ def _monicize(dp, ctx):
     if lead is None:
         raise NonUnitLeadingCoefficient(
             "element has no monomial with invertible coefficient")
-    inv = Fraction(1) / dp[ctx.zero_class][lead]
+    inv = dp[ctx.zero_class][lead]
+    if inv not in (1, -1):     # 1 and -1 are their own inverses
+        from fractions import Fraction
+        inv = 1 / Fraction(inv)
     tail = dp_sub({ctx.zero_class: {lead: 1}},
                   {b: P.pscale(p, inv) for b, p in dp.items()})
     return lead, tail

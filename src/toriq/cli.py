@@ -241,7 +241,7 @@ def run_ifunction(fan, cutoff):
                 "basis_monomial": basis_monomial_str(ring, ring.basis[a]),
                 "psi_power": k,
                 "class": list(beta),
-                "value": str(val),
+                "value": str(P._ratio(*val)),
             })
         report["two_point_invariants"] = {"status": "ok", "entries": entries}
     except gkz.PositiveHbarPower as exc:

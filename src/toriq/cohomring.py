@@ -24,16 +24,15 @@ to the other, and the pairing pulls the top coefficient back through it.
 
 A class is stored as integer numerators over the basis and one positive
 integer denominator, reduced by their gcd, so equal classes have equal
-representations; ``CohClass.coeffs`` gives the Fractions for rendering.
+representations; ``CohClass.coeffs`` and ``gram_matrix`` build Fractions.
 
 Integration is normalized by requiring every maximal-cone monomial
 ``prod_{rho in sigma} D_rho`` to integrate to 1: each such product, applied
 to 1 through the divisor columns, is the same class ``c m`` on the one
-top-degree basis monomial ``m``, whose integral is ``1/c``.
+top-degree basis monomial ``m``, the last, whose integral is ``1/c``.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
@@ -62,7 +61,7 @@ class CohomRing(namedtuple("CohomRing", (
         "rules",                  # (lead, normal form of lead) from complete
         "basis",                  # standard monomials (exponent tuples)
         "basis_degrees",
-        "point_integrals",        # top-degree basis monomial -> Fraction
+        "point_integrals",        # (num, den), den > 0: basis[-1]'s integral
         # per ray, (columns, den): D_rho * x has numerators sum_j x.num[j] *
         # columns[j] (each column its nonzero (k, c) pairs) over x.den * den
         "divisor_columns",
@@ -193,14 +192,16 @@ class CohClass:
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        self.ring, self.den = ring, den
-        self.num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.ring, self.num, self.den = ring, tuple(coeffs), 1
+        if any(type(c) is not int for c in self.num):
+            from fractions import Fraction
+            den = self.den = lcm(*(Fraction(c).denominator for c in self.num))
+            self.num = tuple(int(Fraction(c) * den) for c in self.num)
 
     @property
     def coeffs(self):
         """Coefficients over the basis, as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(a, self.den) for a in self.num)
 
     def __eq__(self, other):
@@ -248,7 +249,7 @@ def build_cohomology_ring(fan):
     ring = CohomRing(
         fan=fan, sigma0=sigma0, surviving=surviving,
         eliminations=eliminations, rules=(), basis=(), basis_degrees=(),
-        point_integrals={}, divisor_columns=(),
+        point_integrals=(), divisor_columns=(),
         var_names=tuple(f"x{j + 1}" for j in surviving))
 
     sr_gens = [{(): ring.ray_product((rho, 1) for rho in coll)}
@@ -272,21 +273,19 @@ def build_cohomology_ring(fan):
     forms = {ring._from_parts((ring._times_linear(
         one, 1, ((rho, 0) for rho in cone)),)) for cone in fan.max_cones}
     support = [k for k, a in enumerate(next(iter(forms)).num) if a]
-    if len(forms) != 1 or len(support) != 1:
+    if len(forms) != 1 or support != [len(basis) - 1]:
         raise InconsistentNormalization(
             "maximal-cone monomials do not reduce to one common term")
-    (form,), (top,) = forms, support
-    return ring._replace(point_integrals={
-        basis[top]: Fraction(form.den, form.num[top])})
+    (form,) = forms
+    c = form.num[-1]
+    return ring._replace(point_integrals=(form.den * (c // abs(c)), abs(c)))
 
 
 def integrate(ring, c):
-    """Integral over the variety of the top-degree component of a class."""
-    total = Fraction(0)
-    for coeff, mono, deg in zip(c.coeffs, ring.basis, ring.basis_degrees):
-        if deg == ring.top_degree and coeff:
-            total += coeff * ring.point_integrals[mono]
-    return total
+    """Integral over the variety of a class's top-degree part, a Fraction."""
+    from fractions import Fraction
+    num, den = ring.point_integrals
+    return Fraction(c.num[-1] * num, c.den * den)
 
 
 def pairing(ring, a, b):
@@ -294,20 +293,27 @@ def pairing(ring, a, b):
 
 
 def gram_matrix(ring):
-    """Poincare pairings ``<T_a, T_b>`` of the monomial basis classes, with
-    no class product: row ``a`` is the top coefficient pulled back through
-    ``T_a``'s chain, as ``T_a = D_rho T_a'`` pairs ``x`` like ``T_a'`` pairs
-    ``D_rho x``, times the point integral."""
-    (mono, integral), = ring.point_integrals.items()
-    top = ring.basis.index(mono)
-    rows = {(): ([int(k == top) for k in range(ring.dim)], 1)}
+    """Poincare pairings ``<T_a, T_b>`` of the basis classes, as Fractions."""
+    from fractions import Fraction
+    rows, den = _gram(ring)
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def _gram(ring):
+    """``(rows, den)``: the Gram matrix ``rows[a][b] / den`` in integers,
+    with no class product: row ``a`` is the top coefficient pulled back
+    through ``T_a``'s chain, as ``T_a = D_rho T_a'`` pairs ``x`` like
+    ``T_a'`` pairs ``D_rho x``, times the point integral."""
+    rows = {(): ([0] * (ring.dim - 1) + [1], 1)}
     for chain in ring._chains[1:]:
         row, den = rows[chain[:-1]]     # the basis is closed under division
         columns, d = ring.divisor_columns[chain[-1]]
         rows[chain] = [sum(row[k] * x for k, x in col)
                        for col in columns], den * d
-    return [[Fraction(x, den) * integral for x in row]
-            for row, den in rows.values()]
+    num, den = ring.point_integrals
+    common = lcm(*(d for _, d in rows.values()))
+    return [[x * num * (common // d) for x in row]
+            for row, d in rows.values()], common * den
 
 
 def divisor_class(ring, rho):

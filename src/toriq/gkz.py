@@ -8,10 +8,14 @@ series coefficient is the exact product over rays of
 * ``D_rho``                                      when ``d = -1``,
 * ``D_rho * prod_{m=d+1..-1} (D_rho + m hbar)``  when ``d <= -2``.
 
-The reduced series (exponential prefactor stripped) is assembled over all
-effective classes up to the cutoff.  Every coefficient is homogeneous of
-total degree ``-sum_rho d_rho``, so it is a ``novikov.HLaurent`` of the one
-bucket read off ``beta``.  With hbar = 1 a ray's factor is a
+The reduced series (exponential prefactor stripped) is assembled over the
+effective classes up to the cutoff whose negative support ``{rho : d_rho <
+0}`` lies in a maximal cone; the others vanish.  ``D_rho`` is nilpotent, so
+``D_rho + m`` is a unit for ``m != 0`` and the coefficient is ``prod_{d_rho
+< 0} D_rho`` times a unit, which is zero exactly when those rays span no
+cone (Stanley-Reisner).  Every coefficient is homogeneous of total degree
+``-sum_rho d_rho``, so it is a ``novikov.HLaurent`` of the one bucket read
+off ``beta``.  With hbar = 1 a ray's factor is a
 polynomial in the nilpotent ``D_rho`` whose coefficients depend only on ``d``
 and the top degree, so all rays share one factor polynomial per pairing,
 applied through the ring's divisor columns.  Classes are visited in lex
@@ -30,11 +34,10 @@ numerators with sparse Gram rows.
 """
 
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
-from .cohomring import gram_matrix
+from .cohomring import _gram
 from .moricone import enumerate_effective
 from .novikov import HLaurent, NovikovContext, NovikovSeries
 
@@ -111,17 +114,21 @@ def i_function(ring, md, cutoff):
     """
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
+    cones = [sum(1 << rho for rho in cone) for cone in md.fan.max_cones]
     factors = {}
     prefix = [(ring.one().num, 1)] + [None] * ctx.n_rays
     previous = ()
     coefficients = {}
     for beta in sorted(classes):
+        negative = sum(1 << rho for rho, d in enumerate(beta) if d < 0)
+        if all(negative & ~cone for cone in cones):     # coefficient zero
+            continue
         start = 0
         while start < len(previous) and beta[start] == previous[start]:
             start += 1
         for rho in range(start, ctx.n_rays):
             acc, d = prefix[rho], beta[rho]
-            if d and any(acc[0]):   # a zero prefix stays zero
+            if d:
                 if d not in factors:
                     factors[d] = _factor(d, ring.top_degree)
                 acc = ring._times_polynomial(*acc, rho, factors[d])
@@ -130,7 +137,8 @@ def i_function(ring, md, cutoff):
             -sum(beta): ring._from_parts((prefix[-1],))})
         previous = beta
     # the series keeps its terms in enumeration order, (ell, lex)
-    return NovikovSeries(ctx, ring, {b: coefficients[b] for b in classes})
+    return NovikovSeries(ctx, ring, {b: coefficients[b] for b in classes
+                                     if b in coefficients})
 
 
 class LeadingTerms(namedtuple("LeadingTerms", (
@@ -151,12 +159,13 @@ def leading_terms(I):
 
 
 class TwoPointTable(namedtuple("TwoPointTable", "entries")):
-    """Invariants <T_a psi^k, 1> keyed by (basis index a, k, beta)."""
+    """<T_a psi^k, 1> by (basis index a, k, beta): integer (num, den > 0)."""
 
     __slots__ = ()
 
     def value(self, a, k, beta):
-        return self.entries.get((a, int(k), tuple(beta)), Fraction(0))
+        from fractions import Fraction
+        return Fraction(*self.entries.get((a, int(k), tuple(beta)), (0, 1)))
 
 
 def extract_two_point_invariants(ring, I):
@@ -165,11 +174,10 @@ def extract_two_point_invariants(ring, I):
     The coefficient of q^beta equals ``sum_a <T_a/(hbar - psi), 1> T^a``; its
     T_a-component (extracted by pairing against T_a) is ``sum_k hbar^(-k-1)
     <T_a psi^k, 1>``.  Every hbar power must be <= -1.  The pairing is read
-    from the Gram matrix: each nonzero numerator times its sparse Gram row.
+    from the integer Gram matrix: each nonzero numerator times its sparse row.
     """
-    gram = gram_matrix(ring)
-    gden = lcm(*(x.denominator for row in gram for x in row))
-    rows = [[(a, int(g * gden)) for a, g in enumerate(r) if g] for r in gram]
+    gram, gden = _gram(ring)
+    rows = [[(a, g) for a, g in enumerate(r) if g] for r in gram]
     entries = {}
     for beta, h in sorted(I.terms.items()):
         if beta == I.ctx.zero_class:
@@ -186,7 +194,7 @@ def extract_two_point_invariants(ring, I):
                         pairs[a] = pairs.get(a, 0) + x * g
             for a, val in sorted(pairs.items()):
                 if val:
-                    entries[(a, k, beta)] = Fraction(val, cls.den * gden)
+                    entries[(a, k, beta)] = (val, cls.den * gden)
     return TwoPointTable(entries=entries)
 
 

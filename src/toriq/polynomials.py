@@ -3,11 +3,13 @@
 A monomial is an exponent tuple; a polynomial is a dict mapping monomials to
 nonzero rationals, each an ``int`` when it is integral where it is made
 (``pconst``, ``pvar``, ``pscale``, ``pmul_term``) and a ``Fraction`` only
-where a division leaves one; the two compare and hash alike.  The term order
-is graded lexicographic with the *last* variable most significant (variables
-are indexed by their ray order and a later ray outranks an earlier one); this
-is the order under which the Stanley-Reisner images of the catalog fans have
-square-free-power leading terms and finite standard monomial bases.
+where a division leaves one; the two compare and hash alike.  ``fractions``
+is imported only then: ``_rational`` passes an ``int`` straight through.
+The term order is graded lexicographic with the *last* variable most
+significant (variables are indexed by their ray order and a later ray
+outranks an earlier one); this is the order under which the Stanley-Reisner
+images of the catalog fans have square-free-power leading terms and finite
+standard monomial bases.
 
 There is no Groebner code here: one completion (``batyrev.complete``, with
 ``batyrev.dp_reduce``) serves both the classical and the deformed ring.
@@ -17,7 +19,6 @@ basis expansions and rewriting rules -- is rendered by ``_signed_sum``, which
 ``cli`` shares the way ``novikov`` shares ``_rational``.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import add, le, sub
@@ -50,7 +51,10 @@ def term_key(m):
 
 def _rational(c):
     """``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
-    c = c if type(c) in (int, Fraction) else Fraction(c)
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+    c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

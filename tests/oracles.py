@@ -74,7 +74,8 @@ same ``q_mul`` and ``q_add``: no ``dp_reduce`` and no ``complete``.  It
 finds the primitive relations from the cones with its own linear algebra
 (``primitive_relations``) and takes only ``ell`` from ``mori_data``.
 ``wall_semipositive`` decides semipositivity from the wall relations, with
-no primitive collection.
+no primitive collection.  ``check_series_support`` checks the classes that
+``gkz.i_function`` skips against the reference walk, which skips none.
 
 ``psub``, ``groebner``, ``monomial_basis_classes``, ``q0`` and
 ``poincare_dual_basis`` (with ``SingularPairing``) have no caller in
@@ -95,12 +96,14 @@ from functools import cache, reduce
 from itertools import combinations, count, permutations, product
 from math import gcd, lcm
 
+from toriq import gkz
 from toriq import polynomials as P
 from toriq.batyrev import NonUnitLeadingCoefficient
 from toriq.catalog import CATALOG, builtin_fan
-from toriq.cohomring import CohClass, divisor_class, gram_matrix
+from toriq.cohomring import (CohClass, build_cohomology_ring, divisor_class,
+                             gram_matrix)
 from toriq.fan import make_fan
-from toriq.moricone import enumerate_effective
+from toriq.moricone import enumerate_effective, mori_data
 from toriq.novikov import HLaurent, NovikovContext, NovikovScalar, NovikovSeries
 
 _TABLES = {}
@@ -402,6 +405,24 @@ def i_function(ring, md, cutoff):
     return NovikovSeries(ctx, ring, {b: coefficients[b] for b in classes})
 
 
+def check_series_support(fan, cutoff):
+    """Check that ``gkz.i_function`` skips exactly the classes whose
+    coefficient vanishes: it keeps the effective classes whose negative
+    support, as a set of rays, lies in a maximal cone, and those are the
+    nonzero classes of the reference walk, which visits every class, with
+    equal coefficients and in the same order."""
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    I = gkz.i_function(ring, md, cutoff)
+    reference = i_function(ring, md, cutoff)
+    cones = [set(cone) for cone in fan.max_cones]
+    supported = [beta for beta in enumerate_effective(md, cutoff)
+                 if any({rho for rho, d in enumerate(beta) if d < 0} <= cone
+                        for cone in cones)]
+    assert list(I.terms) == supported == list(reference.terms), cutoff
+    assert I == reference, cutoff
+
+
 def perturbed_series(I, beta, shift):
     """``I`` with ``2 D_0 hbar^(s - 1 + shift)`` added to the coefficient of
     ``q^beta``, which is homogeneous of total degree ``s``.  With ``shift``
@@ -423,9 +444,10 @@ def reconstruct_coefficient(ring, table, beta):
     """Round-trip check: rebuild the q^beta coefficient from the table."""
     _, duals = poincare_dual_basis(ring)
     out = {}
-    for (a, k, b), val in table.entries.items():
+    for a, k, b in table.entries:
         if b == tuple(beta):
-            out[-k - 1] = out.get(-k - 1, ring.zero()) + duals[a].scale(val)
+            out[-k - 1] = out.get(-k - 1, ring.zero()) + \
+                duals[a].scale(table.value(a, k, b))
     return hlaurent(ring, out)
 
 

@@ -721,7 +721,7 @@ def test_import_loads_no_argument_parser():
 # the layers that toriq/__init__.py loads on first use
 LAZY = ("polynomials", "novikov", "cohomring", "gkz", "batyrev")
 
-# the stdlib's rational arithmetic, which only the series layers use
+# the stdlib's rational arithmetic, which no command loads on these fans
 NUMERIC = ["decimal", "fractions", "numbers"]
 
 # a lazy module is in sys.modules from import, a _LazyModule until it runs
@@ -769,21 +769,24 @@ def _fresh(code, *argv):
     ("main(['analyze', '--fan', sys.argv[1]])", 0, []),
     ("main(['certify', '--fan', 'F3'])", 3, []),
     ("main(['ifunction', '--fan', sys.argv[1]])", 0, list(LAZY)),
+    ("main(['certify', '--fan', 'F2', '--cutoff', '3'])", 0, list(LAZY)),
+    ("main(['certify', '--fan', sys.argv[1], '--cutoff', '6'])", 0,
+     list(LAZY)),
     ("main(['analyze', '--fan', sys.argv[2]])", 2, []),
 ], ids=["ingest", "analyze", "certify-not-semipositive", "ifunction",
-        "analyze-not-projective"])
+        "certify-F2", "certify-dP6", "analyze-not-projective"])
 def test_series_and_groebner_layers_load_on_first_use(tmp_path, call, code,
                                                       loaded):
     # the pinwheel has no positive functional: analyze exits 2 before
-    # anything reaches the series layers; the eager layers are integer-only,
-    # so fractions, decimal and numbers load with the series layers alone
+    # anything reaches the series layers; every layer is integer-only on
+    # these fans, whose rules all have unit leads, so no command loads
+    # fractions, decimal or numbers
     path = tmp_path / "dP6.json"
     path.write_text(json.dumps(FAN_FILES["dP6"]))
     pinwheel = tmp_path / "pinwheel.json"
     pinwheel.write_text(json.dumps(oracles.subdivided_p3((True,) * 3)))
     assert _fresh(LOADED_AFTER.format(call=call, lazy=LAZY, numeric=NUMERIC),
-                  str(path), str(pinwheel)) == \
-        [code, loaded, NUMERIC if loaded else []]
+                  str(path), str(pinwheel)) == [code, loaded, []]
 
 
 @pytest.mark.parametrize("fan,cutoff", [("F2", "3"), ("dP6", "6")])

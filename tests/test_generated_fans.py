@@ -14,7 +14,9 @@ Effective-class enumeration is compared with ``oracles.box_scan_effective``
 at cutoffs 0-2 on every generated fan: at cutoff 2 the largest scan, on
 threefold 2, covers a box of 5,625 points.  On every generated fan the Mori
 cone's facets are compared with ``oracles.facet_normals``, the series with
-``oracles.i_function`` at cutoffs 0-2, and the divisor classes with
+``oracles.i_function`` at cutoffs 0-3 (``oracles.check_series_support``:
+the classes skipped as zero are those whose negative support spans no
+cone), and the divisor classes with
 ``oracles.kirwan_divisors``.  On these and the catalog the positive
 functional is compared with ``oracles.least_functional``'s scan.
 
@@ -44,7 +46,6 @@ from toriq.catalog import CATALOG, builtin_fan
 from toriq.cli import exit_code_for, main, run_certify
 from toriq.cohomring import build_cohomology_ring, divisor_class, integrate
 from toriq.fan import h_vector, make_fan
-from toriq.gkz import i_function
 from toriq.moricone import (
     _facet_normals,
     _kernel_setup,
@@ -188,14 +189,10 @@ def test_generated_facets_match_nullspace_oracle(kind, i):
 @pytest.mark.parametrize("kind,i", GENERATED,
                          ids=[f"{kind}-{i}" for kind, i in GENERATED])
 def test_generated_series_matches_hlaurent_reference(kind, i):
+    # term order included, and the series skips exactly the zero classes
     fan = {"surface": surface, "threefold": threefold}[kind](i)
-    md = mori_data(fan)
-    ring = build_cohomology_ring(fan)
-    for cutoff in range(3):
-        I = i_function(ring, md, cutoff)
-        reference = oracles.i_function(ring, md, cutoff)
-        assert I == reference, cutoff
-        assert list(I.terms) == list(reference.terms), cutoff
+    for cutoff in range(4):
+        oracles.check_series_support(fan, cutoff)
 
 
 def test_generated_fans_reach_both_certify_outcomes():

@@ -27,7 +27,7 @@ from toriq.gkz import (
     _factor,
 )
 from toriq.moricone import enumerate_effective, mori_data
-from toriq.novikov import HLaurent
+from toriq.novikov import HLaurent, NovikovSeries
 
 from oracles import (
     KERNEL_FANS,
@@ -210,8 +210,8 @@ def test_two_point_degree_matching():
         fan, md, ring = setup(name)
         I = i_function(ring, md, 3)
         table = extract_two_point_invariants(ring, I)
-        for (a, k, beta), val in table.entries.items():
-            assert val != 0
+        for a, k, beta in table.entries:
+            assert table.value(a, k, beta) != 0
             assert sum(ring.basis[a]) + k == fan.dim + sum(beta) - 1, \
                 (name, a, k, beta)
 
@@ -368,19 +368,41 @@ REFERENCE_CASES = [(f"{name}@4", make, 4)
 @pytest.mark.parametrize("make,cutoff", [case[1:] for case in REFERENCE_CASES],
                          ids=[case[0] for case in REFERENCE_CASES])
 def test_i_function_matches_hlaurent_reference(make, cutoff):
-    # the integer prefixes give the HLaurent walk's series, term order included
+    # the integer prefixes give the HLaurent walk's series, term order
+    # included, and skip exactly the classes whose coefficient is zero: a
+    # coefficient is prod_{beta_rho < 0} D_rho times a unit, zero exactly
+    # when those rays span no cone
+    oracles.check_series_support(make(), cutoff)
+
+
+DROP_CASES = [("F1@3", lambda: builtin_fan("F1"), 3),
+              ("P1xP2@3", lambda: builtin_fan("P1xP2"), 3), ("dP6@4", dp6, 4)]
+
+
+@pytest.mark.parametrize("make,cutoff", [case[1:] for case in DROP_CASES],
+                         ids=[case[0] for case in DROP_CASES])
+def test_annihilation_fails_without_a_kept_class(make, cutoff):
+    # the series keeps only nonzero classes, and the box operators still
+    # tie each one to its neighbours: dropping any class within every
+    # operator's certified range makes the certificate fail
     fan = make()
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
     I = i_function(ring, md, cutoff)
-    reference = oracles.i_function(ring, md, cutoff)
-    assert I == reference
-    assert list(I.terms) == list(reference.terms)
+    reach = cutoff - max(md.ell_of(beta) for beta in md.generators)
+    kept = [beta for beta in I.terms if md.ell_of(beta) <= reach]
+    assert len(kept) > 2
+    for beta in kept:
+        dropped = NovikovSeries(I.ctx, ring, {
+            b: h for b, h in I.terms.items() if b != beta})
+        with pytest.raises(AnnihilationFailure):
+            annihilation_certificate(dropped, md)
 
 
 def test_i_function_dp6_work(monkeypatch):
-    # no HLaurent product, each coefficient reduced once, when stored, and
-    # one factor polynomial per distinct pairing (12), not one per ray and
+    # no HLaurent product, one coefficient formed and reduced, when stored,
+    # per class whose negative support is a cone (180 of the 462), and one
+    # factor polynomial per distinct pairing (12), not one per ray and
     # pairing (72), shared by every ray
     fan = dp6()
     md = mori_data(fan)
@@ -404,8 +426,7 @@ def test_i_function_dp6_work(monkeypatch):
     monkeypatch.setattr(toriq.gkz, "_factor", counted_factor)
     I = i_function(ring, md, 6)
     classes = enumerate_effective(md, 6)
-    assert 0 < len(calls) <= len(classes)
-    assert len(I.terms) > 100
+    assert len(calls) == len(I.terms) == 180 and len(classes) == 462
     pairings = {d for beta in classes for d in beta if d}
     assert sorted(built) == sorted(pairings) and len(built) == 12
     assert len({(rho, d) for beta in classes
@@ -481,8 +502,9 @@ def test_two_point_matches_integration(make, cutoff, scale):
     fan = make()
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
-    ring = ring._replace(point_integrals={
-        m: v * scale for m, v in ring.point_integrals.items()})
+    (num, den), scale = ring.point_integrals, Fraction(scale)
+    ring = ring._replace(point_integrals=(num * scale.numerator,
+                                          den * scale.denominator))
     I = i_function(ring, md, cutoff)
     table = extract_two_point_invariants(ring, I)
     T = monomial_basis_classes(ring)
@@ -494,7 +516,10 @@ def test_two_point_matches_integration(make, cutoff, scale):
                     val = integrate(ring, cls * Ta)
                     if val:
                         expected[(a, -power - 1, beta)] = val
-    assert table.entries == expected
+    assert {key: table.value(*key) for key in table.entries} == expected
+    # each entry is an integer pair, its denominator positive
+    assert all(type(n) is int and type(d) is int and d > 0
+               for n, d in table.entries.values())
 
 
 PERTURBED = [("F1", lambda: builtin_fan("F1"), (1, -1, 1, 0)),

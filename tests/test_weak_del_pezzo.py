@@ -17,7 +17,8 @@ from toriq.batyrev import build_deformed_ideal, certify_isomorphism
 from toriq.cohomring import build_cohomology_ring
 from toriq.moricone import mori_data
 
-from oracles import KERNEL_FANS, check_module, cycle_fan
+from oracles import (KERNEL_FANS, check_module, check_series_support,
+                     cycle_fan)
 
 # the one fan whose largest Mori generator has ell 5
 NEEDS_CUTOFF_5 = (0, 2, 1, 2, 2, 2, 1, 2)
@@ -99,3 +100,8 @@ def test_weak_del_pezzo_certifies(a):
     cutoff = max(4, need)
     ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), cutoff)
     check_module(fan, md.ell, cutoff, certify_isomorphism(ideal, md))
+
+
+@pytest.mark.parametrize("a", SEQUENCES, ids=lambda a: ",".join(map(str, a)))
+def test_weak_del_pezzo_series_skips_exactly_the_zero_classes(a):
+    check_series_support(cycle_fan(str(a), rays_of(a)), 3)
