@@ -11,8 +11,8 @@ connected; then the covering degree: one generic point lies in exactly one
 maximal cone).  Each check raises ``ValidationError`` on the first
 violation.  ``Fan.chart``, computed once per fan, fixes the cone that the
 cohomology ring and the curve-class lattice are read in.  Each maximal
-cone's ray matrix is inverted once (``Fan.cone_inverses``), and every
-coordinate on a cone's rays is a dot product with a row of its inverse.
+cone's ray matrix is inverted once (``Fan.cone_inverses``), its only
+solver: smoothness, wall sides and coordinates on its rays are read from it.
 ``h_vector`` gives the even Betti numbers from the face counts alone.
 """
 
@@ -79,8 +79,9 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
     @cached_property
     def cone_inverses(self):
         """Maximal cone -> ``lattice.invert_int`` of its ray matrix (rays as
-        columns): ``(rows, d)`` with ``d == 1`` on a smooth cone, None when
-        singular.  Computed once per Fan."""
+        columns), once per Fan: ``(rows, d)``, ``d == 1`` when smooth, None
+        when singular.  Read by ``validate_smooth``, ``validate_complete``
+        and ``coordinates``."""
         return {cone: lattice.invert_int(list(zip(*self.cone_rays(cone))))
                 for cone in self.max_cones}
 
@@ -113,8 +114,10 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
                 for k in range(len(cone) + 1) for face in combinations(cone, k)}
 
     def coordinates(self, cone, v):
-        """Coordinates of ``v`` on the rays of a nonsingular maximal cone,
-        times its ``d > 0``: exact on a smooth cone, with their signs on any."""
+        """Coordinates of ``v`` on a maximal cone's rays, times its ``d > 0``:
+        exact if smooth, signed if not; NonIntegralCoefficient if singular."""
+        if self.cone_inverses[cone] is None:
+            raise NonIntegralCoefficient(f"the cone {cone} is singular")
         return [sum(map(mul, row, v)) for row in self.cone_inverses[cone][0]]
 
 
@@ -125,29 +128,28 @@ def make_fan(dim, rays, max_cones, name=""):
 
 
 def validate_smooth(fan):
-    """Check that every maximal cone's rays form a ZZ-basis (determinant +-1).
+    """Check that every maximal cone's inverse exists and is integral.
 
     Raises ``ValidationError("fan is not smooth: ...")`` naming the first cone
-    that fails; returns nothing.
+    that fails and its determinant; returns nothing.
     """
     for cone in fan.max_cones:
         _check_smooth(fan, cone)
 
 
 def _check_smooth(fan, cone):
-    d = lattice.det_int(fan.cone_rays(cone))
-    if abs(d) != 1:
+    if fan.cone_inverses[cone] is None or fan.cone_inverses[cone][1] != 1:
         raise ValidationError(
             f"fan is not smooth: cone {tuple(i + 1 for i in cone)} "
-            f"has determinant {d}")
+            f"has determinant {lattice.det_int(fan.cone_rays(cone))}")
 
 
 def validate_complete(fan):
     """Check completeness of a pure simplicial fan by the closed-wall criterion.
 
     Every wall must lie in exactly two maximal cones, on opposite sides of it
-    (the determinants of the wall's rays plus each cone's remaining ray have
-    opposite signs), and the wall-adjacency graph must be connected.  Such
+    (the second cone's remaining ray has a negative coordinate on the first
+    cone's), and the wall-adjacency graph must be connected.  Such
     cones cover space a whole number of times (a cycle of 2-D cones can wind
     twice around the origin), so exactly one maximal cone must contain a
     generic point in its interior.  Raises ``ValidationError("fan is not
@@ -158,26 +160,25 @@ def validate_complete(fan):
         raise ValidationError("fan is not complete: no maximal cones")
     walls = {}
     for ci, cone in enumerate(fan.max_cones):
-        for wall in combinations(cone, fan.dim - 1):
-            walls.setdefault(wall, []).append(ci)
+        for k in range(fan.dim):
+            walls.setdefault(cone[:k] + cone[k + 1:], []).append((ci, k))
     for wall, cones in sorted(walls.items()):
         name = tuple(i + 1 for i in wall)
         if len(cones) != 2:
             raise ValidationError(
                 f"fan is not complete: wall {name} lies in {len(cones)} "
                 f"maximal cone(s), expected 2")
-        sides = [lattice.det_int(fan.cone_rays(wall) + [list(fan.rays[i])])
-                 for ci in cones for i in fan.max_cones[ci] if i not in wall]
-        if sides[0] * sides[1] >= 0:
+        (a, k), (b, j) = cones
+        cone, u = fan.max_cones[a], fan.rays[fan.max_cones[b][j]]
+        if fan.cone_inverses[cone] is None or fan.coordinates(cone, u)[k] >= 0:
             raise ValidationError(
                 f"fan is not complete: the cones at wall {name} overlap")
     # connectivity of the wall-adjacency graph
     adj = {i: set() for i in range(len(fan.max_cones))}
-    for a, b in walls.values():
+    for (a, _), (b, _) in walls.values():
         adj[a].add(b)
         adj[b].add(a)
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
         for nxt in adj[stack.pop()]:
             if nxt not in seen:

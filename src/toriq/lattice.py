@@ -2,7 +2,7 @@
 
 Matrices are plain lists of row lists of Python ints: no floating point, no
 overflow.  One fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
-22, 1968) gives determinants (smoothness, wall sides), exact inverses and
+22, 1968) gives determinants (named when a cone is not smooth), inverses and
 pivot columns alike.  An inverse is an integer matrix over one positive
 denominator.  Each matrix that gives coordinates is inverted once (a fan's
 maximal cones, the Mori generators), and a coordinate is a dot product with

@@ -249,6 +249,7 @@ def _facet_normals(vectors, r):
     primitive and integral.
     """
     start = lattice.independent(vectors)
+    assert len(start) == r, "the Mori cone must span the curve-class lattice"
     inv = lattice.invert_int([list(vectors[i]) for i in start])[0]
     rays = []
     for j in range(r):
@@ -362,8 +363,6 @@ def enumerate_effective(md, cutoff):
     basis, surviving = _kernel_setup(fan)
     r = len(basis)
     ys = [tuple(g[j] for j in surviving) for g in md.generators]
-    assert len(lattice.independent(ys)) == r, \
-        "Mori cone of a projective fan must span the curve-class lattice"
     ell_y = tuple(md.ell_of(b) for b in basis)
     rows = [(f, 0) for f in _facet_normals(ys, r)]
     rows.append((tuple(-x for x in ell_y), -cutoff))

@@ -88,13 +88,19 @@ for ``lattice``'s fraction-free one, and nothing here calls ``lattice``:
 ``invert_rational`` (also the dual basis's inverse, since the pairing's Gram
 matrix is rational), ``nullspace_rational`` and ``_solve`` read it, and
 ``det_leibniz`` expands a determinant over permutations with no elimination.
+``validate_smooth_by_det`` and ``validate_complete_by_det`` are the fan
+checks as they were before ``Fan.cone_inverses`` served them, on
+``det_leibniz``: one determinant per maximal cone for smoothness, and two
+per wall, of the wall's rays plus each cone's remaining ray, whose signs
+must differ; the covering degree reads its signs from ``invert_rational``.
+They raise ``ValidationError`` with the library's messages.
 """
 
 import heapq
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, count, permutations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from toriq import gkz
 from toriq import polynomials as P
@@ -102,7 +108,7 @@ from toriq.batyrev import NonUnitLeadingCoefficient
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cohomring import (CohClass, build_cohomology_ring, divisor_class,
                              gram_matrix)
-from toriq.fan import make_fan
+from toriq.fan import ValidationError, make_fan
 from toriq.moricone import enumerate_effective, mori_data
 from toriq.novikov import HLaurent, NovikovContext, NovikovScalar, NovikovSeries
 
@@ -565,6 +571,64 @@ def det_leibniz(A):
             term *= A[i][j]
         total += term
     return total
+
+
+def validate_smooth_by_det(fan):
+    """``fan.validate_smooth`` by determinants: each must be +-1."""
+    for cone in fan.max_cones:
+        d = det_leibniz(fan.cone_rays(cone))
+        if abs(d) != 1:
+            raise ValidationError(
+                f"fan is not smooth: cone {tuple(i + 1 for i in cone)} "
+                f"has determinant {d}")
+
+
+def validate_complete_by_det(fan):
+    """``fan.validate_complete`` by determinants: the cones at a wall lie on
+    opposite sides when ``det(wall, u)`` differs in sign between their
+    remaining rays ``u``."""
+    if not fan.max_cones:
+        raise ValidationError("fan is not complete: no maximal cones")
+    walls = {}
+    for ci, cone in enumerate(fan.max_cones):
+        for wall in combinations(cone, fan.dim - 1):
+            walls.setdefault(wall, []).append(ci)
+    for wall, cones in sorted(walls.items()):
+        name = tuple(i + 1 for i in wall)
+        if len(cones) != 2:
+            raise ValidationError(
+                f"fan is not complete: wall {name} lies in {len(cones)} "
+                f"maximal cone(s), expected 2")
+        sides = [det_leibniz(fan.cone_rays(wall) + [list(fan.rays[i])])
+                 for ci in cones for i in fan.max_cones[ci] if i not in wall]
+        if sides[0] * sides[1] >= 0:
+            raise ValidationError(
+                f"fan is not complete: the cones at wall {name} overlap")
+    adj = {i: set() for i in range(len(fan.max_cones))}
+    for a, b in walls.values():
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for nxt in adj[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if len(seen) != len(fan.max_cones):
+        raise ValidationError(
+            "fan is not complete: maximal cones are not wall-connected")
+    big = max(abs(x) for u in fan.rays for x in u)
+    n = factorial(fan.dim - 1) * big ** (fan.dim - 1) + 2
+    point = [n ** k for k in range(fan.dim)]
+    degree = 0
+    for cone in fan.max_cones:
+        inverse = invert_rational(list(zip(*fan.cone_rays(cone))))
+        degree += all(sum(a * x for a, x in zip(row, point)) > 0
+                      for row in inverse)
+    if degree != 1:
+        raise ValidationError(
+            f"fan is not complete: its cones cover space {degree} times, "
+            f"expected once")
 
 
 def subdivided_p3(diagonals):

@@ -526,6 +526,32 @@ def test_command_work_is_pinned(monkeypatch, capsys, tmp_path, command, fan,
     assert calls["dp_reduce"] <= dp_reduce_max, calls
 
 
+@pytest.mark.parametrize("make,eliminations", [
+    (lambda: oracles.product_fan(oracles.wdp3(), oracles.wdp3()), 81),
+    (oracles.p2xp2, 9),
+])
+def test_ingestion_eliminates_once_per_cone(monkeypatch, tmp_path, make,
+                                            eliminations):
+    # validation and the chart read each maximal cone's inverse, so the only
+    # eliminations are one per cone (81 on wdP3xwdP3 and 9 on P2xP2, where a
+    # determinant per cone and two per wall took 487 and 55)
+    fan = make()
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({
+        "dim": fan.dim, "rays": fan.rays,
+        "max_cones": [[i + 1 for i in cone] for cone in fan.max_cones]}))
+    calls = [0]
+    real = toriq.lattice._eliminate
+
+    def counted(M):
+        calls[0] += 1
+        return real(M)
+
+    monkeypatch.setattr(toriq.lattice, "_eliminate", counted)
+    ingest(str(path)).chart
+    assert calls[0] == len(fan.max_cones) == eliminations
+
+
 def test_analyze_builds_no_ring(monkeypatch):
     # the dimension is the number of maximal cones and the graded
     # dimensions the fan's h-vector, so no cohomology ring is built

@@ -158,6 +158,20 @@ def test_minimal_cone_rejects_cone_that_is_not_smooth():
     assert minimal_cone_containing(fan, (0, 0)) == ((), ())
 
 
+def test_minimal_cone_rejects_singular_cone():
+    from toriq.fan import NonIntegralCoefficient
+    # cone (0, 2) spans only a line, so it has no inverse; it comes before
+    # the cone (2, 3) that holds (-1, -1)
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                   [(0, 1), (1, 2), (0, 2), (2, 3), (3, 0)])
+    assert fan.cone_inverses[(0, 2)] is None
+    with pytest.raises(NonIntegralCoefficient,
+                       match=r"^the cone \(0, 2\) is singular$"):
+        minimal_cone_containing(fan, (-1, -1))
+    with pytest.raises(NonIntegralCoefficient):
+        fan.coordinates((0, 2), (1, 0))
+
+
 def test_coordinates_identity_basis():
     fan = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
     assert fan.coordinates((0, 1), (0, 2)) == [0, 2]

@@ -33,6 +33,12 @@ refused with exit 3.
 On those fans and the products, the graded dimensions that ``analyze``
 reports, ``fan.h_vector`` from the face counts, are compared with the
 degrees of the cohomology ring's basis monomials.
+
+``validate_smooth`` and ``validate_complete``, which read the cone inverses,
+are compared with ``oracles.validate_smooth_by_det`` and
+``oracles.validate_complete_by_det``, which take determinants, on the
+kernel fans, the weak del Pezzo fans, the generated fans and the
+P1-bundles, and on corrupted copies of each of dimension 2 or 3.
 """
 
 import json
@@ -45,7 +51,13 @@ from toriq.batyrev import build_deformed_ideal, certify_isomorphism
 from toriq.catalog import CATALOG, builtin_fan
 from toriq.cli import exit_code_for, main, run_certify
 from toriq.cohomring import build_cohomology_ring, divisor_class, integrate
-from toriq.fan import h_vector, make_fan
+from toriq.fan import (
+    ValidationError,
+    h_vector,
+    make_fan,
+    validate_complete,
+    validate_smooth,
+)
 from toriq.moricone import (
     _facet_normals,
     _kernel_setup,
@@ -301,3 +313,73 @@ def test_semipositive_product_certifies(a, b, cutoff):
     module = certify_isomorphism(build_deformed_ideal(fan, md, ring, cutoff),
                                  md)
     check_module(fan, md.ell, cutoff, module)
+
+
+def corruptions(fan, rng):
+    """Copies of ``fan`` as ``(rays, cones)``: one ray negated; one cone's
+    ray swapped for its neighbour's remaining ray across a wall; one cone
+    made degenerate, a ray replaced by the opposite of another of its rays
+    (a new ray when that is not one already)."""
+    rays, cones = list(fan.rays), [list(c) for c in fan.max_cones]
+    i = rng.randrange(fan.n_rays)
+    yield rays[:i] + [tuple(-x for x in rays[i])] + rays[i + 1:], cones
+    a = rng.randrange(len(cones))
+    wall = rng.sample(cones[a], fan.dim - 1)
+    j = next(i for c in cones if c != cones[a] and set(wall) <= set(c)
+             for i in c if i not in wall)
+    w = rng.choice(wall)
+    yield rays, cones[:a] + [[j if i == w else i for i in cones[a]]] + \
+        cones[a + 1:]
+    a = rng.randrange(len(cones))
+    p, q = rng.sample(cones[a], 2)
+    opposite = tuple(-x for x in rays[p])
+    rays = rays + [opposite] * (opposite not in rays)
+    yield rays, cones[:a] + [[rays.index(opposite) if i == q else i
+                              for i in cones[a]]] + cones[a + 1:]
+
+
+KINDS = ("not smooth", "lies in", "overlap", "wall-connected", "cover space")
+
+
+def validation_verdicts(fan, *checks):
+    """Each check's ``ValidationError`` message, or None when it passes."""
+    verdicts = []
+    for check in checks:
+        try:
+            check(fan)
+        except ValidationError as exc:
+            verdicts.append(str(exc))
+        else:
+            verdicts.append(None)
+    return verdicts
+
+
+def test_validation_matches_determinant_reference():
+    fans = [make() for _, make in sorted(oracles.KERNEL_FANS.items())] + \
+        [cycle_fan(str(a), rays_of(a)) for a in SEQUENCES] + \
+        [FANS[kind](i) for kind, i in GENERATED] + p1_bundles()
+    # a cycle that winds twice around the origin, and two copies of P2 that
+    # share no wall: failures that no corruption below makes
+    failing = [cycle_fan("twice", [(1, 0), (0, 1), (-1, -2), (2, 3),
+                                   (-1, -1), (0, -1)]),
+               make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0),
+                            (0, -1)],
+                        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]
+    corrupted = []
+    for k, fan in enumerate(fans):
+        if fan.dim not in (2, 3):
+            continue
+        for rays, cones in corruptions(fan, random.Random(k)):
+            try:
+                corrupted.append(make_fan(fan.dim, rays, cones, fan.name))
+            except ValidationError:
+                pass
+    kinds = set()
+    for fan in fans + failing + corrupted:
+        library = validation_verdicts(fan, validate_smooth, validate_complete)
+        assert library == validation_verdicts(
+            fan, oracles.validate_smooth_by_det,
+            oracles.validate_complete_by_det), fan
+        kinds.update(next(k for k in KINDS if k in v) for v in library if v)
+    assert len(fans) == 15 + 16 + 30 + 278 and len(corrupted) == 857
+    assert kinds == set(KINDS), kinds

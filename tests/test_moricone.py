@@ -657,6 +657,22 @@ def test_enumerate_effective_wdp3_ell_calls(monkeypatch):
     assert ells == sorted(ells) and max(ells) == 6
 
 
+def test_enumerate_effective_takes_the_rank_once(monkeypatch):
+    # the rank check reads the independent generators that _facet_normals
+    # starts its double description from, with no elimination of its own
+    md = mori_data(builtin_fan("BlP2"))
+    calls = [0]
+    real = lattice.independent
+
+    def counting(vectors):
+        calls[0] += 1
+        return real(vectors)
+
+    monkeypatch.setattr(lattice, "independent", counting)
+    assert len(enumerate_effective(md, 2)) > 1
+    assert calls[0] == 1
+
+
 def test_effectivity_witness_f2():
     f2 = builtin_fan("F2")
     pc = primitive_relation(f2, (0, 2))
