@@ -3,8 +3,11 @@
 The deformed ideal replaces each Stanley-Reisner generator
 ``prod_{rho in P} x_rho`` by the binomial ``prod_{rho in P} x_rho -
 q^{beta_P} prod_{rho in gamma(1)} x_rho^{c_rho}`` coming from the primitive
-relation of ``P``.  After the linear eliminations the coefficients live in the
-truncated semigroup algebra; polynomials are stored level by level as
+relation of ``P``, which is ``x^(beta+) - q^beta x^(beta-)`` for ``beta =
+beta_P``.  ``_binomial`` reads it off the class, for these generators and
+for the box operators' hbar -> 0 limits that ``relation_check`` reduces.
+After the linear eliminations the coefficients live in the truncated
+semigroup algebra; polynomials are stored level by level as
 ``{curve class -> rational polynomial}``.  A rewriting rule is a pair
 ``(lead, tail)``: it rewrites the monomial ``x^lead`` to ``tail`` and stands
 for the monic element ``x^lead - tail`` of the ideal; in the rules that
@@ -183,19 +186,14 @@ class DeformedIdeal(namedtuple("DeformedIdeal", (
     __slots__ = ()
 
 
-def _binomial(ring, ctx, pos, neg, beta):
-    """``x^pos - q^beta x^neg``, level-indexed, for ``(rho, e)`` pairs: the
-    level ``beta`` is dropped when its ell exceeds the cutoff."""
-    out = {ctx.zero_class: ring.ray_product(pos)}
+def _binomial(ring, ctx, beta):
+    """Batyrev's relation ``x^(beta+) - q^beta x^(beta-)`` of a class,
+    level-indexed; the level ``beta`` is dropped past the cutoff."""
+    pos, neg = ([max(s * d, 0) for d in beta] for s in (1, -1))
+    out = {ctx.zero_class: ring.ray_product(enumerate(pos))}
     if ctx.ell_of(beta) <= ctx.cutoff:
-        out[tuple(beta)] = P.pscale(ring.ray_product(neg), -1)
+        out[tuple(beta)] = P.pscale(ring.ray_product(enumerate(neg)), -1)
     return out
-
-
-def _deformed_generators(fan, md, ring, ctx):
-    return [_binomial(ring, ctx, ((rho, 1) for rho in pc.rays),
-                      zip(pc.gamma, pc.coeffs), beta)
-            for pc, beta in zip(md.collections, md.generators)]
 
 
 def complete(gens, ctx):
@@ -293,9 +291,10 @@ def complete(gens, ctx):
 
 
 def build_deformed_ideal(fan, md, ring, cutoff):
-    """Complete the deformed generators to a rewriting system."""
+    """Complete the binomials of the Mori generators to a rewriting system."""
     ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
-    rules, added = complete(_deformed_generators(fan, md, ring, ctx), ctx)
+    rules, added = complete([_binomial(ring, ctx, b) for b in md.generators],
+                            ctx)
     return DeformedIdeal(ring=ring, ctx=ctx, rules=rules,
                          completion_added=added)
 
@@ -365,14 +364,12 @@ def module_matrices(ideal):
 
 
 def relation_check(ideal, operators):
-    """Reduce each operator's binomial ``x^positive - q^beta x^negative``,
-    built as a deformed generator is.  Raises ``RelationNonzero`` naming the
-    first that does not vanish in the quotient; returns nothing."""
+    """Reduce each operator's hbar -> 0 limit, ``_binomial`` of its class,
+    which builds the deformed generators too.  Raises ``RelationNonzero``
+    naming the first that does not vanish in the quotient; returns nothing."""
     for op in operators:
-        binomial = _binomial(ideal.ring, ideal.ctx,
-                             enumerate(op.positive_exponents),
-                             enumerate(op.negative_exponents), op.beta)
-        if dp_reduce(binomial, ideal.rules, ideal.ctx):
+        if dp_reduce(_binomial(ideal.ring, ideal.ctx, op.beta), ideal.rules,
+                     ideal.ctx):
             raise RelationNonzero(
                 f"relation of {op.beta} does not vanish in the quotient")
 

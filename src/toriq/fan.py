@@ -38,7 +38,7 @@ class NonIntegralCoefficient(ValueError):
 
 
 class Fan(namedtuple("Fan", "dim rays max_cones name")):
-    """Immutable fan: primitive rays plus maximal-cone ray-index sets (0-based)."""
+    """Immutable fan: primitive rays plus sorted maximal cones (0-based)."""
 
     def __new__(cls, dim, rays, max_cones, name=""):
         if dim < 1:
@@ -55,19 +55,22 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
             raise ValidationError("duplicate rays")
         covered = set()
         for cone in max_cones:
+            label = tuple(i + 1 for i in cone)
             if len(set(cone)) != len(cone):
-                raise ValidationError(f"repeated ray index in cone {cone}")
+                raise ValidationError(f"repeated ray index in cone {label}")
             if len(cone) != dim:
                 raise ValidationError(
-                    f"maximal cone {cone} has {len(cone)} rays, expected {dim}")
+                    f"maximal cone {label} has {len(cone)} rays, expected {dim}")
             for i in cone:
                 if not 0 <= i < len(rays):
-                    raise ValidationError(f"cone {cone} references missing ray {i}")
+                    raise ValidationError(
+                        f"cone {label} references missing ray {i + 1}")
             covered.update(cone)
         if covered != set(range(len(rays))):
-            missing = sorted(set(range(len(rays))) - covered)
+            missing = [i + 1 for i in range(len(rays)) if i not in covered]
             raise ValidationError(f"rays {missing} appear in no maximal cone")
-        return super().__new__(cls, dim, rays, max_cones, name)
+        cones = tuple(sorted(tuple(sorted(c)) for c in max_cones))
+        return super().__new__(cls, dim, rays, cones, name)
 
     @property
     def n_rays(self):
@@ -109,7 +112,7 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
 
     @cached_property
     def faces(self):
-        """The cones of the fan as ray-index tuples, computed once per Fan."""
+        """The cones of the fan as ascending ray-index tuples, once per Fan."""
         return {face for cone in self.max_cones
                 for k in range(len(cone) + 1) for face in combinations(cone, k)}
 
@@ -122,9 +125,8 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
 
 
 def make_fan(dim, rays, max_cones, name=""):
-    """Build a Fan with canonicalized (sorted) cone index sets."""
-    cones = tuple(sorted(tuple(sorted(c)) for c in max_cones))
-    return Fan(dim=dim, rays=tuple(tuple(u) for u in rays), max_cones=cones, name=name)
+    """Build a Fan from lists: rays and cones become tuples."""
+    return Fan(dim, tuple(map(tuple, rays)), tuple(map(tuple, max_cones)), name)
 
 
 def validate_smooth(fan):

@@ -10,13 +10,13 @@ series coefficient is the exact product over rays of
 
 The reduced series (exponential prefactor stripped) is assembled over the
 effective classes up to the cutoff whose negative support ``{rho : d_rho <
-0}`` lies in a maximal cone; the others vanish.  ``D_rho`` is nilpotent, so
-``D_rho + m`` is a unit for ``m != 0`` and the coefficient is ``prod_{d_rho
-< 0} D_rho`` times a unit, which is zero exactly when those rays span no
-cone (Stanley-Reisner).  Every coefficient is homogeneous of total degree
-``-sum_rho d_rho``, so it is a ``novikov.HLaurent`` of the one bucket read
-off ``beta``.  With hbar = 1 a ray's factor is a
-polynomial in the nilpotent ``D_rho`` whose coefficients depend only on ``d``
+0}`` is a cone of the fan (``Fan.faces``); the others vanish.  ``D_rho`` is
+nilpotent, so ``D_rho + m`` is a unit for ``m != 0`` and the coefficient is
+``prod_{d_rho < 0} D_rho`` times a unit, which is zero exactly when those
+rays span no cone (Stanley-Reisner).  Every coefficient is homogeneous of
+total degree ``-sum_rho d_rho``, so it is a ``novikov.HLaurent`` of the one
+bucket read off ``beta``.  With hbar = 1 a ray's factor is a polynomial in
+the nilpotent ``D_rho`` whose coefficients depend only on ``d``
 and the top degree, so all rays share one factor polynomial per pairing,
 applied through the ring's divisor columns.  Classes are visited in lex
 order and share the product of the factors of their common prefix, carried
@@ -114,15 +114,14 @@ def i_function(ring, md, cutoff):
     """
     ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     classes = enumerate_effective(md, cutoff)
-    cones = [sum(1 << rho for rho in cone) for cone in md.fan.max_cones]
+    faces = md.fan.faces
     factors = {}
     prefix = [(ring.one().num, 1)] + [None] * ctx.n_rays
     previous = ()
     coefficients = {}
     for beta in sorted(classes):
-        negative = sum(1 << rho for rho, d in enumerate(beta) if d < 0)
-        if all(negative & ~cone for cone in cones):     # coefficient zero
-            continue
+        if tuple(rho for rho, d in enumerate(beta) if d < 0) not in faces:
+            continue                                    # coefficient zero
         start = 0
         while start < len(previous) and beta[start] == previous[start]:
             start += 1

@@ -547,7 +547,28 @@ def _deformed_setup(name, cutoff):
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
     ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
-    return ring, ctx, batyrev._deformed_generators(fan, md, ring, ctx)
+    return ring, ctx, [batyrev._binomial(ring, ctx, b) for b in md.generators]
+
+
+@pytest.mark.parametrize("name", sorted(oracles.KERNEL_FANS))
+def test_binomial_is_the_primitive_relation(name):
+    # x^P - q^beta prod_{gamma(1)} x^c, read off the primitive collection,
+    # is the binomial read off its class: key for key, level for level
+    fan = oracles.KERNEL_FANS[name]()
+    md = mori_data(fan)
+    ring = build_cohomology_ring(fan)
+    for cutoff in (0, 3):
+        ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
+        for pc, beta in zip(md.collections, md.generators):
+            want = {ctx.zero_class:
+                    ring.ray_product((rho, 1) for rho in pc.rays)}
+            if md.ell_of(beta) <= cutoff:
+                want[beta] = {m: -c for m, c in ring.ray_product(
+                    zip(pc.gamma, pc.coeffs)).items()}
+            got = batyrev._binomial(ring, ctx, beta)
+            assert got == want, (name, cutoff, beta)
+            assert [list(p.items()) for p in got.values()] == \
+                [list(p.items()) for p in want.values()], (name, cutoff, beta)
 
 
 @pytest.mark.parametrize("name,cutoff", ENGINE_CASES)
@@ -721,7 +742,7 @@ def test_reversed_wdp5_certifies(tmp_path, capsys):
     # the reference reduces every S-pair, which is slow at cutoff 4
     for cutoff in (1, 2):
         ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
-        gens = batyrev._deformed_generators(fan, md, ring, ctx)
+        gens = [batyrev._binomial(ring, ctx, b) for b in md.generators]
         assert batyrev.complete(gens, ctx) == oracles.complete(gens, ctx)[:2]
 
 

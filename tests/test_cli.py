@@ -215,6 +215,29 @@ def test_ingest_rejects_non_smooth(tmp_path, capsys):
     assert "smooth" in err
 
 
+@pytest.mark.parametrize("rays,cones,message", [
+    ([[1, 0], [0, 1], [-1, -1]], [[1, 2, 3]],
+     "maximal cone (1, 2, 3) has 3 rays, expected 2"),
+    ([[1, 0], [0, 1], [-1, -1]], [[1, 1], [2, 3], [1, 3]],
+     "repeated ray index in cone (1, 1)"),
+    ([[1, 0], [0, 1], [-1, -1], [1, 1]], [[1, 2], [2, 3], [1, 3]],
+     "rays [4] appear in no maximal cone"),
+], ids=["cone-size", "repeated-index", "unused-ray"])
+def test_fan_shape_errors_count_from_one(tmp_path, capsys, rays, cones,
+                                         message):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"dim": 2, "rays": rays, "max_cones": cones}))
+    assert run(capsys, "analyze", "--fan", str(path)) == (
+        2, "", f"input error: {message}\n")
+
+
+def test_non_object_fan_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "fan.json"
+    path.write_text("[]")
+    assert run(capsys, "analyze", "--fan", str(path)) == (
+        2, "", f"input error: {path}: expected a JSON object\n")
+
+
 # smooth cones, two at every wall and wall-connected, yet the cones at
 # wall (1, 5) lie on one side of it: some directions lie in three cones and
 # some in none
@@ -492,6 +515,59 @@ def test_corrupted_series_fails_ifunction_and_certify(monkeypatch, capsys,
     assert code == 1 and out == ""
     assert err.startswith("certificate failure: operator of")
     assert f"leaves q^{beta} hbar^" in err
+
+
+def _ifunction_reports(capsys):
+    """ifunction on P2 in text and JSON: (code, stdout) of each."""
+    text = run(capsys, "ifunction", "--fan", "P2")
+    js = run(capsys, "ifunction", "--fan", "P2", "--format", "json")
+    assert text[2] == js[2] == ""
+    return text[:2], js[:2]
+
+
+def _check_failed_report(text, js, failure):
+    (tcode, out), (jcode, raw) = text, js
+    report = json.loads(raw)
+    assert tcode == jcode == 1 and validate_report(report)
+    assert report["failures"] == [failure]
+    assert [row["class"] for row in report["i_function"]] == [
+        [0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3]]
+    lines = out.splitlines()
+    assert lines[0] == "reduced series up to ell <= 3 (P2)"
+    assert "annihilation: ok" in lines
+    assert lines[-1] == f"FAILURE: {failure}"
+
+
+def test_ifunction_reports_a_leading_term_failure(monkeypatch, capsys):
+    leading_terms = toriq.gkz.leading_terms
+    monkeypatch.setattr(toriq.gkz, "leading_terms",
+                        lambda I: leading_terms(I)._replace(i0_is_one=False))
+    text, js = _ifunction_reports(capsys)
+    failure = "leading term is not 1 on a semipositive fan"
+    _check_failed_report(text, js, failure)
+    assert "leading term I0 == 1: false" in text[1].splitlines()
+    report = json.loads(js[1])
+    assert report["leading_terms"]["i0_is_one"] is False
+    assert report["two_point_invariants"]["status"] == "ok"
+
+
+def test_ifunction_reports_a_two_point_failure(monkeypatch, capsys):
+    def raising(ring, I):
+        raise toriq.gkz.PositiveHbarPower(
+            "coefficient of q^(1, 1, 1) has hbar^0 term")
+
+    monkeypatch.setattr(toriq.gkz, "extract_two_point_invariants", raising)
+    text, js = _ifunction_reports(capsys)
+    failure = ("two-point extraction failed: coefficient of q^(1, 1, 1) "
+               "has hbar^0 term")
+    _check_failed_report(text, js, failure)
+    lines = text[1].splitlines()
+    assert "leading term I0 == 1: true" in lines
+    assert "two-point invariants: failed" in lines
+    assert "  reason: coefficient of q^(1, 1, 1) has hbar^0 term" in lines
+    assert json.loads(js[1])["two_point_invariants"] == {
+        "status": "failed",
+        "reason": "coefficient of q^(1, 1, 1) has hbar^0 term"}
 
 
 @pytest.mark.parametrize("command,fan,cutoff,dp_reduce_max", [

@@ -211,3 +211,35 @@ def test_coordinates_recombine_roundtrip():
         assert all(type(c) is int for c in coeffs)
         recombined = [sum(c * B[k][i] for k, c in enumerate(coeffs)) for i in range(n)]
         assert recombined == v
+
+
+def test_cones_are_stored_ascending_and_sorted():
+    # cones listed out of order: the faces must still be ascending tuples,
+    # as primitive_collections and i_function look them up
+    from toriq.moricone import mori_data
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((1, 0), (2, 1), (2, 0)))
+    validate_smooth(fan)
+    validate_complete(fan)
+    assert fan.max_cones == ((0, 1), (0, 2), (1, 2))
+    assert fan == make_fan(2, [(1, 0), (0, 1), (-1, -1)],
+                           [[1, 0], [2, 1], [2, 0]])
+    assert [pc.rays for pc in mori_data(fan).collections] == [(0, 1, 2)]
+
+
+def test_missing_ray_is_counted_from_one():
+    with pytest.raises(ValidationError) as exc:
+        make_fan(2, [(1, 0), (0, 1)], [(0, 2)])
+    assert str(exc.value) == "cone (1, 3) references missing ray 3"
+
+
+def test_ingestion_rejects_float_ray_entry():
+    with pytest.raises(ValidationError, match="non-integer ray entry"):
+        make_fan(2, [(1, 0.0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+
+
+def test_unknown_builtin_fan_lists_the_catalog():
+    with pytest.raises(KeyError) as exc:
+        builtin_fan("nope")
+    assert exc.value.args[0] == (
+        "unknown builtin fan 'nope'; choose from "
+        + ", ".join(sorted(CATALOG)))

@@ -200,6 +200,10 @@ def test_enumerate_effective_cutoff_zero():
         assert enumerate_effective(md, 0) == [(0,) * fan.n_rays]
 
 
+def test_enumerate_effective_negative_cutoff_is_empty():
+    assert enumerate_effective(mori_data(builtin_fan("P2")), -1) == []
+
+
 def test_enumerate_effective_p2():
     md = mori_data(builtin_fan("P2"))
     assert enumerate_effective(md, 3) == [
