@@ -47,6 +47,7 @@ from itertools import count
 from math import lcm
 
 from . import polynomials as P
+from .moricone import _binomial_exponents
 from .novikov import NovikovContext
 
 
@@ -189,7 +190,7 @@ class DeformedIdeal(namedtuple("DeformedIdeal", (
 def _binomial(ring, ctx, beta):
     """Batyrev's relation ``x^(beta+) - q^beta x^(beta-)`` of a class,
     level-indexed; the level ``beta`` is dropped past the cutoff."""
-    pos, neg = ([max(s * d, 0) for d in beta] for s in (1, -1))
+    pos, neg = _binomial_exponents(beta)
     out = {ctx.zero_class: ring.ray_product(enumerate(pos))}
     if ctx.ell_of(beta) <= ctx.cutoff:
         out[tuple(beta)] = P.pscale(ring.ray_product(enumerate(neg)), -1)
@@ -290,9 +291,9 @@ def complete(gens, ctx):
     return tuple(canonical), added
 
 
-def build_deformed_ideal(fan, md, ring, cutoff):
+def build_deformed_ideal(md, ring, cutoff):
     """Complete the binomials of the Mori generators to a rewriting system."""
-    ctx = NovikovContext(n_rays=fan.n_rays, ell=md.ell, cutoff=cutoff)
+    ctx = NovikovContext(n_rays=md.fan.n_rays, ell=md.ell, cutoff=cutoff)
     rules, added = complete([_binomial(ring, ctx, b) for b in md.generators],
                             ctx)
     return DeformedIdeal(ring=ring, ctx=ctx, rules=rules,
@@ -363,15 +364,15 @@ def module_matrices(ideal):
     return BatyrevModule(ideal=ideal, columns=columns, den=den)
 
 
-def relation_check(ideal, operators):
-    """Reduce each operator's hbar -> 0 limit, ``_binomial`` of its class,
-    which builds the deformed generators too.  Raises ``RelationNonzero``
-    naming the first that does not vanish in the quotient; returns nothing."""
-    for op in operators:
-        if dp_reduce(_binomial(ideal.ring, ideal.ctx, op.beta), ideal.rules,
+def relation_check(ideal, classes):
+    """Reduce each class's ``_binomial``, its box operator's hbar -> 0
+    limit.  Raises ``RelationNonzero`` naming the first class whose
+    relation does not vanish in the quotient; returns nothing."""
+    for beta in classes:
+        if dp_reduce(_binomial(ideal.ring, ideal.ctx, beta), ideal.rules,
                      ideal.ctx):
             raise RelationNonzero(
-                f"relation of {op.beta} does not vanish in the quotient")
+                f"relation of {beta} does not vanish in the quotient")
 
 
 # --- isomorphism certificate --------------------------------------------------
@@ -393,7 +394,7 @@ def certify_isomorphism(ideal, md):
     Returns the checked ``BatyrevModule``, so a report renders from it
     without recomputing it.
     """
-    from .gkz import annihilation_certificate, gkz_operator, i_function
+    from .gkz import annihilation_certificate, i_function
 
     ring = ideal.ring
     ctx = ideal.ctx
@@ -401,7 +402,7 @@ def certify_isomorphism(ideal, md):
         raise HypothesisUnmet(
             "fan is not semipositive: the comparison theorem does not apply")
     annihilation_certificate(i_function(ring, md, ctx.cutoff), md)
-    relation_check(ideal, [gkz_operator(beta) for beta in md.generators])
+    relation_check(ideal, md.generators)
     module = module_matrices(ideal)
     index = {m: i for i, m in enumerate(ring.basis)}
     for a, mono in enumerate(ring.basis):

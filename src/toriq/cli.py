@@ -38,7 +38,8 @@ from . import polynomials as P
 from .catalog import CATALOG, builtin_fan
 from .fan import (ValidationError, h_vector, make_fan, validate_complete,
                   validate_smooth)
-from .moricone import NoPositiveFunctional, effectivity_witness, mori_data
+from .moricone import (NoPositiveFunctional, _binomial_exponents,
+                       effectivity_witness, mori_data)
 
 SCHEMA = "toriq/1"
 
@@ -284,7 +285,7 @@ def run_certify(fan, cutoff):
         return report
     gkz.check_cutoff(md.ell_of, md.generators, cutoff)
     ring = cohomring.build_cohomology_ring(fan)
-    ideal = batyrev.build_deformed_ideal(fan, md, ring, cutoff)
+    ideal = batyrev.build_deformed_ideal(md, ring, cutoff)
     module = batyrev.certify_isomorphism(ideal, md)
     var_all = [f"x{r + 1}" for r in range(fan.n_rays)]
     report["presentation"] = {
@@ -312,8 +313,7 @@ def run_certify(fan, cutoff):
     }
     # certify_isomorphism raises on any failed check, so these are constant
     report["relations"] = [
-        {"relation": _relation_str(md, gkz.gkz_operator(beta), fan),
-         "vanishes": True}
+        {"relation": _relation_str(md, beta), "vanishes": True}
         for beta in md.generators]
     report["certificate"] = {
         "annihilation_ok": True,
@@ -336,14 +336,13 @@ def _rule_rhs_str(ring, md, ctx, rhs):
     return P._signed_sum(terms)
 
 
-def _relation_str(md, op, fan):
-    """The hbar -> 0 binomial of a box operator."""
-    names = [f"x{r + 1}" for r in range(fan.n_rays)]
-    pos = P.render_monomial(op.positive_exponents, names) or "1"
-    neg = P.render_monomial(op.negative_exponents, names)
-    q = novikov_monomial_str(md, op.beta)
+def _relation_str(md, beta):
+    """The hbar -> 0 binomial of a class's box operator."""
+    names = [f"x{r + 1}" for r in range(md.fan.n_rays)]
+    pos, neg = (P.render_monomial(e, names) for e in _binomial_exponents(beta))
+    q = novikov_monomial_str(md, beta)
     rhs = f"{q}*{neg}" if neg else q
-    return f"{pos} - {rhs}"
+    return f"{pos or 1} - {rhs}"
 
 
 # --- text emission --------------------------------------------------------------

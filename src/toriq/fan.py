@@ -41,12 +41,13 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
     """Immutable fan: primitive rays plus sorted maximal cones (0-based)."""
 
     def __new__(cls, dim, rays, max_cones, name=""):
-        if dim < 1:
-            raise ValidationError("dimension must be positive")
+        if type(dim) is not int or dim < 1:
+            raise ValidationError(
+                f"dimension must be positive and integral, got {dim!r}")
         for u in rays:
             if len(u) != dim:
                 raise ValidationError(f"ray {u} has wrong length")
-            if not all(isinstance(x, int) for x in u):
+            if not all(type(x) is int for x in u):    # not bool, not float
                 raise ValidationError(f"non-integer ray entry in {u}")
             g = gcd(*u)
             if g != 1:
@@ -54,7 +55,11 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
         if len(set(rays)) != len(rays):
             raise ValidationError("duplicate rays")
         covered = set()
-        for cone in max_cones:
+        for k, cone in enumerate(max_cones, 1):
+            bad = [i for i in cone if type(i) is not int]
+            if bad:
+                raise ValidationError(
+                    f"maximal cone {k} has non-integer ray index {bad[0]!r}")
             label = tuple(i + 1 for i in cone)
             if len(set(cone)) != len(cone):
                 raise ValidationError(f"repeated ray index in cone {label}")

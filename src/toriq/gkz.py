@@ -22,15 +22,16 @@ applied through the ring's divisor columns.  Classes are visited in lex
 order and share the product of the factors of their common prefix, carried
 on integer numerators: the series forms no HLaurent product.
 
-Box operators act coefficientwise through the rule "hbar-derivative along
-the divisor direction = multiplication by ``D_rho + hbar d'_rho``", which
-maps a bucket's class ``x`` to ``(D_rho + d'_rho) x`` one bucket up, through
-the same kernel; an operator's sides run on integer numerators and form a
-class only where they differ.  Applying the operator
-of any Mori generator must annihilate the series exactly on the certified
-range, and the hbar -> 0 limit of the operator is the binomial relation fed
-to the quantum-deformed ring.  Two-point invariants pair a class's nonzero
-numerators with sparse Gram rows.
+Box operators are passed as their classes and act coefficientwise through
+the rule "hbar-derivative along the divisor direction = multiplication by
+``D_rho + hbar d'_rho``", which maps a bucket's class ``x`` to ``(D_rho +
+d'_rho) x`` one bucket up, through the same kernel.  The two sides of the
+operator of ``beta`` take the factors of ``beta+`` and ``beta-``
+(``moricone._binomial_exponents``); they run on integer numerators and form
+a class only where they differ.  Applying the operator of any Mori
+generator must annihilate the series exactly on the certified range, and
+its hbar -> 0 limit is Batyrev's relation ``x^(beta+) - q^beta x^(beta-)``.
+Two-point invariants pair a class's nonzero numerators with sparse Gram rows.
 """
 
 from collections import namedtuple
@@ -38,7 +39,7 @@ from math import gcd
 from operator import add
 
 from .cohomring import _gram
-from .moricone import enumerate_effective
+from .moricone import _binomial_exponents, enumerate_effective
 from .novikov import HLaurent, NovikovContext, NovikovSeries
 
 
@@ -52,35 +53,6 @@ class InsufficientCutoff(ValueError):
 
 class AnnihilationFailure(AssertionError):
     """A box operator failed to annihilate the series (internal bug)."""
-
-
-class GKZOperator(namedtuple("GKZOperator", (
-        "beta",
-        "positive",   # (ray index, d_rho > 0)
-        "negative"))):  # (ray index, -d_rho for d_rho < 0)
-    """Box operator of a curve class: positive and negative ray factors.
-
-    Its hbar -> 0 limit is the binomial relation ``x^positive_exponents -
-    q^beta x^negative_exponents`` of the quantum-deformed ring.
-    """
-
-    __slots__ = ()
-
-    @property
-    def positive_exponents(self):
-        """Per-ray exponents ``max(d_rho, 0)`` of the leading monomial."""
-        return tuple(max(d, 0) for d in self.beta)
-
-    @property
-    def negative_exponents(self):
-        """Per-ray exponents ``max(-d_rho, 0)`` of the q^beta monomial."""
-        return tuple(max(-d, 0) for d in self.beta)
-
-
-def gkz_operator(beta):
-    pos = tuple((i, d) for i, d in enumerate(beta) if d > 0)
-    neg = tuple((i, -d) for i, d in enumerate(beta) if d < 0)
-    return GKZOperator(beta=tuple(beta), positive=pos, negative=neg)
 
 
 def _factor(d, t):
@@ -207,42 +179,44 @@ def check_cutoff(ell_of, generators, cutoff):
                 f"got {cutoff}")
 
 
-def apply_gkz_operator(op, I):
-    """Difference of the two operator products applied to the reduced series.
+def apply_gkz_operator(beta, I):
+    """Difference of the two sides of ``beta``'s box operator on the series.
 
-    Valid (and returned) on classes with ``ell(beta') <= cutoff - ell(op.beta)``;
+    Valid (and returned) on classes with ``ell(beta') <= cutoff - ell(beta)``;
     raises InsufficientCutoff when the operator degree exceeds the cutoff.
     Each side runs on integer numerators over a running denominator, and
     the sides are cross-multiplied: only a nonzero difference makes a class.
     """
     ring, ctx = I.ring, I.ctx
-    check_cutoff(ctx.ell_of, (op.beta,), ctx.cutoff)
-    op_ell = ctx.ell_of(op.beta)
+    check_cutoff(ctx.ell_of, (beta,), ctx.cutoff)
+    op_ell = ctx.ell_of(beta)
     reduced_cutoff = ctx.cutoff - op_ell
     out_ctx = ctx._replace(cutoff=reduced_cutoff)
     zero = ((0,) * ring.dim, 1)
+    positive, negative = ([(rho, e) for rho, e in enumerate(exponents) if e]
+                          for exponents in _binomial_exponents(beta))
     sides = {}      # (class, bucket) -> both sides' (numerators, denominator)
 
-    def side(i, at, h, beta, factors):
-        steps = [(rho, beta[rho] - m) for rho, d in factors for m in range(d)]
+    def side(i, at, h, b, factors):
+        steps = [(rho, b[rho] - m) for rho, e in factors for m in range(e)]
         for s, v in h.buckets.items():
             sides.setdefault((at, s + len(steps)), [zero, zero])[i] = \
                 ring._times_linear(v.num, v.den, steps)
 
-    for beta, h in I.terms.items():
-        ell = ctx.ell_of(beta)      # once per class: ell is additive
+    for b, h in I.terms.items():
+        ell = ctx.ell_of(b)         # once per class: ell is additive
         if ell <= reduced_cutoff:
-            side(0, beta, h, beta, op.positive)
+            side(0, b, h, b, positive)
         if ell + op_ell <= reduced_cutoff:
-            # the second side lands shifted by q^{op.beta}: built only there
-            side(1, tuple(map(add, beta, op.beta)), h, beta, op.negative)
+            # the second side lands shifted by q^beta: built only there
+            side(1, tuple(map(add, b, beta)), h, b, negative)
     diff = {}
-    for (beta, s), ((na, da), (nb, db)) in sides.items():
+    for (b, s), ((na, da), (nb, db)) in sides.items():
         if [x * db for x in na] != [y * da for y in nb]:
-            diff.setdefault(beta, {})[s] = ring._from_parts(
+            diff.setdefault(b, {})[s] = ring._from_parts(
                 ((na, da), ([-y for y in nb], db)))
     return NovikovSeries(out_ctx, ring, {
-        beta: HLaurent(ring, b) for beta, b in diff.items()})
+        b: HLaurent(ring, levels) for b, levels in diff.items()})
 
 
 def annihilation_certificate(I, md):
@@ -253,7 +227,7 @@ def annihilation_certificate(I, md):
     being zero on classes with ell up to ``certified ell``.
     """
     for beta in md.generators:
-        result = apply_gkz_operator(gkz_operator(beta), I)
+        result = apply_gkz_operator(beta, I)
         if result:
             bad_beta = sorted(result.terms)[0]
             power = result.terms[bad_beta].powers()[0]

@@ -131,6 +131,12 @@ def primitive_class(fan, pc):
     return tuple(b)
 
 
+def _binomial_exponents(beta):
+    """A class's ``(beta+, beta-)``: per ray ``max(b, 0)`` and ``max(-b, 0)``,
+    the exponents of its relation ``x^(beta+) - q^beta x^(beta-)``."""
+    return tuple(max(b, 0) for b in beta), tuple(max(-b, 0) for b in beta)
+
+
 # --- exact linear programming (Fourier-Motzkin) ------------------------------
 
 

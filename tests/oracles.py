@@ -290,12 +290,14 @@ def gkz_coefficient(ring, beta):
     return to_hlaurent(ring, out)
 
 
-def apply_gkz_operator(op, I):
+def apply_gkz_operator(beta, I):
     """Reference for ``gkz.apply_gkz_operator``: each side multiplies the
     coefficients' HLaurents by one factor ``(D_rho + c hbar)`` at a time,
-    through class products, and the sides are subtracted as HLaurents."""
+    through class products, and the sides are subtracted as HLaurents.  The
+    first side has ``beta_rho`` factors of each ray with ``beta_rho > 0``,
+    the second ``-beta_rho`` of each ray with ``beta_rho < 0``."""
     ring, ctx = I.ring, I.ctx
-    reduced_cutoff = ctx.cutoff - ctx.ell_of(op.beta)
+    reduced_cutoff = ctx.cutoff - ctx.ell_of(beta)
     out_ctx = NovikovContext(n_rays=ctx.n_rays, ell=ctx.ell,
                              cutoff=reduced_cutoff)
 
@@ -304,20 +306,20 @@ def apply_gkz_operator(op, I):
         return hlaurent(ring, {0: divisor_class(ring, rho),
                                1: ring.one().scale(c)})
 
-    def side(h, beta, factors):
-        for rho, d in factors:
-            for m in range(d):
-                h = linear(rho, beta[rho] - m) * h
+    def side(h, b, sign):
+        for rho, d in enumerate(beta):
+            for m in range(max(sign * d, 0)):
+                h = linear(rho, b[rho] - m) * h
         return h
 
     terms = {}
     for beta_p, h in I.terms.items():
         if out_ctx.ell_of(beta_p) <= reduced_cutoff:
-            terms[beta_p] = side(h, beta_p, op.positive)
+            terms[beta_p] = side(h, beta_p, 1)
     for beta_pp, h in I.terms.items():
-        target = tuple(x + y for x, y in zip(beta_pp, op.beta))
+        target = tuple(x + y for x, y in zip(beta_pp, beta))
         if out_ctx.ell_of(target) <= reduced_cutoff:
-            acc = hlaurent_scale(side(h, beta_pp, op.negative), -1)
+            acc = hlaurent_scale(side(h, beta_pp, -1), -1)
             terms[target] = hlaurent_add(terms[target], acc) \
                 if target in terms else acc
     return NovikovSeries(out_ctx, ring, terms)

@@ -180,7 +180,7 @@ def test_criterion_06_batyrev_golden_values():
     fan = builtin_fan("F2")
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
-    ideal = build_deformed_ideal(fan, md, ring, 3)
+    ideal = build_deformed_ideal(md, ring, 3)
     module = module_matrices(ideal)
     ctx = ideal.ctx
     b1, b2 = (1, -2, 1, 0), (0, 1, 0, 1)
@@ -201,7 +201,7 @@ def test_criterion_06_batyrev_golden_values():
     fan = builtin_fan("P2")
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
-    ideal = build_deformed_ideal(fan, md, ring, 3)
+    ideal = build_deformed_ideal(md, ring, 3)
     module = module_matrices(ideal)
     col = star_column(module, 0, ring.basis.index((2,)))  # H * H^2
     assert col[ring.basis.index((0,))] == \
@@ -215,7 +215,7 @@ def test_criterion_07_module_axiom_commutativity():
     for name, fan in CATALOG.items():
         md = mori_data(fan)
         ring = build_cohomology_ring(fan)
-        ideal = build_deformed_ideal(fan, md, ring, 4)
+        ideal = build_deformed_ideal(md, ring, 4)
         module = module_matrices(ideal)
         ctx = ideal.ctx
         dim = ring.dim
@@ -238,7 +238,7 @@ def test_criterion_08_classical_limit():
     for name, fan in CATALOG.items():
         md = mori_data(fan)
         ring = build_cohomology_ring(fan)
-        ideal = build_deformed_ideal(fan, md, ring, 3)
+        ideal = build_deformed_ideal(md, ring, 3)
         mats = module_scalars(module_matrices(ideal))
         for rho in range(fan.n_rays):
             D = divisor_class(ring, rho)
@@ -258,13 +258,13 @@ def test_criterion_09_isomorphism_certificate():
         fan = builtin_fan(name)
         md = mori_data(fan)
         ring = build_cohomology_ring(fan)
-        ideal = build_deformed_ideal(fan, md, ring, 3)
+        ideal = build_deformed_ideal(md, ring, 3)
         module = certify_isomorphism(ideal, md)
         check_module(fan, md.ell, 3, module)
     fan = builtin_fan("F3")
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
-    ideal = build_deformed_ideal(fan, md, ring, 3)
+    ideal = build_deformed_ideal(md, ring, 3)
     with pytest.raises(HypothesisUnmet):
         certify_isomorphism(ideal, md)
     report(9, "certify_isomorphism returns a module that the Groebner-free "
@@ -309,7 +309,7 @@ def test_criterion_10_property_suite():
     for name, fan in CATALOG.items():
         md = mori_data(fan)
         ring = build_cohomology_ring(fan)
-        ideal = build_deformed_ideal(fan, md, ring, 3)
+        ideal = build_deformed_ideal(md, ring, 3)
         ctx = ideal.ctx
         classes = [ctx.zero_class] + [tuple(g) for g in md.generators]
         for _ in range(200):

@@ -237,6 +237,37 @@ def test_ingestion_rejects_float_ray_entry():
         make_fan(2, [(1, 0.0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
 
 
+def test_ingestion_rejects_bool_ray_entry():
+    # True == 1 would pass every later check and reach the report as `true`
+    with pytest.raises(ValidationError) as exc:
+        make_fan(2, [(True, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    assert str(exc.value) == "non-integer ray entry in (True, 0)"
+
+
+def test_ingestion_rejects_float_cone_index():
+    # 0.0 passes the range check and equals ray 0; indexing the rays with
+    # it would raise TypeError in validate_smooth
+    with pytest.raises(ValidationError) as exc:
+        make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0.0, 1), (1, 2), (0, 2)])
+    assert str(exc.value) == "maximal cone 1 has non-integer ray index 0.0"
+
+
+def test_ingestion_rejects_bool_dimension():
+    # True == 1 would validate a fan on the line and reach the report as
+    # "dim": true
+    with pytest.raises(ValidationError) as exc:
+        make_fan(True, [(1,), (-1,)], [(0,), (1,)])
+    assert str(exc.value) == \
+        "dimension must be positive and integral, got True"
+
+
+def test_ingestion_rejects_bool_cone_index():
+    # True would stand for ray 2 and the fan would validate
+    with pytest.raises(ValidationError) as exc:
+        make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, True), (0, 2)])
+    assert str(exc.value) == "maximal cone 2 has non-integer ray index True"
+
+
 def test_unknown_builtin_fan_lists_the_catalog():
     with pytest.raises(KeyError) as exc:
         builtin_fan("nope")

@@ -161,7 +161,7 @@ def check_invariants(fan, tmp_path, capsys):
     code, _ = run(capsys, path, "certify", cutoff)
     assert code == (0 if semipositive(fan) else 3)
     if code == 0:
-        ideal = build_deformed_ideal(fan, md, ring, cutoff)
+        ideal = build_deformed_ideal(md, ring, cutoff)
         check_module(fan, md.ell, cutoff, certify_isomorphism(ideal, md))
 
 
@@ -277,7 +277,7 @@ def test_p1_bundles_certify_or_exit_3():
         assert md.semipositive, fan.name
         cutoff = max(3, *map(md.ell_of, md.generators))
         ring = build_cohomology_ring(fan)
-        ideal = build_deformed_ideal(fan, md, ring, cutoff)
+        ideal = build_deformed_ideal(md, ring, cutoff)
         check_module(fan, md.ell, cutoff, certify_isomorphism(ideal, md))
         cutoffs.append(cutoff)
     assert (len(cutoffs), cutoffs.count(4)) == (53, 5)
@@ -310,7 +310,7 @@ def test_semipositive_product_certifies(a, b, cutoff):
     md = mori_data(fan)
     assert md.semipositive
     ring = build_cohomology_ring(fan)
-    module = certify_isomorphism(build_deformed_ideal(fan, md, ring, cutoff),
+    module = certify_isomorphism(build_deformed_ideal(md, ring, cutoff),
                                  md)
     check_module(fan, md.ell, cutoff, module)
 

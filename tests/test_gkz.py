@@ -21,12 +21,11 @@ from toriq.gkz import (
     annihilation_certificate,
     apply_gkz_operator,
     extract_two_point_invariants,
-    gkz_operator,
     i_function,
     leading_terms,
     _factor,
 )
-from toriq.moricone import enumerate_effective, mori_data
+from toriq.moricone import _binomial_exponents, enumerate_effective, mori_data
 from toriq.novikov import HLaurent, NovikovSeries
 
 from oracles import (
@@ -226,8 +225,7 @@ def test_two_point_rejects_f3():
 def test_apply_operator_p1_telescopes():
     _, md, ring = setup("P1")
     I = i_function(ring, md, 4)
-    op = gkz_operator((1, 1))
-    out = apply_gkz_operator(op, I)
+    out = apply_gkz_operator((1, 1), I)
     assert not out
 
 
@@ -236,7 +234,7 @@ def test_apply_operator_zero_series():
     _, md, ring = setup("F2")
     ctx = NovikovContext(n_rays=4, ell=md.ell, cutoff=3)
     zero = NovikovSeries(ctx, ring, {})
-    out = apply_gkz_operator(gkz_operator((0, 1, 0, 1)), zero)
+    out = apply_gkz_operator((0, 1, 0, 1), zero)
     assert not out
 
 
@@ -244,7 +242,7 @@ def test_apply_operator_insufficient_cutoff():
     _, md, ring = setup("P1")
     I = i_function(ring, md, 0)
     with pytest.raises(InsufficientCutoff):
-        apply_gkz_operator(gkz_operator((2, 2)), I)
+        apply_gkz_operator((2, 2), I)
 
 
 def test_annihilation_all_catalog():
@@ -273,7 +271,7 @@ def test_box_operators_of_all_effective_classes_annihilate():
         for beta in enumerate_effective(md, 2):
             if not any(beta):
                 continue
-            out = apply_gkz_operator(gkz_operator(beta), I)
+            out = apply_gkz_operator(beta, I)
             assert not out, (name, beta)
 
 
@@ -309,16 +307,18 @@ def test_projective_three_space():
     assert annihilation_certificate(i_function(ring, md, 3), md) == [(beta, 2)]
 
 
-def test_extract_relation_examples():
-    op = gkz_operator((1, -2, 1, 0))
-    assert op.positive_exponents == (1, 0, 1, 0)
-    assert op.negative_exponents == (0, 2, 0, 0)
-    op = gkz_operator((0, 1, 0, 1))
-    assert op.positive_exponents == (0, 1, 0, 1)
-    assert op.negative_exponents == (0, 0, 0, 0)
-    op = gkz_operator((1, 1, 1))
-    assert op.positive_exponents == (1, 1, 1)
-    assert op.negative_exponents == (0, 0, 0)
+def test_binomial_exponents_examples():
+    assert _binomial_exponents((1, -2, 1, 0)) == ((1, 0, 1, 0), (0, 2, 0, 0))
+    assert _binomial_exponents((0, 1, 0, 1)) == ((0, 1, 0, 1), (0, 0, 0, 0))
+    assert _binomial_exponents((1, 1, 1)) == ((1, 1, 1), (0, 0, 0))
+
+
+def test_relation_strings_of_f2():
+    from toriq.cli import _relation_str
+    _, md, _ = setup("F2")
+    assert md.generators == ((1, -2, 1, 0), (0, 1, 0, 1))
+    assert [_relation_str(md, beta) for beta in md.generators] == [
+        "x1*x3 - q1*x2^2", "x2*x4 - q2"]
 
 
 def _naive_coefficient(ring, beta):
@@ -553,8 +553,8 @@ def test_apply_operator_matches_hlaurent_reference(name):
     I = i_function(ring, md, 4)
     low = enumerate_effective(md, 2)
     for beta in dict.fromkeys([*md.generators, *low[1:]]):
-        op = gkz_operator(beta)
-        assert apply_gkz_operator(op, I) == oracles.apply_gkz_operator(op, I)
+        assert apply_gkz_operator(beta, I) == \
+            oracles.apply_gkz_operator(beta, I)
     perturbed = 0
     for beta in low:
         if beta not in I.terms:
@@ -563,9 +563,8 @@ def test_apply_operator_matches_hlaurent_reference(name):
             P = perturbed_series(I, beta, shift)
             messages = []
             for g in md.generators:
-                op = gkz_operator(g)
-                expected = oracles.apply_gkz_operator(op, P)
-                assert apply_gkz_operator(op, P) == expected, (beta, g)
+                expected = oracles.apply_gkz_operator(g, P)
+                assert apply_gkz_operator(g, P) == expected, (beta, g)
                 if expected:
                     bad = sorted(expected.terms)[0]
                     power = expected.terms[bad].powers()[0]

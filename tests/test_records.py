@@ -15,7 +15,6 @@ from toriq.cohomring import CohomRing, build_cohomology_ring
 from toriq.fan import Fan, ValidationError, make_fan
 from toriq.gkz import (
     extract_two_point_invariants,
-    gkz_operator,
     i_function,
     leading_terms,
 )
@@ -42,17 +41,16 @@ def _records():
     md = mori_data(fan)
     ring = build_cohomology_ring(fan)
     I = i_function(ring, md, 2)
-    ideal = build_deformed_ideal(fan, md, ring, 2)
+    ideal = build_deformed_ideal(md, ring, 2)
     return [fan, md, ring,
             md.collections[0], effectivity_witness(fan, md.collections[0]),
-            I.ctx, ideal, module_matrices(ideal),
-            gkz_operator(md.generators[0]), leading_terms(I),
+            I.ctx, ideal, module_matrices(ideal), leading_terms(I),
             extract_two_point_invariants(ring, I)]
 
 
 def test_record_fields_are_read_only():
     records = _records()
-    assert len({type(r) for r in records}) == 11
+    assert len({type(r) for r in records}) == 10
     for i, record in enumerate(records):
         for field in record._fields:
             with pytest.raises(AttributeError):

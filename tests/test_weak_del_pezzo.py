@@ -98,7 +98,7 @@ def test_weak_del_pezzo_certifies(a):
     need = max(md.ell_of(beta) for beta in md.generators)
     assert need == 5 if a == NEEDS_CUTOFF_5 else need <= 4
     cutoff = max(4, need)
-    ideal = build_deformed_ideal(fan, md, build_cohomology_ring(fan), cutoff)
+    ideal = build_deformed_ideal(md, build_cohomology_ring(fan), cutoff)
     check_module(fan, md.ell, cutoff, certify_isomorphism(ideal, md))
 
 
