@@ -310,9 +310,8 @@ def _multiplication_columns(ring, rules, ctx):
     lead of a reduced system is on the border), and ``dp_reduce``'s, once
     per monomial, for the rest of the border (Kehrein and Kreuzer, J. Pure
     Appl. Algebra 196, 2005).  Every ray's columns are the combination of
-    these that its Kirwan lift gives, since the normal form is linear; an
-    eliminated ray's lift is ``ring.eliminations[rho]``.  Zero entries are
-    dropped.
+    these that its Kirwan lift, its column of the chart's curve basis,
+    gives, since the normal form is linear.  Zero entries are dropped.
     """
     zero, basis = ctx.zero_class, ring.basis
     index = {m: k for k, m in enumerate(basis)}
@@ -330,8 +329,7 @@ def _multiplication_columns(ring, rules, ctx):
                 for poly in f.values() for c in poly.values()))
     columns = []
     for rho in range(ring.fan.n_rays):
-        lift = ring.eliminations.get(
-            rho, [int(s == rho) for s in ring.surviving])
+        lift = [b[rho] for b in ring.fan.chart[2]]
         cols = [{} for _ in basis]
         for column, c in zip(normal, lift):
             for col, f in zip(cols, column if c else ()):

@@ -3,12 +3,12 @@
 The ring is the polynomial ring on one variable per ray, modulo the linear
 relations ``sum <m, u_rho> x_rho`` and the square-free Stanley-Reisner ideal.
 The variables of the maximal cone ``sigma0`` of ``Fan.chart`` are eliminated
-through the linear relations; their coefficients are the surviving rays'
-integer coordinates in ``sigma0``'s basis, so the surviving variables are the
-chart's basis of the Picard group.  The image of the Stanley-Reisner ideal
-in the surviving variables is completed to a reduced Groebner basis; the
-standard monomials form the module basis, with one basis element per
-maximal cone.
+through the linear relations, so the surviving variables are the chart's
+basis of the Picard group.  Each ray's Kirwan lift over them is its column
+of the chart's curve basis: a surviving ray's is its own variable.  The
+image of the Stanley-Reisner ideal in the surviving variables is completed
+to a reduced Groebner basis; the standard monomials form the module basis,
+with one basis element per maximal cone.
 
 There is no separate classical Groebner code.  The completion is
 ``batyrev.complete`` at cutoff 0, where the deformed ring is the classical
@@ -57,7 +57,6 @@ class CohomRing(namedtuple("CohomRing", (
         "fan",
         "sigma0",                 # eliminated ray indices
         "surviving",              # remaining ray indices, ascending
-        "eliminations",           # eliminated ray -> integer coeffs over surviving
         "rules",                  # (lead, normal form of lead) from complete
         "basis",                  # standard monomials (exponent tuples)
         "basis_degrees",
@@ -168,12 +167,11 @@ class CohomRing(namedtuple("CohomRing", (
         return out, den * cden
 
     def ray_poly(self, rho):
-        """Polynomial representative (the Kirwan lift) of D_rho."""
+        """Polynomial representative (the Kirwan lift) of D_rho: its column
+        of the chart's curve basis, over the surviving variables."""
         nv = len(self.surviving)
-        if rho in self.surviving:
-            return P.pvar(nv, self.surviving.index(rho))
-        return {tuple(int(i == j) for i in range(nv)): c
-                for j, c in enumerate(self.eliminations[rho]) if c}
+        return {tuple(int(i == j) for i in range(nv)): b[rho]
+                for j, b in enumerate(self.fan.chart[2]) if b[rho]}
 
     def ray_product(self, exponents):
         """Polynomial of ``prod D_rho^e`` over ``(rho, e)`` pairs."""
@@ -239,16 +237,11 @@ class CohClass:
 
 
 def build_cohomology_ring(fan):
-    sigma0, surviving, coords = fan.chart
+    sigma0, surviving, _ = fan.chart
     nv = len(surviving)
-    # x_rho = -sum_j <m_rho, u_j> x_j over surviving rays j, where m_rho is
-    # the dual basis of sigma0's rays: <m_rho, u_j> is u_j's rho-coordinate
-    eliminations = {rho: tuple(-c[pos] for c in coords)
-                    for pos, rho in enumerate(sigma0)}
-
     ring = CohomRing(
         fan=fan, sigma0=sigma0, surviving=surviving,
-        eliminations=eliminations, rules=(), basis=(), basis_degrees=(),
+        rules=(), basis=(), basis_degrees=(),
         point_integrals=(), divisor_columns=(),
         var_names=tuple(f"x{j + 1}" for j in surviving))
 

@@ -10,9 +10,11 @@ maximal cones, on opposite sides of it, and the wall-adjacency graph is
 connected; then the covering degree: one generic point lies in exactly one
 maximal cone).  Each check raises ``ValidationError`` on the first
 violation.  ``Fan.chart``, computed once per fan, fixes the cone that the
-cohomology ring and the curve-class lattice are read in.  Each maximal
-cone's ray matrix is inverted once (``Fan.cone_inverses``), its only
-solver: smoothness, wall sides and coordinates on its rays are read from it.
+cohomology ring and the curve-class lattice are read in: its one integer
+matrix is the curve-class basis, and its columns are the rays' Kirwan
+lifts.  Each maximal cone's ray matrix is inverted once
+(``Fan.cone_inverses``), its only solver: smoothness, wall sides and
+coordinates on its rays are read from it.
 ``h_vector`` gives the even Betti numbers from the face counts alone.
 """
 
@@ -95,25 +97,30 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
 
     @cached_property
     def chart(self):
-        """The maximal cone ``sigma0``, the surviving rays, and their
-        coordinates, computed once per Fan.
+        """The maximal cone ``sigma0``, the surviving rays, and the curve
+        basis, computed once per Fan.
 
         ``sigma0`` is the cone whose complement, the ascending ``surviving``,
         is lexicographically least.  The divisors of the surviving rays are a
         basis of the Picard group, and a curve class is fixed by its entries
         on the same rays (Cox, Little and Schenck, *Toric Varieties*, 2011,
-        4.1).  The value is ``(sigma0, surviving, coords)``: ``coords[j]``
-        holds the integer coordinates of ray ``surviving[j]`` in the basis
-        of ``sigma0``'s rays.  Raises ``ValidationError`` unless ``sigma0``
-        is smooth.
+        4.1).  The value is ``(sigma0, surviving, basis)``: ``basis[j]`` is
+        the curve class with 1 on ``surviving[j]``, 0 on the other surviving
+        rays and minus ``u_j``'s coordinates on ``sigma0``'s rays.  Column
+        ``rho`` of ``basis`` is ``D_rho``'s Kirwan lift over the surviving
+        divisors.  Raises ``ValidationError`` unless ``sigma0`` is smooth.
         """
         surviving, sigma0 = min(
             (tuple(i for i in range(self.n_rays) if i not in cone), cone)
             for cone in self.max_cones)
         _check_smooth(self, sigma0)
-        coords = tuple(tuple(self.coordinates(sigma0, self.rays[j]))
-                       for j in surviving)
-        return sigma0, surviving, coords
+        basis = []
+        for s in surviving:
+            b = [int(i == s) for i in range(self.n_rays)]
+            for i, x in zip(sigma0, self.coordinates(sigma0, self.rays[s])):
+                b[i] = -x
+            basis.append(tuple(b))
+        return sigma0, surviving, tuple(basis)
 
     @cached_property
     def faces(self):

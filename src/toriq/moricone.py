@@ -13,9 +13,10 @@ reads a class's coordinates over the generators from its chart coordinates.
 
 Effective classes up to an ell-cutoff are the lattice points of a bounded
 polytope in the chart coordinates of ``Fan.chart``: a class is fixed by its
-entries on the rays outside ``sigma0``.  They are enumerated by a depth-first
-walk whose per-coordinate ranges come from exact Fourier-Motzkin projections
-of that polytope, so the work follows the number of classes, not the volume
+entries on the rays outside ``sigma0``, its coordinates over the chart's
+curve basis.  They are enumerated by a depth-first walk whose
+per-coordinate ranges come from exact Fourier-Motzkin projections of that
+polytope, so the work follows the number of classes, not the volume
 of a bounding box.  Imbert's rule (Imbert, "Fourier's elimination: which to
 choose?", 1993), a sharper Chernikov's rule (Chernikov 1965; Kohler 1967),
 keeps the projections small: a row combining more given rows than one plus
@@ -221,24 +222,6 @@ def mori_data(fan):
 # --- effective class enumeration ---------------------------------------------
 
 
-def _kernel_setup(fan):
-    """Basis of the curve-class lattice, one vector per surviving ray.
-
-    The vector of surviving ray ``j`` of ``Fan.chart`` is ``e_j`` minus
-    ``u_j``'s coordinates placed on ``sigma0``'s rays, so a class's
-    coordinates in this basis are its entries on the surviving rays.
-    """
-    sigma0, surviving, coords = fan.chart
-    basis = []
-    for j, c in zip(surviving, coords):
-        b = [0] * fan.n_rays
-        b[j] = 1
-        for i, x in zip(sigma0, c):
-            b[i] = -x
-        basis.append(b)
-    return basis, surviving
-
-
 def _facet_normals(vectors, r):
     """Inward facet normals of the full-dimensional pointed cone(vectors).
 
@@ -366,7 +349,7 @@ def enumerate_effective(md, cutoff):
     zero = (0,) * fan.n_rays
     if cutoff < 0:
         return []
-    basis, surviving = _kernel_setup(fan)
+    _, surviving, basis = fan.chart
     r = len(basis)
     ys = [tuple(g[j] for j in surviving) for g in md.generators]
     ell_y = tuple(md.ell_of(b) for b in basis)
@@ -374,7 +357,7 @@ def enumerate_effective(md, cutoff):
     rows.append((tuple(-x for x in ell_y), -cutoff))
     # each point comes out as (ell, class), its own sort key
     points = sorted(_lattice_points(
-        rows, r, [(x,) + tuple(b) for x, b in zip(ell_y, basis)]))
+        rows, r, [(x,) + b for x, b in zip(ell_y, basis)]))
     assert points and points[0] == (0,) + zero
     return [p[1:] for p in points]
 

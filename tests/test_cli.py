@@ -9,6 +9,7 @@ import pytest
 
 import toriq
 import toriq.batyrev
+import toriq.cli
 import toriq.cohomring
 import toriq.gkz
 import toriq.lattice
@@ -600,6 +601,39 @@ def test_command_work_is_pinned(monkeypatch, capsys, tmp_path, command, fan,
     assert code == 0
     assert calls["invert_int"] <= len(FAN_FILES[fan]["max_cones"]) + 1, calls
     assert calls["dp_reduce"] <= dp_reduce_max, calls
+
+
+@pytest.mark.parametrize("command,counts", [
+    ("certify", {"mori_data": 1, "build_cohomology_ring": 1,
+                 "i_function": 1, "module_matrices": 1, "complete": 2}),
+    ("ifunction", {"mori_data": 1, "build_cohomology_ring": 1,
+                   "i_function": 1, "module_matrices": 0, "complete": 1}),
+])
+def test_each_artifact_made_once(monkeypatch, capsys, tmp_path, command,
+                                 counts):
+    # one Mori cone, one ring, one series and one module per command; the
+    # completions are the ring's and, for certify, the deformed ideal's
+    calls = dict.fromkeys(counts, 0)
+
+    def counting(module, name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(toriq.cli, "mori_data", toriq.cli.mori_data)
+    counting(toriq.cohomring, "build_cohomology_ring",
+             toriq.cohomring.build_cohomology_ring)
+    counting(toriq.gkz, "i_function", toriq.gkz.i_function)
+    counting(toriq.batyrev, "module_matrices", toriq.batyrev.module_matrices)
+    real = toriq.batyrev.complete
+    counting(toriq.batyrev, "complete", real)
+    counting(toriq.cohomring, "complete", real)
+    path = tmp_path / "dP6.json"
+    path.write_text(json.dumps(FAN_FILES["dP6"]))
+    code, _, _ = run(capsys, command, "--fan", str(path), "--cutoff", "6")
+    assert code == 0
+    assert calls == counts
 
 
 @pytest.mark.parametrize("make,eliminations", [

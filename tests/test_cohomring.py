@@ -77,8 +77,8 @@ def test_f2_structure():
     ring = build_cohomology_ring(builtin_fan("F2"))
     assert ring.sigma0 == (2, 3)
     assert ring.surviving == (0, 1)
-    assert ring.eliminations[2] == (1, 0)       # x3 = x1
-    assert ring.eliminations[3] == (2, 1)       # x4 = 2 x1 + x2
+    assert ring.ray_poly(2) == {(1, 0): 1}                  # x3 = x1
+    assert ring.ray_poly(3) == {(1, 0): 2, (0, 1): 1}       # x4 = 2 x1 + x2
     assert ring.basis == ((0, 0), (1, 0), (0, 1), (1, 1))
     assert list(groebner(ring)) == [
         {(2, 0): Fraction(1)},

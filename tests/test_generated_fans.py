@@ -60,7 +60,6 @@ from toriq.fan import (
 )
 from toriq.moricone import (
     _facet_normals,
-    _kernel_setup,
     enumerate_effective,
     mori_data,
 )
@@ -192,7 +191,7 @@ def test_generated_enumeration_matches_box_scan(kind, i):
                          ids=[f"{kind}-{i}" for kind, i in GENERATED])
 def test_generated_facets_match_nullspace_oracle(kind, i):
     fan = {"surface": surface, "threefold": threefold}[kind](i)
-    _, surviving = _kernel_setup(fan)
+    surviving = fan.chart[1]
     ys = [tuple(g[j] for j in surviving) for g in mori_data(fan).generators]
     assert _facet_normals(ys, len(surviving)) == \
         oracles.facet_normals(ys, len(surviving))

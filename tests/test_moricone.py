@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import oracles
+from test_generated_fans import FANS, GENERATED, p1_bundles
 from test_weak_del_pezzo import SEQUENCES, rays_of
 from toriq import moricone
 from toriq.catalog import CATALOG, NOT_SEMIPOSITIVE, SEMIPOSITIVE, builtin_fan
@@ -14,7 +15,6 @@ from toriq.moricone import (
     NonIntegralCoefficient,
     NoPositiveFunctional,
     _facet_normals,
-    _kernel_setup,
     _lattice_points,
     effectivity_witness,
     enumerate_effective,
@@ -480,7 +480,7 @@ def test_positive_functional_verdict_matches_fm_oracle():
 
 def _kernel_generators(fan):
     """The Mori generators in chart coordinates, as enumeration sees them."""
-    _, surviving = _kernel_setup(fan)
+    surviving = fan.chart[1]
     ys = [tuple(g[j] for j in surviving) for g in mori_data(fan).generators]
     return ys, len(surviving)
 
@@ -494,22 +494,60 @@ FACET_FANS = dict(
 CHART_FANS = {**FACET_FANS, **WIDE_FANS}
 
 
-@pytest.mark.parametrize("name", sorted(CHART_FANS))
+CHART_FAMILIES = {
+    **{name: lambda make=make: [make()] for name, make in CHART_FANS.items()},
+    "generated": lambda: [FANS[kind](i) for kind, i in GENERATED],
+    "weak-del-pezzo": lambda: [_cycle_fan(rays_of(a)) for a in SEQUENCES],
+    "p1-bundles": p1_bundles,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_FAMILIES))
 def test_chart_basis_and_kirwan_lift(name):
     """Each chart basis vector is an integer relation among the rays with
-    the identity on the surviving rays, and the ring's Kirwan lift satisfies
-    every linear relation ``sum_rho <e_k, u_rho> D_rho = 0``."""
-    fan = CHART_FANS[name]()
-    basis, surviving = _kernel_setup(fan)
+    the identity on the surviving rays, and the basis and the far chart of
+    ``oracles.curve_lattice_basis`` rebuild each other from their entries
+    off their own cones.  The ring's Kirwan lift of each ray is its column
+    of that basis: a surviving ray's is its own variable, every class pairs
+    with ``D_rho`` as the lift dotted with its surviving entries, and the
+    lifts satisfy every linear relation ``sum_rho <e_k, u_rho> D_rho = 0``."""
+    fans = CHART_FAMILIES[name]()
+    assert len(fans) in (1, len(GENERATED), len(SEQUENCES), 278)
+    for fan in fans:
+        _check_chart(fan)
+
+
+def _check_chart(fan):
+    sigma0, surviving, basis = fan.chart
+    nv = len(surviving)
     for b in basis:
         assert all(isinstance(x, int) for x in b)
         assert all(sum(x * u[k] for x, u in zip(b, fan.rays)) == 0
                    for k in range(fan.dim)), b
     assert [[b[j] for j in surviving] for b in basis] == \
-        [[int(a == c) for c in range(len(surviving))]
-         for a in range(len(surviving))]
+        [[int(a == c) for c in range(nv)] for a in range(nv)]
+
+    far = oracles.curve_lattice_basis(fan)
+    off = [j for j in range(fan.n_rays) if j not in oracles._far_cone(fan)]
+
+    def rebuilt(v, rays, vectors):
+        return [sum(v[j] * w[i] for j, w in zip(rays, vectors))
+                for i in range(fan.n_rays)]
+
+    assert all(rebuilt(v, surviving, basis) == list(v) for v in far)
+    assert all(rebuilt(b, off, far) == list(b) for b in basis)
+
     ring = build_cohomology_ring(fan)
-    assert (ring.sigma0, ring.surviving) == fan.chart[:2]
+    assert (ring.sigma0, ring.surviving) == (sigma0, surviving)
+    units = [tuple(int(i == j) for i in range(nv)) for j in range(nv)]
+    for j, s in enumerate(surviving):
+        assert ring.ray_poly(s) == {units[j]: 1}
+    for rho in range(fan.n_rays):
+        poly = ring.ray_poly(rho)
+        lift = [poly.get(m, 0) for m in units]
+        assert len(poly) == sum(map(bool, lift)), (rho, poly)
+        for v in far:
+            assert v[rho] == sum(c * v[s] for c, s in zip(lift, surviving))
     for k in range(fan.dim):
         total = {}
         for rho, u in enumerate(fan.rays):
