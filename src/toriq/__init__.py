@@ -9,15 +9,17 @@ quantum module at a chosen truncation order.  Everything runs on Python ints,
 with a Fraction only on request or for a non-unit Groebner lead; no floats.
 
 The combinatorial layers, ``fan``, ``lattice``, ``catalog`` and
-``moricone``, load with the package.  The series and Groebner layers,
-``polynomials``, ``novikov``, ``cohomring``, ``gkz`` and ``batyrev``, load
-on first use: each is registered through ``importlib.util.LazyLoader``, so
-its module object is in ``sys.modules`` and on the package from import, and
-its body is compiled and run on its first attribute access.  Fan ingestion
-and ``analyze`` never load them.  Unlike a function-local import, this keeps
-them in ``sys.modules`` from the start, where the benchmark's tracer looks
-up every layer.  The package's names from those modules resolve through
-the module ``__getattr__``.
+``moricone``, load with the package.  Six modules load on first use: the
+series and Groebner layers, ``polynomials``, ``novikov``, ``cohomring``,
+``gkz`` and ``batyrev``, and ``report``, which builds and renders the
+``ifunction`` and ``certify`` reports from them.  Each is registered
+through ``importlib.util.LazyLoader``, so its module object is in
+``sys.modules`` and on the package from import, and its body is compiled
+and run on its first attribute access.  Fan ingestion and ``analyze``,
+which ``cli`` holds, run none of them.  Unlike a function-local import,
+this keeps them in ``sys.modules`` from the start, where the benchmark's
+tracer looks up every layer.  The package's names from those modules
+resolve through the module ``__getattr__``; ``report`` exports none.
 """
 
 import importlib.util
@@ -35,6 +37,7 @@ _LAZY = {
     "gkz": ("i_function", "leading_terms", "annihilation_certificate"),
     "batyrev": ("build_deformed_ideal", "module_matrices",
                 "certify_isomorphism"),
+    "report": (),
 }
 for _name in _LAZY:
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")

@@ -38,7 +38,6 @@ from math import gcd, lcm
 
 from . import polynomials as P
 from .batyrev import _multiplication_columns, complete
-from .moricone import primitive_collections
 from .novikov import NovikovContext
 
 # Scalars of the classical ring: the q^0 level alone, so no curve classes.
@@ -246,7 +245,7 @@ def build_cohomology_ring(fan):
         var_names=tuple(f"x{j + 1}" for j in surviving))
 
     sr_gens = [{(): ring.ray_product((rho, 1) for rho in coll)}
-               for coll in primitive_collections(fan)]
+               for coll in fan.primitive_collections]
     rules, _ = complete(sr_gens, _Q0)
     basis = tuple(P.standard_monomials([lead for lead, _ in rules], nv))
     if len(basis) != len(fan.max_cones):

@@ -14,7 +14,9 @@ cohomology ring and the curve-class lattice are read in: its one integer
 matrix is the curve-class basis, and its columns are the rays' Kirwan
 lifts.  Each maximal cone's ray matrix is inverted once
 (``Fan.cone_inverses``), its only solver: smoothness, wall sides and
-coordinates on its rays are read from it.
+coordinates on its rays are read from it.  The minimal non-faces,
+``Fan.primitive_collections``, are searched once per fan as well, for the
+Mori cone and the ring's Stanley-Reisner ideal.
 ``h_vector`` gives the even Betti numbers from the face counts alone.
 """
 
@@ -46,16 +48,21 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
         if type(dim) is not int or dim < 1:
             raise ValidationError(
                 f"dimension must be positive and integral, got {dim!r}")
-        for u in rays:
+        first = {}
+        for k, u in enumerate(rays, 1):
             if len(u) != dim:
-                raise ValidationError(f"ray {u} has wrong length")
+                raise ValidationError(
+                    f"ray {k} {u} has wrong length {len(u)}, expected {dim}")
             if not all(type(x) is int for x in u):    # not bool, not float
                 raise ValidationError(f"non-integer ray entry in {u}")
             g = gcd(*u)
+            if g == 0:
+                raise ValidationError(f"ray {k} is zero")
             if g != 1:
-                raise ValidationError(f"ray {u} is not primitive (gcd {g})")
-        if len(set(rays)) != len(rays):
-            raise ValidationError("duplicate rays")
+                raise ValidationError(
+                    f"ray {k} {u} is not primitive (gcd {g})")
+            if first.setdefault(u, k) != k:
+                raise ValidationError(f"ray {k} {u} repeats ray {first[u]}")
         covered = set()
         for k, cone in enumerate(max_cones, 1):
             bad = [i for i in cone if type(i) is not int]
@@ -127,6 +134,24 @@ class Fan(namedtuple("Fan", "dim rays max_cones name")):
         """The cones of the fan as ascending ray-index tuples, once per Fan."""
         return {face for cone in self.max_cones
                 for k in range(len(cone) + 1) for face in combinations(cone, k)}
+
+    @cached_property
+    def primitive_collections(self):
+        """Minimal non-faces of the cone complex, sorted canonically, as
+        ascending ray-index tuples, once per Fan.
+
+        A set is one iff it is contained in no maximal cone while every
+        proper subset is.  Candidates beyond dim+1 elements cannot qualify
+        (their big proper subsets are already too large to be faces).
+        """
+        faces = self.faces
+        found = []
+        for size in range(2, self.dim + 2):
+            for cand in combinations(range(self.n_rays), size):
+                if cand not in faces and all(
+                        sub in faces for sub in combinations(cand, size - 1)):
+                    found.append(cand)
+        return tuple(sorted(found))
 
     def coordinates(self, cone, v):
         """Coordinates of ``v`` on a maximal cone's rays, times its ``d > 0``:

@@ -3,9 +3,10 @@
 Curve classes are kept basis-free as integer vectors ``(b_rho)`` indexed by
 rays, living in the kernel lattice of the ray matrix (``sum b_rho u_rho = 0``);
 the pairing of a class with the divisor ``D_rho`` is read off as ``b_rho``.
-A primitive collection ``P`` (minimal non-face of the fan's cone complex)
-produces the relation ``sum_{rho in P} u_rho = sum_{rho in gamma(1)} c_rho
-u_rho`` and hence the primitive class with entries 1 on ``P``, ``-c_rho`` on
+A primitive collection ``P`` (minimal non-face of the fan's cone complex,
+listed once per fan by ``Fan.primitive_collections``) produces the
+relation ``sum_{rho in P} u_rho = sum_{rho in gamma(1)} c_rho u_rho`` and
+hence the primitive class with entries 1 on ``P``, ``-c_rho`` on
 ``gamma(1)`` and 0 elsewhere.  The Mori cone is generated by these classes;
 semipositivity means the anticanonical divisor ``sum D_rho`` pairs >= 0 with
 each of them.  When the cone is simplicial, ``MoriData.generator_inverse``
@@ -26,7 +27,7 @@ The same walk searches for the smallest positive functional.
 
 from collections import namedtuple
 from functools import cached_property
-from itertools import combinations, count
+from itertools import count
 from math import gcd
 
 from . import lattice
@@ -89,24 +90,6 @@ class MoriData(namedtuple("MoriData", (
         return tuple(tuple(row[pos[j]] if j in pos else 0
                            for j in range(self.fan.n_rays))
                      for row in inv[0]), inv[1]
-
-
-def primitive_collections(fan):
-    """Minimal non-faces of the cone complex, sorted canonically.
-
-    A set is returned iff it is contained in no maximal cone while every
-    proper subset is.  Candidates beyond dim+1 elements cannot qualify (their
-    big proper subsets are already too large to be faces).
-    """
-    faces = fan.faces
-    found = []
-    for size in range(2, fan.dim + 2):
-        for cand in combinations(range(fan.n_rays), size):
-            if cand in faces:
-                continue
-            if all(sub in faces for sub in combinations(cand, size - 1)):
-                found.append(cand)
-    return sorted(found)
 
 
 def primitive_relation(fan, P):
@@ -211,7 +194,7 @@ def positive_functional(generators, nvars):
 
 def mori_data(fan):
     """All primitive classes, a positive functional, and the nef-ness flag."""
-    cols = [primitive_relation(fan, P) for P in primitive_collections(fan)]
+    cols = [primitive_relation(fan, P) for P in fan.primitive_collections]
     gens = tuple(primitive_class(fan, pc) for pc in cols)
     ell = positive_functional(gens, fan.n_rays)
     semipositive = all(sum(g) >= 0 for g in gens)

@@ -16,7 +16,8 @@ There is no Groebner code here: one completion (``batyrev.complete``, with
 
 Every signed sum in the reports -- polynomials, classes, Novikov scalars,
 basis expansions and rewriting rules -- is rendered by ``_signed_sum``, which
-``cli`` shares the way ``novikov`` shares ``_rational``.
+the ``ifunction`` and ``certify`` reports (``report``) share the way
+``novikov`` shares ``_rational``.
 """
 
 from itertools import product

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import toriq.cohomring
 import toriq.gkz
 import toriq.lattice
 import toriq.novikov
+import toriq.report
 from toriq.cli import (
     SCHEMA,
     ParseError,
@@ -22,15 +24,13 @@ from toriq.cli import (
     fan_from_dict,
     ingest,
     main,
-    novikov_monomial_str,
     run_analyze,
-    run_certify,
-    run_ifunction,
 )
 from toriq.catalog import CATALOG, builtin_fan
-from toriq.fan import ValidationError
+from toriq.fan import Fan, ValidationError
 from toriq.gkz import i_function
 from toriq.moricone import mori_data
+from toriq.report import novikov_monomial_str, run_certify, run_ifunction
 
 import oracles
 from oracles import perturbed_series
@@ -223,7 +223,15 @@ def test_ingest_rejects_non_smooth(tmp_path, capsys):
      "repeated ray index in cone (1, 1)"),
     ([[1, 0], [0, 1], [-1, -1], [1, 1]], [[1, 2], [2, 3], [1, 3]],
      "rays [4] appear in no maximal cone"),
-], ids=["cone-size", "repeated-index", "unused-ray"])
+    ([[1, 0], [0, 1], [-1, -1], [1, 0]], [[1, 2], [2, 3], [3, 1]],
+     "ray 4 (1, 0) repeats ray 1"),
+    ([[0, 0], [0, 1], [-1, -1]], [[1, 2], [2, 3], [3, 1]], "ray 1 is zero"),
+    ([[1, 0, 0], [0, 1], [-1, -1]], [[1, 2], [2, 3], [3, 1]],
+     "ray 1 (1, 0, 0) has wrong length 3, expected 2"),
+    ([[2, 0], [0, 1], [-1, -1]], [[1, 2], [2, 3], [3, 1]],
+     "ray 1 (2, 0) is not primitive (gcd 2)"),
+], ids=["cone-size", "repeated-index", "unused-ray", "repeated-ray",
+        "zero-ray", "ray-length", "non-primitive-ray"])
 def test_fan_shape_errors_count_from_one(tmp_path, capsys, rays, cones,
                                          message):
     path = tmp_path / "fan.json"
@@ -604,15 +612,19 @@ def test_command_work_is_pinned(monkeypatch, capsys, tmp_path, command, fan,
 
 
 @pytest.mark.parametrize("command,counts", [
-    ("certify", {"mori_data": 1, "build_cohomology_ring": 1,
-                 "i_function": 1, "module_matrices": 1, "complete": 2}),
-    ("ifunction", {"mori_data": 1, "build_cohomology_ring": 1,
-                   "i_function": 1, "module_matrices": 0, "complete": 1}),
+    ("certify", {"primitive_collections": 1, "mori_data": 1,
+                 "build_cohomology_ring": 1, "i_function": 1,
+                 "module_matrices": 1, "complete": 2}),
+    ("ifunction", {"primitive_collections": 1, "mori_data": 1,
+                   "build_cohomology_ring": 1, "i_function": 1,
+                   "module_matrices": 0, "complete": 1}),
 ])
 def test_each_artifact_made_once(monkeypatch, capsys, tmp_path, command,
                                  counts):
-    # one Mori cone, one ring, one series and one module per command; the
-    # completions are the ring's and, for certify, the deformed ideal's
+    # one search for the primitive collections, which the Mori cone and the
+    # ring both read, one Mori cone, one ring, one series and one module per
+    # command; the completions are the ring's and, for certify, the
+    # deformed ideal's
     calls = dict.fromkeys(counts, 0)
 
     def counting(module, name, real):
@@ -621,7 +633,16 @@ def test_each_artifact_made_once(monkeypatch, capsys, tmp_path, command,
             return real(*args)
         monkeypatch.setattr(module, name, counted)
 
-    counting(toriq.cli, "mori_data", toriq.cli.mori_data)
+    real_search = Fan.primitive_collections.func
+
+    def search(fan):
+        calls["primitive_collections"] += 1
+        return real_search(fan)
+
+    search = functools.cached_property(search)
+    search.__set_name__(Fan, "primitive_collections")
+    monkeypatch.setattr(Fan, "primitive_collections", search)
+    counting(toriq.report, "mori_data", toriq.report.mori_data)
     counting(toriq.cohomring, "build_cohomology_ring",
              toriq.cohomring.build_cohomology_ring)
     counting(toriq.gkz, "i_function", toriq.gkz.i_function)
@@ -854,8 +875,9 @@ def test_import_loads_no_argument_parser():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-# the layers that toriq/__init__.py loads on first use
-LAZY = ("polynomials", "novikov", "cohomring", "gkz", "batyrev")
+# the modules that toriq/__init__.py loads on first use: the series and
+# Groebner layers, and the ifunction and certify reports that read them
+LAZY = ("polynomials", "novikov", "cohomring", "gkz", "batyrev", "report")
 
 # the stdlib's rational arithmetic, which no command loads on these fans
 NUMERIC = ["decimal", "fractions", "numbers"]
@@ -903,7 +925,7 @@ def _fresh(code, *argv):
 @pytest.mark.parametrize("call,code,loaded", [
     ("ingest(sys.argv[1])", None, []),
     ("main(['analyze', '--fan', sys.argv[1]])", 0, []),
-    ("main(['certify', '--fan', 'F3'])", 3, []),
+    ("main(['certify', '--fan', 'F3'])", 3, ["report"]),
     ("main(['ifunction', '--fan', sys.argv[1]])", 0, list(LAZY)),
     ("main(['certify', '--fan', 'F2', '--cutoff', '3'])", 0, list(LAZY)),
     ("main(['certify', '--fan', sys.argv[1], '--cutoff', '6'])", 0,
@@ -914,9 +936,10 @@ def _fresh(code, *argv):
 def test_series_and_groebner_layers_load_on_first_use(tmp_path, call, code,
                                                       loaded):
     # the pinwheel has no positive functional: analyze exits 2 before
-    # anything reaches the series layers; every layer is integer-only on
-    # these fans, whose rules all have unit leads, so no command loads
-    # fractions, decimal or numbers
+    # anything reaches the series layers; certify on a fan that is not
+    # semipositive runs the report and no series layer; every layer is
+    # integer-only on these fans, whose rules all have unit leads, so no
+    # command loads fractions, decimal or numbers
     path = tmp_path / "dP6.json"
     path.write_text(json.dumps(FAN_FILES["dP6"]))
     pinwheel = tmp_path / "pinwheel.json"

@@ -18,7 +18,6 @@ from toriq.cohomring import (
 )
 from toriq import polynomials as P
 from toriq.fan import Fan
-from toriq.moricone import primitive_collections
 
 from oracles import (
     KERNEL_FANS,
@@ -211,7 +210,7 @@ def test_groebner_matches_sympy(fan):
                    for m, c in poly.items())
 
     gens = []
-    for coll in primitive_collections(fan):
+    for coll in fan.primitive_collections:
         poly = P.pconst(len(ring.surviving))
         for rho in coll:
             poly = P.pmul(poly, ring.ray_poly(rho))

@@ -215,7 +215,7 @@ def test_coordinates_recombine_roundtrip():
 
 def test_cones_are_stored_ascending_and_sorted():
     # cones listed out of order: the faces must still be ascending tuples,
-    # as primitive_collections and i_function look them up
+    # as Fan.primitive_collections and i_function look them up
     from toriq.moricone import mori_data
     fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((1, 0), (2, 1), (2, 0)))
     validate_smooth(fan)

@@ -49,7 +49,8 @@ import pytest
 
 from toriq.batyrev import build_deformed_ideal, certify_isomorphism
 from toriq.catalog import CATALOG, builtin_fan
-from toriq.cli import exit_code_for, main, run_certify
+from toriq.cli import exit_code_for, main
+from toriq.report import run_certify
 from toriq.cohomring import build_cohomology_ring, divisor_class, integrate
 from toriq.fan import (
     ValidationError,

@@ -314,7 +314,7 @@ def test_binomial_exponents_examples():
 
 
 def test_relation_strings_of_f2():
-    from toriq.cli import _relation_str
+    from toriq.report import _relation_str
     _, md, _ = setup("F2")
     assert md.generators == ((1, -2, 1, 0), (0, 1, 0, 1))
     assert [_relation_str(md, beta) for beta in md.generators] == [
